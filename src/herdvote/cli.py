@@ -362,10 +362,24 @@ def _sweep_point(payload) -> dict:
     return record
 
 
+def _grid_values(text, parse, default) -> list:
+    """Comma-separated grid values in first-seen order, repeats dropped.
+
+    A repeated value would give two grid points one config, hence one run
+    directory written by two workers at once.
+    """
+    if not text:
+        return [default]
+    try:
+        return list(dict.fromkeys(parse(v) for v in text.split(",")))
+    except ValueError:
+        raise ConfigError(f"bad grid values {text!r}")
+
+
 def cmd_sweep(args) -> int:
     base = _load_config_arg(args)
-    xs = [float(v) for v in args.x.split(",")] if args.x else [base["x"]]
-    ns = [int(v) for v in args.n_agents.split(",")] if args.n_agents else [base["n_agents"]]
+    xs = _grid_values(args.x, float, base["x"])
+    ns = _grid_values(args.n_agents, int, base["n_agents"])
     if not xs or not ns or args.replicates < 1:
         raise ConfigError("sweep grid is empty")
     points = []
@@ -405,8 +419,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_meanfield(args) -> int:
     dist, report = meanfield.solve_stationary(
-        args.n_agents, args.x, tolerance=args.tolerance,
-        max_iterations=args.max_iterations, damping=args.damping,
+        args.n_agents, args.x, tolerance=args.tolerance, max_iterations=args.max_iterations,
     )
     out = args.out or f"meanfield_N{args.n_agents}_x{args.x}.txt"
     meanfield.write_distribution(out, dist)
@@ -437,7 +450,11 @@ def _read_run_returns(run_dir: str, use_raw: bool) -> tuple[dict, np.ndarray]:
     path = os.path.join(run_dir, name)
     if not os.path.exists(path):
         raise ConfigError(f"missing artifact: {path}")
-    return config, engine.read_returns_text(path)
+    try:
+        returns = engine.read_returns_text(path)
+    except ValueError as exc:
+        raise ConfigError(f"damaged artifact {path}: {exc}")
+    return config, returns
 
 
 def cmd_analyze(args) -> int:
@@ -498,11 +515,10 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _fmt_cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
+    # repr of a NumPy float is "np.float64(...)" under NumPy 2: convert first
+    if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, (np.integer,)):
+    if isinstance(value, np.integer):
         return int(value)
     return value
 
@@ -629,7 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mf.add_argument("--x", type=float, required=True)
     p_mf.add_argument("--tolerance", type=float, default=1e-10)
     p_mf.add_argument("--max-iterations", type=int, default=10_000)
-    p_mf.add_argument("--damping", type=float, default=0.5)
     p_mf.add_argument("--out", help="distribution file (two columns: size n_s)")
     p_mf.set_defaults(func=cmd_meanfield)
 

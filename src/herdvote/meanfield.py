@@ -28,12 +28,15 @@ and the balance takes the familiar coagulation-fragmentation form
           + (1/N^2) sum_{s'=1}^{s-1} s' n_s' (s-s') n_{s-s'} p_merge(s')
           + delta_{s,1} (1/N) sum_{s'>=2} p_frg(s') s'^2 n_s'
 
-The finite-N form (the first display) is what `balance_residual` and
-`solve_stationary` implement.  These are deterministic rate equations for the *average*
-occupation numbers: products of averages stand in for averages of products,
-so correlations and fluctuations are not captured.  Fragmentation makes
-those fluctuations violent (one event converts a group of size s into s
-singletons at once), and at small N the fixed point can differ from the
+The finite-N form (the first display) is written once, in `_flows`, as an
+inflow to each size and an outflow rate per group, so that the balance at
+size s reads inflow_s - rate_s n_s; `balance_residual` and
+`solve_stationary` both evaluate it there.  These are deterministic rate
+equations for the *average* occupation numbers: products of averages stand
+in for averages of products, so correlations and fluctuations are not
+captured.  Fragmentation makes those fluctuations violent (one event
+converts a group of size s into s singletons at once), and at small N the
+fixed point can differ from the
 exact chain's stationary marginals by tens of percent.  `stationary_oracle`
 computes those exact marginals for tiny N by enumerating all integer
 partitions of N as Markov states; use it to quantify the gap.
@@ -42,17 +45,19 @@ One special case is handled exactly: when p_frg(N) = 0 the single
 whole-population group can never break apart, every trajectory eventually
 coagulates into it, and the stationary state is one group of size N.
 
-The solver runs damped Gauss-Seidel sweeps from small sizes upward (the
-balance at size s needs gains only from sizes below s), renormalising the
-agent mass after every sweep.  A sweep costs O(N^2) term updates, so the
-work to convergence is of order N^2 times the sweep count; N up to a few
-thousand is practical in a few minutes.
+The solver starts from N singletons and moves every n_s at once halfway to
+the count that balances its inflow against its outflow,
+n_s <- n_s/2 + inflow_s/(2 rate_s), then rescales the counts to mass N.
+Sums over the size that merges away or is targeted are cumulative sums and
+the merge gains are one convolution, so a sweep is a few NumPy calls on
+arrays of length N (O(N^2) work inside the convolution).  The sweep count
+depends on x far more than on N: about 95 at x = 0.41, several hundred
+close to x = 1/3.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from collections import Counter
 from dataclasses import dataclass
 
@@ -61,6 +66,7 @@ import numpy as np
 from .voting import decision_probabilities
 
 ONE_THIRD = 1.0 / 3.0
+_DAMPING = 0.5  # share of the balancing step taken per sweep
 
 
 @dataclass
@@ -104,6 +110,35 @@ def _rates(n_agents: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     return p_frg, p_merge
 
 
+def _flows(n: np.ndarray, p_frg: np.ndarray, p_merge: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inflow to each size and outflow rate per group at counts `n`.
+
+    The net flow into size s is inflow[s] - rate[s] * n[s].  All arrays are
+    indexed by size 0..N; entry 0 carries no flow.
+    """
+    N = len(n) - 1
+    sizes = np.arange(N + 1, dtype=float)
+    mass = sizes * n
+    # own[s] = n_s - (n_s - 1)+ : the acting group itself, which cannot be
+    # its own target; only counted where a same-size pair fits (2s <= N).
+    own = np.where(2 * sizes <= N, np.minimum(n, 1.0), 0.0)
+    act = np.zeros(N + 1)  # rate(s', t) = act[s'] n_s' * t (n_t - d_{t,s'})+
+    act[1:N] = sizes[1:N] * p_merge[1:N] / (N * (N - sizes[1:N]))
+    acting = act * n
+    reachable_mass = np.cumsum(mass)[::-1]  # [s] = sum_{t <= N-s} t n_t
+    targeting = np.cumsum(acting)[::-1]  # [t] = sum_{s' <= N-t} act[s'] n_s'
+
+    rate = (sizes * p_frg / N  # fragments
+            + act * reachable_mass  # merges away
+            + sizes * targeting  # is a target
+            - 2.0 * sizes * act * own)  # both above, without the self-pair
+
+    inflow = np.convolve(acting, mass)[: N + 1]  # merge gains
+    inflow[::2] -= (acting * sizes * own)[: N // 2 + 1]  # self-pair s' = t = s/2
+    inflow[1] += float(sizes * p_frg / N @ mass)  # new singletons
+    return inflow, rate
+
+
 def balance_residual(dist: GroupSizeDistribution, x) -> np.ndarray:
     """Net stationary flow into each size; zero everywhere at a fixed point.
 
@@ -112,30 +147,8 @@ def balance_residual(dist: GroupSizeDistribution, x) -> np.ndarray:
     Returned array is indexed like `dist.counts` (entry 0 unused).
     """
     n = np.asarray(dist.counts, dtype=float)
-    N = dist.n_agents
-    x = float(x)
-    p_frg, p_merge = _rates(N, x)
-    sizes = np.arange(N + 1, dtype=float)
-
-    residual = np.zeros(N + 1)
-
-    frag_rate = sizes * n * p_frg / N  # zero at s=1 since p_frg(1)=0
-    residual -= frag_rate
-    residual[1] += float(sizes @ frag_rate)
-
-    for sp in range(1, N):
-        base = sp * n[sp] / N * p_merge[sp]
-        if base == 0.0:
-            continue
-        t_max = N - sp
-        weights = sizes[1 : t_max + 1] * n[1 : t_max + 1]
-        if sp <= t_max:
-            weights[sp - 1] = sp * max(n[sp] - 1.0, 0.0)
-        rates = base * weights / (N - sp)
-        residual[sp] -= float(rates.sum())
-        residual[1 : t_max + 1] -= rates
-        residual[sp + 1 : N + 1] += rates
-    return residual
+    inflow, rate = _flows(n, *_rates(dist.n_agents, float(x)))
+    return inflow - rate * n
 
 
 def solve_stationary(
@@ -143,13 +156,15 @@ def solve_stationary(
     x,
     tolerance: float = 1e-10,
     max_iterations: int = 10_000,
-    damping: float = 0.5,
 ) -> tuple[GroupSizeDistribution, SolverReport]:
     """Fixed point of the stationary balance with mass sum_s s*n_s = N.
 
-    Damped Gauss-Seidel sweeps, small sizes first; stops when the residual
-    max-norm drops to `tolerance`.  On non-convergence the best iterate is
-    returned with converged=False.  Deterministic given its inputs.
+    Starting from N singletons, each sweep moves every n_s halfway to the
+    count that balances its inflow against its own outflow rate,
+    n <- n/2 + inflow/(2 rate), all sizes at once, then rescales the counts
+    to mass N.  Stops when the residual max-norm drops to `tolerance`.  On
+    non-convergence the last iterate is returned with converged=False.
+    Deterministic given its inputs.
     """
     N = int(n_agents)
     x = float(x)
@@ -173,53 +188,16 @@ def solve_stationary(
     n = np.zeros(N + 1)
     n[1] = float(N)
     sizes = np.arange(N + 1, dtype=float)
+    inflow, rate = _flows(n, p_frg, p_merge)
     residual_norm = math.inf
 
     for sweep in range(1, max_iterations + 1):
-        # Per-sweep global sums (lagged within the sweep; the fixed point,
-        # checked through balance_residual, is unaffected).
-        cum_mass = np.cumsum(sizes * n)  # cum_mass[k] = sum_{t<=k} t n_t
-        q = np.zeros(N + 1)
-        q[1:N] = sizes[1:N] * n[1:N] * p_merge[1:N] / (N - sizes[1:N]) / N
-        cum_q = np.cumsum(q)
-
-        for s in range(1, N + 1):
-            if s == 1:
-                gain = float((sizes[2:] ** 2 / N * p_frg[2:]) @ n[2:])
-            else:
-                gain = 0.0
-                for sp in range(1, s):
-                    t = s - sp
-                    if sp >= N or t > N - sp:
-                        continue
-                    w = t * (n[t] - (1.0 if t == sp else 0.0))
-                    if w <= 0.0:
-                        continue
-                    gain += sp * n[sp] / N * p_merge[sp] * w / (N - sp)
-
-            lam = s / N * p_frg[s]
-            if s < N:
-                out_mass = cum_mass[N - s]
-                if s <= N - s:
-                    out_mass -= s * min(n[s], 1.0)
-                lam += s / N * p_merge[s] * max(out_mass, 0.0) / (N - s)
-                k = min(N - s, N - 1)
-                targeted = cum_q[k] * s
-                if s <= k:
-                    # replace own-size acting term by its self-excluded form
-                    targeted -= q[s] * s
-                    targeted += s / N * p_merge[s] * s * max(n[s] - 1.0, 0.0) / (N - s)
-                lam += targeted
-            if lam > 0.0:
-                n[s] = (1.0 - damping) * n[s] + damping * gain / lam
-
-        total = float(sizes @ n)
-        if total > 0.0:
-            n *= N / total
-
-        residual_norm = float(
-            np.max(np.abs(balance_residual(GroupSizeDistribution(N, n.copy()), x)))
-        )
+        # A size nothing flows out of keeps its count.
+        balanced = np.divide(inflow, rate, out=n.copy(), where=rate > 0.0)
+        n = (1.0 - _DAMPING) * n + _DAMPING * balanced
+        n *= N / float(sizes @ n)
+        inflow, rate = _flows(n, p_frg, p_merge)
+        residual_norm = float(np.max(np.abs(inflow - rate * n)))
         if residual_norm <= tolerance:
             return GroupSizeDistribution(N, n), SolverReport(sweep, residual_norm, True)
 
@@ -310,19 +288,3 @@ def write_distribution(path, dist: GroupSizeDistribution) -> None:
         for s in range(1, dist.n_agents + 1):
             fh.write(f"{s} {dist.counts[s]:.12g}\n")
 
-
-def measure_sweep_cost(n_values=(25, 50, 100), x: float = 0.41) -> list[dict]:
-    """Observed solver cost over a range of N (documents the ~N^2 sweep scaling)."""
-    rows = []
-    for n in n_values:
-        t0 = time.perf_counter()
-        _, report = solve_stationary(n, x)
-        rows.append(
-            {
-                "n_agents": n,
-                "sweeps": report.iterations,
-                "term_updates": report.iterations * n * (n + 1) // 2,
-                "seconds": time.perf_counter() - t0,
-            }
-        )
-    return rows

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -162,6 +163,25 @@ def test_sweep_empty_grid_rejected(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("grid", [["--x", "0.41,abc"], ["--n-agents", "100,1.5"]])
+def test_sweep_malformed_grid_value_rejected(tmp_path, capsys, grid):
+    code = run_cli(["sweep", *grid, "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    assert "bad grid values" in capsys.readouterr().err
+
+
+def test_sweep_drops_repeated_grid_values(tmp_path, capsys):
+    code = run_cli(["sweep", "--x", "0.41,0.43,0.41", "--n-agents", "100,100",
+                    "--set", "total_steps=1000", "--out", str(tmp_path)])
+    assert code == 0
+    capsys.readouterr()
+    sweep = json.load(open(tmp_path / "sweep.json"))
+    assert sweep["x_values"] == [0.41, 0.43]
+    assert sweep["n_agents_values"] == [100]
+    assert [r["x"] for r in sweep["runs"]] == [0.41, 0.43]
+    assert len({r["run_dir"] for r in sweep["runs"]}) == 2
+
+
 def test_derived_seeds_are_stable():
     assert cli.derive_seed(1, 0.37, 100, 0) == cli.derive_seed(1, 0.37, 100, 0)
     assert cli.derive_seed(1, 0.37, 100, 0) != cli.derive_seed(1, 0.37, 100, 1)
@@ -221,6 +241,15 @@ def test_analyze_run_dir(tmp_path, capsys):
     assert run_cli(["analyze", run_dir, "--tail-threshold", "5",
                     "--r-min", "1", "--out", str(out_csv)]) == 0
     assert out_csv.read_bytes() == first  # deterministic re-analysis
+    written = [out_csv] + [os.path.join(run_dir, "analysis", name)
+                           for name in ("ccdf.csv", "pdf.csv", "fit.csv")]
+    for path in written:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows
+        for row in rows:
+            for cell in row:
+                float(cell)  # a NumPy repr such as "np.float64(0.5)" fails here
 
 
 def test_analyze_missing_artifact_named(tmp_path, capsys):
@@ -241,6 +270,18 @@ def test_analyze_no_trades_is_explicit(tmp_path, capsys):
     code = run_cli(["analyze", str(run_dir)])
     assert code == cli.EXIT_CONFIG
     assert "no trades" in capsys.readouterr().err
+
+
+def test_analyze_damaged_returns_file(tmp_path, capsys):
+    run_dir = tmp_path / "damaged"
+    run_dir.mkdir()
+    config = cli.resolve_config(cli.apply_overrides(
+        cli.default_config(), ["n_agents=100", "total_steps=1000"]))
+    (run_dir / "config.txt").write_text(cli.config_text(config))
+    (run_dir / "returns_rescaled_k2.txt").write_text("3\n-1\ngarbage\n2\n")
+    code = run_cli(["analyze", str(run_dir), "--out", str(tmp_path / "summary.csv")])
+    assert code == cli.EXIT_CONFIG
+    assert "returns_rescaled_k2.txt" in capsys.readouterr().err
 
 
 # -- validate ----------------------------------------------------------------------

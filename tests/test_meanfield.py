@@ -5,12 +5,12 @@ from herdvote.engine import SimConfig, init_state, step
 from herdvote.meanfield import (
     GroupSizeDistribution,
     balance_residual,
-    measure_sweep_cost,
     solve_stationary,
     stationary_oracle,
     write_distribution,
 )
 from herdvote.strategy import VoteMode
+from herdvote.voting import decision_probabilities
 
 
 def weighted_mass(dist):
@@ -38,6 +38,37 @@ def test_residual_conserves_mass_for_any_counts():
         residual = balance_residual(dist, 0.41)
         total_flow = float(np.arange(n_agents + 1) @ residual)
         assert abs(total_flow) < 1e-10
+
+
+def reference_residual(n_agents, counts, x):
+    """The module docstring's balance, one term at a time."""
+    N, n = n_agents, counts
+    probs = [None] + [decision_probabilities(s, x) for s in range(1, N + 1)]
+    residual = np.zeros(N + 1)
+    for s in range(1, N + 1):
+        fragments = s / N * probs[s].fragment * n[s]
+        residual[s] -= fragments
+        residual[1] += s * fragments
+    for sp in range(1, N):
+        for t in range(1, N - sp + 1):
+            rate = (sp * n[sp] / N * probs[sp].merge
+                    * t * max(n[t] - (1.0 if t == sp else 0.0), 0.0) / (N - sp))
+            residual[sp] -= rate
+            residual[t] -= rate
+            residual[sp + t] += rate
+    return residual
+
+
+def test_residual_matches_term_by_term_balance():
+    rng = np.random.default_rng(7)
+    for n_agents in (2, 3, 4, 7, 12, 31, 60):
+        for x in (0.34, 0.41, 0.47, 0.6, 0.9):
+            # counts below 1 make the own-size exclusion clamp at zero
+            counts = np.concatenate([[0.0], rng.random(n_agents) * rng.choice([0.5, 3.0])])
+            counts[rng.random(n_agents + 1) < 0.2] = 0.0
+            residual = balance_residual(GroupSizeDistribution(n_agents, counts), x)
+            expected = reference_residual(n_agents, counts, x)
+            np.testing.assert_allclose(residual, expected, rtol=1e-9, atol=1e-12)
 
 
 def test_residual_of_all_singletons():
@@ -83,6 +114,15 @@ def test_solver_is_deterministic():
     d2, r2 = solve_stationary(25, 0.45)
     assert np.array_equal(d1.counts, d2.counts)
     assert r1 == r2
+
+
+def test_solver_converges_near_one_third():
+    """Close to x = 1/3 at N=200 the fixed point is reached, finite, at mass N."""
+    dist, report = solve_stationary(200, 0.34)
+    assert report.converged
+    assert np.all(np.isfinite(dist.counts))
+    assert weighted_mass(dist) == pytest.approx(200.0, abs=1e-8)
+    assert np.max(np.abs(reference_residual(200, dist.counts, 0.34))) <= 1e-9
 
 
 def test_solver_conservation_and_shape_at_n100():
@@ -186,7 +226,7 @@ def test_mean_field_gap_against_exact_chain_is_bounded():
     assert 0.05 < worst < 0.8
 
 
-# -- export and cost ----------------------------------------------------------------
+# -- export ----------------------------------------------------------------
 
 def test_write_distribution(tmp_path):
     dist, _ = solve_stationary(6, 0.41)
@@ -199,8 +239,3 @@ def test_write_distribution(tmp_path):
     assert sizes == [1, 2, 3, 4, 5, 6]
     assert values == pytest.approx(list(dist.counts[1:]), rel=1e-9)
 
-
-def test_sweep_cost_measurement():
-    rows = measure_sweep_cost((10, 20), x=0.41)
-    assert [r["n_agents"] for r in rows] == [10, 20]
-    assert all(r["sweeps"] > 0 and r["seconds"] >= 0 for r in rows)
