@@ -13,7 +13,7 @@ Writes stationary_n100.txt (two columns: size, n_s).
 
 import numpy as np
 
-from herdvote import SimConfig, init_state, solve_stationary, stationary_oracle, step
+from herdvote import SimConfig, advance, init_state, solve_stationary, stationary_oracle
 from herdvote.meanfield import write_distribution
 from herdvote.strategy import VoteMode
 
@@ -37,12 +37,12 @@ config = SimConfig(n_agents=100, x=0.41, total_steps=2_000_000,
 state, rng = init_state(config)
 acc = np.zeros(101)
 samples = 0
-for i in range(config.total_steps):
-    step(state, rng)
-    if i >= config.equilibration_steps and i % 100 == 0:
-        for size, count in state.partition.size_histogram().items():
-            acc[size] += count
-        samples += 1
+# advance in chunks of 100 steps after the equilibration window, sampling between chunks
+for end in range(config.equilibration_steps + 1, config.total_steps + 1, 100):
+    advance(state, rng, end - state.step_index)
+    for size, count in state.partition.size_histogram().items():
+        acc[size] += count
+    samples += 1
 averaged = acc / samples
 
 print("  size   solver     simulation   rel.diff")

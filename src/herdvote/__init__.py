@@ -28,6 +28,7 @@ from .engine import (
     RunSummary,
     SimConfig,
     StepEvent,
+    advance,
     init_state,
     read_returns_binary,
     read_returns_text,
@@ -37,7 +38,7 @@ from .engine import (
     write_returns_binary,
     write_returns_text,
 )
-from .ez import EzConfig, ez_run, ez_step
+from .ez import EzConfig, ez_run, ez_step, init_ez_state
 from .meanfield import (
     GroupSizeDistribution,
     SolverReport,

@@ -15,13 +15,13 @@ Subcommands
 Config files are plain "key = value" text (LF, UTF-8, '#' comments).  Keys
 and defaults:
 
-    schema_version      = 1
+    schema_version      = 2           # 2: iid and E-Z runs use the fused loop's draws
     model               = main        # main | ez
     n_agents            = 10000
     x                   = 0.37
     total_steps         = 1000000
     equilibration_steps = auto        # auto = 10% of total_steps
-    memory_m            = 2
+    memory_m            = 2           # n_agents * 2**memory_m <= 2**24
     initial_history     = 1,1
     vote_mode           = strategy    # strategy | iid
     seed                = 1
@@ -62,7 +62,7 @@ EXIT_CONFIG = 3
 EXIT_VALIDATION = 4
 EXIT_NONCONVERGENCE = 5
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 WORKERS_ENV = "HERDVOTE_WORKERS"
 

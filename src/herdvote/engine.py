@@ -1,9 +1,14 @@
-"""Stochastic simulation loop: pick agent, poll group, decide, act, record.
+"""Stochastic simulation loop: pick agent, decide, act, record.
 
 Each time step:
 
-  1. a uniformly random agent is picked and its group (size s) is polled,
-  2. the tally is classified against the threshold T = x * s,
+  1. a uniformly random agent is picked; its group has size s,
+  2. the group decides.  In strategy mode the members' table entries for
+     the current history are tallied and classified against the threshold
+     T = x * s (`voting` states the rule).  In iid mode the decision is
+     drawn from its exact distribution for size s,
+     `voting.decision_probabilities(s, x)`, which is the distribution of
+     a classified tally of s independent uniform votes,
   3. Buy  -> net return +s, group stays intact
      Sell -> net return -s, group stays intact
      Merge -> the group joins the group of a uniformly random agent outside
@@ -12,14 +17,22 @@ Each time step:
   4. the shared history shifts in the sign of the net return (no trade,
      no movement).
 
+`advance` runs the steps in one fused loop that keeps its state in locals
+and caches each size's decision CDF on first use; `run` drives it over a
+whole config.  `step` is the same update one call at a time: it is the
+reference that tests compare the loop against byte for byte, not
+production code.  The E-Z baseline (`ez`) is a configuration of the same
+loop: its decision distribution is the constant (a/2, a/2, 1-a), a trading
+group disperses, and a merge joins the group of another agent (nothing
+happens when that agent is in the same group).
+
 Returns are recorded only after the configured equilibration window.
 A run is fully determined by its config: the seed feeds two independent
 generator streams, one that draws the strategy tables (agent 0 first, then
-agent 1, ...) and one that drives the dynamics.  The dynamics stream is
-consumed in a fixed documented order per step: [agent pick][single-agent
-vote draw, iid mode only][tie-break][merge-target rejections]; scalar
-uniforms come from an internal pre-drawn block of the dynamics stream, and
-multi-agent iid tallies are drawn directly as multinomials.
+agent 1, ...) and one that drives the dynamics.  Every dynamics draw is a
+scalar uniform from an internal pre-drawn block of that stream, consumed
+in a fixed order per step: [agent pick][tie-break, strategy mode][decision,
+iid mode][merge-target rejections].
 
 Trading groups staying intact is a deliberate reading of the rules: only
 the no-consensus outcome disperses a group, so the balance equations in
@@ -40,10 +53,15 @@ import numpy as np
 
 from .population import Partition
 from .strategy import VoteMode, assign_strategies, history_index, update_history
-from .voting import Decision
+from .voting import Decision, decision_probabilities
 
-_THIRDS = np.full(3, 1.0 / 3.0)
 _BUF_SIZE = 1 << 16
+_CHECK_EVERY = 10_000  # steps between partition checksums in `advance`
+_TEXT_CHUNK = 1 << 13  # values per write in `write_returns_text`
+
+# Strategy tables hold n_agents * 2**memory entries; a config above this
+# budget is refused before anything is allocated.
+_TABLE_BUDGET = 2**24
 
 
 @dataclass
@@ -80,6 +98,13 @@ class SimConfig:
             )
         if self.memory < 1:
             raise ValueError("memory must be >= 1")
+        # the first test keeps a huge memory from building a huge integer
+        if (self.memory >= _TABLE_BUDGET.bit_length()
+                or self.n_agents << self.memory > _TABLE_BUDGET):
+            raise ValueError(
+                f"strategy tables of n_agents * 2**memory = {self.n_agents} * 2**{self.memory} "
+                f"entries exceed the budget of {_TABLE_BUDGET} entries; lower memory or n_agents"
+            )
         if len(self.initial_history) != self.memory:
             raise ValueError(
                 f"initial_history length {len(self.initial_history)} != memory {self.memory}"
@@ -109,29 +134,36 @@ class RunSummary:
 
 
 class SimState:
-    """Mutable simulation state; create with `init_state`, advance with `step`."""
+    """Mutable simulation state; create with `init_state` (or
+    `ez.init_ez_state`), advance with `advance`."""
 
     __slots__ = (
         "config", "partition", "strategies", "history", "step_index",
-        "decision_counts", "_n", "_x", "_iid", "_disperse", "_rows",
-        "_group_votes", "_hist_idx", "_ubuf", "_upos",
+        "decision_counts", "_n", "_x", "_size_cdf", "_cdf", "_disperse",
+        "_ez_merge", "_rows", "_group_votes", "_hist_idx", "_ubuf", "_upos",
     )
 
-    def __init__(self, config: SimConfig, partition: Partition, strategies):
+    def __init__(self, config, strategies, size_cdf=None, *, history=(),
+                 disperse=False, ez_merge=False):
+        """`size_cdf(s)` gives the decision CDF (buy, buy+sell, buy+sell+merge)
+        of a group of size s when decisions are drawn; None means the votes
+        come from `strategies` (and `config.x` sets the threshold)."""
         self.config = config
-        self.partition = partition
+        self.partition = Partition.singletons(config.n_agents)
         self.strategies = strategies
-        self.history = config.initial_history
+        self.history = history
         self.step_index = 0
         self.decision_counts = [0, 0, 0, 0]  # indexed by Decision
         self._n = config.n_agents
-        self._x = config.x
-        self._iid = config.vote_mode == VoteMode.IID_UNIFORM
-        self._disperse = config.disperse_after_trade
-        # flat per-agent table rows and per-group vote matrices (strategy mode)
-        self._rows = [list(st.entries) for st in strategies] if not self._iid else None
+        self._size_cdf = size_cdf
+        self._cdf = [None] * (config.n_agents + 1)  # filled lazily by `advance`
+        self._disperse = disperse
+        self._ez_merge = ez_merge
+        # per-agent table rows and per-group vote matrices (strategy mode)
+        self._x = config.x if size_cdf is None else None
+        self._rows = [st.entries for st in strategies] if size_cdf is None else None
         self._group_votes: dict = {}
-        self._hist_idx = history_index(self.history)
+        self._hist_idx = history_index(history)
         self._ubuf: list = []
         self._upos = 0
 
@@ -144,17 +176,40 @@ def init_state(config: SimConfig) -> tuple[SimState, np.random.Generator]:
     """Build the initial state and the dynamics generator for a config.
 
     Stream discipline: SeedSequence(seed) spawns (strategy stream, dynamics
-    stream) in that order; strategy tables are drawn before anything else.
+    stream) in that order; strategy tables are drawn before anything else,
+    in either vote mode.
     """
     strat_seq, dyn_seq = np.random.SeedSequence(config.seed).spawn(2)
     strat_rng = np.random.Generator(np.random.PCG64(strat_seq))
     strategies = assign_strategies(config.n_agents, config.memory, strat_rng)
-    state = SimState(config, Partition.singletons(config.n_agents), strategies)
+    iid = config.vote_mode == VoteMode.IID_UNIFORM
+    state = SimState(config, strategies, _iid_cdf(config.x) if iid else None,
+                     history=config.initial_history,
+                     disperse=config.disperse_after_trade)
     return state, np.random.Generator(np.random.PCG64(dyn_seq))
 
 
+def _iid_cdf(x: float):
+    """Decision CDF per size under i.i.d. uniform votes: thirds of 1 - p_frg.
+
+    The last entry is 1 - p_frg itself, so a size with p_frg = 0 can never
+    fragment (a uniform draw is always below 1.0).
+    """
+    def size_cdf(s: int) -> tuple:
+        q = 1.0 - decision_probabilities(s, x).fragment
+        return q / 3.0, 2.0 * q / 3.0, q
+
+    return size_cdf
+
+
 def step(state: SimState, rng: np.random.Generator) -> StepEvent:
-    """Advance the simulation by one time step."""
+    """Advance the voting model by one time step.
+
+    Reference oracle for tests, not production code: `run` never calls it.
+    It states the update of `advance` one step at a time and consumes the
+    dynamics stream in the same order, so a loop of `step` calls reproduces
+    `advance` byte for byte.
+    """
     buf = state._ubuf
     pos = state._upos
     if pos >= len(buf) - 16:
@@ -172,19 +227,14 @@ def step(state: SimState, rng: np.random.Generator) -> StepEvent:
     mem = members[g]
     s = len(mem)
 
-    # poll
-    if state._iid:
-        if s == 1:
-            v = int(buf[pos] * 3)
-            pos += 1
-            b = 1 if v == 0 else 0
-            sc = 1 if v == 1 else 0
-            w = 1 if v == 2 else 0
-        else:
-            # plain ints: numpy scalar comparisons turn the tie count below
-            # into a logical-or instead of a sum
-            b, sc, w = rng.multinomial(s, _THIRDS).tolist()
+    if state._size_cdf is not None:
+        # draw the decision from its exact distribution for this size
+        c_buy, c_sell, c_merge = state._size_cdf(s)
+        u = buf[pos]
+        pos += 1
+        decision = 0 if u < c_buy else 1 if u < c_sell else 2 if u < c_merge else 3
     else:
+        # poll
         if s == 1:
             v = state._rows[agent][state._hist_idx]
             b = 1 if v == 0 else 0
@@ -193,28 +243,28 @@ def step(state: SimState, rng: np.random.Generator) -> StepEvent:
         else:
             b, sc, w = state._group_votes[g][state._hist_idx]
 
-    # classify
-    threshold = state._x * s
-    mx = b if b >= sc else sc
-    if w > mx:
-        mx = w
-    if mx < threshold:
-        decision = 3
-    else:
-        n_tied = (b == mx) + (sc == mx) + (w == mx)
-        if n_tied == 1:
-            decision = 0 if b == mx else (1 if sc == mx else 2)
+        # classify
+        threshold = state._x * s
+        mx = b if b >= sc else sc
+        if w > mx:
+            mx = w
+        if mx < threshold:
+            decision = 3
         else:
-            pick = int(buf[pos] * n_tied)
-            pos += 1
-            tied = []
-            if b == mx:
-                tied.append(0)
-            if sc == mx:
-                tied.append(1)
-            if w == mx:
-                tied.append(2)
-            decision = tied[pick]
+            n_tied = (b == mx) + (sc == mx) + (w == mx)
+            if n_tied == 1:
+                decision = 0 if b == mx else (1 if sc == mx else 2)
+            else:
+                pick = int(buf[pos] * n_tied)
+                pos += 1
+                tied = []
+                if b == mx:
+                    tied.append(0)
+                if sc == mx:
+                    tied.append(1)
+                if w == mx:
+                    tied.append(2)
+                decision = tied[pick]
 
     # act
     net = 0
@@ -250,8 +300,139 @@ def step(state: SimState, rng: np.random.Generator) -> StepEvent:
     return StepEvent(index, Decision(decision), s, net)
 
 
+def advance(state: SimState, rng: np.random.Generator, n_steps: int,
+            returns: np.ndarray | None = None, first_recorded: int = 0) -> None:
+    """Run `n_steps` steps of the simulation in one fused loop.
+
+    Step i (counted from the start of the run) writes a nonzero return to
+    `returns[i - first_recorded]` when i >= first_recorded; entries of
+    no-trade steps are left as they are.  Without `returns` nothing is
+    recorded.  The loop can be driven in chunks: consecutive calls continue
+    the same run, with the same results as one call.  Every 10^4 steps it
+    checks that the groups still cover every agent.
+    """
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    n = state._n
+    x = state._x
+    group_of = state.partition._group_of
+    members = state.partition._members
+    size_cdf = state._size_cdf
+    cdf = state._cdf
+    rows = state._rows
+    votes = state._group_votes
+    disperse = state._disperse
+    ez_merge = state._ez_merge
+    counts = state.decision_counts
+    memory = len(state.history)
+    mask = (1 << memory) - 1
+    h = state._hist_idx
+    buf = state._ubuf
+    pos = state._upos
+    low = len(buf) - 16
+    i = state.step_index
+    stop = i + n_steps
+    if returns is None:
+        first_recorded = stop  # no step of this call reaches it
+
+    while i < stop:
+        block_end = min(stop, (i // _CHECK_EVERY + 1) * _CHECK_EVERY)
+        for i in range(i, block_end):
+            if pos >= low:
+                buf = None  # let the old block go before the next one is built
+                buf = rng.random(_BUF_SIZE).tolist()
+                low = _BUF_SIZE - 16
+                pos = 0
+            agent = int(buf[pos] * n)
+            pos += 1
+            g = group_of[agent]
+            mem = members[g]
+            s = len(mem)
+
+            # decide
+            if size_cdf is not None:
+                c = cdf[s]
+                if c is None:
+                    c = cdf[s] = size_cdf(s)
+                u = buf[pos]
+                pos += 1
+                if u < c[0]:
+                    d = 0
+                elif u < c[1]:
+                    d = 1
+                elif u < c[2]:
+                    d = 2
+                else:
+                    d = 3
+            elif s == 1:
+                d = rows[agent][h]  # one vote always clears T = x < 1
+            else:
+                b, sc, w = votes[g][h]
+                mx = b if b >= sc else sc
+                if w > mx:
+                    mx = w
+                if mx < x * s:
+                    d = 3
+                else:
+                    n_tied = (b == mx) + (sc == mx) + (w == mx)
+                    if n_tied == 1:
+                        d = 0 if b == mx else (1 if sc == mx else 2)
+                    else:
+                        pick = int(buf[pos] * n_tied)
+                        pos += 1
+                        tied = []
+                        if b == mx:
+                            tied.append(0)
+                        if sc == mx:
+                            tied.append(1)
+                        if w == mx:
+                            tied.append(2)
+                        d = tied[pick]
+
+            # act
+            counts[d] += 1
+            if d <= 1:
+                h = ((h << 1) | (1 - d)) & mask  # buy shifts in a 1, sell a 0
+                if i >= first_recorded:
+                    returns[i - first_recorded] = s if d == 0 else -s
+                if disperse and s > 1:
+                    _fragment(state, g, mem)
+            elif d == 2:
+                if ez_merge or s < n:
+                    # E-Z: any agent but the picked one, same group is a no-op;
+                    # voting model: an agent outside the group
+                    while True:
+                        target = int(buf[pos] * n)
+                        pos += 1
+                        if target != agent if ez_merge else group_of[target] != g:
+                            break
+                        if pos >= _BUF_SIZE:
+                            buf = None
+                            buf = rng.random(_BUF_SIZE).tolist()
+                            low = _BUF_SIZE - 16
+                            pos = 0
+                    g2 = group_of[target]
+                    if g2 != g:
+                        _merge(state, g, mem, g2)
+            elif s > 1:
+                _fragment(state, g, mem)
+
+        i = block_end
+        if i % _CHECK_EVERY == 0:
+            # cheap running checksum; full scans live in the test suite
+            covered = sum(map(len, members.values()))
+            if covered != n:
+                raise AssertionError(f"partition corrupted at step {i - 1}: {covered} of {n} agents")
+
+    state._ubuf = buf
+    state._upos = pos
+    state._hist_idx = h
+    state.history = tuple((h >> k) & 1 for k in range(memory - 1, -1, -1))
+    state.step_index = stop
+
+
 def _merge(state: SimState, g: int, mem: list, g2: int) -> None:
-    if state._iid:
+    if state._rows is None:
         state.partition.merge(g, g2)
         return
     mem2 = state.partition._members[g2]
@@ -284,8 +465,7 @@ def _merge(state: SimState, g: int, mem: list, g2: int) -> None:
 
 
 def _fragment(state: SimState, g: int, mem: list) -> None:
-    if not state._iid:
-        state._group_votes.pop(g, None)
+    state._group_votes.pop(g, None)
     state.partition.fragment(g)
 
 
@@ -293,36 +473,26 @@ def run(config: SimConfig) -> tuple[np.ndarray, RunSummary]:
     """Full simulation: returns (post-equilibration return series, summary)."""
     t0 = time.perf_counter()
     state, rng = init_state(config)
+    return simulate(state, rng, config, t0)
+
+
+def simulate(state: SimState, rng: np.random.Generator, config,
+             t0: float) -> tuple[np.ndarray, RunSummary]:
+    """Run a fresh state through `config.total_steps` steps and summarise.
+
+    Shared by `run` and `ez.ez_run`; `t0` is the `time.perf_counter()`
+    reading at which the run started.
+    """
     equil = config.equilibration_steps
     recorded = config.total_steps - equil
     returns = np.zeros(recorded, dtype=np.int64)
-    trades = 0
-    for i in range(config.total_steps):
-        event = step(state, rng)
-        if i >= equil:
-            r = event.net_return
-            returns[i - equil] = r
-            if r != 0:
-                trades += 1
-        if i % 10_000 == 9_999:
-            # cheap running checksum; full scans live in the test suite
-            covered = sum(len(m) for m in state.partition._members.values())
-            if covered != config.n_agents:
-                raise AssertionError(
-                    f"partition corrupted at step {i}: {covered} of {config.n_agents} agents"
-                )
-    counts = state.decision_counts
+    advance(state, rng, config.total_steps, returns, equil)
     summary = RunSummary(
         n_agents=config.n_agents,
         total_steps=config.total_steps,
         recorded_steps=recorded,
-        decision_counts={
-            "buy": counts[Decision.BUY],
-            "sell": counts[Decision.SELL],
-            "merge": counts[Decision.MERGE],
-            "fragment": counts[Decision.FRAGMENT],
-        },
-        trade_fraction=trades / recorded,
+        decision_counts=dict(zip(("buy", "sell", "merge", "fragment"), state.decision_counts)),
+        trade_fraction=int(np.count_nonzero(returns)) / recorded,
         final_size_histogram=state.partition.size_histogram(),
         wall_time_s=time.perf_counter() - t0,
     )
@@ -344,8 +514,12 @@ def rescale_returns(series: np.ndarray, k: int) -> np.ndarray:
 
 def write_returns_text(path, series) -> None:
     """One signed integer per line, LF endings."""
+    series = np.asarray(series)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(f"{int(v)}\n" for v in series)
+        # joined chunk by chunk: the text of a whole series is never in memory
+        for start in range(0, len(series), _TEXT_CHUNK):
+            values = series[start:start + _TEXT_CHUNK].tolist()
+            fh.write("\n".join(map(str, values)) + "\n")
 
 
 def read_returns_text(path) -> np.ndarray:

@@ -5,14 +5,23 @@ target that the voting model approaches as its consensus parameter drops
 toward one third.  Each step picks a random agent; with probability `a` the
 agent's whole group trades (net return +s or -s with equal probability) and
 immediately disperses into singletons, otherwise the group merges with the
-group of another randomly chosen agent.  For small `a` the stationary group
-sizes follow a power law and the distribution of trade sizes has density
-tail exponent 3/2.
+group of another randomly chosen agent (nothing happens when that agent is
+already in the same group).  For small `a` the stationary group sizes
+follow a power law and the distribution of trade sizes has density tail
+exponent 3/2.
 
 In the voting model the conditional trade probability decays with group
 size, so large groups essentially never trade; here it is constant, so
 any particular large group trades more often than a small one.  The two
 models are compared on their return-tail statistics only.
+
+The baseline runs on the engine's fused loop (`engine.advance`) as one of
+its configurations: the decision distribution is the constant
+(a/2, a/2, 1-a) for (buy, sell, merge), trading groups disperse, and merges
+follow the rule above.  The dynamics stream is
+`numpy.random.default_rng(seed)`; every draw is a scalar uniform from a
+pre-drawn block, consumed per step in the order [agent pick][decision]
+[other-agent rejections].
 """
 
 from __future__ import annotations
@@ -22,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import RunSummary, StepEvent
-from .population import Partition
+from .engine import _BUF_SIZE, RunSummary, SimState, StepEvent, simulate
 from .voting import Decision
 
 
@@ -46,56 +54,57 @@ class EzConfig:
             raise ValueError("equilibration_steps must be in [0, total_steps)")
 
 
-def ez_step(partition: Partition, a: float, rng, index: int = 0) -> StepEvent:
-    """One update: trade-and-disperse with probability a, else merge."""
-    n = partition.n_agents
-    agent = int(rng.integers(0, n))
-    g, s = partition.group_of(agent)
-    if rng.random() < a:
-        sign = 1 if rng.random() < 0.5 else -1
-        partition.fragment(g)
-        decision = Decision.BUY if sign > 0 else Decision.SELL
-        return StepEvent(index, decision, s, sign * s)
-    # merge with the group of another agent; same group means nothing happens
-    while True:
-        other = int(rng.integers(0, n))
-        if other != agent:
-            break
-    g2, _ = partition.group_of(other)
-    if g2 != g:
-        partition.merge(g, g2)
-    return StepEvent(index, Decision.MERGE, s, 0)
+def init_ez_state(config: EzConfig) -> tuple[SimState, np.random.Generator]:
+    """All-singleton E-Z state and its dynamics generator."""
+    cdf = (config.a / 2, config.a, 1.0)
+    state = SimState(config, None, lambda s: cdf, disperse=True, ez_merge=True)
+    return state, np.random.default_rng(config.seed)
+
+
+def ez_step(state: SimState, rng) -> StepEvent:
+    """One update: trade-and-disperse with probability a, else merge.
+
+    Reference oracle for tests, not production code: `ez_run` never calls
+    it.  It takes a state from `init_ez_state` and consumes the stream in
+    the fused loop's order, so a loop of `ez_step` calls reproduces
+    `engine.advance` byte for byte.
+    """
+    buf, pos = state._ubuf, state._upos
+    if pos >= len(buf) - 16:
+        buf, pos = rng.random(_BUF_SIZE).tolist(), 0
+    part = state.partition
+    n = part.n_agents
+    a = state.config.a
+    agent = int(buf[pos] * n)
+    g, s = part.group_of(agent)
+    u = buf[pos + 1]
+    pos += 2
+    if u < a:
+        decision = Decision.BUY if u < a / 2 else Decision.SELL
+        net = s if decision == Decision.BUY else -s
+        part.fragment(g)
+    else:
+        decision, net = Decision.MERGE, 0
+        # merge with the group of another agent; same group means nothing happens
+        while True:
+            other = int(buf[pos] * n)
+            pos += 1
+            if other != agent:
+                break
+            if pos >= len(buf):
+                buf, pos = rng.random(_BUF_SIZE).tolist(), 0
+        g2, _ = part.group_of(other)
+        if g2 != g:
+            part.merge(g, g2)
+    state._ubuf, state._upos = buf, pos
+    state.decision_counts[decision] += 1
+    index = state.step_index
+    state.step_index = index + 1
+    return StepEvent(index, decision, s, net)
 
 
 def ez_run(config: EzConfig) -> tuple[np.ndarray, RunSummary]:
     """Run the baseline; mirrors `engine.run` (seeded, post-equilibration series)."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng(config.seed)
-    partition = Partition.singletons(config.n_agents)
-    equil = config.equilibration_steps
-    recorded = config.total_steps - equil
-    returns = np.zeros(recorded, dtype=np.int64)
-    counts = {"buy": 0, "sell": 0, "merge": 0, "fragment": 0}
-    trades = 0
-    for i in range(config.total_steps):
-        event = ez_step(partition, config.a, rng, i)
-        if event.decision == Decision.BUY:
-            counts["buy"] += 1
-        elif event.decision == Decision.SELL:
-            counts["sell"] += 1
-        else:
-            counts["merge"] += 1
-        if i >= equil:
-            returns[i - equil] = event.net_return
-            if event.net_return != 0:
-                trades += 1
-    summary = RunSummary(
-        n_agents=config.n_agents,
-        total_steps=config.total_steps,
-        recorded_steps=recorded,
-        decision_counts=counts,
-        trade_fraction=trades / recorded,
-        final_size_histogram=partition.size_histogram(),
-        wall_time_s=time.perf_counter() - t0,
-    )
-    return returns, summary
+    state, rng = init_ez_state(config)
+    return simulate(state, rng, config, t0)

@@ -71,8 +71,13 @@ def assign_strategies(n_agents: int, memory: int, rng) -> list[StrategyTable]:
 
     The draw order is part of the reproducibility contract: a run seed
     determines agent k's table independent of anything that happens later.
+    One (n_agents, 2^memory) draw gives the same tables, and leaves `rng`
+    in the same state, as one `random_strategy` call per agent.
     """
-    return [random_strategy(memory, rng) for _ in range(n_agents)]
+    if memory < 1:
+        raise ValueError(f"memory length must be >= 1, got {memory}")
+    draws = rng.integers(0, 3, size=(n_agents, 2**memory)).tolist()
+    return [StrategyTable(memory, tuple(row)) for row in draws]
 
 
 def vote(table: StrategyTable, history: History) -> int:
@@ -101,6 +106,10 @@ def poll_group(
     rng,
 ) -> VoteTally:
     """Tally one group's votes under the given mode.
+
+    Reference oracle for tests, not production code: the engine keeps
+    incremental per-group tallies (strategy mode) or draws the decision
+    from its exact distribution (iid mode) instead.
 
     STRATEGY_DRIVEN consumes no randomness.  IID_UNIFORM draws one uniform
     action per member.

@@ -112,7 +112,11 @@ def consensus_threshold(size: int, x) -> float:
 
 
 def decide(tally: VoteTally, x, rng) -> Decision:
-    """Classify a vote tally; `rng` is consumed only on a tied maximum."""
+    """Classify a vote tally; `rng` is consumed only on a tied maximum.
+
+    Reference oracle for tests, not production code: the engine states the
+    same rule inline, breaking ties with its own pre-drawn uniforms.
+    """
     b, s, w = tally
     t = float(x) * (b + s + w)
     mx = b if b >= s else s

@@ -33,7 +33,7 @@ from herdvote.analysis import (
     sample_pareto,
     tail_mass,
 )
-from herdvote.engine import SimConfig, init_state, rescale_returns, run, step
+from herdvote.engine import SimConfig, advance, init_state, rescale_returns, run, step
 from herdvote.ez import EzConfig, ez_run
 from herdvote.meanfield import solve_stationary, stationary_oracle
 from herdvote.strategy import VoteMode
@@ -145,12 +145,12 @@ def test_criterion_3_stationary_equations_vs_oracle_and_simulation():
     state, rng = init_state(config)
     acc = np.zeros(101)
     samples = 0
-    for i in range(config.total_steps):
-        step(state, rng)
-        if i >= config.equilibration_steps and i % 100 == 0:
-            for size, count in state.partition.size_histogram().items():
-                acc[size] += count
-            samples += 1
+    # sample after every step i >= equilibration_steps with i % 100 == 0
+    for end in range(config.equilibration_steps + 1, config.total_steps + 1, 100):
+        advance(state, rng, end - state.step_index)
+        for size, count in state.partition.size_histogram().items():
+            acc[size] += count
+        samples += 1
     averaged = acc / samples
     solved, _ = solve_stationary(100, 0.41)
     rel_worst = 0.0
@@ -231,16 +231,17 @@ def test_criterion_7_trades_come_from_small_groups():
     """Trade provenance at x=0.41: small groups do (nearly) all the trading."""
     config = SimConfig(n_agents=DESK_N, x=0.41, total_steps=DESK_STEPS, seed=1)
     state, rng = init_state(config)
-    trade_sizes = Counter()
+    equil = config.equilibration_steps
+    returns = np.zeros(config.total_steps - equil, dtype=np.int64)
     group_counts = Counter()
-    for i in range(config.total_steps):
-        event = step(state, rng)
-        if i >= config.equilibration_steps:
-            if event.decision in (Decision.BUY, Decision.SELL):
-                trade_sizes[event.group_size] += 1
-            if i % 1000 == 0:
-                for size, count in state.partition.size_histogram().items():
-                    group_counts[size] += count
+    # sample after every step i >= equil with i % 1000 == 0
+    for end in range(equil + 1, config.total_steps + 1, 1000):
+        advance(state, rng, end - state.step_index, returns, equil)
+        for size, count in state.partition.size_histogram().items():
+            group_counts[size] += count
+    advance(state, rng, config.total_steps - state.step_index, returns, equil)
+    # a trading group stays intact, so each nonzero return is +-(its size)
+    trade_sizes = Counter(np.abs(returns[returns != 0]).tolist())
     total_groups = sum(group_counts.values())
     running = 0
     p99 = max(group_counts)

@@ -119,6 +119,13 @@ def test_run_ez_model(tmp_path, capsys):
     assert summary["decision_counts"]["fragment"] == 0
 
 
+def test_memory_over_table_budget_is_config_error(tmp_path, capsys):
+    code = run_cli(tiny_run_args(tmp_path / "runs", extra=["--set", "memory_m=40"]))
+    assert code == cli.EXIT_CONFIG
+    assert "budget" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "runs")
+
+
 def test_run_config_file_plus_override(tmp_path, capsys):
     cfg = tmp_path / "base.cfg"
     cfg.write_text("n_agents = 150\ntotal_steps = 3000\nx = 0.37\n# comment\n")

@@ -1,10 +1,15 @@
+import itertools
 from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from herdvote.engine import (
+    _iid_cdf,
     SimConfig,
+    advance,
     init_state,
     read_returns_binary,
     read_returns_text,
@@ -15,7 +20,7 @@ from herdvote.engine import (
     write_returns_text,
 )
 from herdvote.strategy import StrategyTable, VoteMode, poll_group, update_history
-from herdvote.voting import Decision, decision_probabilities
+from herdvote.voting import Decision, decision_probabilities, fragmentation_probability
 
 
 def small_config(**kwargs):
@@ -43,6 +48,12 @@ def test_config_defaults_and_validation():
         SimConfig(n_agents=10, x=0.41, total_steps=100, initial_history=(1, 2))
     with pytest.raises(ValueError):
         SimConfig(n_agents=10, x=0.41, total_steps=100, rescale_k=0)
+    # strategy tables are bounded: n_agents * 2**memory <= 2**24
+    SimConfig(n_agents=2**14, x=0.41, total_steps=100, memory=10, initial_history=(1,) * 10)
+    for n_agents, memory in ((2**14 + 1, 10), (2, 24), (2, 10**9)):
+        with pytest.raises(ValueError, match="budget"):
+            SimConfig(n_agents=n_agents, x=0.41, total_steps=100, memory=memory,
+                      initial_history=(1,) * min(memory, 30))
 
 
 def test_config_accepts_mode_strings():
@@ -66,6 +77,73 @@ def test_different_seeds_differ():
     r1, _ = run(small_config(seed=1))
     r2, _ = run(small_config(seed=2))
     assert not np.array_equal(r1, r2)
+
+
+# -- the fused loop against the per-step oracle ---------------------------------------
+
+def assert_loop_matches_oracle(config):
+    """`run` and a chunked `advance` reproduce a loop of `step` byte for byte."""
+    oracle, rng = init_state(config)
+    events = [step(oracle, rng) for _ in range(config.total_steps)]
+    expected = np.array([e.net_return for e in events], dtype=np.int64)
+    expected = expected[config.equilibration_steps:]
+
+    returns, summary = run(config)
+    assert np.array_equal(returns, expected)
+    assert list(summary.decision_counts.values()) == oracle.decision_counts
+    assert summary.final_size_histogram == oracle.partition.size_histogram()
+
+    fused, rng = init_state(config)
+    chunked = np.zeros_like(returns)
+    for chunk in itertools.cycle((1, 13, 1000, 10_007)):
+        chunk = min(chunk, config.total_steps - fused.step_index)
+        if chunk == 0:
+            break
+        advance(fused, rng, chunk, chunked, config.equilibration_steps)
+    assert np.array_equal(chunked, expected)
+    assert fused.decision_counts == oracle.decision_counts
+    assert fused.history == oracle.history
+    assert fused.partition._group_of == oracle.partition._group_of
+    assert fused._upos == oracle._upos
+    assert fused._group_votes == oracle._group_votes
+    with pytest.raises(ValueError):
+        advance(fused, rng, -1)
+
+
+@pytest.mark.parametrize("disperse", [False, True])
+@pytest.mark.parametrize("mode", [VoteMode.STRATEGY_DRIVEN, VoteMode.IID_UNIFORM])
+def test_fused_loop_matches_step_oracle(mode, disperse):
+    assert_loop_matches_oracle(small_config(vote_mode=mode, disperse_after_trade=disperse))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    n_agents=st.integers(2, 30),
+    x=st.floats(0.05, 0.95),
+    memory=st.integers(1, 4),
+    bits=st.lists(st.integers(0, 1), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32),
+    total_steps=st.integers(1, 3000),
+    mode=st.sampled_from(list(VoteMode)),
+    disperse=st.booleans(),
+)
+def test_fused_loop_matches_step_oracle_on_random_configs(
+        n_agents, x, memory, bits, seed, total_steps, mode, disperse):
+    assert_loop_matches_oracle(SimConfig(
+        n_agents=n_agents, x=x, total_steps=total_steps, memory=memory,
+        initial_history=tuple(bits[:memory]), vote_mode=mode, seed=seed,
+        disperse_after_trade=disperse,
+    ))
+
+
+def test_iid_cdf_never_fragments_where_p_frg_is_zero():
+    for x in (0.2, 1 / 3, 0.34, 0.41, 0.47, 0.6):
+        cdf = _iid_cdf(x)
+        for s in range(1, 200):
+            c_buy, c_sell, c_merge = cdf(s)
+            assert 0.0 <= c_buy <= c_sell <= c_merge <= 1.0
+            if fragmentation_probability(s, x) == 0.0:
+                assert c_merge == 1.0
 
 
 # -- step-level contracts ----------------------------------------------------------
@@ -219,6 +297,14 @@ def test_text_round_trip(tmp_path):
     write_returns_text(path, series)
     assert path.read_bytes() == b"5\n0\n-17\n2\n0\n-1\n"
     assert np.array_equal(read_returns_text(path), series)
+
+    extremes = np.array([0, -1, -(2**63), 2**63 - 1, 10**12, 0, -4096], dtype=np.int64)
+    write_returns_text(path, extremes)
+    assert path.read_bytes() == "".join(f"{int(v)}\n" for v in extremes).encode()
+    assert np.array_equal(read_returns_text(path), extremes)
+
+    write_returns_text(path, np.array([], dtype=np.int64))
+    assert path.read_bytes() == b""
 
 
 def test_binary_round_trip_and_layout(tmp_path):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from herdvote.ez import EzConfig, ez_run, ez_step
-from herdvote.population import Partition
+from herdvote.engine import advance
+from herdvote.ez import EzConfig, ez_run, ez_step, init_ez_state
 from herdvote.voting import Decision
 
 
@@ -28,16 +28,37 @@ def test_run_is_deterministic():
 
 
 def test_step_conserves_agents():
-    rng = np.random.default_rng(4)
-    part = Partition.singletons(50)
+    state, rng = init_ez_state(EzConfig(n_agents=50, a=0.1, total_steps=5000, seed=4))
+    part = state.partition
     for i in range(5000):
-        event = ez_step(part, 0.1, rng, i)
+        event = ez_step(state, rng)
+        assert event.index == i
         if event.decision in (Decision.BUY, Decision.SELL):
             assert abs(event.net_return) == event.group_size
         else:
             assert event.net_return == 0
         assert sum(s * c for s, c in part.size_histogram().items()) == 50
     part.check_invariants()
+
+
+@pytest.mark.parametrize("n_agents, a", [(80, 0.05), (2, 0.3), (300, 0.005)])
+def test_fused_loop_matches_step_oracle(n_agents, a):
+    """`ez_run`'s loop reproduces a loop of `ez_step` byte for byte."""
+    config = EzConfig(n_agents=n_agents, a=a, total_steps=30_000, seed=4)
+    oracle, rng = init_ez_state(config)
+    expected = np.array([ez_step(oracle, rng).net_return
+                         for _ in range(config.total_steps)], dtype=np.int64)
+    returns, summary = ez_run(config)
+    assert np.array_equal(returns, expected[config.equilibration_steps:])
+    assert list(summary.decision_counts.values()) == oracle.decision_counts
+    assert summary.final_size_histogram == oracle.partition.size_histogram()
+
+    # driven in uneven chunks, the loop leaves the very same state
+    fused, rng = init_ez_state(config)
+    for chunk in (1, 16, 4999, 10_000, 14_984):
+        advance(fused, rng, chunk)
+    assert fused.partition._group_of == oracle.partition._group_of
+    assert fused._upos == oracle._upos and fused.step_index == oracle.step_index
 
 
 def test_trade_probability_is_a():

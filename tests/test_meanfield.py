@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from herdvote.engine import SimConfig, init_state, step
+from herdvote.engine import SimConfig, advance, init_state
 from herdvote.meanfield import (
     GroupSizeDistribution,
     balance_residual,
@@ -200,12 +200,12 @@ def test_oracle_matches_direct_simulation():
     state, rng = init_state(config)
     acc = np.zeros(n_agents + 1)
     samples = 0
-    for i in range(config.total_steps):
-        step(state, rng)
-        if i >= config.equilibration_steps and i % 20 == 0:
-            for size, count in state.partition.size_histogram().items():
-                acc[size] += count
-            samples += 1
+    # sample after every step i >= equilibration_steps with i % 20 == 0
+    for end in range(config.equilibration_steps + 1, config.total_steps + 1, 20):
+        advance(state, rng, end - state.step_index)
+        for size, count in state.partition.size_histogram().items():
+            acc[size] += count
+        samples += 1
     averaged = acc / samples
     assert np.allclose(averaged, oracle.counts, atol=0.05)
 

@@ -53,6 +53,16 @@ def test_assign_strategies_order_is_reproducible():
     assert tables_a[0] == random_strategy(2, np.random.default_rng(7))
 
 
+@pytest.mark.parametrize("memory", [1, 2, 3, 5])
+def test_assign_strategies_matches_per_agent_draws(memory):
+    """One draw for all tables equals one `random_strategy` call per agent."""
+    rng = np.random.default_rng(np.random.SeedSequence(11).spawn(2)[0])
+    oracle_rng = np.random.default_rng(np.random.SeedSequence(11).spawn(2)[0])
+    tables = assign_strategies(10_000, memory, rng)
+    assert tables == [random_strategy(memory, oracle_rng) for _ in range(10_000)]
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 def test_history_index():
     assert history_index((0, 0)) == 0
     assert history_index((0, 1)) == 1
