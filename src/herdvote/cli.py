@@ -46,7 +46,9 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -230,8 +232,11 @@ def execute_run(config: dict, out_root: str) -> str:
     """Simulate per `config` and write artifacts; returns the run directory.
 
     The directory name is the config digest.  Directories are append-only:
-    an existing run with matching artifact digests is left untouched, a
-    mismatch is an error.
+    an existing run with matching artifact digests is left untouched, its
+    manifest included, and a mismatch is an error.  Every file is written
+    under a private staging directory inside the run directory and moved to
+    its name with one `os.replace`, so a crash never leaves a partial file
+    under an artifact's name.
     """
     config = resolve_config(config)
     digest = config_digest(config)
@@ -247,48 +252,63 @@ def execute_run(config: dict, out_root: str) -> str:
     rescaled = engine.rescale_returns(returns, config["rescale_k"])
 
     os.makedirs(run_dir, exist_ok=True)
-    artifacts = {}
+    staging = tempfile.mkdtemp(prefix=".staging-", dir=run_dir)
+    try:
+        artifacts = {}
 
-    def emit(name: str, writer) -> None:
-        path = os.path.join(run_dir, name)
-        if os.path.exists(path):
-            tmp = path + ".verify"
+        def emit(name: str, writer) -> None:
+            path = os.path.join(run_dir, name)
+            tmp = os.path.join(staging, name)
             writer(tmp)
             fresh = _sha256_file(tmp)
-            os.remove(tmp)
-            existing = _sha256_file(path)
-            if fresh != existing:
-                raise ConfigError(
-                    f"refusing to overwrite {path}: existing digest {existing[:12]} "
-                    f"differs from recomputed {fresh[:12]}"
-                )
-        else:
-            writer(path)
-        artifacts[name] = _sha256_file(path)
+            if os.path.exists(path):
+                existing = _sha256_file(path)
+                if fresh != existing:
+                    raise ConfigError(
+                        f"refusing to overwrite {path}: existing digest {existing[:12]} "
+                        f"differs from recomputed {fresh[:12]}"
+                    )
+            else:
+                os.replace(tmp, path)
+            artifacts[name] = fresh
 
-    emit("config.txt", lambda p: _write_text(p, config_text(config)))
-    emit("returns_raw.txt", lambda p: engine.write_returns_text(p, returns))
-    emit("returns_raw.bin", lambda p: engine.write_returns_binary(p, returns))
-    emit(
-        f"returns_rescaled_k{config['rescale_k']}.txt",
-        lambda p: engine.write_returns_text(p, rescaled),
-    )
-    emit("size_histogram.csv", lambda p: _write_histogram(p, summary.final_size_histogram))
-    emit("summary.json", lambda p: _write_json(p, _summary_dict(summary)))
+        emit("config.txt", lambda p: _write_text(p, config_text(config)))
+        emit("returns_raw.txt", lambda p: engine.write_returns_text(p, returns))
+        emit("returns_raw.bin", lambda p: engine.write_returns_binary(p, returns))
+        emit(
+            f"returns_rescaled_k{config['rescale_k']}.txt",
+            lambda p: engine.write_returns_text(p, rescaled),
+        )
+        emit("size_histogram.csv", lambda p: _write_histogram(p, summary.final_size_histogram))
+        emit("summary.json", lambda p: _write_json(p, _summary_dict(summary)))
 
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "package_version": __version__,
-        "config": {k: _CONFIG_SPEC[k][1](config[k]) for k in _CONFIG_SPEC},
-        "config_digest": digest,
-        "seed": config["seed"],
-        "warnings": regime_warnings(config),
-        "started_utc": started,
-        "finished_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "wall_time_s": time.perf_counter() - t0,
-        "artifacts": artifacts,
-    }
-    _write_json(os.path.join(run_dir, "manifest.json"), manifest)
+        manifest_path = os.path.join(run_dir, "manifest.json")
+        if os.path.exists(manifest_path):
+            try:
+                with open(manifest_path, "r", encoding="utf-8") as fh:
+                    recorded = json.load(fh)["artifacts"]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ConfigError(f"damaged manifest {manifest_path}: {exc!r}")
+            if recorded != artifacts:
+                raise ConfigError(f"refusing to overwrite {manifest_path}: its artifact "
+                                  f"digests differ from the verified artifacts")
+            return run_dir
+        manifest = {
+            "schema_version": SCHEMA_VERSION,
+            "package_version": __version__,
+            "config": {k: _CONFIG_SPEC[k][1](config[k]) for k in _CONFIG_SPEC},
+            "config_digest": digest,
+            "seed": config["seed"],
+            "warnings": regime_warnings(config),
+            "started_utc": started,
+            "finished_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "wall_time_s": time.perf_counter() - t0,
+            "artifacts": artifacts,
+        }
+        _write_json(os.path.join(staging, "manifest.json"), manifest)
+        os.replace(os.path.join(staging, "manifest.json"), manifest_path)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return run_dir
 
 

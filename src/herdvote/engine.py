@@ -47,6 +47,7 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -135,12 +136,22 @@ class RunSummary:
 
 class SimState:
     """Mutable simulation state; create with `init_state` (or
-    `ez.init_ez_state`), advance with `advance`."""
+    `ez.init_ez_state`), advance with `advance`.
+
+    In strategy mode every group of two or more agents keeps its vote
+    tally packed into one int: for each history h and option o (buy 0,
+    sell 1, wait 2) the count of members voting o at h sits in the
+    `_width`-bit field number 3h + o.  No count exceeds the population,
+    so fields never carry into each other, and the tally of a merged group
+    is the sum of the two tallies.  A singleton's tally is packed from its
+    table row when it merges.
+    """
 
     __slots__ = (
         "config", "partition", "strategies", "history", "step_index",
         "decision_counts", "_n", "_x", "_size_cdf", "_cdf", "_disperse",
-        "_ez_merge", "_rows", "_group_votes", "_hist_idx", "_ubuf", "_upos",
+        "_ez_merge", "_rows", "_width", "_pack", "_group_votes", "_hist_idx",
+        "_ubuf", "_upos",
     )
 
     def __init__(self, config, strategies, size_cdf=None, *, history=(),
@@ -159,17 +170,42 @@ class SimState:
         self._cdf = [None] * (config.n_agents + 1)  # filled lazily by `advance`
         self._disperse = disperse
         self._ez_merge = ez_merge
-        # per-agent table rows and per-group vote matrices (strategy mode)
+        # per-agent table rows and per-group packed tallies (strategy mode)
         self._x = config.x if size_cdf is None else None
         self._rows = [st.entries for st in strategies] if size_cdf is None else None
+        self._width, self._pack = (_tally_packer(config.n_agents, len(history))
+                                   if size_cdf is None else (0, None))
         self._group_votes: dict = {}
         self._hist_idx = history_index(history)
         self._ubuf: list = []
         self._upos = 0
 
     def group_vote_matrix(self, group: int):
-        """Cached per-history tally of a group (size >= 2), strategy mode only."""
-        return self._group_votes.get(group)
+        """Per-history [buy, sell, wait] counts of a group of size >= 2
+        (strategy mode only); None for a singleton."""
+        tally = self._group_votes.get(group)
+        if tally is None:
+            return None
+        w = self._width
+        fmask = (1 << w) - 1
+        fields = [(tally >> (f * w)) & fmask for f in range(3 << len(self.history))]
+        return [fields[f:f + 3] for f in range(0, len(fields), 3)]
+
+
+def _tally_packer(n_agents: int, memory: int):
+    """Field width of the packed tallies and the packer of one table row.
+
+    Fields are whole bytes, so a row packs by joining one 3-field byte
+    pattern per history.  With memory <= 3 there are at most 3**8 distinct
+    rows, and each one's packing is remembered.
+    """
+    k = (n_agents.bit_length() + 7) // 8  # bytes per field
+    ones = [bytes(o * k) + b"\x01" + bytes((3 - o) * k - 1) for o in range(3)]
+
+    def pack(row) -> int:
+        return int.from_bytes(b"".join(map(ones.__getitem__, row)), "little")
+
+    return 8 * k, cache(pack) if memory <= 3 else pack
 
 
 def init_state(config: SimConfig) -> tuple[SimState, np.random.Generator]:
@@ -241,7 +277,7 @@ def step(state: SimState, rng: np.random.Generator) -> StepEvent:
             sc = 1 if v == 1 else 0
             w = 1 if v == 2 else 0
         else:
-            b, sc, w = state._group_votes[g][state._hist_idx]
+            b, sc, w = state.group_vote_matrix(g)[state._hist_idx]
 
         # classify
         threshold = state._x * s
@@ -273,7 +309,7 @@ def step(state: SimState, rng: np.random.Generator) -> StepEvent:
     elif decision == 1:
         net = -s
     if decision <= 1 and state._disperse and s > 1:
-        _fragment(state, g, mem)
+        _fragment(state, g)
     elif decision == 2:
         if s < n:
             while True:
@@ -285,10 +321,13 @@ def step(state: SimState, rng: np.random.Generator) -> StepEvent:
                     buf = rng.random(_BUF_SIZE).tolist()
                     state._ubuf = buf
                     pos = 0
-            _merge(state, g, mem, group_of[target])
+            if state._rows is None:
+                part.merge(g, group_of[target])
+            else:
+                _merge(state, g, group_of[target])
     elif decision == 3:
         if s > 1:
-            _fragment(state, g, mem)
+            _fragment(state, g)
 
     state._upos = pos
     state.decision_counts[decision] += 1
@@ -317,15 +356,20 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
     x = state._x
     group_of = state.partition._group_of
     members = state.partition._members
+    merge = state.partition.merge
     size_cdf = state._size_cdf
     cdf = state._cdf
     rows = state._rows
+    pack = state._pack
     votes = state._group_votes
     disperse = state._disperse
     ez_merge = state._ez_merge
     counts = state.decision_counts
     memory = len(state.history)
     mask = (1 << memory) - 1
+    w = state._width
+    w2, w3 = 2 * w, 3 * w
+    fmask = (1 << w) - 1
     h = state._hist_idx
     buf = state._ubuf
     pos = state._upos
@@ -367,14 +411,17 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
             elif s == 1:
                 d = rows[agent][h]  # one vote always clears T = x < 1
             else:
-                b, sc, w = votes[g][h]
+                t = votes[g] >> (h * w3)
+                b = t & fmask
+                sc = (t >> w) & fmask
+                wt = (t >> w2) & fmask
                 mx = b if b >= sc else sc
-                if w > mx:
-                    mx = w
+                if wt > mx:
+                    mx = wt
                 if mx < x * s:
                     d = 3
                 else:
-                    n_tied = (b == mx) + (sc == mx) + (w == mx)
+                    n_tied = (b == mx) + (sc == mx) + (wt == mx)
                     if n_tied == 1:
                         d = 0 if b == mx else (1 if sc == mx else 2)
                     else:
@@ -385,7 +432,7 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
                             tied.append(0)
                         if sc == mx:
                             tied.append(1)
-                        if w == mx:
+                        if wt == mx:
                             tied.append(2)
                         d = tied[pick]
 
@@ -396,7 +443,7 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
                 if i >= first_recorded:
                     returns[i - first_recorded] = s if d == 0 else -s
                 if disperse and s > 1:
-                    _fragment(state, g, mem)
+                    _fragment(state, g)
             elif d == 2:
                 if ez_merge or s < n:
                     # E-Z: any agent but the picked one, same group is a no-op;
@@ -413,9 +460,14 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
                             pos = 0
                     g2 = group_of[target]
                     if g2 != g:
-                        _merge(state, g, mem, g2)
+                        if rows is None:
+                            merge(g, g2)
+                        else:  # `_merge`, inlined
+                            t1 = votes.pop(g) if s > 1 else pack(rows[g])
+                            t2 = votes.pop(g2) if len(members[g2]) > 1 else pack(rows[g2])
+                            votes[merge(g, g2)] = t1 + t2
             elif s > 1:
-                _fragment(state, g, mem)
+                _fragment(state, g)
 
         i = block_end
         if i % _CHECK_EVERY == 0:
@@ -431,40 +483,16 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
     state.step_index = stop
 
 
-def _merge(state: SimState, g: int, mem: list, g2: int) -> None:
-    if state._rows is None:
-        state.partition.merge(g, g2)
-        return
-    mem2 = state.partition._members[g2]
-    single1 = mem[0] if len(mem) == 1 else None
-    single2 = mem2[0] if len(mem2) == 1 else None
+def _merge(state: SimState, g: int, g2: int) -> None:
+    """Merge two groups in strategy mode: the union's tally is the sum."""
+    members = state.partition._members
     votes = state._group_votes
-    mat1 = votes.pop(g, None)
-    mat2 = votes.pop(g2, None)
-    survivor = state.partition.merge(g, g2)
-    rows = state._rows
-    if mat1 is None and mat2 is None:
-        r1 = rows[single1]
-        r2 = rows[single2]
-        mat = [[0, 0, 0] for _ in r1]
-        for h, (a1, a2) in enumerate(zip(r1, r2)):
-            mat[h][a1] += 1
-            mat[h][a2] += 1
-    elif mat1 is None or mat2 is None:
-        mat = mat2 if mat1 is None else mat1
-        row = rows[single1 if mat1 is None else single2]
-        for h, action in enumerate(row):
-            mat[h][action] += 1
-    else:
-        mat = mat1
-        for r1, r2 in zip(mat, mat2):
-            r1[0] += r2[0]
-            r1[1] += r2[1]
-            r1[2] += r2[2]
-    votes[survivor] = mat
+    t1 = votes.pop(g) if len(members[g]) > 1 else state._pack(state._rows[g])
+    t2 = votes.pop(g2) if len(members[g2]) > 1 else state._pack(state._rows[g2])
+    votes[state.partition.merge(g, g2)] = t1 + t2
 
 
-def _fragment(state: SimState, g: int, mem: list) -> None:
+def _fragment(state: SimState, g: int) -> None:
     state._group_votes.pop(g, None)
     state.partition.fragment(g)
 

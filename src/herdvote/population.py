@@ -12,8 +12,11 @@ per-agent group-handle array plus dense per-group member lists:
     * fragment of a group of s:     O(s)
     * uniform random agent:         O(1)
 
-Group handles are plain ints.  Retired handles (after a merge or fragment)
-are recycled; callers must never assume handles grow monotonically.
+A group's handle is one of its own members, so a singleton's handle is its
+agent id and no handle is ever allocated: a merge keeps the handle of the
+larger group, and a fragment turns every member into its own handle.  The
+handle of a group changes only when the group does; callers must not keep
+one across a merge or fragment.
 A Partition is single-writer: mutate it from one thread only.
 """
 
@@ -25,16 +28,14 @@ from collections import Counter
 class Partition:
     """Mutable partition of agents 0..n-1 into groups of size >= 1."""
 
-    __slots__ = ("n_agents", "_group_of", "_members", "_free_ids", "_next_id")
+    __slots__ = ("n_agents", "_group_of", "_members")
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"need at least one agent, got n={n}")
         self.n_agents = n
         self._group_of = list(range(n))
-        self._members = {g: [g] for g in range(n)}
-        self._free_ids: list[int] = []
-        self._next_id = n
+        self._members = {g: [g] for g in self._group_of}  # shares the int objects
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":
@@ -73,19 +74,12 @@ class Partition:
 
     # -- mutations -------------------------------------------------------
 
-    def _alloc_id(self) -> int:
-        if self._free_ids:
-            return self._free_ids.pop()
-        g = self._next_id
-        self._next_id += 1
-        return g
-
     def merge(self, g1: int, g2: int) -> int:
         """Merge two distinct live groups; returns the handle of the union.
 
         The smaller member list is moved into the larger, so the cost is
-        O(min(s1, s2)).  Both input handles are invalidated (one of them is
-        recycled as the handle of the union).
+        O(min(s1, s2)).  The union keeps the larger group's handle; the
+        other handle is retired.
         """
         if g1 == g2:
             raise ValueError("cannot merge a group with itself")
@@ -98,35 +92,37 @@ class Partition:
             group_of[a] = g1
         m1.extend(m2)
         del self._members[g2]
-        self._free_ids.append(g2)
         return g1
 
     def fragment(self, group: int) -> int:
         """Break a live group into singletons; returns its former size."""
         mem = self._members[group]
-        s = len(mem)
-        if s == 1:
-            return 1
-        del self._members[group]
-        self._free_ids.append(group)
         group_of = self._group_of
+        members = self._members
+        # the handle is a member, so its own entry is overwritten, not leaked
         for a in mem:
-            g = self._alloc_id()
-            group_of[a] = g
-            self._members[g] = [a]
-        return s
+            group_of[a] = a
+            members[a] = [a]
+        return len(mem)
 
     # -- debug -----------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Full-scan consistency check (test/debug use; O(N))."""
-        seen = 0
+        """Full-scan consistency check (test/debug use; O(N)).
+
+        Every agent is listed in exactly one group, points to that group,
+        and every live handle is one of its own members.
+        """
+        group_of = self._group_of
+        listed = bytearray(self.n_agents)
         for g, mem in self._members.items():
-            if not mem:
-                raise AssertionError(f"group {g} is empty")
+            if g not in mem:
+                raise AssertionError(f"handle {g} is not one of its own members {mem[:8]}")
             for a in mem:
-                if self._group_of[a] != g:
-                    raise AssertionError(f"agent {a} points to {self._group_of[a]}, listed in {g}")
-            seen += len(mem)
-        if seen != self.n_agents:
-            raise AssertionError(f"groups cover {seen} agents, expected {self.n_agents}")
+                if listed[a]:
+                    raise AssertionError(f"agent {a} is listed twice")
+                listed[a] = 1
+                if group_of[a] != g:
+                    raise AssertionError(f"agent {a} points to {group_of[a]}, listed in {g}")
+        if not all(listed):
+            raise AssertionError(f"groups cover {sum(listed)} agents, expected {self.n_agents}")

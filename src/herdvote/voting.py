@@ -36,11 +36,10 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 ONE_THIRD = 1.0 / 3.0
 
@@ -147,6 +146,14 @@ def _strict_upper(threshold: float) -> int:
 _EXACT_SIZE_LIMIT = 64
 
 
+@cache
+def _special():
+    """`scipy.special`, imported on first use: only sizes above
+    `_EXACT_SIZE_LIMIT` need it, and the import costs a third of a second."""
+    from scipy import special
+    return special
+
+
 @lru_cache(maxsize=None)
 def _fragmentation_probability_cached(size: int, x: float) -> float:
     t = x * size
@@ -164,6 +171,7 @@ def _fragmentation_probability_cached(size: int, x: float) -> float:
 
     # P(all counts <= ub) = sum over W of P(W=w) * P(lo <= B <= hi | W=w),
     # with W ~ Binom(size, 1/3) and B | W=w ~ Binom(size-w, 1/2).
+    special = _special()
     w = np.arange(max(0, size - 2 * ub), min(ub, size) + 1)
     rest = size - w
     log_pw = (
@@ -190,7 +198,7 @@ def _binomial_half_cdf(k, n):
     if np.any(inner):
         ki = k[inner].astype(float)
         ni = n[inner].astype(float)
-        out[inner] = special.betainc(ni - ki, ki + 1.0, 0.5)
+        out[inner] = _special().betainc(ni - ki, ki + 1.0, 0.5)
     return out
 
 
@@ -232,6 +240,7 @@ def _consensus_probability_cached(size: int, x: float) -> float:
     #   P = 3 P(B >= c) - 3 P(B >= c and S >= c)
     # (all three counts >= c would need 3c <= size, impossible here), with
     # every term a small binomial tail that keeps its relative precision.
+    special = _special()
     p_single = float(special.betainc(c, size - c + 1, ONE_THIRD)) if c <= size else 0.0
     p_pair = 0.0
     b_hi = size - c

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -95,6 +97,69 @@ def test_run_twice_is_idempotent_and_deterministic(tmp_path, capsys):
     man_b = json.load(open(os.path.join(dir_b, "manifest.json")))
     assert man_a["artifacts"] == man_b["artifacts"]
     assert os.path.basename(dir_a) == os.path.basename(dir_b)  # digest-addressed
+
+
+def test_rerun_leaves_manifest_byte_identical(tmp_path, capsys):
+    assert run_cli(tiny_run_args(tmp_path)) == 0
+    run_dir = capsys.readouterr().out.strip()
+    manifest = os.path.join(run_dir, "manifest.json")
+    with open(manifest, "rb") as fh:
+        before = fh.read()
+    assert run_cli(tiny_run_args(tmp_path)) == 0
+    with open(manifest, "rb") as fh:
+        assert fh.read() == before
+    # a manifest that no longer matches its verified artifacts is refused
+    with open(manifest, "w") as fh:
+        fh.write('{"artifacts": {}}')
+    assert run_cli(tiny_run_args(tmp_path)) == cli.EXIT_CONFIG
+    assert "manifest.json" in capsys.readouterr().err
+
+
+def test_crash_mid_write_leaves_no_partial_artifact(tmp_path, capsys, monkeypatch):
+    def crashing_writer(path, series):
+        with open(path, "w") as fh:
+            fh.write("12\n-3\n")  # part of the series, then the writer dies
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.engine, "write_returns_text", crashing_writer)
+    with pytest.raises(OSError, match="disk full"):
+        run_cli(tiny_run_args(tmp_path / "a"))
+    monkeypatch.undo()
+    (run_dir,) = (tmp_path / "a").iterdir()
+    assert os.listdir(run_dir) == ["config.txt"]  # complete files only, no staging left
+
+    assert run_cli(tiny_run_args(tmp_path / "a")) == 0
+    assert capsys.readouterr().out.strip() == str(run_dir)
+    assert run_cli(tiny_run_args(tmp_path / "b")) == 0
+    fresh_dir = capsys.readouterr().out.strip()
+    man_a = json.load(open(os.path.join(run_dir, "manifest.json")))
+    man_b = json.load(open(os.path.join(fresh_dir, "manifest.json")))
+    assert man_a["artifacts"] == man_b["artifacts"]
+    assert sorted(os.listdir(run_dir)) == sorted(os.listdir(fresh_dir))
+
+
+def test_scipy_stays_off_the_run_and_analyze_path(tmp_path):
+    """SciPy is imported only for decision probabilities of groups above 64."""
+    out = str(tmp_path / "runs")
+    script = f"""
+import contextlib, io, sys
+from herdvote import cli
+assert "scipy" not in sys.modules, "import herdvote.cli"
+run_dirs = []
+for extra in ([], ["--set", "model=ez"]):
+    argv = ["run", "--out", {out!r}, "--set", "n_agents=300", "--set", "total_steps=3000", *extra]
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        assert cli.main(argv) == 0
+    run_dirs.append(printed.getvalue().strip())
+    assert "scipy" not in sys.modules, argv
+assert cli.main(["analyze", run_dirs[0], "--out", {str(tmp_path / "summary.csv")!r}]) == 0
+assert "scipy" not in sys.modules, "analyze"
+"""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_absolute_majority_warning_lands_in_manifest(tmp_path, capsys):

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from herdvote.engine import (
     _iid_cdf,
+    _merge,
     SimConfig,
+    SimState,
     advance,
     init_state,
     read_returns_binary,
@@ -199,6 +201,39 @@ def test_group_vote_cache_matches_fresh_poll():
                 assert tuple(row) == tuple(expected)
 
 
+@pytest.mark.parametrize("memory", [1, 4])
+def test_packed_tallies_do_not_carry_at_a_full_field(memory):
+    """At N = 256 a count of every agent needs a ninth bit: one group of all
+    agents, all buying at history 0 and all waiting at the last history."""
+    n = 256
+    config = SimConfig(n_agents=n, x=0.41, total_steps=10, memory=memory,
+                       initial_history=(0,) * memory)
+    rng = np.random.default_rng(memory)
+    tables = [StrategyTable(memory, (0, *rng.integers(0, 3, 2**memory - 2).tolist(), 2))
+              for _ in range(n)]
+    state = SimState(config, tables, history=config.initial_history)
+    part = state.partition
+    # two halves grown one singleton at a time, then one tally-plus-tally merge
+    for first, last in ((0, n // 2), (n // 2, n)):
+        for a in range(first + 1, last):
+            _merge(state, part.group_of(first)[0], part.group_of(a)[0])
+    _merge(state, part.group_of(0)[0], part.group_of(n - 1)[0])
+    (g,) = part.group_ids()
+    matrix = state.group_vote_matrix(g)
+    assert len(matrix) == 2**memory
+    for h, row in enumerate(matrix):
+        history = tuple((h >> k) & 1 for k in range(memory - 1, -1, -1))
+        expected = poll_group(part.members(g), tables, history, VoteMode.STRATEGY_DRIVEN, None)
+        assert tuple(row) == tuple(expected)
+    assert matrix[0] == [n, 0, 0] and matrix[-1] == [0, 0, n]
+    part.check_invariants()
+
+    returns = np.zeros(1, dtype=np.int64)
+    advance(state, np.random.default_rng(0), 1, returns)
+    assert state.decision_counts == [1, 0, 0, 0]
+    assert returns[0] == n
+
+
 def test_conditional_decision_frequencies_iid():
     config = SimConfig(
         n_agents=100, x=0.41, total_steps=250_000, equilibration_steps=0,
@@ -247,9 +282,9 @@ def test_disperse_after_trade_switch():
                        disperse_after_trade=True)
     # everyone waits at history (1,1) and buys at any other history
     wait_at_11 = StrategyTable(2, (0, 0, 0, 2))
-    state, rng = init_state(config)
-    state.strategies = [wait_at_11] * 12
-    state._rows = [list(wait_at_11.entries)] * 12
+    _, rng = init_state(config)
+    state = SimState(config, [wait_at_11] * 12, history=config.initial_history,
+                     disperse=True)
     for _ in range(200):
         step(state, rng)  # merges only: history frozen at (1,1)
     assert max(s for s in state.partition.size_histogram()) > 1

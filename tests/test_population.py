@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from herdvote.population import Partition
@@ -168,3 +170,47 @@ def test_random_mutation_sequence_keeps_invariants():
                 p.merge(g, g2)
         assert sum(s * c for s, c in p.size_histogram().items()) == 60
     p.check_invariants()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    n=st.integers(1, 40),
+    ops=st.lists(st.tuples(st.booleans(), st.integers(0, 39), st.integers(0, 39)), max_size=150),
+)
+def test_random_merge_fragment_sequences_match_a_set_model(n, ops):
+    """After every operation the invariants hold (each live handle is one of
+    its own members) and the groups equal those of a plain set model."""
+    p = Partition.singletons(n)
+    model = {a: frozenset((a,)) for a in range(n)}
+    for is_merge, a, b in ops:
+        a, b = a % n, b % n
+        g, _ = p.group_of(a)
+        if is_merge:
+            g2, _ = p.group_of(b)
+            if g2 == g:
+                continue
+            survivor = p.merge(g, g2)
+            union = model[a] | model[b]
+            assert survivor in union
+            for agent in union:
+                model[agent] = union
+        else:
+            group = model[a]
+            assert p.fragment(g) == len(group)
+            for agent in group:
+                model[agent] = frozenset((agent,))
+                assert p.group_of(agent) == (agent, 1)  # a singleton is named by its agent
+        p.check_invariants()
+        for agent in range(n):
+            assert frozenset(p.members(p.group_of(agent)[0])) == model[agent]
+    assert p.n_groups == len(set(model.values()))
+
+
+def test_check_invariants_catches_a_foreign_handle():
+    p = Partition.singletons(3)
+    p.merge(0, 1)  # {0: [0, 1], 2: [2]}
+    # swap the two handles: every agent is still listed once where it points
+    p._members = {2: p._members[0], 0: p._members[2]}
+    p._group_of[:] = [2, 2, 0]
+    with pytest.raises(AssertionError, match="own members"):
+        p.check_invariants()

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from herdvote import voting
 from herdvote.voting import (
     ConsensusParameter,
     Decision,
@@ -156,6 +160,29 @@ def test_large_size_path_matches_integer_sum():
     for s in (65, 80, 101, 150):
         for x in (0.35, 0.41, 0.47):
             assert fragmentation_probability(s, x) == pytest.approx(reference(s, x), abs=1e-12)
+
+
+def test_large_size_values_are_pinned():
+    """Above size 64 the probabilities come from lazily imported SciPy."""
+    script = """
+import sys
+from herdvote import voting
+assert "scipy" not in sys.modules
+print(repr(voting.fragmentation_probability(64, 0.41)))
+assert "scipy" not in sys.modules
+print(repr(voting.fragmentation_probability(65, 0.41)))
+assert "scipy.special" in sys.modules
+"""
+    src = os.path.dirname(os.path.dirname(voting.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert float(result.stdout.split()[1]) == fragmentation_probability(65, 0.41)
+
+    assert fragmentation_probability(65, 0.41) == pytest.approx(0.6921005825196717, rel=1e-14)
+    assert fragmentation_probability(400, 0.41) == pytest.approx(0.9975786336580241, rel=1e-14)
+    assert consensus_probability(65, 0.41) == pytest.approx(0.3078994174803157, rel=1e-14)
+    assert consensus_probability(400, 0.41) == pytest.approx(0.002421366341740469, rel=1e-14)
 
 
 def test_no_overflow_at_extreme_sizes():
