@@ -50,7 +50,6 @@ import shutil
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -416,6 +415,8 @@ def cmd_sweep(args) -> int:
     if workers <= 1:
         records = [_sweep_point(p) for p in points]
     else:
+        # imported here: it pulls in multiprocessing, which only a parallel sweep uses
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_sweep_point, points))
 
@@ -561,16 +562,28 @@ def validation_checks(pfrg=voting.fragmentation_probability) -> list:
         f"max |diff| = {worst:.3e} (tolerance 1e-12)",
     ))
 
+    # Above size 64 the smaller of p_frg and consensus is summed and the
+    # other is its complement; here both are summed, on either side of the
+    # switch.  Up to x = 0.41: beyond, at s = 10^4, the p_frg sum's first
+    # term underflows (that sum is used only near x = 1/3).
     worst = 0.0
-    for s in (1, 2, 3, 5, 8, 13, 100, 1000, 10000):
-        for x in xs:
-            p_frg = pfrg(s, x)
-            total = p_frg + 3 * ((1.0 - p_frg) / 3.0)
-            worst = max(worst, abs(total - 1.0))
+    for s in (100, 1000, 10000):
+        for x in (0.34, 0.35, 0.37, 0.41):
+            if 3 * (math.ceil(x * s) - 1) >= s:
+                worst = max(worst, abs(sum(voting.summed_both_ways(s, x)) - 1.0))
     results.append((
-        "decision probabilities sum to one",
+        "fragmentation and consensus, each summed directly, sum to one (s>64)",
         worst <= 1e-12,
         f"max |sum-1| = {worst:.3e} (tolerance 1e-12)",
+    ))
+
+    s, x = 400, 0.41
+    exact = voting.fragmentation_count(s, x) / 3**s
+    error = abs(pfrg(s, x) - exact) / exact
+    results.append((
+        f"fragmentation probability equals exact count (s={s}, x={x})",
+        error <= 1e-13,
+        f"relative error = {error:.3e} (tolerance 1e-13)",
     ))
 
     # Exact agreement is expected only where the whole population coagulates

@@ -54,7 +54,7 @@ import numpy as np
 
 from .population import Partition
 from .strategy import VoteMode, assign_strategies, history_index, update_history
-from .voting import Decision, decision_probabilities
+from .voting import Decision, decision_cdf
 
 _BUF_SIZE = 1 << 16
 _CHECK_EVERY = 10_000  # steps between partition checksums in `advance`
@@ -226,16 +226,12 @@ def init_state(config: SimConfig) -> tuple[SimState, np.random.Generator]:
 
 
 def _iid_cdf(x: float):
-    """Decision CDF per size under i.i.d. uniform votes: thirds of 1 - p_frg.
+    """Decision CDF per size under i.i.d. uniform votes, `voting.decision_cdf`.
 
-    The last entry is 1 - p_frg itself, so a size with p_frg = 0 can never
+    Its last entry is exactly 1.0 where p_frg = 0, so such a size can never
     fragment (a uniform draw is always below 1.0).
     """
-    def size_cdf(s: int) -> tuple:
-        q = 1.0 - decision_probabilities(s, x).fragment
-        return q / 3.0, 2.0 * q / 3.0, q
-
-    return size_cdf
+    return lambda s: decision_cdf(s, x)
 
 
 def step(state: SimState, rng: np.random.Generator) -> StepEvent:

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .voting import decision_probabilities
+from .voting import decision_probabilities, probability_table, share_total
 
 ONE_THIRD = 1.0 / 3.0
 _DAMPING = 0.5  # share of the balancing step taken per sweep
@@ -101,13 +101,11 @@ class SolverReport:
 
 
 def _rates(n_agents: int, x: float) -> tuple[np.ndarray, np.ndarray]:
-    p_frg = np.zeros(n_agents + 1)
-    p_merge = np.zeros(n_agents + 1)
-    for s in range(1, n_agents + 1):
-        p = decision_probabilities(s, x)
-        p_frg[s] = p.fragment
-        p_merge[s] = p.merge
-    return p_frg, p_merge
+    """p_frg and p_merge indexed by size 0..N (entry 0 zero), from one table."""
+    sizes = np.arange(1, n_agents + 1)
+    p_frg, consensus = probability_table(sizes, x)
+    p_merge = share_total(sizes, p_frg, consensus) / 3.0
+    return np.r_[0.0, p_frg], np.r_[0.0, p_merge]
 
 
 def _flows(n: np.ndarray, p_frg: np.ndarray, p_merge: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

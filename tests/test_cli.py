@@ -139,21 +139,26 @@ def test_crash_mid_write_leaves_no_partial_artifact(tmp_path, capsys, monkeypatc
 
 
 def test_scipy_stays_off_the_run_and_analyze_path(tmp_path):
-    """SciPy is imported only for decision probabilities of groups above 64."""
+    """No command loads SciPy, and only a parallel sweep loads multiprocessing."""
     out = str(tmp_path / "runs")
     script = f"""
 import contextlib, io, sys
-from herdvote import cli
+from herdvote import cli, voting
 assert "scipy" not in sys.modules, "import herdvote.cli"
+assert "concurrent.futures.process" not in sys.modules, "import herdvote.cli"
 run_dirs = []
-for extra in ([], ["--set", "model=ez"]):
+for extra in ([], ["--set", "model=ez"], ["--set", "vote_mode=iid"]):
     argv = ["run", "--out", {out!r}, "--set", "n_agents=300", "--set", "total_steps=3000", *extra]
     with contextlib.redirect_stdout(io.StringIO()) as printed:
         assert cli.main(argv) == 0
     run_dirs.append(printed.getvalue().strip())
-    assert "scipy" not in sys.modules, argv
 assert cli.main(["analyze", run_dirs[0], "--out", {str(tmp_path / "summary.csv")!r}]) == 0
-assert "scipy" not in sys.modules, "analyze"
+argv = ["meanfield", "--n-agents", "400", "--x", "0.41", "--out", {str(tmp_path / "dist.txt")!r}]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(argv) == 0
+    assert cli.main(["validate"]) == 0
+assert voting.fragmentation_probability(10_000, 0.41) == 1.0 - voting.consensus_probability(10_000, 0.41)
+assert "scipy" not in sys.modules
 """
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -4,6 +4,7 @@ import pytest
 from herdvote.engine import SimConfig, advance, init_state
 from herdvote.meanfield import (
     GroupSizeDistribution,
+    _rates,
     balance_residual,
     solve_stationary,
     stationary_oracle,
@@ -69,6 +70,15 @@ def test_residual_matches_term_by_term_balance():
             residual = balance_residual(GroupSizeDistribution(n_agents, counts), x)
             expected = reference_residual(n_agents, counts, x)
             np.testing.assert_allclose(residual, expected, rtol=1e-9, atol=1e-12)
+
+
+def test_rate_table_equals_the_decision_probabilities():
+    for x in (0.34, 0.41, 0.47):
+        p_frg, p_merge = _rates(300, x)
+        assert p_frg[0] == p_merge[0] == 0.0
+        probs = [decision_probabilities(s, x) for s in range(1, 301)]
+        assert p_frg[1:].tolist() == [p.fragment for p in probs]
+        assert p_merge[1:].tolist() == [p.merge for p in probs]
 
 
 def test_residual_of_all_singletons():

@@ -1,4 +1,5 @@
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -143,35 +144,39 @@ def test_fragmentation_probability_matches_enumeration(x):
 
 
 def test_large_size_path_matches_integer_sum():
-    """The log-space path (s > 64) must agree with direct integer summation."""
+    """Above size 64 both probabilities match a multinomial count summed in
+    exact integers, within 1e-13 relative, whichever of them is small."""
 
     def reference(s, x):
+        """Vote assignments with every count <= ub, from rows of Pascal's
+        triangle: two[n] counts the B/S strings of n votes, W takes the rest."""
         ub = math.ceil(x * s) - 1
-        if 3 * ub < s:
-            return 0.0
-        fact = math.factorial
-        total = sum(
-            fact(s) // (fact(w) * fact(b) * fact(s - w - b))
-            for w in range(max(0, s - 2 * ub), min(ub, s) + 1)
-            for b in range(max(0, s - w - ub), min(ub, s - w) + 1)
-        )
-        return total / 3**s
+        row, two = [1], []
+        for n in range(s + 1):
+            two.append(sum(row[max(0, n - ub):ub + 1]))
+            if n < s:
+                row = [1, *map(operator.add, row, row[1:]), 1]
+        return sum(row[w] * two[s - w] for w in range(min(ub, s) + 1))
 
-    for s in (65, 80, 101, 150):
-        for x in (0.35, 0.41, 0.47):
-            assert fragmentation_probability(s, x) == pytest.approx(reference(s, x), abs=1e-12)
+    points = [(s, x) for s in (65, 80, 101, 150) for x in (0.35, 0.41, 0.47)]
+    points += [(s, x) for s in (65, 100, 400, 1000) for x in (0.34, 0.36, 0.41, 0.47)]
+    # 3 ub = s: p_frg is the single term with B = S = W, of order 1/s
+    points += [(201, 0.334), (300, 0.334), (999, 0.334)]
+    for s, x in points:
+        count, total = reference(s, x), 3**s
+        p_frg, consensus = float(Fraction(count, total)), float(Fraction(total - count, total))
+        assert fragmentation_probability(s, x) == pytest.approx(p_frg, rel=1e-13, abs=0.0)
+        assert consensus_probability(s, x) == pytest.approx(consensus, rel=1e-13, abs=0.0)
 
 
 def test_large_size_values_are_pinned():
-    """Above size 64 the probabilities come from lazily imported SciPy."""
+    """Every size is computed with NumPy and the standard library alone."""
     script = """
 import sys
 from herdvote import voting
-assert "scipy" not in sys.modules
 print(repr(voting.fragmentation_probability(64, 0.41)))
-assert "scipy" not in sys.modules
 print(repr(voting.fragmentation_probability(65, 0.41)))
-assert "scipy.special" in sys.modules
+assert "scipy" not in sys.modules
 """
     src = os.path.dirname(os.path.dirname(voting.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -179,10 +184,45 @@ assert "scipy.special" in sys.modules
     assert result.returncode == 0, result.stderr
     assert float(result.stdout.split()[1]) == fragmentation_probability(65, 0.41)
 
-    assert fragmentation_probability(65, 0.41) == pytest.approx(0.6921005825196717, rel=1e-14)
-    assert fragmentation_probability(400, 0.41) == pytest.approx(0.9975786336580241, rel=1e-14)
+    # exact values (big-integer counts over 3^s), rounded once
+    assert fragmentation_probability(65, 0.41) == pytest.approx(0.6921005825196854, rel=1e-14)
+    assert fragmentation_probability(400, 0.41) == pytest.approx(0.9975786336582595, rel=1e-14)
     assert consensus_probability(65, 0.41) == pytest.approx(0.3078994174803157, rel=1e-14)
     assert consensus_probability(400, 0.41) == pytest.approx(0.002421366341740469, rel=1e-14)
+
+
+@pytest.mark.parametrize("n, k, d", [(400, 164, 3), (1000, 400, 3), (1000, 470, 3),
+                                     (10_000, 4100, 3), (5000, 2600, 2), (10_000, 5000, 2)])
+def test_binomial_terms_keep_relative_precision(n, k, d):
+    """A few ulps per unit of the log-probability, where a difference of
+    log-factorials loses up to 1e-11 relative at n = 10^4."""
+    exact = Fraction(math.comb(n, k) * (d - 1) ** (n - k), d**n)
+    value = float(voting._binom_pmf(np.array([k]), np.array([n]), d)[0])
+    tolerance = 8 * 2.0**-52 * (1.0 - math.log(float(exact)))
+    assert value == pytest.approx(float(exact), rel=tolerance, abs=0.0)
+
+
+def test_probability_table_equals_the_scalar_lookups():
+    sizes = np.r_[1:130, 399:402, 997:1001]  # one pass, rows of unequal lengths
+    for x in (0.34, 0.36, 0.41, 0.47, 0.6):
+        p_frg, consensus = voting.probability_table(sizes, x)
+        assert p_frg.tolist() == [fragmentation_probability(int(s), x) for s in sizes]
+        assert consensus.tolist() == [consensus_probability(int(s), x) for s in sizes]
+        impossible = 3 * (np.ceil(x * sizes) - 1) < sizes
+        assert np.all(p_frg[impossible] == 0.0) and np.all(consensus[impossible] == 1.0)
+    with pytest.raises(ValueError):
+        voting.probability_table([3, 0], 0.41)
+
+
+def test_both_direct_sums_add_to_one():
+    for s, x in ((100, 0.37), (1000, 0.35), (10_000, 0.34)):  # both sums above 0.02
+        p_frg, consensus = voting.summed_both_ways(s, x)
+        assert p_frg + consensus == pytest.approx(1.0, abs=1e-14)
+        assert p_frg == pytest.approx(fragmentation_probability(s, x), rel=1e-13)
+        assert consensus == pytest.approx(consensus_probability(s, x), rel=1e-13)
+    for s, x in ((64, 0.41), (100, 0.33), (100, 0.52)):
+        with pytest.raises(ValueError):
+            voting.summed_both_ways(s, x)
 
 
 def test_no_overflow_at_extreme_sizes():
@@ -225,6 +265,22 @@ def test_decision_probabilities_known_values():
     assert probs.fragment == pytest.approx(2 / 9, abs=1e-15)
     assert probs.buy == pytest.approx(7 / 27, abs=1e-15)
     assert probs.buy == probs.sell == probs.merge
+
+
+def test_shares_split_the_float_complement_up_to_64_and_consensus_above():
+    for x in (0.34, 0.41, 0.47):
+        for s in (2, 20, 64):
+            p_frg = fragmentation_probability(s, x)
+            q = 1.0 - p_frg
+            assert decision_probabilities(s, x) == (p_frg, q / 3.0, q / 3.0, q / 3.0)
+            assert voting.decision_cdf(s, x) == (q / 3.0, 2.0 * q / 3.0, q)
+        for s in (65, 400, 1000):
+            q = consensus_probability(s, x)
+            assert decision_probabilities(s, x).merge == q / 3.0
+            assert voting.decision_cdf(s, x) == (q / 3.0, 2.0 * q / 3.0, q)
+    # deep in the cutoff the merge share stays a positive, accurate third
+    assert decision_probabilities(1000, 0.47).merge == pytest.approx(
+        8.101021595684863e-19 / 3, rel=1e-13)
 
 
 def test_decision_probabilities_complete():
