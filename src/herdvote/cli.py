@@ -12,8 +12,9 @@ Subcommands
     validate   fast self-checks of the exact math against brute-force
                oracles; nonzero exit when anything disagrees
 
-Config files are plain "key = value" text (LF, UTF-8, '#' comments).  Keys
-and defaults:
+Config files are plain "key = value" text (LF, UTF-8, '#' comments).  The
+keys, in echo order, with their defaults (set by `engine.SimConfig` and
+`ez.EzConfig`; a test keeps this table equal to `default_config()`):
 
     schema_version      = 2           # 2: iid and E-Z runs use the fused loop's draws
     model               = main        # main | ez
@@ -24,7 +25,7 @@ and defaults:
     memory_m            = 2           # n_agents * 2**memory_m <= 2**24
     initial_history     = 1,1
     vote_mode           = strategy    # strategy | iid
-    seed                = 1
+    seed                = 1           # >= 0
     rescale_k           = 2
     ez_a                = 0.01        # E-Z trade probability (model = ez)
 
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -50,12 +52,12 @@ import shutil
 import sys
 import tempfile
 import time
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__, analysis, engine, meanfield, voting
 from .ez import EzConfig, ez_run
-from .strategy import VoteMode
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -76,12 +78,9 @@ class ConfigError(Exception):
 
 def _parse_history(text: str) -> tuple:
     try:
-        bits = tuple(int(b) for b in text.split(","))
+        return tuple(int(b) for b in text.split(","))
     except ValueError:
         raise ConfigError(f"initial_history must be comma-separated bits, got {text!r}")
-    if any(b not in (0, 1) for b in bits):
-        raise ConfigError(f"initial_history bits must be 0 or 1, got {text!r}")
-    return bits
 
 
 def _parse_equilibration(text: str):
@@ -90,25 +89,39 @@ def _parse_equilibration(text: str):
     return int(text)
 
 
-# key -> (from-string, to-string, default)
+# The file format: key -> (from-string, to-string), in the order of the
+# canonical echo.  Defaults and checks belong to the model dataclasses.
 _CONFIG_SPEC = {
-    "schema_version": (int, str, SCHEMA_VERSION),
-    "model": (str, str, "main"),
-    "n_agents": (int, str, 10_000),
-    "x": (float, repr, 0.37),
-    "total_steps": (int, str, 1_000_000),
-    "equilibration_steps": (_parse_equilibration, lambda v: "auto" if v is None else str(v), None),
-    "memory_m": (int, str, 2),
-    "initial_history": (_parse_history, lambda v: ",".join(str(b) for b in v), (1, 1)),
-    "vote_mode": (str, str, "strategy"),
-    "seed": (int, str, 1),
-    "rescale_k": (int, str, 2),
-    "ez_a": (float, repr, 0.01),
+    "schema_version": (int, str),
+    "model": (str, str),
+    "n_agents": (int, str),
+    "x": (float, repr),
+    "total_steps": (int, str),
+    "equilibration_steps": (_parse_equilibration, lambda v: "auto" if v is None else str(v)),
+    "memory_m": (int, str),
+    "initial_history": (_parse_history, lambda v: ",".join(str(b) for b in v)),
+    "vote_mode": (str, lambda v: getattr(v, "value", v)),  # str() of a VoteMode is its name
+    "seed": (int, str),
+    "rescale_k": (int, str),
+    "ez_a": (float, repr),
 }
+_FIELD_OF = {"memory_m": "memory", "ez_a": "a"}  # config keys named unlike their field
+_MODELS = {"main": engine.SimConfig, "ez": EzConfig}
 
 
 def default_config() -> dict:
-    return {key: spec[2] for key, spec in _CONFIG_SPEC.items()}
+    defaults = {f.name: f.default for cls in _MODELS.values() for f in dataclasses.fields(cls)}
+    config = {key: defaults.get(_FIELD_OF.get(key, key)) for key in _CONFIG_SPEC}
+    return {**config, "schema_version": SCHEMA_VERSION, "model": "main"}
+
+
+def _parse_value(key: str, text: str, where: str = ""):
+    if key not in _CONFIG_SPEC:
+        raise ConfigError(f"{where}unknown config key {key!r}")
+    try:
+        return _CONFIG_SPEC[key][0](text)
+    except (ValueError, TypeError):
+        raise ConfigError(f"{where}bad value for {key!r}: {text!r}")
 
 
 def parse_config_text(text: str) -> dict:
@@ -120,15 +133,7 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_SPEC:
-            raise ConfigError(f"line {line_no}: unknown config key {key!r}")
-        parser = _CONFIG_SPEC[key][0]
-        try:
-            values[key] = parser(value)
-        except (ValueError, TypeError):
-            raise ConfigError(f"line {line_no}: bad value for {key!r}: {value!r}")
+        values[key.strip()] = _parse_value(key.strip(), value.strip(), f"line {line_no}: ")
     return values
 
 
@@ -138,60 +143,38 @@ def apply_overrides(config: dict, overrides) -> dict:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_SPEC:
-            raise ConfigError(f"unknown config key {key!r}")
-        try:
-            config[key] = _CONFIG_SPEC[key][0](value.strip())
-        except (ValueError, TypeError):
-            raise ConfigError(f"bad value for {key!r}: {value!r}")
+        config[key.strip()] = _parse_value(key.strip(), value.strip())
     return config
 
 
 def resolve_config(config: dict) -> dict:
-    """Fill derived fields and validate; returns the canonical dict."""
-    config = dict(config)
+    """Validate and fill derived fields; returns the canonical dict."""
+    return _resolve(config)[0]
+
+
+def _resolve(config: dict) -> tuple[dict, engine.RunConfig]:
+    """The canonical dict and the model dataclass it describes, built once."""
     if config["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {config['schema_version']}")
-    if config["model"] not in ("main", "ez"):
+    cls = _MODELS.get(config["model"])
+    if cls is None:
         raise ConfigError(f"model must be 'main' or 'ez', got {config['model']!r}")
-    if config["vote_mode"] not in ("strategy", "iid"):
-        raise ConfigError(f"vote_mode must be 'strategy' or 'iid', got {config['vote_mode']!r}")
-    if config["equilibration_steps"] is None:
-        config["equilibration_steps"] = config["total_steps"] // 10
+    names = {f.name for f in dataclasses.fields(cls)}
+    fields = {_FIELD_OF.get(key, key): value for key, value in config.items()}
     try:
-        _build_sim_config(config)  # reuse the model-level validation
+        sim_config = cls(**{name: v for name, v in fields.items() if name in names})
     except ValueError as exc:
-        raise ConfigError(str(exc))
-    return config
+        raise ConfigError(str(exc)) from None
+    return {**config, "equilibration_steps": sim_config.equilibration_steps}, sim_config
 
 
-def _build_sim_config(config: dict):
-    if config["model"] == "ez":
-        return EzConfig(
-            n_agents=config["n_agents"],
-            a=config["ez_a"],
-            total_steps=config["total_steps"],
-            equilibration_steps=config["equilibration_steps"],
-            seed=config["seed"],
-        )
-    return engine.SimConfig(
-        n_agents=config["n_agents"],
-        x=config["x"],
-        total_steps=config["total_steps"],
-        equilibration_steps=config["equilibration_steps"],
-        memory=config["memory_m"],
-        initial_history=config["initial_history"],
-        vote_mode=VoteMode(config["vote_mode"]),
-        seed=config["seed"],
-        rescale_k=config["rescale_k"],
-    )
+def _formatted(config: dict) -> dict:
+    return {key: fmt(config[key]) for key, (_, fmt) in _CONFIG_SPEC.items()}
 
 
 def config_text(config: dict) -> str:
     """Canonical echo: fixed key order, one 'key = value' per line."""
-    lines = [f"{key} = {_CONFIG_SPEC[key][1](config[key])}" for key in _CONFIG_SPEC]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {value}\n" for key, value in _formatted(config).items())
 
 
 def config_digest(config: dict) -> str:
@@ -215,10 +198,6 @@ def regime_warnings(config: dict) -> list:
 
 # -- run artifacts ----------------------------------------------------------
 
-def _sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -227,23 +206,30 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def execute_run(config: dict, out_root: str) -> str:
-    """Simulate per `config` and write artifacts; returns the run directory.
+class RunResult(NamedTuple):
+    run_dir: str
+    config_digest: str
+    warnings: list
+
+
+def execute_run(config: dict, out_root: str) -> RunResult:
+    """Simulate per `config` and write artifacts into its run directory.
 
     The directory name is the config digest.  Directories are append-only:
     an existing run with matching artifact digests is left untouched, its
     manifest included, and a mismatch is an error.  Every file is written
     under a private staging directory inside the run directory and moved to
     its name with one `os.replace`, so a crash never leaves a partial file
-    under an artifact's name.
+    under an artifact's name.  Returns the directory, the resolved config's
+    digest and its regime warnings.
     """
-    config = resolve_config(config)
+    config, sim_config = _resolve(config)
     digest = config_digest(config)
     run_dir = os.path.join(out_root, digest[:12])
+    result = RunResult(run_dir, digest, regime_warnings(config))
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t0 = time.perf_counter()
 
-    sim_config = _build_sim_config(config)
     if config["model"] == "ez":
         returns, summary = ez_run(sim_config)
     else:
@@ -291,14 +277,14 @@ def execute_run(config: dict, out_root: str) -> str:
             if recorded != artifacts:
                 raise ConfigError(f"refusing to overwrite {manifest_path}: its artifact "
                                   f"digests differ from the verified artifacts")
-            return run_dir
+            return result
         manifest = {
             "schema_version": SCHEMA_VERSION,
             "package_version": __version__,
-            "config": {k: _CONFIG_SPEC[k][1](config[k]) for k in _CONFIG_SPEC},
+            "config": _formatted(config),
             "config_digest": digest,
             "seed": config["seed"],
-            "warnings": regime_warnings(config),
+            "warnings": result.warnings,
             "started_utc": started,
             "finished_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "wall_time_s": time.perf_counter() - t0,
@@ -308,7 +294,7 @@ def execute_run(config: dict, out_root: str) -> str:
         os.replace(os.path.join(staging, "manifest.json"), manifest_path)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
-    return run_dir
+    return result
 
 
 def _write_text(path, text: str) -> None:
@@ -355,12 +341,10 @@ def _load_config_arg(args) -> dict:
 
 
 def cmd_run(args) -> int:
-    config = _load_config_arg(args)
-    run_dir = execute_run(config, args.out)
-    warnings = regime_warnings(resolve_config(config))
-    for w in warnings:
+    result = execute_run(_load_config_arg(args), args.out)
+    for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    print(run_dir)
+    print(result.run_dir)
     return EXIT_OK
 
 
@@ -374,8 +358,8 @@ def _sweep_point(payload) -> dict:
     config, out_root = payload
     record = {k: config[k] for k in ("x", "n_agents", "seed")}
     try:
-        run_dir = execute_run(config, out_root)
-        record.update(status="ok", run_dir=run_dir, config_digest=config_digest(resolve_config(config)))
+        result = execute_run(config, out_root)
+        record.update(status="ok", run_dir=result.run_dir, config_digest=result.config_digest)
     except Exception as exc:  # isolate failures per grid point
         record.update(status="error", error=str(exc))
     return record

@@ -31,27 +31,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _BUF_SIZE, RunSummary, SimState, StepEvent, simulate
+from .engine import _BUF_SIZE, RunConfig, RunSummary, SimState, StepEvent, simulate
 from .voting import Decision
 
 
-@dataclass
-class EzConfig:
-    n_agents: int
+@dataclass(kw_only=True)
+class EzConfig(RunConfig):
     a: float = 0.01  # per-step trade probability
-    total_steps: int = 1_000_000
-    equilibration_steps: int | None = None  # default: 10% of total_steps
-    seed: int = 1
 
-    def __post_init__(self):
-        if self.equilibration_steps is None:
-            self.equilibration_steps = self.total_steps // 10
-        if self.n_agents < 2:
-            raise ValueError(f"n_agents must be >= 2, got {self.n_agents}")
+    def validate(self) -> None:
+        super().validate()
         if not 0.0 < self.a < 1.0:
             raise ValueError(f"trade probability must be in (0, 1), got {self.a}")
-        if not 0 <= self.equilibration_steps < self.total_steps:
-            raise ValueError("equilibration_steps must be in [0, total_steps)")
 
 
 def init_ez_state(config: EzConfig) -> tuple[SimState, np.random.Generator]:

@@ -278,8 +278,8 @@ def test_criterion_9_determinism_and_performance(tmp_path):
         ["n_agents=400", "total_steps=8000", "x=0.41", "seed=5"],
     )
     import json, os
-    dir_a = cli.execute_run(config, str(tmp_path / "a"))
-    dir_b = cli.execute_run(config, str(tmp_path / "b"))
+    dir_a = cli.execute_run(config, str(tmp_path / "a")).run_dir
+    dir_b = cli.execute_run(config, str(tmp_path / "b")).run_dir
     digests_a = json.load(open(os.path.join(dir_a, "manifest.json")))["artifacts"]
     digests_b = json.load(open(os.path.join(dir_b, "manifest.json")))["artifacts"]
     identical = digests_a == digests_b

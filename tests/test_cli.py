@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from herdvote import cli
 from herdvote.engine import read_returns_binary, read_returns_text
@@ -34,6 +36,66 @@ def test_config_text_round_trip():
     assert parsed["x"] == 0.47
     assert parsed["initial_history"] == (1, 0)
     assert parsed["equilibration_steps"] is None  # "auto" survives
+
+
+@st.composite
+def resolved_configs(draw):
+    memory = draw(st.integers(1, 4))
+    total_steps = draw(st.integers(1, 10**9))
+    raw = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "model": draw(st.sampled_from(["main", "ez"])),
+        "n_agents": draw(st.integers(2, 2**20)),
+        "x": draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        "total_steps": total_steps,
+        "equilibration_steps": draw(st.none() | st.integers(0, total_steps - 1)),
+        "memory_m": memory,
+        "initial_history": tuple(draw(st.lists(st.integers(0, 1), min_size=memory,
+                                               max_size=memory))),
+        "vote_mode": draw(st.sampled_from(["strategy", "iid"])),
+        "seed": draw(st.integers(0, 2**64)),
+        "rescale_k": draw(st.integers(1, 100)),
+        "ez_a": draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    }
+    return cli.resolve_config(raw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(resolved_configs())
+def test_config_text_round_trip_of_resolved_configs(config):
+    text = cli.config_text(config)
+    again = cli.resolve_config(cli.parse_config_text(text))
+    assert again == config
+    assert cli.config_text(again) == text
+    assert cli.config_digest(again) == cli.config_digest(config)
+
+
+# Digests of the resolved default config and of the benchmark's three run
+# configs (seed 900001, 2x10^5 steps); config text is the run directory's
+# name, so these must not move without a schema change.
+PINNED_DIGESTS = [
+    ([], "73ac5caef8cda78101a54bb26155ecde6c563a045d99baca267625317335a143"),
+    (["model=main", "n_agents=10000", "x=0.41", "vote_mode=strategy"],
+     "ebb3e3c33ac0a13d11897de8c06420b38d74f912f62417db938bd95e1464ede9"),
+    (["model=main", "n_agents=10000", "x=0.41", "vote_mode=iid"],
+     "8e292fa2bf12fc2bf794461007baf1c829fefc5c8a4086f92136ae8ca15b8a5e"),
+    (["model=ez", "n_agents=10000", "ez_a=0.01"],
+     "9df0343da8b9ba2ff7250d4921b0542819344ca6096abfe01c49a8a4c73fc6e3"),
+]
+
+
+@pytest.mark.parametrize("overrides, digest", PINNED_DIGESTS)
+def test_config_digests_are_pinned(overrides, digest):
+    if overrides:
+        overrides = [*overrides, "total_steps=200000", "seed=900001"]
+    config = cli.resolve_config(cli.apply_overrides(cli.default_config(), overrides))
+    assert cli.config_digest(config) == digest
+
+
+def test_docstring_table_is_the_defaults():
+    table = cli.__doc__.split("`default_config()`):\n\n", 1)[1].split("\n\n", 1)[0]
+    assert len(table.splitlines()) == len(cli.default_config())
+    assert cli.parse_config_text(table) == cli.default_config()
 
 
 def test_unknown_key_is_named():
@@ -193,6 +255,31 @@ def test_memory_over_table_budget_is_config_error(tmp_path, capsys):
     code = run_cli(tiny_run_args(tmp_path / "runs", extra=["--set", "memory_m=40"]))
     assert code == cli.EXIT_CONFIG
     assert "budget" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "runs")
+
+
+@pytest.mark.parametrize("model", ["main", "ez"])
+def test_negative_seed_is_config_error(tmp_path, capsys, model):
+    code = run_cli(tiny_run_args(tmp_path / "runs", extra=["--set", f"model={model}",
+                                                           "--set", "seed=-1"]))
+    assert code == cli.EXIT_CONFIG
+    assert "seed" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "runs")
+
+
+def test_ez_rescale_k_zero_is_config_error(tmp_path, capsys):
+    code = run_cli(tiny_run_args(tmp_path / "runs", extra=["--set", "model=ez",
+                                                           "--set", "rescale_k=0"]))
+    assert code == cli.EXIT_CONFIG
+    assert "rescale_k" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "runs")
+
+
+def test_bad_vote_mode_names_the_allowed_values(tmp_path, capsys):
+    code = run_cli(tiny_run_args(tmp_path / "runs", extra=["--set", "vote_mode=majority"]))
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "vote_mode" in err and "'strategy'" in err and "'iid'" in err
     assert not os.path.exists(tmp_path / "runs")
 
 

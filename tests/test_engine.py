@@ -50,6 +50,14 @@ def test_config_defaults_and_validation():
         SimConfig(n_agents=10, x=0.41, total_steps=100, initial_history=(1, 2))
     with pytest.raises(ValueError):
         SimConfig(n_agents=10, x=0.41, total_steps=100, rescale_k=0)
+    with pytest.raises(ValueError, match="seed"):
+        SimConfig(n_agents=10, x=0.41, total_steps=100, seed=-1)
+    with pytest.raises(ValueError, match="'strategy' or 'iid'"):
+        SimConfig(n_agents=10, x=0.41, total_steps=100, vote_mode="majority")
+    with pytest.raises(TypeError):
+        SimConfig(10, 0.41, 100)  # keyword-only
+    default = SimConfig()  # the command line's defaults
+    assert (default.n_agents, default.x, default.total_steps) == (10_000, 0.37, 1_000_000)
     # strategy tables are bounded: n_agents * 2**memory <= 2**24
     SimConfig(n_agents=2**14, x=0.41, total_steps=100, memory=10, initial_history=(1,) * 10)
     for n_agents, memory in ((2**14 + 1, 10), (2, 24), (2, 10**9)):
