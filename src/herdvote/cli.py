@@ -9,6 +9,7 @@ Subcommands
     meanfield  stationary group-size distribution for (N, x)
     analyze    tail statistics (CCDF, binned density, power-law fits) for
                existing run directories plus a cross-x comparison table
+               with one row per directory
     validate   fast self-checks of the exact math against brute-force
                oracles; nonzero exit when anything disagrees
 
@@ -464,7 +465,11 @@ def _read_run_returns(run_dir: str, use_raw: bool) -> tuple[dict, np.ndarray]:
 
 def cmd_analyze(args) -> int:
     returns_by_x = {}
+    # a directory named twice, however spelled, is analysed and summarised once
+    run_dirs = {}
     for run_dir in args.run_dirs:
+        run_dirs.setdefault(os.path.realpath(run_dir), run_dir)
+    for run_dir in run_dirs.values():
         config, returns = _read_run_returns(run_dir, args.use_raw)
         if not np.any(returns):
             raise ConfigError(f"no trades in {run_dir}: every recorded return is zero")
@@ -489,9 +494,13 @@ def cmd_analyze(args) -> int:
             ("x", "alpha_density", "alpha_cumulative", "r_min", "stderr", "n_tail"),
             fit_row,
         )
-        key = config["x"] if config["model"] == "main" else f"ez a={config['ez_a']}"
+        # one row per run directory
+        param = config["x"] if config["model"] == "main" else f"ez a={config['ez_a']}"
+        key = param
         if key in returns_by_x:  # replicate runs at the same parameters
-            key = f"{key} seed={config['seed']}"
+            key = f"{param} seed={config['seed']}"
+        if key in returns_by_x:  # and the same seed: other keys differ
+            key = f"{param} {run_dir}"
         returns_by_x[key] = returns
 
     rows = analysis.cutoff_scan(

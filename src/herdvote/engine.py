@@ -17,14 +17,16 @@ Each time step:
   4. the shared history shifts in the sign of the net return (no trade,
      no movement).
 
-`advance` runs the steps in one fused loop that keeps its state in locals
-and caches each size's decision CDF on first use; `run` drives it over a
-whole config.  `step` is the same update one call at a time: it is the
-reference that tests compare the loop against byte for byte, not
-production code.  The E-Z baseline (`ez`) is a configuration of the same
-loop: its decision distribution is the constant (a/2, a/2, 1-a), a trading
-group disperses, and a merge joins the group of another agent (nothing
-happens when that agent is in the same group).
+`advance` runs the steps in one fused loop that keeps its state in locals,
+caches each size's decision CDF on first use and applies merges to the
+partition's lists inline (fragments go through `_fragment`); the cyclic
+garbage collector is off while it runs.  `run` drives it over a whole
+config.  `step` is the same update one call at a time, through
+`Partition.merge`: it is the reference that tests compare the loop against
+byte for byte, not production code.  The E-Z baseline (`ez`) is a
+configuration of the same loop: its decision distribution is the constant
+(a/2, a/2, 1-a), a trading group disperses, and a merge joins the group of
+another agent (nothing happens when that agent is in the same group).
 
 Returns are recorded only after the configured equilibration window.
 A run is fully determined by its config: the seed feeds two independent
@@ -44,6 +46,7 @@ model.
 
 from __future__ import annotations
 
+import gc
 import struct
 import time
 from dataclasses import dataclass
@@ -367,6 +370,12 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
     recorded.  The loop can be driven in chunks: consecutive calls continue
     the same run, with the same results as one call.  Every 10^4 steps it
     checks that the groups still cover every agent.
+
+    Merges update the partition's lists in place, as `Partition.merge` (and
+    `_merge` in strategy mode) would.  The cyclic garbage collector is off,
+    for the whole process, until the call returns or raises, and is turned
+    back on only if it was on before: drive the loop from one thread at a
+    time.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
@@ -374,7 +383,6 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
     x = state._x
     group_of = state.partition._group_of
     members = state.partition._members
-    merge = state.partition.merge
     size_cdf = state._size_cdf
     cdf = state._cdf
     rows = state._rows
@@ -397,102 +405,119 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
     if returns is None:
         first_recorded = stop  # no step of this call reaches it
 
-    while i < stop:
-        block_end = min(stop, (i // _CHECK_EVERY + 1) * _CHECK_EVERY)
-        for i in range(i, block_end):
-            if pos >= low:
-                buf = None  # let the old block go before the next one is built
-                buf = rng.random(_BUF_SIZE).tolist()
-                low = _BUF_SIZE - 16
-                pos = 0
-            agent = int(buf[pos] * n)
-            pos += 1
-            g = group_of[agent]
-            mem = members[g]
-            s = len(mem)
-
-            # decide
-            if size_cdf is not None:
-                c = cdf[s]
-                if c is None:
-                    c = cdf[s] = size_cdf(s)
-                u = buf[pos]
+    # the loop builds only lists that cannot form a cycle, and reference
+    # counting frees them; the cyclic collector would only rescan the partition
+    gc_was_on = gc.isenabled()
+    gc.disable()
+    try:
+        while i < stop:
+            block_end = min(stop, (i // _CHECK_EVERY + 1) * _CHECK_EVERY)
+            for i in range(i, block_end):
+                if pos >= low:
+                    buf = None  # let the old block go before the next one is built
+                    buf = rng.random(_BUF_SIZE).tolist()
+                    low = _BUF_SIZE - 16
+                    pos = 0
+                agent = int(buf[pos] * n)
                 pos += 1
-                if u < c[0]:
-                    d = 0
-                elif u < c[1]:
-                    d = 1
-                elif u < c[2]:
-                    d = 2
-                else:
-                    d = 3
-            elif s == 1:
-                d = rows[agent][h]  # one vote always clears T = x < 1
-            else:
-                t = votes[g] >> (h * w3)
-                b = t & fmask
-                sc = (t >> w) & fmask
-                wt = (t >> w2) & fmask
-                mx = b if b >= sc else sc
-                if wt > mx:
-                    mx = wt
-                if mx < x * s:
-                    d = 3
-                else:
-                    n_tied = (b == mx) + (sc == mx) + (wt == mx)
-                    if n_tied == 1:
-                        d = 0 if b == mx else (1 if sc == mx else 2)
+                g = group_of[agent]
+                mem = members[g]
+                s = len(mem)
+
+                # decide
+                if size_cdf is not None:
+                    c = cdf[s]
+                    if c is None:
+                        c = cdf[s] = size_cdf(s)
+                    u = buf[pos]
+                    pos += 1
+                    if u < c[0]:
+                        d = 0
+                    elif u < c[1]:
+                        d = 1
+                    elif u < c[2]:
+                        d = 2
                     else:
-                        pick = int(buf[pos] * n_tied)
-                        pos += 1
-                        tied = []
-                        if b == mx:
-                            tied.append(0)
-                        if sc == mx:
-                            tied.append(1)
-                        if wt == mx:
-                            tied.append(2)
-                        d = tied[pick]
+                        d = 3
+                elif s == 1:
+                    d = rows[agent][h]  # one vote always clears T = x < 1
+                else:
+                    t = votes[g] >> (h * w3)
+                    b = t & fmask
+                    sc = (t >> w) & fmask
+                    wt = (t >> w2) & fmask
+                    mx = b if b >= sc else sc
+                    if wt > mx:
+                        mx = wt
+                    if mx < x * s:
+                        d = 3
+                    else:
+                        n_tied = (b == mx) + (sc == mx) + (wt == mx)
+                        if n_tied == 1:
+                            d = 0 if b == mx else (1 if sc == mx else 2)
+                        else:
+                            pick = int(buf[pos] * n_tied)
+                            pos += 1
+                            tied = []
+                            if b == mx:
+                                tied.append(0)
+                            if sc == mx:
+                                tied.append(1)
+                            if wt == mx:
+                                tied.append(2)
+                            d = tied[pick]
 
-            # act
-            counts[d] += 1
-            if d <= 1:
-                h = ((h << 1) | (1 - d)) & mask  # buy shifts in a 1, sell a 0
-                if i >= first_recorded:
-                    returns[i - first_recorded] = s if d == 0 else -s
-                if disperse and s > 1:
+                # act
+                counts[d] += 1
+                if d <= 1:
+                    h = ((h << 1) | (1 - d)) & mask  # buy shifts in a 1, sell a 0
+                    if i >= first_recorded:
+                        returns[i - first_recorded] = s if d == 0 else -s
+                    if disperse and s > 1:
+                        _fragment(state, g)
+                elif d == 2:
+                    if ez_merge or s < n:
+                        # E-Z: any agent but the picked one, same group is a no-op;
+                        # voting model: an agent outside the group
+                        while True:
+                            target = int(buf[pos] * n)
+                            pos += 1
+                            if target != agent if ez_merge else group_of[target] != g:
+                                break
+                            if pos >= _BUF_SIZE:
+                                buf = None
+                                buf = rng.random(_BUF_SIZE).tolist()
+                                low = _BUF_SIZE - 16
+                                pos = 0
+                        g2 = group_of[target]
+                        if g2 != g:
+                            # `Partition.merge` (and `_merge`), inlined: the smaller
+                            # list moves, the larger group (on a tie, g) keeps its handle
+                            m2 = members[g2]
+                            if rows is not None:
+                                t = ((votes.pop(g) if s > 1 else pack(rows[g]))
+                                     + (votes.pop(g2) if len(m2) > 1 else pack(rows[g2])))
+                            if s < len(m2):
+                                g, g2, mem, m2 = g2, g, m2, mem
+                            for a in m2:
+                                group_of[a] = g
+                            mem.extend(m2)
+                            del members[g2]
+                            if rows is not None:
+                                votes[g] = t
+                elif s > 1:
                     _fragment(state, g)
-            elif d == 2:
-                if ez_merge or s < n:
-                    # E-Z: any agent but the picked one, same group is a no-op;
-                    # voting model: an agent outside the group
-                    while True:
-                        target = int(buf[pos] * n)
-                        pos += 1
-                        if target != agent if ez_merge else group_of[target] != g:
-                            break
-                        if pos >= _BUF_SIZE:
-                            buf = None
-                            buf = rng.random(_BUF_SIZE).tolist()
-                            low = _BUF_SIZE - 16
-                            pos = 0
-                    g2 = group_of[target]
-                    if g2 != g:
-                        if rows is None:
-                            merge(g, g2)
-                        else:  # `_merge`, inlined
-                            t1 = votes.pop(g) if s > 1 else pack(rows[g])
-                            t2 = votes.pop(g2) if len(members[g2]) > 1 else pack(rows[g2])
-                            votes[merge(g, g2)] = t1 + t2
-            elif s > 1:
-                _fragment(state, g)
 
-        i = block_end
-        if i % _CHECK_EVERY == 0:
-            # cheap running checksum; full scans live in the test suite
-            covered = sum(map(len, members.values()))
-            if covered != n:
-                raise AssertionError(f"partition corrupted at step {i - 1}: {covered} of {n} agents")
+            i = block_end
+            if i % _CHECK_EVERY == 0:
+                # cheap running checksum; full scans live in the test suite
+                covered = sum(map(len, members.values()))
+                if covered != n:
+                    raise AssertionError(
+                        f"partition corrupted at step {i - 1}: {covered} of {n} agents")
+    finally:
+        if gc_was_on:
+            gc.enable()
 
     state._ubuf = buf
     state._upos = pos
@@ -562,10 +587,12 @@ def write_returns_text(path, series) -> None:
     """One signed integer per line, LF endings."""
     series = np.asarray(series)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        # joined chunk by chunk: the text of a whole series is never in memory
+        # joined chunk by chunk: the text of a whole series is never in memory;
+        # a chunk's few distinct values are each formatted once
         for start in range(0, len(series), _TEXT_CHUNK):
-            values = series[start:start + _TEXT_CHUNK].tolist()
-            fh.write("\n".join(map(str, values)) + "\n")
+            values, index = np.unique(series[start:start + _TEXT_CHUNK], return_inverse=True)
+            text = list(map(str, values.tolist()))
+            fh.write("\n".join(map(text.__getitem__, index.tolist())) + "\n")
 
 
 def read_returns_text(path) -> np.ndarray:

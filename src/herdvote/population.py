@@ -18,6 +18,11 @@ larger group, and a fragment turns every member into its own handle.  The
 handle of a group changes only when the group does; callers must not keep
 one across a merge or fragment.
 A Partition is single-writer: mutate it from one thread only.
+
+The simulation loop (`engine.advance`) applies merges to `_group_of` and
+`_members` inline, by the rules of `merge` below, and calls `fragment`.
+`merge` remains the reference: the per-step oracles (`engine.step`,
+`ez.ez_step`) call it, and tests hold the loop to it.
 """
 
 from __future__ import annotations

@@ -416,6 +416,29 @@ def test_analyze_run_dir(tmp_path, capsys):
                 float(cell)  # a NumPy repr such as "np.float64(0.5)" fails here
 
 
+def test_analyze_gives_every_run_dir_its_own_row(tmp_path, capsys, monkeypatch):
+    # same x and seed: the seed label repeats too, so the third row names its directory
+    monkeypatch.chdir(tmp_path)
+    run_dirs = []
+    for n_agents in (200, 300, 400):
+        assert run_cli(["run", "--out", "runs",
+                        "--set", f"n_agents={n_agents}", "--set", "total_steps=4000",
+                        "--set", "x=0.41", "--set", "seed=1"]) == 0
+        run_dirs.append(capsys.readouterr().out.strip())
+    out_csv = tmp_path / "summary.csv"
+    # a directory named again, with a trailing slash, as an absolute path or
+    # through a symlink, is analysed once, under the first spelling
+    os.symlink(tmp_path / "runs", tmp_path / "link")
+    repeats = [run_dirs[1] + os.sep, str(tmp_path / run_dirs[2]),
+               os.path.join("link", os.path.basename(run_dirs[0]))]
+    code = run_cli(["analyze", *run_dirs, *repeats, "--r-min", "1",
+                    "--tail-threshold", "5", "--out", str(out_csv)])
+    assert code == 0
+    with open(out_csv, newline="") as fh:
+        labels = [row[0] for row in list(csv.reader(fh))[1:]]
+    assert labels == ["0.41", "0.41 seed=1", f"0.41 {run_dirs[2]}"]
+
+
 def test_analyze_missing_artifact_named(tmp_path, capsys):
     missing = tmp_path / "not_a_run"
     missing.mkdir()

@@ -1,3 +1,4 @@
+import gc
 import itertools
 from collections import Counter, defaultdict
 
@@ -114,6 +115,8 @@ def assert_loop_matches_oracle(config):
     assert fused.decision_counts == oracle.decision_counts
     assert fused.history == oracle.history
     assert fused.partition._group_of == oracle.partition._group_of
+    # handles, their order and each group's member order
+    assert list(fused.partition._members.items()) == list(oracle.partition._members.items())
     assert fused._upos == oracle._upos
     assert fused._group_votes == oracle._group_votes
     with pytest.raises(ValueError):
@@ -144,6 +147,30 @@ def test_fused_loop_matches_step_oracle_on_random_configs(
         initial_history=tuple(bits[:memory]), vote_mode=mode, seed=seed,
         disperse_after_trade=disperse,
     ))
+
+
+def test_advance_turns_gc_off_and_restores_it():
+    state, rng = init_state(small_config(vote_mode=VoteMode.IID_UNIFORM))
+    seen = []
+    size_cdf = state._size_cdf
+    state._size_cdf = lambda s: (seen.append(gc.isenabled()), size_cdf(s))[1]
+    assert gc.isenabled()
+    advance(state, rng, 500)
+    assert seen and not any(seen)  # off while the loop runs
+    assert gc.isenabled()
+
+    gc.disable()  # a caller that turned it off keeps it off
+    try:
+        advance(state, rng, 500)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+    # a raising loop still turns it back on: a stray list breaks the checksum
+    state.partition._members[state._n] = [0]
+    with pytest.raises(AssertionError, match="partition corrupted at step 9999"):
+        advance(state, rng, 10_000)
+    assert gc.isenabled()
 
 
 def test_iid_cdf_never_fragments_where_p_frg_is_zero():

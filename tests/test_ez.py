@@ -65,6 +65,7 @@ def test_fused_loop_matches_step_oracle(n_agents, a):
     for chunk in (1, 16, 4999, 10_000, 14_984):
         advance(fused, rng, chunk)
     assert fused.partition._group_of == oracle.partition._group_of
+    assert list(fused.partition._members.items()) == list(oracle.partition._members.items())
     assert fused._upos == oracle._upos and fused.step_index == oracle.step_index
 
 
