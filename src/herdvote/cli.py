@@ -465,6 +465,9 @@ def _read_run_returns(run_dir: str, use_raw: bool) -> tuple[dict, np.ndarray]:
 
 def cmd_analyze(args) -> int:
     returns_by_x = {}
+    # every directory is read and fitted before anything is written
+    analysed = []  # (run dir, CCDF, binned density, fit row)
+    cutoffs = []  # the cutoff of each directory's own fit
     # a directory named twice, however spelled, is analysed and summarised once
     run_dirs = {}
     for run_dir in args.run_dirs:
@@ -473,27 +476,15 @@ def cmd_analyze(args) -> int:
         config, returns = _read_run_returns(run_dir, args.use_raw)
         if not np.any(returns):
             raise ConfigError(f"no trades in {run_dir}: every recorded return is zero")
-        out_dir = os.path.join(run_dir, "analysis")
-        os.makedirs(out_dir, exist_ok=True)
-        curve = analysis.ccdf(returns)
-        _write_csv(
-            os.path.join(out_dir, "ccdf.csv"),
-            ("value", "probability"),
-            zip(curve.values, curve.probabilities),
-        )
-        centers, density = analysis.log_binned_pdf(returns, args.bins_per_decade)
-        _write_csv(os.path.join(out_dir, "pdf.csv"), ("bin_center", "density"), zip(centers, density))
         try:
             fit = analysis.fit_power_law(returns, args.r_min)
-            fit_row = [(config["x"], fit.alpha_density, fit.alpha_cumulative,
-                        fit.r_min, fit.stderr, fit.n_tail)]
+            cutoffs.append(fit.r_min)
+            fit_row = (config["x"], fit.alpha_density, fit.alpha_cumulative,
+                       fit.r_min, fit.stderr, fit.n_tail)
         except ValueError:
-            fit_row = [(config["x"], math.nan, math.nan, math.nan, math.nan, 0)]
-        _write_csv(
-            os.path.join(out_dir, "fit.csv"),
-            ("x", "alpha_density", "alpha_cumulative", "r_min", "stderr", "n_tail"),
-            fit_row,
-        )
+            fit_row = (config["x"], math.nan, math.nan, math.nan, math.nan, 0)
+        analysed.append((run_dir, analysis.ccdf(returns),
+                         analysis.log_binned_pdf(returns, args.bins_per_decade), fit_row))
         # one row per run directory
         param = config["x"] if config["model"] == "main" else f"ez a={config['ez_a']}"
         key = param
@@ -503,9 +494,29 @@ def cmd_analyze(args) -> int:
             key = f"{param} {run_dir}"
         returns_by_x[key] = returns
 
-    rows = analysis.cutoff_scan(
-        returns_by_x, r_min=args.r_min, tail_threshold=args.tail_threshold
-    )
+    # the summary fits every series at one cutoff: the given one, else the
+    # largest KS-optimal cutoff found above (`cutoff_scan`'s own choice)
+    r_min = args.r_min if args.r_min is not None else max(cutoffs, default=None)
+    if r_min is None:
+        raise ConfigError(
+            "no run has enough trades for a tail fit (every cutoff leaves fewer than "
+            "100 tail points); pass --r-min to fit every run at a fixed cutoff")
+    for run_dir, curve, (centers, density), fit_row in analysed:
+        out_dir = os.path.join(run_dir, "analysis")
+        os.makedirs(out_dir, exist_ok=True)
+        _write_csv(
+            os.path.join(out_dir, "ccdf.csv"),
+            ("value", "probability"),
+            zip(curve.values, curve.probabilities),
+        )
+        _write_csv(os.path.join(out_dir, "pdf.csv"), ("bin_center", "density"), zip(centers, density))
+        _write_csv(
+            os.path.join(out_dir, "fit.csv"),
+            ("x", "alpha_density", "alpha_cumulative", "r_min", "stderr", "n_tail"),
+            [fit_row],
+        )
+
+    rows = analysis.cutoff_scan(returns_by_x, r_min=r_min, tail_threshold=args.tail_threshold)
     _write_csv(
         args.out,
         ("x", "alpha_density", "alpha_cumulative", "r_min", "stderr", "n_tail",

@@ -32,9 +32,12 @@ Returns are recorded only after the configured equilibration window.
 A run is fully determined by its config: the seed feeds two independent
 generator streams, one that draws the strategy tables (agent 0 first, then
 agent 1, ...) and one that drives the dynamics.  Every dynamics draw is a
-scalar uniform from an internal pre-drawn block of that stream, consumed
+scalar uniform u from an internal pre-drawn block of that stream, consumed
 in a fixed order per step: [agent pick][tie-break, strategy mode][decision,
-iid mode][merge-target rejections].
+iid mode][merge-target rejections].  An agent pick is int(u * n); `advance`
+decodes the picks of a whole block in one NumPy pass when it draws the
+block (the same IEEE product and truncation), so the loop reads them ready
+made and never converts a float.
 
 Trading groups staying intact is a deliberate reading of the rules: only
 the no-consensus outcome disperses a group, so the balance equations in
@@ -168,15 +171,20 @@ class SimState:
     sell 1, wait 2) the count of members voting o at h sits in the
     `_width`-bit field number 3h + o.  No count exceeds the population,
     so fields never carry into each other, and the tally of a merged group
-    is the sum of the two tallies.  A singleton's tally is packed from its
-    table row when it merges.
+    is the sum of the two tallies.  A singleton's tally is `_single[agent]`,
+    its packed table row (see `_tally_packer`).
+
+    `_ubuf` is the current block of dynamics uniforms and `_upicks` the
+    agent picks decoded from that same block (`_draw_block` makes both);
+    `_upos` is the next unread position.  They change together: the picks
+    never belong to another block than the floats.
     """
 
     __slots__ = (
         "config", "partition", "strategies", "history", "step_index",
         "decision_counts", "_n", "_x", "_size_cdf", "_cdf", "_disperse",
-        "_ez_merge", "_rows", "_width", "_pack", "_group_votes", "_hist_idx",
-        "_ubuf", "_upos",
+        "_ez_merge", "_rows", "_width", "_pack", "_single", "_group_votes",
+        "_hist_idx", "_ubuf", "_upicks", "_upos",
     )
 
     def __init__(self, config, strategies, size_cdf=None, *, history=(),
@@ -198,11 +206,12 @@ class SimState:
         # per-agent table rows and per-group packed tallies (strategy mode)
         self._x = config.x if size_cdf is None else None
         self._rows = [st.entries for st in strategies] if size_cdf is None else None
-        self._width, self._pack = (_tally_packer(config.n_agents, len(history))
-                                   if size_cdf is None else (0, None))
+        self._width, self._pack, self._single = (
+            _tally_packer(config.n_agents, len(history), self._rows)
+            if size_cdf is None else (0, None, None))
         self._group_votes: dict = {}
         self._hist_idx = history_index(history)
-        self._ubuf: list = []
+        self._ubuf = self._upicks = ()  # no block drawn yet
         self._upos = 0
 
     def group_vote_matrix(self, group: int):
@@ -217,12 +226,16 @@ class SimState:
         return [fields[f:f + 3] for f in range(0, len(fields), 3)]
 
 
-def _tally_packer(n_agents: int, memory: int):
-    """Field width of the packed tallies and the packer of one table row.
+def _tally_packer(n_agents: int, memory: int, rows):
+    """Field width of the packed tallies, the packer of one table row, and
+    every agent's packed row, looked up as `single[agent]`.
 
     Fields are whole bytes, so a row packs by joining one 3-field byte
     pattern per history.  With memory <= 3 there are at most 3**8 distinct
-    rows, and each one's packing is remembered.
+    rows: each one's packing is remembered, and `single` is a list whose
+    entries share those ints, one pointer per agent.  Above that, rows are
+    packed on demand, so a run at the table budget holds no second copy of
+    its tables.
     """
     k = (n_agents.bit_length() + 7) // 8  # bytes per field
     ones = [bytes(o * k) + b"\x01" + bytes((3 - o) * k - 1) for o in range(3)]
@@ -230,7 +243,41 @@ def _tally_packer(n_agents: int, memory: int):
     def pack(row) -> int:
         return int.from_bytes(b"".join(map(ones.__getitem__, row)), "little")
 
-    return 8 * k, cache(pack) if memory <= 3 else pack
+    if memory > 3:
+        return 8 * k, pack, _PackOnDemand(rows, pack)
+    pack = cache(pack)
+    return 8 * k, pack, list(map(pack, rows))
+
+
+class _PackOnDemand:
+    """`single[agent]` for memory > 3: packs the agent's row when asked."""
+
+    __slots__ = ("_rows", "_pack")
+
+    def __init__(self, rows, pack):
+        self._rows = rows
+        self._pack = pack
+
+    def __getitem__(self, agent: int) -> int:
+        return self._pack(self._rows[agent])
+
+
+def _decode_picks(u: np.ndarray, n: int) -> np.ndarray:
+    """Agent picks int(u * n) of uniforms u, as int64.
+
+    The same IEEE double product and truncation toward zero as the scalar
+    expression, so a pick equals the one `step` computes from the float.
+    """
+    return (u * n).astype(np.int64)
+
+
+def _draw_block(rng: np.random.Generator, n: int):
+    """Next block of dynamics uniforms and its agent picks among n agents.
+
+    Both are memoryviews: indexing gives a Python float and a Python int.
+    """
+    u = rng.random(_BUF_SIZE)
+    return memoryview(u), memoryview(_decode_picks(u, n))
 
 
 def init_state(config: SimConfig) -> tuple[SimState, np.random.Generator]:
@@ -269,11 +316,11 @@ def step(state: SimState, rng: np.random.Generator) -> StepEvent:
     """
     buf = state._ubuf
     pos = state._upos
+    n = state._n
     if pos >= len(buf) - 16:
-        buf = rng.random(_BUF_SIZE).tolist()
+        buf, state._upicks = _draw_block(rng, n)
         state._ubuf = buf
         pos = 0
-    n = state._n
     part = state.partition
     group_of = part._group_of
     members = part._members
@@ -339,7 +386,7 @@ def step(state: SimState, rng: np.random.Generator) -> StepEvent:
                 if group_of[target] != g:
                     break
                 if pos >= len(buf):
-                    buf = rng.random(_BUF_SIZE).tolist()
+                    buf, state._upicks = _draw_block(rng, n)
                     state._ubuf = buf
                     pos = 0
             if state._rows is None:
@@ -371,6 +418,12 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
     the same run, with the same results as one call.  Every 10^4 steps it
     checks that the groups still cover every agent.
 
+    Each block of uniforms is drawn and decoded once (`_draw_block`): the
+    loop reads agent and merge-target picks from the block's int picks and
+    decision and tie-break uniforms from its floats, in the order `step`
+    consumes them.  In strategy mode a singleton's packed tally is the
+    state's `_single[agent]`, not packed per merge.
+
     Merges update the partition's lists in place, as `Partition.merge` (and
     `_merge` in strategy mode) would.  The cyclic garbage collector is off,
     for the whole process, until the call returns or raises, and is turned
@@ -386,7 +439,7 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
     size_cdf = state._size_cdf
     cdf = state._cdf
     rows = state._rows
-    pack = state._pack
+    single = state._single
     votes = state._group_votes
     disperse = state._disperse
     ez_merge = state._ez_merge
@@ -398,6 +451,7 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
     fmask = (1 << w) - 1
     h = state._hist_idx
     buf = state._ubuf
+    picks = state._upicks
     pos = state._upos
     low = len(buf) - 16
     i = state.step_index
@@ -414,11 +468,11 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
             block_end = min(stop, (i // _CHECK_EVERY + 1) * _CHECK_EVERY)
             for i in range(i, block_end):
                 if pos >= low:
-                    buf = None  # let the old block go before the next one is built
-                    buf = rng.random(_BUF_SIZE).tolist()
+                    buf = picks = None  # let the old block go before the next one is drawn
+                    buf, picks = _draw_block(rng, n)
                     low = _BUF_SIZE - 16
                     pos = 0
-                agent = int(buf[pos] * n)
+                agent = picks[pos]
                 pos += 1
                 g = group_of[agent]
                 mem = members[g]
@@ -480,13 +534,13 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
                         # E-Z: any agent but the picked one, same group is a no-op;
                         # voting model: an agent outside the group
                         while True:
-                            target = int(buf[pos] * n)
+                            target = picks[pos]
                             pos += 1
                             if target != agent if ez_merge else group_of[target] != g:
                                 break
                             if pos >= _BUF_SIZE:
-                                buf = None
-                                buf = rng.random(_BUF_SIZE).tolist()
+                                buf = picks = None
+                                buf, picks = _draw_block(rng, n)
                                 low = _BUF_SIZE - 16
                                 pos = 0
                         g2 = group_of[target]
@@ -495,8 +549,8 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
                             # list moves, the larger group (on a tie, g) keeps its handle
                             m2 = members[g2]
                             if rows is not None:
-                                t = ((votes.pop(g) if s > 1 else pack(rows[g]))
-                                     + (votes.pop(g2) if len(m2) > 1 else pack(rows[g2])))
+                                t = ((votes.pop(g) if s > 1 else single[g])
+                                     + (votes.pop(g2) if len(m2) > 1 else single[g2]))
                             if s < len(m2):
                                 g, g2, mem, m2 = g2, g, m2, mem
                             for a in m2:
@@ -520,6 +574,7 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
             gc.enable()
 
     state._ubuf = buf
+    state._upicks = picks
     state._upos = pos
     state._hist_idx = h
     state.history = tuple((h >> k) & 1 for k in range(memory - 1, -1, -1))

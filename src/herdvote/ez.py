@@ -21,7 +21,8 @@ its configurations: the decision distribution is the constant
 follow the rule above.  The dynamics stream is
 `numpy.random.default_rng(seed)`; every draw is a scalar uniform from a
 pre-drawn block, consumed per step in the order [agent pick][decision]
-[other-agent rejections].
+[other-agent rejections].  The loop reads the agent picks int(u * n)
+decoded for the whole block; `ez_step` computes them from the floats.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _BUF_SIZE, RunConfig, RunSummary, SimState, StepEvent, simulate
+from .engine import _draw_block, RunConfig, RunSummary, SimState, StepEvent, simulate
 from .voting import Decision
 
 
@@ -61,10 +62,11 @@ def ez_step(state: SimState, rng) -> StepEvent:
     `engine.advance` byte for byte.
     """
     buf, pos = state._ubuf, state._upos
-    if pos >= len(buf) - 16:
-        buf, pos = rng.random(_BUF_SIZE).tolist(), 0
     part = state.partition
     n = part.n_agents
+    if pos >= len(buf) - 16:
+        buf, state._upicks = _draw_block(rng, n)
+        pos = 0
     a = state.config.a
     agent = int(buf[pos] * n)
     g, s = part.group_of(agent)
@@ -83,7 +85,8 @@ def ez_step(state: SimState, rng) -> StepEvent:
             if other != agent:
                 break
             if pos >= len(buf):
-                buf, pos = rng.random(_BUF_SIZE).tolist(), 0
+                buf, state._upicks = _draw_block(rng, n)
+                pos = 0
         g2, _ = part.group_of(other)
         if g2 != g:
             part.merge(g, g2)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from herdvote import cli
+from herdvote import analysis, cli
 from herdvote.engine import read_returns_binary, read_returns_text
 
 
@@ -214,7 +214,10 @@ for extra in ([], ["--set", "model=ez"], ["--set", "vote_mode=iid"]):
     with contextlib.redirect_stdout(io.StringIO()) as printed:
         assert cli.main(argv) == 0
     run_dirs.append(printed.getvalue().strip())
+# np.unique without return_counts imports numpy.ma: 10-13 ms per process
+assert "numpy.ma" not in sys.modules, "run"
 assert cli.main(["analyze", run_dirs[0], "--out", {str(tmp_path / "summary.csv")!r}]) == 0
+assert "numpy.ma" not in sys.modules, "analyze"
 argv = ["meanfield", "--n-agents", "400", "--x", "0.41", "--out", {str(tmp_path / "dist.txt")!r}]
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(argv) == 0
@@ -469,6 +472,60 @@ def test_analyze_damaged_returns_file(tmp_path, capsys):
     code = run_cli(["analyze", str(run_dir), "--out", str(tmp_path / "summary.csv")])
     assert code == cli.EXIT_CONFIG
     assert "returns_rescaled_k2.txt" in capsys.readouterr().err
+
+
+def test_analyze_summary_fits_at_the_largest_own_cutoff(tmp_path, capsys):
+    """Without --r-min the summary equals `cutoff_scan`'s own KS scan, byte
+    for byte, on desk-sized populations (strategy, iid and E-Z runs)."""
+    run_dirs = []
+    for extra in ([], ["vote_mode=iid"], ["model=ez"]):
+        argv = ["run", "--out", str(tmp_path / "runs"), "--set", "n_agents=10000",
+                "--set", "total_steps=100000", "--set", "seed=7"]
+        assert run_cli(argv + [a for kv in extra for a in ("--set", kv)]) == 0
+        run_dirs.append(capsys.readouterr().out.strip())
+    out_csv = tmp_path / "summary.csv"
+    assert run_cli(["analyze", *run_dirs, "--out", str(out_csv)]) == 0
+
+    returns_by_x = {}
+    for run_dir in run_dirs:
+        config, returns = cli._read_run_returns(run_dir, False)
+        returns_by_x[f"{config['model']} {config['vote_mode']}"] = returns
+    rows = analysis.cutoff_scan(returns_by_x)  # r_min=None: its own scan
+    own = []
+    for run_dir in run_dirs:
+        with open(os.path.join(run_dir, "analysis", "fit.csv"), newline="") as fh:
+            (fit,) = csv.DictReader(fh)
+        own.append(float(fit["r_min"]))
+    assert len(set(own)) == 3  # the summary's cutoff is the largest of three
+    assert all(r["r_min"] == max(own) for r in rows)
+    expected = tmp_path / "expected.csv"
+    cli._write_csv(
+        expected,
+        ("x", "alpha_density", "alpha_cumulative", "r_min", "stderr", "n_tail",
+         "tail_threshold", "tail_mass"),
+        ((x, r["alpha_density"], r["alpha_cumulative"], r["r_min"], r["stderr"],
+          r["n_tail"], r["tail_threshold"], r["tail_mass"])
+         for x, r in zip(("0.37", "0.37 seed=7", "ez a=0.01"), rows)),
+    )
+    assert out_csv.read_bytes() == expected.read_bytes()
+
+
+def test_analyze_without_any_tail_fit_asks_for_r_min(tmp_path, capsys):
+    assert run_cli(["run", "--out", str(tmp_path / "runs"), "--set", "n_agents=300",
+                    "--set", "total_steps=100"]) == 0
+    run_dir = capsys.readouterr().out.strip()
+    out_csv = tmp_path / "summary.csv"
+    code = run_cli(["analyze", run_dir, "--out", str(out_csv)])
+    assert code == cli.EXIT_CONFIG
+    assert "--r-min" in capsys.readouterr().err
+    # nothing is written: neither the summary nor the run's analysis directory
+    assert not out_csv.exists()
+    assert not os.path.exists(os.path.join(run_dir, "analysis"))
+    # with a fixed cutoff the same run is analysed, its fit left empty
+    assert run_cli(["analyze", run_dir, "--r-min", "1", "--out", str(out_csv)]) == 0
+    with open(out_csv, newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert row["r_min"] == "1.0" and row["alpha_density"] == "nan"
 
 
 # -- validate ----------------------------------------------------------------------

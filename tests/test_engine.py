@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from herdvote.engine import (
+    _decode_picks,
     _iid_cdf,
     _merge,
     SimConfig,
@@ -147,6 +148,44 @@ def test_fused_loop_matches_step_oracle_on_random_configs(
         initial_history=tuple(bits[:memory]), vote_mode=mode, seed=seed,
         disperse_after_trade=disperse,
     ))
+
+
+@pytest.mark.parametrize("mode, seed, n_steps", [
+    (VoteMode.STRATEGY_DRIVEN, 2, 150_000),
+    (VoteMode.IID_UNIFORM, 1, 200_000),
+])
+def test_fused_loop_matches_oracle_across_blocks_and_both_refill_sites(
+        mode, seed, n_steps, step_counting_refills):
+    """Runs long enough to cross several 2**16-draw blocks.  At N = 30 and
+    x = 0.34 a group of nearly every agent rejects about 30 merge targets in
+    a row, and in these runs one such streak runs into the end of a block:
+    `advance` refills there too, not only before an agent pick."""
+    config = SimConfig(n_agents=30, x=0.34, total_steps=n_steps, equilibration_steps=0,
+                       seed=seed, vote_mode=mode)
+    oracle, rng = init_state(config)
+    expected, at_start, in_rejections = step_counting_refills(step, oracle, rng, n_steps)
+    assert at_start >= 3 and in_rejections >= 1
+
+    fused, rng = init_state(config)
+    returns = np.zeros(n_steps, dtype=np.int64)
+    advance(fused, rng, n_steps, returns)
+    assert np.array_equal(returns, expected)
+    assert fused.decision_counts == oracle.decision_counts
+    assert list(fused.partition._members.items()) == list(oracle.partition._members.items())
+    assert fused._group_votes == oracle._group_votes
+    assert fused._upos == oracle._upos and fused._ubuf == oracle._ubuf
+    assert list(fused._upicks) == [int(u * 30) for u in fused._ubuf]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(n=st.integers(2, 2**24), lattice=st.lists(st.integers(0, 2**53 - 1), max_size=40))
+def test_decoded_picks_equal_scalar_truncation(n, lattice):
+    """The generator's uniforms are k * 2**-53; the vectorised decode gives
+    int(u * n) for each, the smallest and the largest included."""
+    u = np.array([0, 2**53 - 1, *lattice], dtype=np.int64) * 2.0**-53
+    picks = _decode_picks(u, n).tolist()
+    assert picks == [int(v * n) for v in u.tolist()]
+    assert picks[0] == 0 and picks[1] == n - 1
 
 
 def test_advance_turns_gc_off_and_restores_it():

@@ -69,6 +69,48 @@ def test_fused_loop_matches_step_oracle(n_agents, a):
     assert fused._upos == oracle._upos and fused.step_index == oracle.step_index
 
 
+class TailRunStream:
+    """A dynamics stream whose every second block of uniforms ends in 64
+    copies of one value v >= a.
+
+    In such a tail every step picks agent int(v * n), merges (v >= a) and
+    draws that same agent as the other one, again and again, so the
+    rejection loop runs into the end of the block and refills there.  A
+    generator's own stream would need some 15 self-picks in a row at the
+    end of a block for that.
+    """
+
+    def __init__(self, seed, value):
+        self._rng = np.random.default_rng(seed)
+        self._value = value
+        self._blocks = 0
+
+    def random(self, size):
+        u = self._rng.random(size)
+        self._blocks += 1
+        if self._blocks % 2 == 0:
+            u[-64:] = self._value
+        return u
+
+
+def test_fused_loop_matches_oracle_across_blocks_and_both_refill_sites(step_counting_refills):
+    config = EzConfig(n_agents=80, a=0.05, total_steps=120_000, equilibration_steps=0, seed=4)
+    n = config.total_steps
+    oracle, _ = init_ez_state(config)
+    expected, at_start, in_rejections = step_counting_refills(
+        ez_step, oracle, TailRunStream(config.seed, 0.5), n)
+    assert at_start >= 3 and in_rejections >= 2
+
+    fused, _ = init_ez_state(config)
+    returns = np.zeros(n, dtype=np.int64)
+    advance(fused, TailRunStream(config.seed, 0.5), n, returns)
+    assert np.array_equal(returns, expected)
+    assert fused.decision_counts == oracle.decision_counts
+    assert list(fused.partition._members.items()) == list(oracle.partition._members.items())
+    assert fused._upos == oracle._upos and fused._ubuf == oracle._ubuf
+    assert list(fused._upicks) == [int(u * 80) for u in fused._ubuf]
+
+
 def test_trade_probability_is_a():
     config = EzConfig(n_agents=500, a=0.05, total_steps=100_000,
                       equilibration_steps=0, seed=12)
