@@ -18,15 +18,16 @@ Each time step:
      no movement).
 
 `advance` runs the steps in one fused loop that keeps its state in locals,
-caches each size's decision CDF on first use and applies merges to the
-partition's lists inline (fragments go through `_fragment`); the cyclic
-garbage collector is off while it runs.  `run` drives it over a whole
-config.  `step` is the same update one call at a time, through
-`Partition.merge`: it is the reference that tests compare the loop against
-byte for byte, not production code.  The E-Z baseline (`ez`) is a
-configuration of the same loop: its decision distribution is the constant
-(a/2, a/2, 1-a), a trading group disperses, and a merge joins the group of
-another agent (nothing happens when that agent is in the same group).
+caches each size's decision CDF on first use and applies merges and
+fragments to the partition's flat size list and member lists inline; the
+cyclic garbage collector is off while it runs.  `run` drives it over a
+whole config.  `step` is the same update one call at a time, through
+`Partition.merge` and `Partition.fragment`: it is the reference that tests
+compare the loop against byte for byte, not production code.  The E-Z
+baseline (`ez`) is a configuration of the same loop: its decision
+distribution is the constant (a/2, a/2, 1-a), a trading group disperses,
+and a merge joins the group of another agent (nothing happens when that
+agent is in the same group).
 
 Returns are recorded only after the configured equilibration window.
 A run is fully determined by its config: the seed feeds two independent
@@ -172,7 +173,10 @@ class SimState:
     `_width`-bit field number 3h + o.  No count exceeds the population,
     so fields never carry into each other, and the tally of a merged group
     is the sum of the two tallies.  A singleton's tally is `_single[agent]`,
-    its packed table row (see `_tally_packer`).
+    its packed table row (see `_tally_packer`).  The tallies are keyed like
+    the partition's member lists: by the handle of each group of two or
+    more.  A singleton has neither, only its size entry 1 in the
+    partition's flat `_size` (see `population`).
 
     `_ubuf` is the current block of dynamics uniforms and `_upicks` the
     agent picks decoded from that same block (`_draw_block` makes both);
@@ -323,13 +327,10 @@ def step(state: SimState, rng: np.random.Generator) -> StepEvent:
         pos = 0
     part = state.partition
     group_of = part._group_of
-    members = part._members
 
     agent = int(buf[pos] * n)
     pos += 1
-    g = group_of[agent]
-    mem = members[g]
-    s = len(mem)
+    g, s = part.group_of(agent)
 
     if state._size_cdf is not None:
         # draw the decision from its exact distribution for this size
@@ -413,10 +414,12 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
 
     Step i (counted from the start of the run) writes a nonzero return to
     `returns[i - first_recorded]` when i >= first_recorded; entries of
-    no-trade steps are left as they are.  Without `returns` nothing is
-    recorded.  The loop can be driven in chunks: consecutive calls continue
-    the same run, with the same results as one call.  Every 10^4 steps it
-    checks that the groups still cover every agent.
+    no-trade steps are left as they are.  `returns` is a writable int64
+    array, written through a memoryview; without it nothing is recorded.
+    The loop can be driven in chunks: consecutive calls continue the same
+    run, with the same results as one call.  Every 10^4 steps it checks, in
+    O(groups), that the singletons and the member lists still cover every
+    agent once.
 
     Each block of uniforms is drawn and decoded once (`_draw_block`): the
     loop reads agent and merge-target picks from the block's int picks and
@@ -424,18 +427,24 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
     consumes them.  In strategy mode a singleton's packed tally is the
     state's `_single[agent]`, not packed per merge.
 
-    Merges update the partition's lists in place, as `Partition.merge` (and
-    `_merge` in strategy mode) would.  The cyclic garbage collector is off,
-    for the whole process, until the call returns or raises, and is turned
-    back on only if it was on before: drive the loop from one thread at a
-    time.
+    A group's size is one read of the partition's `_size`.  Merges and
+    fragments update the partition in place, as `Partition.merge` and
+    `Partition.fragment` (and `_merge` / `_fragment` in strategy mode)
+    would: a singleton joins a group without a list of its own, and a
+    fragment sends every member back to its own handle and size 1 without
+    allocating.  The cyclic garbage collector is off, for the whole
+    process, until the call returns or raises, and is turned back on only
+    if it was on before: drive the loop from one thread at a time.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     n = state._n
     x = state._x
-    group_of = state.partition._group_of
-    members = state.partition._members
+    part = state.partition
+    group_of = part._group_of
+    size = part._size
+    members = part._members
+    n_single = part._n_single
     size_cdf = state._size_cdf
     cdf = state._cdf
     rows = state._rows
@@ -458,6 +467,8 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
     stop = i + n_steps
     if returns is None:
         first_recorded = stop  # no step of this call reaches it
+    else:
+        returns = memoryview(returns)
 
     # the loop builds only lists that cannot form a cycle, and reference
     # counting frees them; the cyclic collector would only rescan the partition
@@ -475,8 +486,7 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
                 agent = picks[pos]
                 pos += 1
                 g = group_of[agent]
-                mem = members[g]
-                s = len(mem)
+                s = size[g]
 
                 # decide
                 if size_cdf is not None:
@@ -527,8 +537,8 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
                     h = ((h << 1) | (1 - d)) & mask  # buy shifts in a 1, sell a 0
                     if i >= first_recorded:
                         returns[i - first_recorded] = s if d == 0 else -s
-                    if disperse and s > 1:
-                        _fragment(state, g)
+                    if not disperse or s == 1:
+                        continue
                 elif d == 2:
                     if ez_merge or s < n:
                         # E-Z: any agent but the picked one, same group is a no-op;
@@ -546,30 +556,50 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
                         g2 = group_of[target]
                         if g2 != g:
                             # `Partition.merge` (and `_merge`), inlined: the smaller
-                            # list moves, the larger group (on a tie, g) keeps its handle
-                            m2 = members[g2]
+                            # side moves, the larger group (on a tie, g) keeps its handle
+                            s2 = size[g2]
                             if rows is not None:
                                 t = ((votes.pop(g) if s > 1 else single[g])
-                                     + (votes.pop(g2) if len(m2) > 1 else single[g2]))
-                            if s < len(m2):
-                                g, g2, mem, m2 = g2, g, m2, mem
-                            for a in m2:
-                                group_of[a] = g
-                            mem.extend(m2)
-                            del members[g2]
+                                     + (votes.pop(g2) if s2 > 1 else single[g2]))
+                            if s < s2:
+                                g, g2, s, s2 = g2, g, s2, s
+                            if s2 == 1:
+                                group_of[g2] = g
+                                if s == 1:
+                                    members[g] = [g, g2]
+                                    n_single -= 2
+                                else:
+                                    members[g].append(g2)
+                                    n_single -= 1
+                            else:
+                                m2 = members.pop(g2)
+                                for a in m2:
+                                    group_of[a] = g
+                                members[g].extend(m2)
+                            size[g] = s + s2
                             if rows is not None:
                                 votes[g] = t
-                elif s > 1:
-                    _fragment(state, g)
+                    continue
+                elif s == 1:
+                    continue
+                # fragment (or a trade that disperses), `Partition.fragment` inlined:
+                # every member becomes a singleton named by itself
+                for a in members.pop(g):
+                    group_of[a] = a
+                    size[a] = 1
+                n_single += s
+                if rows is not None:
+                    del votes[g]
 
             i = block_end
             if i % _CHECK_EVERY == 0:
                 # cheap running checksum; full scans live in the test suite
-                covered = sum(map(len, members.values()))
+                covered = n_single + sum(map(len, members.values()))
                 if covered != n:
                     raise AssertionError(
                         f"partition corrupted at step {i - 1}: {covered} of {n} agents")
     finally:
+        part._n_single = n_single
         if gc_was_on:
             gc.enable()
 
@@ -583,11 +613,11 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
 
 def _merge(state: SimState, g: int, g2: int) -> None:
     """Merge two groups in strategy mode: the union's tally is the sum."""
-    members = state.partition._members
+    part = state.partition
     votes = state._group_votes
-    t1 = votes.pop(g) if len(members[g]) > 1 else state._pack(state._rows[g])
-    t2 = votes.pop(g2) if len(members[g2]) > 1 else state._pack(state._rows[g2])
-    votes[state.partition.merge(g, g2)] = t1 + t2
+    t1 = votes.pop(g) if part.size_of(g) > 1 else state._pack(state._rows[g])
+    t2 = votes.pop(g2) if part.size_of(g2) > 1 else state._pack(state._rows[g2])
+    votes[part.merge(g, g2)] = t1 + t2
 
 
 def _fragment(state: SimState, g: int) -> None:
@@ -642,12 +672,18 @@ def write_returns_text(path, series) -> None:
     """One signed integer per line, LF endings."""
     series = np.asarray(series)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        # joined chunk by chunk: the text of a whole series is never in memory;
-        # a chunk's few distinct values are each formatted once
+        # joined chunk by chunk: the text of a whole series is never in memory.
+        # Every integer in a chunk's [min, max] is formatted once and looked up
+        # by its offset from min; a span wider than the chunk formats each value
         for start in range(0, len(series), _TEXT_CHUNK):
-            values, index = np.unique(series[start:start + _TEXT_CHUNK], return_inverse=True)
-            text = list(map(str, values.tolist()))
-            fh.write("\n".join(map(text.__getitem__, index.tolist())) + "\n")
+            chunk = series[start:start + _TEXT_CHUNK]
+            lo, hi = int(chunk.min()), int(chunk.max())
+            if hi - lo < len(chunk):
+                text = list(map(str, range(lo, hi + 1)))
+                lines = map(text.__getitem__, (chunk - lo).tolist())
+            else:
+                lines = map(str, chunk.tolist())
+            fh.write("\n".join(lines) + "\n")
 
 
 def read_returns_text(path) -> np.ndarray:

@@ -92,6 +92,47 @@ def test_config_digests_are_pinned(overrides, digest):
     assert cli.config_digest(config) == digest
 
 
+# sha256 of every digested artifact of three short runs (300 agents, 3x10^4
+# steps, x = 0.41, seed 1).  A change to the simulation loop, the partition
+# or the writers must leave these bytes alone unless it bumps the schema.
+PINNED_ARTIFACTS = {
+    "vote_mode=strategy": {
+        "config.txt": "b20412d47196dc50b6ce1687f641da61d57e8d0603621ab66dc0b694e9046f22",
+        "returns_raw.bin": "f36369971181bd37f8761478f441aca2f797139903f0514002b9ffa4b405f45b",
+        "returns_raw.txt": "e94798b1f9694d17c6333a1891d3582e2bddc25f2498361f5791016c89ef8611",
+        "returns_rescaled_k2.txt": "16d45dc5116ec8c33a74f1182ba3bbb7a80a8d3a7baafe8193c205e2766c1f0e",
+        "size_histogram.csv": "169f5e1e0c99278630afac785c4b33e74d42b557b15a66e1134d30dc3b424cb5",
+        "summary.json": "bcce805db75d50386e2828500f3c616f98738bdf8d190cc53d7649ae0a12d7dd",
+    },
+    "vote_mode=iid": {
+        "config.txt": "5c11242820942d6ba10ecd05a899bca5a209dfd79e08f194089794f24de0a17a",
+        "returns_raw.bin": "668c82aff2819980ce6d22ccc8d0b7b7a24e0c5aad535229a73ec4e6eadce097",
+        "returns_raw.txt": "e75157f362f817564621c6cc58655024946fdb86d922877ded5a0d745b596432",
+        "returns_rescaled_k2.txt": "20a5575e9cc33f7d972af243e9a39854708a36a7da25fd875926cbfddb8de8fd",
+        "size_histogram.csv": "de73e34b006c1471abbe4ca2310eda97fa3f5903a380954b360347d98d6c2d77",
+        "summary.json": "43915165706226cf17172552e9a0350498148d9fc9d4496211cb66d15640c041",
+    },
+    "model=ez": {
+        "config.txt": "51e2c8dfdd9f8d484a321a24a29a06ff855d13f12f2eefb6267ed866a303c0b1",
+        "returns_raw.bin": "00cf2b41bacf54debc0329946a5f37a5fb8a012693e7d0b23f38c3c10bb95b16",
+        "returns_raw.txt": "24d3b6ccb7f0f51091542b75a36a10c0692ba75d0d3d31fed6839ae2f5400351",
+        "returns_rescaled_k2.txt": "0f85590fdec958f631d6979389636e6a15d8921af869aa12a1906d2514282f93",
+        "size_histogram.csv": "87c258aa37cbb7ff929ce3c0f3dadddbb856792dbab5844551bcf85b110afb0d",
+        "summary.json": "32815a0525ca393fae05dc45c3606e4c4b01ab78e203399ae09e82f74163a94d",
+    },
+}
+
+
+@pytest.mark.parametrize("override", list(PINNED_ARTIFACTS))
+def test_run_artifacts_are_pinned(tmp_path, capsys, override):
+    argv = ["run", "--out", str(tmp_path), "--set", "n_agents=300", "--set", "total_steps=30000",
+            "--set", "x=0.41", "--set", "seed=1", "--set", override]
+    assert run_cli(argv) == 0
+    run_dir = capsys.readouterr().out.strip()
+    manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
+    assert manifest["artifacts"] == PINNED_ARTIFACTS[override]
+
+
 def test_docstring_table_is_the_defaults():
     table = cli.__doc__.split("`default_config()`):\n\n", 1)[1].split("\n\n", 1)[0]
     assert len(table.splitlines()) == len(cli.default_config())

@@ -27,6 +27,14 @@ from herdvote.strategy import StrategyTable, VoteMode, poll_group, update_histor
 from herdvote.voting import Decision, decision_probabilities, fragmentation_probability
 
 
+def assert_same_sizes(fused, oracle):
+    """Same live handles, the same size under each, the same singleton count."""
+    live = oracle.group_ids()
+    assert fused.group_ids() == live
+    assert [fused._size[g] for g in live] == [oracle._size[g] for g in live]
+    assert fused._n_single == oracle._n_single
+
+
 def small_config(**kwargs):
     defaults = dict(n_agents=40, x=0.41, total_steps=20_000, seed=5)
     defaults.update(kwargs)
@@ -118,6 +126,7 @@ def assert_loop_matches_oracle(config):
     assert fused.partition._group_of == oracle.partition._group_of
     # handles, their order and each group's member order
     assert list(fused.partition._members.items()) == list(oracle.partition._members.items())
+    assert_same_sizes(fused.partition, oracle.partition)
     assert fused._upos == oracle._upos
     assert fused._group_votes == oracle._group_votes
     with pytest.raises(ValueError):
@@ -172,6 +181,7 @@ def test_fused_loop_matches_oracle_across_blocks_and_both_refill_sites(
     assert np.array_equal(returns, expected)
     assert fused.decision_counts == oracle.decision_counts
     assert list(fused.partition._members.items()) == list(oracle.partition._members.items())
+    assert_same_sizes(fused.partition, oracle.partition)
     assert fused._group_votes == oracle._group_votes
     assert fused._upos == oracle._upos and fused._ubuf == oracle._ubuf
     assert list(fused._upicks) == [int(u * 30) for u in fused._ubuf]
@@ -205,10 +215,15 @@ def test_advance_turns_gc_off_and_restores_it():
     finally:
         gc.enable()
 
-    # a raising loop still turns it back on: a stray list breaks the checksum
-    state.partition._members[state._n] = [0]
+    # a raising loop still turns it back on: a stray list breaks the checksum,
+    # here a singleton that holds a one-element member list it must not have
+    advance(state, rng, 8_999)
+    assert state.step_index == 9_999
+    part = state.partition
+    lone = next(a for a in range(state._n) if part.group_of(a) == (a, 1))
+    part._members[lone] = [lone]
     with pytest.raises(AssertionError, match="partition corrupted at step 9999"):
-        advance(state, rng, 10_000)
+        advance(state, rng, 1)
     assert gc.isenabled()
 
 
@@ -414,6 +429,35 @@ def test_text_round_trip(tmp_path):
 
     write_returns_text(path, np.array([], dtype=np.int64))
     assert path.read_bytes() == b""
+
+
+def _unique_text_writer(path, series):
+    """The text writer before lookups by offset: each chunk's distinct values
+    formatted once through `np.unique`."""
+    series = np.asarray(series)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for start in range(0, len(series), 1 << 13):
+            values, index = np.unique(series[start:start + (1 << 13)], return_inverse=True)
+            text = list(map(str, values.tolist()))
+            fh.write("\n".join(map(text.__getitem__, index.tolist())) + "\n")
+
+
+@pytest.mark.parametrize("name", ["empty", "single", "zeros", "mixed", "run"])
+def test_text_writer_matches_the_unique_writer(tmp_path, name):
+    n = 10_000
+    rng = np.random.default_rng(11)
+    series = {
+        "empty": np.array([], dtype=np.int64),
+        "single": np.array([-n], dtype=np.int64),
+        "zeros": np.zeros(20_000, dtype=np.int64),
+        # chunks whose spans are narrow, one wider than a chunk, and +-N
+        "mixed": np.concatenate([rng.integers(-3, 4, 9000), [n, -n, 0, 1, -1],
+                                 rng.integers(-n, n + 1, 9000), np.full(5000, n)]),
+        "run": run(small_config(n_agents=300, total_steps=40_000))[0],
+    }[name].astype(np.int64)
+    write_returns_text(tmp_path / "new.txt", series)
+    _unique_text_writer(tmp_path / "old.txt", series)
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
 
 
 def test_binary_round_trip_and_layout(tmp_path):

@@ -8,6 +8,14 @@ from herdvote.ez import EzConfig, ez_run, ez_step, init_ez_state
 from herdvote.voting import Decision
 
 
+def assert_same_sizes(fused, oracle):
+    """Same live handles, the same size under each, the same singleton count."""
+    live = oracle.group_ids()
+    assert fused.group_ids() == live
+    assert [fused._size[g] for g in live] == [oracle._size[g] for g in live]
+    assert fused._n_single == oracle._n_single
+
+
 def test_config_validation():
     config = EzConfig(n_agents=100, a=0.05, total_steps=1000)
     assert config.equilibration_steps == 100
@@ -66,6 +74,7 @@ def test_fused_loop_matches_step_oracle(n_agents, a):
         advance(fused, rng, chunk)
     assert fused.partition._group_of == oracle.partition._group_of
     assert list(fused.partition._members.items()) == list(oracle.partition._members.items())
+    assert_same_sizes(fused.partition, oracle.partition)
     assert fused._upos == oracle._upos and fused.step_index == oracle.step_index
 
 
@@ -107,6 +116,7 @@ def test_fused_loop_matches_oracle_across_blocks_and_both_refill_sites(step_coun
     assert np.array_equal(returns, expected)
     assert fused.decision_counts == oracle.decision_counts
     assert list(fused.partition._members.items()) == list(oracle.partition._members.items())
+    assert_same_sizes(fused.partition, oracle.partition)
     assert fused._upos == oracle._upos and fused._ubuf == oracle._ubuf
     assert list(fused._upicks) == [int(u * 80) for u in fused._ubuf]
 

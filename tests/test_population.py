@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,7 +181,8 @@ def test_random_mutation_sequence_keeps_invariants():
 )
 def test_random_merge_fragment_sequences_match_a_set_model(n, ops):
     """After every operation the invariants hold (each live handle is one of
-    its own members) and the groups equal those of a plain set model."""
+    its own members) and the groups, their sizes, the group count and the
+    size histogram equal those of a plain set model."""
     p = Partition.singletons(n)
     model = {a: frozenset((a,)) for a in range(n)}
     for is_merge, a, b in ops:
@@ -203,14 +206,68 @@ def test_random_merge_fragment_sequences_match_a_set_model(n, ops):
         p.check_invariants()
         for agent in range(n):
             assert frozenset(p.members(p.group_of(agent)[0])) == model[agent]
+        groups = set(model.values())
+        handles = p.group_ids()
+        assert sorted(sorted(p.members(h)) for h in handles) == sorted(map(sorted, groups))
+        for h in handles:
+            assert p.size_of(h) == len(p.members(h))
+        assert p.n_groups == len(groups) == len(handles)
+        assert p.size_histogram() == dict(Counter(map(len, groups)))
     assert p.n_groups == len(set(model.values()))
 
 
 def test_check_invariants_catches_a_foreign_handle():
     p = Partition.singletons(3)
-    p.merge(0, 1)  # {0: [0, 1], 2: [2]}
-    # swap the two handles: every agent is still listed once where it points
-    p._members = {2: p._members[0], 0: p._members[2]}
-    p._group_of[:] = [2, 2, 0]
+    p.merge(0, 1)  # the pair {0, 1} under handle 0, the singleton 2
+    # file the pair under handle 2 and point its members there: each listed
+    # agent points to its list, but the handle is not one of its members
+    p._members = {2: p._members.pop(0)}
+    p._group_of[:] = [2, 2, 2]
+    p._size[2] = 2
+    p._n_single = 0
     with pytest.raises(AssertionError, match="own members"):
         p.check_invariants()
+
+
+def test_check_invariants_catches_a_stale_size():
+    p = Partition.singletons(5)
+    g = p.merge(p.merge(0, 1), 2)
+    p.check_invariants()
+    p._size[g] = 2  # a group of three that says two
+    with pytest.raises(AssertionError, match="its size says 2"):
+        p.check_invariants()
+    p._size[g] = 3
+    p._size[4] = 3  # a singleton with the size of a trio
+    with pytest.raises(AssertionError, match="singleton 4 has size 3"):
+        p.check_invariants()
+    p._size[4] = 1
+    p.check_invariants()
+    p._size[1] = 7  # a non-handle's entry is never read
+    p.check_invariants()
+
+
+def test_check_invariants_catches_a_wrong_singleton_count():
+    p = Partition.singletons(4)
+    p.merge(0, 1)
+    p._n_single += 1
+    with pytest.raises(AssertionError, match="2 singletons, the count says 3"):
+        p.check_invariants()
+
+
+def test_check_invariants_catches_a_singleton_with_a_member_list():
+    p = Partition.singletons(4)
+    p._members[3] = [3]
+    with pytest.raises(AssertionError, match="holds a member list"):
+        p.check_invariants()
+
+
+def test_handles_that_are_not_live_are_refused():
+    p = Partition.singletons(4)
+    g = p.merge(0, 1)
+    dead = 1 - g
+    for op in (p.size_of, p.members, p.fragment):
+        with pytest.raises(KeyError):
+            op(dead)
+    with pytest.raises(KeyError):
+        p.merge(dead, 2)
+    p.check_invariants()
