@@ -49,12 +49,10 @@ from .meanfield import (
 )
 from .population import Partition
 from .strategy import (
-    StrategyTable,
     VoteMode,
     assign_strategies,
     history_index,
     poll_group,
-    random_strategy,
     update_history,
 )
 from .voting import (

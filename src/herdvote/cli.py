@@ -213,6 +213,14 @@ class RunResult(NamedTuple):
     warnings: list
 
 
+def _make_dir(path: str) -> None:
+    """`os.makedirs` that names the path when a file is in the way."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"cannot create directory {path}: it or a parent is a file") from None
+
+
 def execute_run(config: dict, out_root: str) -> RunResult:
     """Simulate per `config` and write artifacts into its run directory.
 
@@ -231,13 +239,14 @@ def execute_run(config: dict, out_root: str) -> RunResult:
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t0 = time.perf_counter()
 
+    _make_dir(out_root)  # before the simulation, so a file in the way fails fast
     if config["model"] == "ez":
         returns, summary = ez_run(sim_config)
     else:
         returns, summary = engine.run(sim_config)
     rescaled = engine.rescale_returns(returns, config["rescale_k"])
 
-    os.makedirs(run_dir, exist_ok=True)
+    _make_dir(run_dir)
     staging = tempfile.mkdtemp(prefix=".staging-", dir=run_dir)
     try:
         artifacts = {}
@@ -396,7 +405,12 @@ def cmd_sweep(args) -> int:
                 config["seed"] = derive_seed(args.master_seed, x, n, rep)
                 points.append((config, args.out))
 
-    workers = args.workers or int(os.environ.get(WORKERS_ENV, "1"))
+    try:
+        workers = args.workers or int(os.environ.get(WORKERS_ENV, "1"))
+    except ValueError:
+        raise ConfigError(
+            f"{WORKERS_ENV} must be an integer, got {os.environ[WORKERS_ENV]!r}") from None
+    _make_dir(args.out)
     if workers <= 1:
         records = [_sweep_point(p) for p in points]
     else:
@@ -405,7 +419,6 @@ def cmd_sweep(args) -> int:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_sweep_point, points))
 
-    os.makedirs(args.out, exist_ok=True)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "package_version": __version__,
@@ -424,11 +437,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_meanfield(args) -> int:
-    dist, report = meanfield.solve_stationary(
-        args.n_agents, args.x, tolerance=args.tolerance, max_iterations=args.max_iterations,
-    )
+    try:  # the solver checks its inputs before any work
+        dist, report = meanfield.solve_stationary(
+            args.n_agents, args.x, tolerance=args.tolerance, max_iterations=args.max_iterations,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     out = args.out or f"meanfield_N{args.n_agents}_x{args.x}.txt"
-    meanfield.write_distribution(out, dist)
+    try:
+        meanfield.write_distribution(out, dist)
+    except (NotADirectoryError, IsADirectoryError):
+        raise ConfigError(f"cannot write {out}: it is a directory or a parent is a file") from None
     report_dict = {
         "n_agents": args.n_agents,
         "x": args.x,

@@ -31,8 +31,8 @@ agent is in the same group).
 
 Returns are recorded only after the configured equilibration window.
 A run is fully determined by its config: the seed feeds two independent
-generator streams, one that draws the strategy tables (agent 0 first, then
-agent 1, ...) and one that drives the dynamics.  Every dynamics draw is a
+generator streams, one that draws the strategy tables (strategy mode
+only) and one that drives the dynamics.  Every dynamics draw is a
 scalar uniform u from an internal pre-drawn block of that stream, consumed
 in a fixed order per step: [agent pick][tie-break, strategy mode][decision,
 iid mode][merge-target rejections].  An agent pick is int(u * n); `advance`
@@ -52,9 +52,7 @@ from __future__ import annotations
 
 import gc
 import struct
-import time
 from dataclasses import dataclass
-from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -160,7 +158,6 @@ class RunSummary:
     decision_counts: dict
     trade_fraction: float  # over the recorded (post-equilibration) window
     final_size_histogram: dict
-    wall_time_s: float
 
 
 class SimState:
@@ -173,7 +170,8 @@ class SimState:
     `_width`-bit field number 3h + o.  No count exceeds the population,
     so fields never carry into each other, and the tally of a merged group
     is the sum of the two tallies.  A singleton's tally is `_single[agent]`,
-    its packed table row (see `_tally_packer`).  The tallies are keyed like
+    its packed table row, and `_rows[agent]` is that row as bytes (see
+    `_tally_packer`).  The tallies are keyed like
     the partition's member lists: by the handle of each group of two or
     more.  A singleton has neither, only its size entry 1 in the
     partition's flat `_size` (see `population`).
@@ -185,20 +183,19 @@ class SimState:
     """
 
     __slots__ = (
-        "config", "partition", "strategies", "history", "step_index",
-        "decision_counts", "_n", "_x", "_size_cdf", "_cdf", "_disperse",
-        "_ez_merge", "_rows", "_width", "_pack", "_single", "_group_votes",
-        "_hist_idx", "_ubuf", "_upicks", "_upos",
+        "config", "partition", "history", "step_index", "decision_counts",
+        "_n", "_x", "_size_cdf", "_cdf", "_disperse", "_ez_merge", "_rows",
+        "_width", "_single", "_group_votes", "_hist_idx", "_ubuf", "_upicks",
+        "_upos",
     )
 
-    def __init__(self, config, strategies, size_cdf=None, *, history=(),
+    def __init__(self, config, tables, size_cdf=None, *, history=(),
                  disperse=False, ez_merge=False):
         """`size_cdf(s)` gives the decision CDF (buy, buy+sell, buy+sell+merge)
         of a group of size s when decisions are drawn; None means the votes
-        come from `strategies` (and `config.x` sets the threshold)."""
+        come from `tables` (see `_tally_packer`; `config.x` is the threshold)."""
         self.config = config
         self.partition = Partition.singletons(config.n_agents)
-        self.strategies = strategies
         self.history = history
         self.step_index = 0
         self.decision_counts = [0, 0, 0, 0]  # indexed by Decision
@@ -209,10 +206,8 @@ class SimState:
         self._ez_merge = ez_merge
         # per-agent table rows and per-group packed tallies (strategy mode)
         self._x = config.x if size_cdf is None else None
-        self._rows = [st.entries for st in strategies] if size_cdf is None else None
-        self._width, self._pack, self._single = (
-            _tally_packer(config.n_agents, len(history), self._rows)
-            if size_cdf is None else (0, None, None))
+        self._width, self._rows, self._single = (
+            _tally_packer(tables) if size_cdf is None else (0, None, None))
         self._group_votes: dict = {}
         self._hist_idx = history_index(history)
         self._ubuf = self._upicks = ()  # no block drawn yet
@@ -230,27 +225,35 @@ class SimState:
         return [fields[f:f + 3] for f in range(0, len(fields), 3)]
 
 
-def _tally_packer(n_agents: int, memory: int, rows):
-    """Field width of the packed tallies, the packer of one table row, and
-    every agent's packed row, looked up as `single[agent]`.
+def _tally_packer(tables: np.ndarray):
+    """Field width of the packed tallies, and every agent's table row as
+    bytes and packed, looked up as `rows[agent]` and `single[agent]`.
 
     Fields are whole bytes, so a row packs by joining one 3-field byte
-    pattern per history.  With memory <= 3 there are at most 3**8 distinct
-    rows: each one's packing is remembered, and `single` is a list whose
-    entries share those ints, one pointer per agent.  Above that, rows are
-    packed on demand, so a run at the table budget holds no second copy of
-    its tables.
+    pattern per history.  With memory <= 3 a row is at most 8 bytes, read
+    as one unsigned integer to find the at most 3**8 distinct rows: `rows`
+    and `single` are lists of pointers to one bytes object and one packed
+    int per distinct row.  Above that, `rows` holds one slice of the
+    table bytes per agent, packed on demand, so a run at the table budget
+    holds no packed copy of its tables.
     """
+    tables = np.ascontiguousarray(tables, dtype=np.uint8)  # no copy of a drawn array
+    n_agents, width = tables.shape
     k = (n_agents.bit_length() + 7) // 8  # bytes per field
     ones = [bytes(o * k) + b"\x01" + bytes((3 - o) * k - 1) for o in range(3)]
 
-    def pack(row) -> int:
+    def pack(row: bytes) -> int:
         return int.from_bytes(b"".join(map(ones.__getitem__, row)), "little")
 
-    if memory > 3:
-        return 8 * k, pack, _PackOnDemand(rows, pack)
-    pack = cache(pack)
-    return 8 * k, pack, list(map(pack, rows))
+    if width > 8:
+        data = tables.tobytes()
+        rows = [data[i:i + width] for i in range(0, len(data), width)]
+        return 8 * k, rows, _PackOnDemand(rows, pack)
+    code = tables.view(f"u{width}")[:, 0]  # the row's bytes as one integer
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    distinct = [tables[a].tobytes() for a in first.tolist()]
+    packed = np.array([pack(row) for row in distinct], dtype=object)
+    return 8 * k, np.array(distinct, dtype=object)[inverse].tolist(), packed[inverse].tolist()
 
 
 class _PackOnDemand:
@@ -288,15 +291,16 @@ def init_state(config: SimConfig) -> tuple[SimState, np.random.Generator]:
     """Build the initial state and the dynamics generator for a config.
 
     Stream discipline: SeedSequence(seed) spawns (strategy stream, dynamics
-    stream) in that order; strategy tables are drawn before anything else,
-    in either vote mode.
+    stream) in that order; strategy mode draws its tables from the first,
+    iid mode draws none.
     """
     strat_seq, dyn_seq = np.random.SeedSequence(config.seed).spawn(2)
-    strat_rng = np.random.Generator(np.random.PCG64(strat_seq))
-    strategies = assign_strategies(config.n_agents, config.memory, strat_rng)
-    iid = config.vote_mode == VoteMode.IID_UNIFORM
-    state = SimState(config, strategies, _iid_cdf(config.x) if iid else None,
-                     history=config.initial_history,
+    if config.vote_mode == VoteMode.IID_UNIFORM:
+        tables, size_cdf = None, _iid_cdf(config.x)
+    else:
+        strat_rng = np.random.Generator(np.random.PCG64(strat_seq))
+        tables, size_cdf = assign_strategies(config.n_agents, config.memory, strat_rng), None
+    state = SimState(config, tables, size_cdf, history=config.initial_history,
                      disperse=config.disperse_after_trade)
     return state, np.random.Generator(np.random.PCG64(dyn_seq))
 
@@ -615,8 +619,8 @@ def _merge(state: SimState, g: int, g2: int) -> None:
     """Merge two groups in strategy mode: the union's tally is the sum."""
     part = state.partition
     votes = state._group_votes
-    t1 = votes.pop(g) if part.size_of(g) > 1 else state._pack(state._rows[g])
-    t2 = votes.pop(g2) if part.size_of(g2) > 1 else state._pack(state._rows[g2])
+    t1 = votes.pop(g) if part.size_of(g) > 1 else state._single[g]
+    t2 = votes.pop(g2) if part.size_of(g2) > 1 else state._single[g2]
     votes[part.merge(g, g2)] = t1 + t2
 
 
@@ -627,18 +631,13 @@ def _fragment(state: SimState, g: int) -> None:
 
 def run(config: SimConfig) -> tuple[np.ndarray, RunSummary]:
     """Full simulation: returns (post-equilibration return series, summary)."""
-    t0 = time.perf_counter()
     state, rng = init_state(config)
-    return simulate(state, rng, config, t0)
+    return simulate(state, rng, config)
 
 
-def simulate(state: SimState, rng: np.random.Generator, config,
-             t0: float) -> tuple[np.ndarray, RunSummary]:
-    """Run a fresh state through `config.total_steps` steps and summarise.
-
-    Shared by `run` and `ez.ez_run`; `t0` is the `time.perf_counter()`
-    reading at which the run started.
-    """
+def simulate(state: SimState, rng: np.random.Generator, config) -> tuple[np.ndarray, RunSummary]:
+    """Run a fresh state through `config.total_steps` steps and summarise;
+    shared by `run` and `ez.ez_run`."""
     equil = config.equilibration_steps
     recorded = config.total_steps - equil
     returns = np.zeros(recorded, dtype=np.int64)
@@ -650,7 +649,6 @@ def simulate(state: SimState, rng: np.random.Generator, config,
         decision_counts=dict(zip(("buy", "sell", "merge", "fragment"), state.decision_counts)),
         trade_fraction=int(np.count_nonzero(returns)) / recorded,
         final_size_histogram=state.partition.size_histogram(),
-        wall_time_s=time.perf_counter() - t0,
     )
     return returns, summary
 

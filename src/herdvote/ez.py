@@ -27,7 +27,6 @@ decoded for the whole block; `ez_step` computes them from the floats.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +98,5 @@ def ez_step(state: SimState, rng) -> StepEvent:
 
 def ez_run(config: EzConfig) -> tuple[np.ndarray, RunSummary]:
     """Run the baseline; mirrors `engine.run` (seeded, post-equilibration series)."""
-    t0 = time.perf_counter()
     state, rng = init_ez_state(config)
-    return simulate(state, rng, config, t0)
+    return simulate(state, rng, config)

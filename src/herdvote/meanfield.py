@@ -170,8 +170,10 @@ def solve_stationary(
         raise ValueError(f"need at least 2 agents, got {N}")
     if not ONE_THIRD < x < 1.0:
         raise ValueError(f"solver requires 1/3 < x < 1, got x={x}")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not tolerance > 0:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
 
     p_frg, p_merge = _rates(N, x)
 

@@ -2,8 +2,8 @@
 
 The simulation's hot data structure: N agents, each in exactly one group.
 Groups merge (two groups become one) and fragment (one group becomes
-singletons) millions of times per run, and a uniformly random agent must be
-drawn cheaply at every step.  A union-find structure cannot support
+singletons) millions of times per run, and every step looks up the group
+of a uniformly random agent.  A union-find structure cannot support
 fragmentation (there is no de-union), so the partition is kept as three
 flat pieces:
 
@@ -19,7 +19,6 @@ Costs:
     * group and size lookup for an agent:  O(1)
     * merge of groups (s1, s2):            O(min(s1, s2))   (smaller side moves)
     * fragment of a group of s:            O(s), allocating nothing
-    * uniform random agent:                O(1)
     * group count, size histogram:         O(groups of two or more)
 
 A group's handle is one of its own members, so a singleton's handle is its
@@ -85,10 +84,6 @@ class Partition:
 
     def size_of(self, group: int) -> int:
         return self._size[self._live(group)]
-
-    def pick_random_agent(self, rng) -> int:
-        """Uniformly random agent id, O(1)."""
-        return int(rng.integers(0, self.n_agents))
 
     def size_histogram(self) -> dict[int, int]:
         """Map group size -> number of groups of that size."""

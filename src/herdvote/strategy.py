@@ -6,6 +6,10 @@ recent movement last) to a fixed action: buy, sell or wait.  All agents see
 the same shared history, so agents holding identical table entries act
 identically — the "crowd" effect of common information.
 
+The tables of a population are one C-contiguous uint8 array of shape
+(n_agents, 2^m): row a is agent a's table, column `history_index(h)` its
+action at history h.  Nothing else holds them.
+
 Two polling modes are supported:
 
   STRATEGY_DRIVEN  each member votes its table entry for the current
@@ -13,7 +17,8 @@ Two polling modes are supported:
                    gives the identical tally (perfect temporal correlation).
   IID_UNIFORM      every vote is an independent uniform draw over the three
                    actions; this is the memoryless regime whose outcome
-                   probabilities `voting` computes in closed form.
+                   probabilities `voting` computes in closed form.  It
+                   reads no tables.
 
 At any fixed history, freshly drawn tables give i.i.d. uniform entries
 across agents, so a single poll is distributed identically in both modes;
@@ -26,7 +31,9 @@ no-trade steps (no trade, no price movement).
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .voting import VoteTally
 
@@ -34,20 +41,12 @@ BUY, SELL, WAIT = 0, 1, 2
 
 History = tuple  # m bits, most recent last
 
+_DRAW_CHUNK = 1 << 20  # table entries per int64 draw in `assign_strategies`
+
 
 class VoteMode(str, Enum):
     STRATEGY_DRIVEN = "strategy"
     IID_UNIFORM = "iid"
-
-
-class StrategyTable(NamedTuple):
-    """Immutable map from every m-bit history to an action in {0, 1, 2}."""
-
-    memory: int
-    entries: tuple
-
-    def action(self, history: History) -> int:
-        return self.entries[history_index(history)]
 
 
 def history_index(history: History) -> int:
@@ -58,35 +57,25 @@ def history_index(history: History) -> int:
     return idx
 
 
-def random_strategy(memory: int, rng) -> StrategyTable:
-    """Draw a table with each of the 2^memory entries uniform over 3 actions."""
-    if memory < 1:
-        raise ValueError(f"memory length must be >= 1, got {memory}")
-    entries = tuple(int(v) for v in rng.integers(0, 3, size=2**memory))
-    return StrategyTable(memory, entries)
+def assign_strategies(n_agents: int, memory: int, rng) -> np.ndarray:
+    """Tables for all agents: a C-contiguous uint8 array (n_agents, 2^memory).
 
-
-def assign_strategies(n_agents: int, memory: int, rng) -> list[StrategyTable]:
-    """Tables for all agents, drawn in agent order 0, 1, ..., n-1.
-
-    The draw order is part of the reproducibility contract: a run seed
-    determines agent k's table independent of anything that happens later.
-    One (n_agents, 2^memory) draw gives the same tables, and leaves `rng`
-    in the same state, as one `random_strategy` call per agent.
+    The draw order is part of the reproducibility contract: the entries,
+    and the state `rng` is left in, are those of one int64
+    `rng.integers(0, 3, size=(n_agents, 2**memory))` call, or of one
+    `rng.integers(0, 3, size=2**memory)` call per agent in agent order.
+    Rows are drawn in int64 a chunk at a time and cast to uint8, so no
+    int64 copy of all tables exists (a uint8 draw consumes the stream
+    differently).
     """
     if memory < 1:
         raise ValueError(f"memory length must be >= 1, got {memory}")
-    draws = rng.integers(0, 3, size=(n_agents, 2**memory)).tolist()
-    return [StrategyTable(memory, tuple(row)) for row in draws]
-
-
-def vote(table: StrategyTable, history: History) -> int:
-    """The agent's action for a history: a pure table lookup."""
-    if len(history) != table.memory:
-        raise ValueError(
-            f"history length {len(history)} does not match table memory {table.memory}"
-        )
-    return table.entries[history_index(history)]
+    width = 1 << memory
+    tables = np.empty((n_agents, width), dtype=np.uint8)
+    step = max(1, _DRAW_CHUNK // width)
+    for chunk in np.split(tables, range(step, n_agents, step)):  # views, in row order
+        chunk[:] = rng.integers(0, 3, size=chunk.shape)
+    return tables
 
 
 def update_history(history: History, net_return: int) -> History:
@@ -100,7 +89,7 @@ def update_history(history: History, net_return: int) -> History:
 
 def poll_group(
     members: Sequence[int],
-    strategies: Sequence[StrategyTable],
+    tables: np.ndarray | None,
     history: History,
     mode: VoteMode,
     rng,
@@ -111,21 +100,20 @@ def poll_group(
     incremental per-group tallies (strategy mode) or draws the decision
     from its exact distribution (iid mode) instead.
 
-    STRATEGY_DRIVEN consumes no randomness.  IID_UNIFORM draws one uniform
-    action per member.
+    STRATEGY_DRIVEN reads each member's row of `tables` and consumes no
+    randomness.  IID_UNIFORM draws one uniform action per member and
+    ignores `tables`.
     """
     if not members:
         raise ValueError("cannot poll an empty group")
     counts = [0, 0, 0]
     if mode == VoteMode.STRATEGY_DRIVEN:
+        if 1 << len(history) != tables.shape[1]:
+            raise ValueError(f"history length {len(history)} does not match "
+                             f"{tables.shape[1]} table entries per agent")
         idx = history_index(history)
         for agent in members:
-            table = strategies[agent]
-            if len(history) != table.memory:
-                raise ValueError(
-                    f"history length {len(history)} does not match table memory {table.memory}"
-                )
-            counts[table.entries[idx]] += 1
+            counts[tables[agent, idx]] += 1
     else:
         for v in rng.integers(0, 3, size=len(members)):
             counts[v] += 1

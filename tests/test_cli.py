@@ -405,7 +405,53 @@ def test_workers_env_variable(tmp_path, monkeypatch):
     assert (tmp_path / "env" / "sweep.json").exists()
 
 
+def test_workers_env_variable_must_be_an_integer(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.WORKERS_ENV, "abc")
+    code = run_cli(sweep_args(tmp_path / "env", 0))
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and cli.WORKERS_ENV in err and "'abc'" in err
+    assert not (tmp_path / "env").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "meanfield"])
+def test_out_under_an_existing_file_is_config_error(tmp_path, monkeypatch, capsys, command):
+    """Refused before any simulation, with the path named."""
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+
+    def no_simulation(*_args):
+        raise AssertionError("simulated although the output cannot be written")
+
+    monkeypatch.setattr(cli.engine, "run", no_simulation)
+    argv = {
+        "run": tiny_run_args(a_file),
+        "sweep": sweep_args(a_file, 1),
+        "meanfield": ["meanfield", "--n-agents", "6", "--x", "0.41",
+                      "--out", str(a_file / "dist.txt")],
+    }[command]
+    assert run_cli(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(a_file) in err
+    assert a_file.read_text() == ""
+
+
 # -- meanfield -------------------------------------------------------------------
+
+@pytest.mark.parametrize("flag, value", [
+    ("--n-agents", "1"), ("--x", "0.3"), ("--x", "1.5"), ("--tolerance", "0"),
+    ("--tolerance", "nan"), ("--max-iterations", "0"),
+])
+def test_meanfield_bad_input_is_config_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "dist.txt"
+    args = {"--n-agents": "6", "--x": "0.41", flag: value, "--out": str(out)}
+    code = run_cli(["meanfield", *(item for pair in args.items() for item in pair)])
+    assert code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and value in captured.err.splitlines()[0]
+    assert list(tmp_path.iterdir()) == []
+
 
 def test_meanfield_command(tmp_path, capsys):
     out = tmp_path / "dist.txt"

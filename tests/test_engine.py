@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from herdvote import engine
 from herdvote.engine import (
     _decode_picks,
     _iid_cdf,
@@ -23,7 +24,13 @@ from herdvote.engine import (
     write_returns_binary,
     write_returns_text,
 )
-from herdvote.strategy import StrategyTable, VoteMode, poll_group, update_history
+from herdvote.strategy import (
+    VoteMode,
+    assign_strategies,
+    history_index,
+    poll_group,
+    update_history,
+)
 from herdvote.voting import Decision, decision_probabilities, fragmentation_probability
 
 
@@ -270,22 +277,22 @@ def test_history_tracks_return_signs():
 def test_group_vote_cache_matches_fresh_poll():
     """The engine's incremental tallies must equal a from-scratch poll."""
     config = small_config(total_steps=5000, n_agents=60)
-    state, rng = init_state(config)
+    tables = assign_strategies(config.n_agents, config.memory, np.random.default_rng(8))
+    state = SimState(config, tables, history=config.initial_history)
+    rng = np.random.default_rng(config.seed)
     for _ in range(config.total_steps):
         step(state, rng)
     part = state.partition
     for g in list(part.group_ids()):
         members = part.members(g)
         for history in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            expected = poll_group(members, state.strategies, history, VoteMode.STRATEGY_DRIVEN, None)
+            expected = poll_group(members, tables, history, VoteMode.STRATEGY_DRIVEN, None)
             if len(members) == 1:
                 assert state.group_vote_matrix(g) is None
-                table = state.strategies[members[0]]
                 counts = [0, 0, 0]
-                counts[table.action(history)] += 1
+                counts[tables[members[0], history_index(history)]] += 1
                 assert tuple(counts) == tuple(expected)
             else:
-                from herdvote.strategy import history_index
                 row = state.group_vote_matrix(g)[history_index(history)]
                 assert tuple(row) == tuple(expected)
 
@@ -298,8 +305,8 @@ def test_packed_tallies_do_not_carry_at_a_full_field(memory):
     config = SimConfig(n_agents=n, x=0.41, total_steps=10, memory=memory,
                        initial_history=(0,) * memory)
     rng = np.random.default_rng(memory)
-    tables = [StrategyTable(memory, (0, *rng.integers(0, 3, 2**memory - 2).tolist(), 2))
-              for _ in range(n)]
+    tables = np.array([(0, *rng.integers(0, 3, 2**memory - 2).tolist(), 2) for _ in range(n)],
+                      dtype=np.uint8)
     state = SimState(config, tables, history=config.initial_history)
     part = state.partition
     # two halves grown one singleton at a time, then one tally-plus-tally merge
@@ -321,6 +328,37 @@ def test_packed_tallies_do_not_carry_at_a_full_field(memory):
     advance(state, np.random.default_rng(0), 1, returns)
     assert state.decision_counts == [1, 0, 0, 0]
     assert returns[0] == n
+
+
+@pytest.mark.parametrize("memory", [1, 2, 3])
+def test_table_rows_and_packed_rows_are_shared(memory):
+    """Up to memory 3 every agent's row and packed row points to one of at
+    most 3**(2**memory) shared objects, each equal to the agent's own: at
+    N = 20000 a list of one object per agent would fail at every memory."""
+    n = 20_000
+    config = SimConfig(n_agents=n, x=0.41, total_steps=10, memory=memory,
+                       initial_history=(0,) * memory)
+    tables = assign_strategies(n, memory, np.random.default_rng(memory))
+    state = SimState(config, tables, history=config.initial_history)
+    distinct = 3 ** (2**memory)
+    assert len(set(map(id, state._rows))) <= distinct
+    assert len(set(map(id, state._single))) <= distinct
+    assert [bytes(r) for r in tables] == state._rows
+    part = state.partition
+    for a in range(1, n):  # one group of all agents, its tally the sum of the packed rows
+        _merge(state, part.group_of(0)[0], part.group_of(a)[0])
+    matrix = state.group_vote_matrix(part.group_of(0)[0])
+    for h in range(2**memory):
+        assert matrix[h] == np.bincount(tables[:, h], minlength=3).tolist()
+
+
+def test_iid_state_draws_no_tables(monkeypatch):
+    def no_draw(*_args):
+        raise AssertionError("an iid run drew strategy tables")
+
+    monkeypatch.setattr(engine, "assign_strategies", no_draw)
+    state, _ = init_state(small_config(vote_mode=VoteMode.IID_UNIFORM))
+    assert state._rows is None and state._single is None
 
 
 def test_conditional_decision_frequencies_iid():
@@ -370,9 +408,9 @@ def test_disperse_after_trade_switch():
     config = SimConfig(n_agents=12, x=0.40, total_steps=10, seed=0,
                        disperse_after_trade=True)
     # everyone waits at history (1,1) and buys at any other history
-    wait_at_11 = StrategyTable(2, (0, 0, 0, 2))
+    wait_at_11 = np.array([[0, 0, 0, 2]] * 12, dtype=np.uint8)
     _, rng = init_state(config)
-    state = SimState(config, [wait_at_11] * 12, history=config.initial_history,
+    state = SimState(config, wait_at_11, history=config.initial_history,
                      disperse=True)
     for _ in range(200):
         step(state, rng)  # merges only: history frozen at (1,1)

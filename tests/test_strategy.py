@@ -4,63 +4,61 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from herdvote import strategy
 from herdvote.strategy import (
     BUY,
     SELL,
     WAIT,
-    StrategyTable,
     VoteMode,
     assign_strategies,
     history_index,
     poll_group,
-    random_strategy,
     update_history,
-    vote,
 )
 
-CONSTANT_BUY = StrategyTable(2, (BUY, BUY, BUY, BUY))
+CONSTANT_BUY = np.full((1, 4), BUY, dtype=np.uint8)
 
 
-def test_random_strategy_shape():
+def test_assign_strategies_shape():
     rng = np.random.default_rng(0)
-    table = random_strategy(2, rng)
-    assert len(table.entries) == 4
-    assert all(a in (BUY, SELL, WAIT) for a in table.entries)
-    assert len(random_strategy(1, rng).entries) == 2
-    assert len(random_strategy(3, rng).entries) == 8
+    for memory in (1, 2, 3):
+        tables = assign_strategies(7, memory, rng)
+        assert tables.shape == (7, 2**memory)
+        assert tables.dtype == np.uint8 and tables.flags.c_contiguous
+        assert set(np.unique(tables).tolist()) <= {BUY, SELL, WAIT}
 
 
-def test_random_strategy_requires_memory():
+def test_assign_strategies_requires_memory():
     with pytest.raises(ValueError):
-        random_strategy(0, np.random.default_rng(0))
-
-
-def test_random_strategy_entry_uniform():
-    rng = np.random.default_rng(99)
-    n = 100_000
-    counts = np.zeros(3)
-    for _ in range(n):
-        counts[random_strategy(2, rng).action((1, 1))] += 1
-    sigma = np.sqrt(n * (1 / 3) * (2 / 3))
-    assert np.all(np.abs(counts - n / 3) < 3 * sigma)
+        assign_strategies(3, 0, np.random.default_rng(0))
 
 
 def test_assign_strategies_order_is_reproducible():
     tables_a = assign_strategies(5, 2, np.random.default_rng(7))
     tables_b = assign_strategies(5, 2, np.random.default_rng(7))
-    assert tables_a == tables_b
+    assert np.array_equal(tables_a, tables_b)
     # agent 0's table depends only on the stream prefix
-    assert tables_a[0] == random_strategy(2, np.random.default_rng(7))
+    assert tables_a[0].tolist() == np.random.default_rng(7).integers(0, 3, size=4).tolist()
 
 
 @pytest.mark.parametrize("memory", [1, 2, 3, 5])
-def test_assign_strategies_matches_per_agent_draws(memory):
-    """One draw for all tables equals one `random_strategy` call per agent."""
-    rng = np.random.default_rng(np.random.SeedSequence(11).spawn(2)[0])
-    oracle_rng = np.random.default_rng(np.random.SeedSequence(11).spawn(2)[0])
-    tables = assign_strategies(10_000, memory, rng)
-    assert tables == [random_strategy(memory, oracle_rng) for _ in range(10_000)]
-    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+def test_assign_strategies_matches_per_agent_draws(memory, monkeypatch):
+    """The chunked uint8 draw equals one int64 draw of every table and one
+    int64 draw per agent, and leaves the generator where both leave it."""
+    n = 10_000
+    rngs = [np.random.default_rng(np.random.SeedSequence(11).spawn(2)[0]) for _ in range(4)]
+    tables = assign_strategies(n, memory, rngs[0])
+    one_draw = rngs[1].integers(0, 3, size=(n, 2**memory))
+    per_agent = [rngs[2].integers(0, 3, size=2**memory) for _ in range(n)]
+    monkeypatch.setattr(strategy, "_DRAW_CHUNK", 24)  # many chunks, the last one short
+    small_chunks = assign_strategies(n, memory, rngs[3])
+    assert one_draw.dtype == np.int64
+    assert tables.dtype == np.uint8 and tables.flags.c_contiguous
+    assert np.array_equal(tables, one_draw)
+    assert np.array_equal(tables, np.array(per_agent))
+    assert np.array_equal(tables, small_chunks)
+    for rng in rngs[1:]:
+        assert rng.bit_generator.state == rngs[0].bit_generator.state
 
 
 def test_history_index():
@@ -71,20 +69,21 @@ def test_history_index():
 
 
 def test_vote_lookup():
-    assert vote(CONSTANT_BUY, (0, 1)) == BUY
-    table = StrategyTable(2, (BUY, SELL, WAIT, SELL))
-    assert vote(table, (1, 1)) == SELL
-    assert vote(table, (1, 1)) == SELL  # deterministic
+    """A member's vote is its table entry at the current history."""
+    assert tuple(poll_group([0], CONSTANT_BUY, (0, 1), VoteMode.STRATEGY_DRIVEN, None)) == (1, 0, 0)
+    table = np.array([[BUY, SELL, WAIT, SELL]], dtype=np.uint8)
+    assert tuple(poll_group([0], table, (1, 1), VoteMode.STRATEGY_DRIVEN, None)) == (0, 1, 0)
+    assert tuple(poll_group([0], table, (1, 0), VoteMode.STRATEGY_DRIVEN, None)) == (0, 0, 1)
     with pytest.raises(ValueError):
-        vote(table, (1, 1, 0))
+        poll_group([0], table, (1, 1, 0), VoteMode.STRATEGY_DRIVEN, None)
 
 
 def test_identical_tables_vote_identically():
-    rng = np.random.default_rng(3)
-    table = random_strategy(2, rng)
-    clone = StrategyTable(table.memory, table.entries)
+    row = assign_strategies(1, 2, np.random.default_rng(3))
+    tables = np.concatenate([row, row])
     for h in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        assert vote(table, h) == vote(clone, h)
+        assert (poll_group([0], tables, h, VoteMode.STRATEGY_DRIVEN, None)
+                == poll_group([1], tables, h, VoteMode.STRATEGY_DRIVEN, None))
 
 
 def test_update_history_rules():
@@ -102,18 +101,18 @@ def test_update_history_is_pure_and_length_preserving():
 
 
 def test_poll_group_singleton_constant():
-    tally = poll_group([0], [CONSTANT_BUY], (1, 1), VoteMode.STRATEGY_DRIVEN, None)
+    tally = poll_group([0], CONSTANT_BUY, (1, 1), VoteMode.STRATEGY_DRIVEN, None)
     assert tuple(tally) == (1, 0, 0)
 
 
 def test_poll_group_empty_rejected():
     with pytest.raises(ValueError):
-        poll_group([], [], (1, 1), VoteMode.IID_UNIFORM, np.random.default_rng(0))
+        poll_group([], None, (1, 1), VoteMode.IID_UNIFORM, np.random.default_rng(0))
 
 
 def test_poll_group_history_length_checked():
     with pytest.raises(ValueError):
-        poll_group([0], [CONSTANT_BUY], (1,), VoteMode.STRATEGY_DRIVEN, None)
+        poll_group([0], CONSTANT_BUY, (1,), VoteMode.STRATEGY_DRIVEN, None)
 
 
 def test_poll_group_iid_counts():
