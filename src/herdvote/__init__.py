@@ -6,66 +6,61 @@ and fragments otherwise.  Trades of a group of size s move the price by
 +/- s, producing heavy-tailed return series whose tails steepen into an
 exponential cutoff as the consensus parameter x rises above one third.
 
-Subpackages: `population` (partition data structure), `voting` (decision
-rule and exact probabilities), `strategy` (history and strategy tables),
-`engine` (simulation loop), `ez` (Eguiluz-Zimmermann baseline), `meanfield`
-(stationary group-size equations), `analysis` (tail statistics), `cli`
-(command-line interface).
+Subpackages: `config` (run parameters), `population` (partition data
+structure), `voting` (decision rule and exact probabilities), `strategy`
+(history and strategy tables), `engine` (simulation loop), `ez`
+(Eguiluz-Zimmermann baseline), `meanfield` (stationary group-size
+equations), `series` (return-series files), `analysis` (tail statistics),
+`cli` (command-line interface).
+
+The names below resolve on first access (PEP 562), so `import herdvote`
+loads no subpackage and a command loads only the layers it runs.
 """
 
-from .analysis import (
-    CcdfCurve,
-    TailFit,
-    ccdf,
-    compare_tail_models,
-    cutoff_scan,
-    fit_power_law,
-    log_binned_pdf,
-    sample_pareto,
-    tail_mass,
-)
-from .engine import (
-    RunSummary,
-    SimConfig,
-    StepEvent,
-    advance,
-    init_state,
-    read_returns_binary,
-    read_returns_text,
-    rescale_returns,
-    run,
-    step,
-    write_returns_binary,
-    write_returns_text,
-)
-from .ez import EzConfig, ez_run, ez_step, init_ez_state
-from .meanfield import (
-    GroupSizeDistribution,
-    SolverReport,
-    balance_residual,
-    solve_stationary,
-    stationary_oracle,
-    write_distribution,
-)
-from .population import Partition
-from .strategy import (
-    VoteMode,
-    assign_strategies,
-    history_index,
-    poll_group,
-    update_history,
-)
-from .voting import (
-    ConsensusParameter,
-    Decision,
-    DecisionProbabilities,
-    VoteTally,
-    consensus_probability,
-    consensus_threshold,
-    decide,
-    decision_probabilities,
-    enumerate_fragmentation_probability,
-    fragmentation_probability,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_EXPORTS = {  # submodule -> the public names it defines
+    "analysis": (
+        "CcdfCurve", "TailFit", "ccdf", "compare_tail_models", "cutoff_scan",
+        "fit_power_law", "log_binned_pdf", "sample_pareto", "tail_mass",
+    ),
+    "config": ("EzConfig", "SimConfig", "VoteMode"),
+    "engine": ("RunSummary", "StepEvent", "advance", "init_state", "run", "step"),
+    "ez": ("ez_run", "ez_step", "init_ez_state"),
+    "meanfield": (
+        "GroupSizeDistribution", "SolverReport", "balance_residual", "solve_stationary",
+        "stationary_oracle", "write_distribution",
+    ),
+    "population": ("Partition",),
+    "series": (
+        "read_returns_binary", "read_returns_text", "rescale_returns",
+        "write_returns_binary", "write_returns_text",
+    ),
+    "strategy": ("assign_strategies", "history_index", "poll_group", "update_history"),
+    "voting": (
+        "ConsensusParameter", "Decision", "DecisionProbabilities", "VoteTally",
+        "consensus_probability", "consensus_threshold", "decide", "decision_probabilities",
+        "enumerate_fragmentation_probability", "fragmentation_probability",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """Import a public name's home module on first access, then keep the name."""
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _EXPORTS or name == "cli":
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME, *_EXPORTS, "cli"})

@@ -9,13 +9,14 @@ Subcommands
     meanfield  stationary group-size distribution for (N, x)
     analyze    tail statistics (CCDF, binned density, power-law fits) for
                existing run directories plus a cross-x comparison table
-               with one row per directory
+               with one row per directory; each run's config.txt and
+               returns_raw.bin are checked against its manifest digests
     validate   fast self-checks of the exact math against brute-force
                oracles; nonzero exit when anything disagrees
 
 Config files are plain "key = value" text (LF, UTF-8, '#' comments).  The
-keys, in echo order, with their defaults (set by `engine.SimConfig` and
-`ez.EzConfig`; a test keeps this table equal to `default_config()`):
+keys, in echo order, with their defaults (set by `config.SimConfig` and
+`config.EzConfig`; a test keeps this table equal to `default_config()`):
 
     schema_version      = 2           # 2: iid and E-Z runs use the fused loop's draws
     model               = main        # main | ez
@@ -37,6 +38,13 @@ run can always be reproduced byte for byte from its manifest.
 Exit codes: 0 success, 2 usage error, 3 config/input error, 4 validation
 failure, 5 solver non-convergence.  HERDVOTE_WORKERS sets the default
 worker count for sweeps.
+
+Each subcommand imports only the layers it runs, inside the function that
+runs them: the simulator (`engine`, `ez`) on the run path, `analysis` in
+`analyze` and `validate`, `meanfield` in `meanfield` and `validate`.  At
+module level this file needs only `config`.  The run path calls the
+simulator and the series writers as `engine.<name>`, so a caller that
+replaces such an attribute replaces the call.
 """
 
 from __future__ import annotations
@@ -57,8 +65,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__, analysis, engine, meanfield, voting
-from .ez import EzConfig, ez_run
+from . import __version__
+from .config import EzConfig, RunConfig, SimConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -107,7 +115,7 @@ _CONFIG_SPEC = {
     "ez_a": (float, repr),
 }
 _FIELD_OF = {"memory_m": "memory", "ez_a": "a"}  # config keys named unlike their field
-_MODELS = {"main": engine.SimConfig, "ez": EzConfig}
+_MODELS = {"main": SimConfig, "ez": EzConfig}
 
 
 def default_config() -> dict:
@@ -153,7 +161,7 @@ def resolve_config(config: dict) -> dict:
     return _resolve(config)[0]
 
 
-def _resolve(config: dict) -> tuple[dict, engine.RunConfig]:
+def _resolve(config: dict) -> tuple[dict, RunConfig]:
     """The canonical dict and the model dataclass it describes, built once."""
     if config["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {config['schema_version']}")
@@ -185,7 +193,9 @@ def config_digest(config: dict) -> str:
 def regime_warnings(config: dict) -> list:
     warnings = []
     if config["model"] == "main":
-        cp = voting.ConsensusParameter(config["x"])
+        from .voting import ConsensusParameter
+
+        cp = ConsensusParameter(config["x"])
         if not cp.fragmentation_possible:
             warnings.append(
                 f"x={config['x']} is in the no-fragmentation regime (x <= 1/3): groups only grow"
@@ -221,6 +231,13 @@ def _make_dir(path: str) -> None:
         raise ConfigError(f"cannot create directory {path}: it or a parent is a file") from None
 
 
+def ez_run(config: EzConfig):
+    """`ez.ez_run`, imported when called: only an E-Z run loads `ez`."""
+    from . import ez
+
+    return ez.ez_run(config)
+
+
 def execute_run(config: dict, out_root: str) -> RunResult:
     """Simulate per `config` and write artifacts into its run directory.
 
@@ -232,6 +249,8 @@ def execute_run(config: dict, out_root: str) -> RunResult:
     under an artifact's name.  Returns the directory, the resolved config's
     digest and its regime warnings.
     """
+    from . import engine  # the simulator loads on the run path only
+
     config, sim_config = _resolve(config)
     digest = config_digest(config)
     run_dir = os.path.join(out_root, digest[:12])
@@ -437,6 +456,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_meanfield(args) -> int:
+    from . import meanfield
+
     try:  # the solver checks its inputs before any work
         dist, report = meanfield.solve_stationary(
             args.n_agents, args.x, tolerance=args.tolerance, max_iterations=args.max_iterations,
@@ -465,24 +486,61 @@ def cmd_meanfield(args) -> int:
     return EXIT_OK
 
 
-def _read_run_returns(run_dir: str, use_raw: bool) -> tuple[dict, np.ndarray]:
-    config_path = os.path.join(run_dir, "config.txt")
-    if not os.path.exists(config_path):
-        raise ConfigError(f"missing artifact: {config_path}")
-    with open(config_path, "r", encoding="utf-8") as fh:
-        config = resolve_config({**default_config(), **parse_config_text(fh.read())})
-    name = "returns_raw.txt" if use_raw else f"returns_rescaled_k{config['rescale_k']}.txt"
-    path = os.path.join(run_dir, name)
-    if not os.path.exists(path):
-        raise ConfigError(f"missing artifact: {path}")
+def _read_verified(run_dir: str, names) -> list:
+    """The bytes of each named artifact, checked against the run's manifest.
+
+    A missing file, a manifest that cannot be read or lacks a digest, and a
+    file whose sha256 differs from its recorded digest are config errors
+    that name the file.
+    """
+    manifest_path = os.path.join(run_dir, "manifest.json")
+    for path in [os.path.join(run_dir, name) for name in names] + [manifest_path]:
+        if not os.path.exists(path):
+            raise ConfigError(f"missing artifact: {path}")
     try:
-        returns = engine.read_returns_text(path)
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            recorded = json.load(fh)["artifacts"]
+        digests = [recorded[name] for name in names]
+    except KeyError as exc:
+        raise ConfigError(f"damaged manifest {manifest_path}: no entry {exc.args[0]!r}") from None
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"damaged manifest {manifest_path}: {exc!r}") from None
+    contents = []
+    for name, digest in zip(names, digests):
+        path = os.path.join(run_dir, name)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        fresh = hashlib.sha256(data).hexdigest()
+        if fresh != digest:
+            raise ConfigError(f"damaged artifact {path}: sha256 {fresh[:12]} differs from "
+                              f"the manifest's {str(digest)[:12]}")
+        contents.append(data)
+    return contents
+
+
+def _read_run_returns(run_dir: str, use_raw: bool) -> tuple[dict, np.ndarray]:
+    """A run's config and its return series, raw or rescaled by the run's k.
+
+    Both come from digest-checked files: `config.txt` and `returns_raw.bin`.
+    """
+    from .series import parse_returns_binary, rescale_returns
+
+    config_bytes, series_bytes = _read_verified(run_dir, ("config.txt", "returns_raw.bin"))
+    try:
+        text = config_bytes.decode("utf-8")
+        config = resolve_config({**default_config(), **parse_config_text(text)})
+    except (UnicodeDecodeError, ConfigError) as exc:
+        raise ConfigError(f"damaged artifact {os.path.join(run_dir, 'config.txt')}: {exc}") from None
+    try:
+        returns = parse_returns_binary(series_bytes)
     except ValueError as exc:
-        raise ConfigError(f"damaged artifact {path}: {exc}")
-    return config, returns
+        raise ConfigError(f"damaged artifact {os.path.join(run_dir, 'returns_raw.bin')}: {exc}")
+    return config, returns if use_raw else rescale_returns(returns, config["rescale_k"])
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis
+
     returns_by_x = {}
     # every directory is read and fitted before anything is written
     analysed = []  # (run dir, CCDF, binned density, fit row)
@@ -569,8 +627,16 @@ def _fmt_cell(value):
 
 # -- validate ----------------------------------------------------------------
 
-def validation_checks(pfrg=voting.fragmentation_probability) -> list:
-    """Fast oracle suite; each entry is (name, passed, detail)."""
+def validation_checks(pfrg=None) -> list:
+    """Fast oracle suite; each entry is (name, passed, detail).
+
+    `pfrg(s, x)` is the fragmentation probability under test, by default
+    `voting.fragmentation_probability`.
+    """
+    from . import analysis, meanfield, voting
+
+    if pfrg is None:
+        pfrg = voting.fragmentation_probability
     results = []
 
     xs = (0.34, 0.35, 0.37, 0.41, 0.45, 0.47, 0.499)
@@ -651,10 +717,12 @@ def validation_checks(pfrg=voting.fragmentation_probability) -> list:
 
 
 def cmd_validate(args) -> int:
-    pfrg = voting.fragmentation_probability
+    from .voting import fragmentation_probability
+
+    pfrg = None
     if args.perturb_pfrg:
         eps = args.perturb_pfrg
-        pfrg = lambda s, x: min(1.0, voting.fragmentation_probability(s, x) + eps)
+        pfrg = lambda s, x: min(1.0, fragmentation_probability(s, x) + eps)
         print(f"note: self-test perturbation +{eps} applied to the fragmentation "
               f"probability; failures below are expected", file=sys.stderr)
     results = validation_checks(pfrg)

@@ -40,6 +40,11 @@ decodes the picks of a whole block in one NumPy pass when it draws the
 block (the same IEEE product and truncation), so the loop reads them ready
 made and never converts a float.
 
+The run parameters (`SimConfig`) live in `config` and the return-series
+files and rescaling in `series`; this module re-exports them, and the
+command line's run path calls `rescale_returns` and the writers through
+this module.
+
 Trading groups staying intact is a deliberate reading of the rules: only
 the no-consensus outcome disperses a group, so the balance equations in
 `meanfield` carry no trade-loss term.  Herding dynamics in which trading
@@ -51,97 +56,25 @@ model.
 from __future__ import annotations
 
 import gc
-import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .config import SimConfig, VoteMode
 from .population import Partition
-from .strategy import VoteMode, assign_strategies, history_index, update_history
+from .series import (  # noqa: F401  (the run path calls them as `engine.<name>`)
+    read_returns_binary,
+    read_returns_text,
+    rescale_returns,
+    write_returns_binary,
+    write_returns_text,
+)
+from .strategy import assign_strategies, history_index, update_history
 from .voting import Decision, decision_cdf
 
 _BUF_SIZE = 1 << 16
 _CHECK_EVERY = 10_000  # steps between partition checksums in `advance`
-_TEXT_CHUNK = 1 << 13  # values per write in `write_returns_text`
-
-# Strategy tables hold n_agents * 2**memory entries; a config above this
-# budget is refused before anything is allocated.
-_TABLE_BUDGET = 2**24
-
-
-@dataclass(kw_only=True)
-class RunConfig:
-    """Parameters every model's run shares, with their defaults and checks.
-
-    Keyword-only, like its subclasses `SimConfig` and `ez.EzConfig`; the
-    defaults are the command line's.
-    """
-    n_agents: int = 10_000
-    total_steps: int = 1_000_000
-    equilibration_steps: int | None = None  # default: 10% of total_steps
-    seed: int = 1
-    rescale_k: int = 2  # steps summed per return in the rescaled series
-
-    def __post_init__(self):
-        if self.equilibration_steps is None:
-            self.equilibration_steps = self.total_steps // 10
-        self.validate()
-
-    def validate(self) -> None:
-        if self.n_agents < 2:
-            raise ValueError(f"n_agents must be >= 2, got {self.n_agents}")
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
-        if not 0 <= self.equilibration_steps < self.total_steps:
-            raise ValueError(
-                f"equilibration_steps must be in [0, total_steps), got "
-                f"{self.equilibration_steps} of {self.total_steps}"
-            )
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.rescale_k < 1:
-            raise ValueError(f"rescale_k must be >= 1, got {self.rescale_k}")
-
-
-@dataclass(kw_only=True)
-class SimConfig(RunConfig):
-    x: float = 0.37
-    memory: int = 2
-    initial_history: tuple = (1, 1)
-    vote_mode: VoteMode = VoteMode.STRATEGY_DRIVEN
-    disperse_after_trade: bool = False  # sensitivity switch, off in the model
-
-    def __post_init__(self):
-        try:
-            self.vote_mode = VoteMode(self.vote_mode)
-        except ValueError:
-            allowed = " or ".join(repr(m.value) for m in VoteMode)
-            raise ValueError(f"vote_mode must be {allowed}, got {self.vote_mode!r}") from None
-        self.initial_history = tuple(int(b) for b in self.initial_history)
-        super().__post_init__()
-
-    def validate(self) -> None:
-        super().validate()
-        if not 0.0 < self.x < 1.0:
-            raise ValueError(f"x must be in (0, 1), got {self.x}")
-        if self.memory < 1:
-            raise ValueError("memory must be >= 1")
-        # the first test keeps a huge memory from building a huge integer
-        if (self.memory >= _TABLE_BUDGET.bit_length()
-                or self.n_agents << self.memory > _TABLE_BUDGET):
-            raise ValueError(
-                f"strategy tables of n_agents * 2**memory = {self.n_agents} * 2**{self.memory} "
-                f"entries exceed the budget of {_TABLE_BUDGET} entries; lower memory or n_agents"
-            )
-        if len(self.initial_history) != self.memory:
-            raise ValueError(
-                f"initial_history length {len(self.initial_history)} != memory {self.memory}"
-            )
-        if any(b not in (0, 1) for b in self.initial_history):
-            raise ValueError(
-                f"initial_history bits must be 0 or 1, got {self.initial_history}")
-
 
 class StepEvent(NamedTuple):
     index: int
@@ -201,7 +134,8 @@ class SimState:
         self.decision_counts = [0, 0, 0, 0]  # indexed by Decision
         self._n = config.n_agents
         self._size_cdf = size_cdf
-        self._cdf = [None] * (config.n_agents + 1)  # filled lazily by `advance`
+        # per-size decision CDFs (drawn decisions only), filled lazily by `advance`
+        self._cdf = None if size_cdf is None else [None] * (config.n_agents + 1)
         self._disperse = disperse
         self._ez_merge = ez_merge
         # per-agent table rows and per-group packed tallies (strategy mode)
@@ -651,56 +585,3 @@ def simulate(state: SimState, rng: np.random.Generator, config) -> tuple[np.ndar
         final_size_histogram=state.partition.size_histogram(),
     )
     return returns, summary
-
-
-def rescale_returns(series: np.ndarray, k: int) -> np.ndarray:
-    """Sum non-overlapping windows of k consecutive returns; partial tail dropped."""
-    if k < 1:
-        raise ValueError(f"window length must be >= 1, got {k}")
-    series = np.asarray(series)
-    if k == 1:
-        return series.copy()
-    n = (len(series) // k) * k
-    return series[:n].reshape(-1, k).sum(axis=1)
-
-
-# -- return-series files -------------------------------------------------
-
-def write_returns_text(path, series) -> None:
-    """One signed integer per line, LF endings."""
-    series = np.asarray(series)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        # joined chunk by chunk: the text of a whole series is never in memory.
-        # Every integer in a chunk's [min, max] is formatted once and looked up
-        # by its offset from min; a span wider than the chunk formats each value
-        for start in range(0, len(series), _TEXT_CHUNK):
-            chunk = series[start:start + _TEXT_CHUNK]
-            lo, hi = int(chunk.min()), int(chunk.max())
-            if hi - lo < len(chunk):
-                text = list(map(str, range(lo, hi + 1)))
-                lines = map(text.__getitem__, (chunk - lo).tolist())
-            else:
-                lines = map(str, chunk.tolist())
-            fh.write("\n".join(lines) + "\n")
-
-
-def read_returns_text(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return np.array([int(line) for line in fh if line.strip()], dtype=np.int64)
-
-
-def write_returns_binary(path, series) -> None:
-    """Length-prefixed binary: little-endian uint64 count, then int64 values."""
-    arr = np.asarray(series, dtype="<i8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", len(arr)))
-        fh.write(arr.tobytes())
-
-
-def read_returns_binary(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        (count,) = struct.unpack("<Q", fh.read(8))
-        data = np.frombuffer(fh.read(count * 8), dtype="<i8")
-    if len(data) != count:
-        raise ValueError(f"expected {count} values, file holds {len(data)}")
-    return data.astype(np.int64)

@@ -15,34 +15,24 @@ size, so large groups essentially never trade; here it is constant, so
 any particular large group trades more often than a small one.  The two
 models are compared on their return-tail statistics only.
 
-The baseline runs on the engine's fused loop (`engine.advance`) as one of
-its configurations: the decision distribution is the constant
-(a/2, a/2, 1-a) for (buy, sell, merge), trading groups disperse, and merges
-follow the rule above.  The dynamics stream is
-`numpy.random.default_rng(seed)`; every draw is a scalar uniform from a
-pre-drawn block, consumed per step in the order [agent pick][decision]
-[other-agent rejections].  The loop reads the agent picks int(u * n)
+Its parameters, `EzConfig` (trade probability `a`), live in `config`
+with the voting model's.  The baseline runs on the engine's fused loop
+(`engine.advance`) as one of its configurations: the decision
+distribution is the constant (a/2, a/2, 1-a) for (buy, sell, merge),
+trading groups disperse, and merges follow the rule above.  The dynamics
+stream is `numpy.random.default_rng(seed)`; every draw is a scalar uniform
+from a pre-drawn block, consumed per step in the order [agent pick]
+[decision][other-agent rejections].  The loop reads the agent picks int(u * n)
 decoded for the whole block; `ez_step` computes them from the floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .engine import _draw_block, RunConfig, RunSummary, SimState, StepEvent, simulate
+from .config import EzConfig
+from .engine import _draw_block, RunSummary, SimState, StepEvent, simulate
 from .voting import Decision
-
-
-@dataclass(kw_only=True)
-class EzConfig(RunConfig):
-    a: float = 0.01  # per-step trade probability
-
-    def validate(self) -> None:
-        super().validate()
-        if not 0.0 < self.a < 1.0:
-            raise ValueError(f"trade probability must be in (0, 1), got {self.a}")
 
 
 def init_ez_state(config: EzConfig) -> tuple[SimState, np.random.Generator]:

@@ -10,7 +10,8 @@ The tables of a population are one C-contiguous uint8 array of shape
 (n_agents, 2^m): row a is agent a's table, column `history_index(h)` its
 action at history h.  Nothing else holds them.
 
-Two polling modes are supported:
+Two polling modes are supported (`VoteMode`, defined in `config` with the
+run parameters that select it):
 
   STRATEGY_DRIVEN  each member votes its table entry for the current
                    history; re-polling the same group at the same history
@@ -30,11 +31,11 @@ no-trade steps (no trade, no price movement).
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
+from .config import VoteMode
 from .voting import VoteTally
 
 BUY, SELL, WAIT = 0, 1, 2
@@ -42,11 +43,6 @@ BUY, SELL, WAIT = 0, 1, 2
 History = tuple  # m bits, most recent last
 
 _DRAW_CHUNK = 1 << 20  # table entries per int64 draw in `assign_strategies`
-
-
-class VoteMode(str, Enum):
-    STRATEGY_DRIVEN = "strategy"
-    IID_UNIFORM = "iid"
 
 
 def history_index(history: History) -> int:

@@ -51,7 +51,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -470,6 +469,7 @@ def enumerate_fragmentation_probability(size: int, x) -> Fraction:
         raise ValueError(f"group size must be >= 1, got {size}")
     if size > _ENUM_SIZE_LIMIT:
         raise ValueError(f"3^{size} assignments is too many to enumerate (limit {_ENUM_SIZE_LIMIT})")
+    from fractions import Fraction  # imported here: it loads `decimal`, which nothing else uses
     t = float(x) * size
     n = 3**size
     codes = np.arange(n, dtype=np.int64)

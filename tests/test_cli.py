@@ -1,20 +1,28 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from herdvote import analysis, cli
-from herdvote.engine import read_returns_binary, read_returns_text
+import herdvote
+from herdvote import analysis, cli, engine
+from herdvote.series import read_returns_binary, read_returns_text
 
 
 def run_cli(argv):
     return cli.main(argv)
+
+
+def sha256_of(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def tiny_run_args(out, extra=()):
@@ -133,6 +141,64 @@ def test_run_artifacts_are_pinned(tmp_path, capsys, override):
     assert manifest["artifacts"] == PINNED_ARTIFACTS[override]
 
 
+# sha256 of the analysis outputs of the same three runs: analysis/ccdf.csv,
+# pdf.csv and fit.csv and the summary CSV, of the rescaled series (False) and
+# with --use-raw (True).  Computed while `analyze` parsed the text series;
+# it now reads returns_raw.bin, and these show that the bytes did not move.
+PINNED_ANALYSIS = {
+    ("vote_mode=strategy", False): {
+        "ccdf.csv": "9064eebe574739ea5f1971d802db17e98332d1009bdb59062b96df066e640ed5",
+        "pdf.csv": "8579bc559a1f702a9ea12a1ca9e5f1a8e21448650e87edf3fa41031ad4a8daed",
+        "fit.csv": "8881dc931568c9062037e140b1afcd97961a019100fd3aa9834f8cac84a40c0b",
+        "summary": "738046a0b1dc7c6cb30fb8108ef8a0579d93ddcf034a397895e3c3a7685c5ca0",
+    },
+    ("vote_mode=strategy", True): {
+        "ccdf.csv": "2c0836ac3ff88ad6a46d1cbafd567f976f057abae526724aa637eccf29e16fb7",
+        "pdf.csv": "e2efdead72fcc67d8fad03cdd9a241f75eb10fe031339f554bed3cb1b22260c9",
+        "fit.csv": "48eff042ae6f46b5d7e507187c3f66dccf48c81b086a848e76ac5ea5bf0c1177",
+        "summary": "3cc05d10769c79a2d7796b230a55765499a72f5b012af3cccd8bb0ec856cb445",
+    },
+    ("vote_mode=iid", False): {
+        "ccdf.csv": "a69729d4958e7558ee37a21f55f7a7cb2ce3e52638ba94d37be5ea2d9a363691",
+        "pdf.csv": "761f6995b2a00e61c1d3513e66eb9ca6030f243161e239093b29d998db6b25b7",
+        "fit.csv": "42af9f34da8fae92ab89c48c2484d59788986c3b8202814325f7e11185b0bb3f",
+        "summary": "532eacf14743de36a672245041263a4c79e264c6cdf71f52cb2d22defc4e5682",
+    },
+    ("vote_mode=iid", True): {
+        "ccdf.csv": "0795757fd6b8084ff09bd887ba2ee5e5104400b795f4d351fbb8401872798cb3",
+        "pdf.csv": "d7cc90288811d2c11fac94b74917d8dbdab9493d4edc91ef4c77e62d458f293b",
+        "fit.csv": "a10fc221e720216b4004f1ea706c26e48cfac5c6955cee31ea33706c90ecff0c",
+        "summary": "6188a181f0f498191debb5089ea97728d0d662ccc4d1c4f4c7aa24c3704a9078",
+    },
+    ("model=ez", False): {
+        "ccdf.csv": "0ca4b3e3b8af2ec0163d551c432d056727fed94adddceba2db2c23bd6de60c5a",
+        "pdf.csv": "bcc7385fc76eda432937814868611168ffb1d0cec941fd5137a5ab870a66adb7",
+        "fit.csv": "372937660917c5d16847a96586df3c4460ca85a350c5f256ea025592328321da",
+        "summary": "b507cd7ac1afe4c1fc269dbeb61a59861fd99a2d381e1ac04cf79ab0f133eab2",
+    },
+    ("model=ez", True): {
+        "ccdf.csv": "c5f26674b2bf5d5a20a1edb3da77a6f0d49055b9c512b596bd540c0a8a2b1516",
+        "pdf.csv": "ecddd29be68786138bd054b79756cbba3b2ca68adf69752d736bdf164a5b62c9",
+        "fit.csv": "ab399873e342538fe2ce88a71507c1693d02d113c0a1fca8fcf120dfbe81033b",
+        "summary": "6da737b20de7caefed143c1dbda1bb7e81c772f7f039a5659327ba096108945c",
+    },
+}
+
+
+@pytest.mark.parametrize("override, use_raw", list(PINNED_ANALYSIS))
+def test_analyze_outputs_are_pinned(tmp_path, capsys, override, use_raw):
+    argv = ["run", "--out", str(tmp_path), "--set", "n_agents=300", "--set", "total_steps=30000",
+            "--set", "x=0.41", "--set", "seed=1", "--set", override]
+    assert run_cli(argv) == 0
+    run_dir = capsys.readouterr().out.strip()
+    summary = tmp_path / "summary.csv"
+    assert run_cli(["analyze", run_dir, "--out", str(summary),
+                    *(["--use-raw"] if use_raw else [])]) == 0
+    digests = {name: sha256_of(os.path.join(run_dir, "analysis", name))
+               for name in ("ccdf.csv", "pdf.csv", "fit.csv")}
+    assert {**digests, "summary": sha256_of(summary)} == PINNED_ANALYSIS[override, use_raw]
+
+
 def test_docstring_table_is_the_defaults():
     table = cli.__doc__.split("`default_config()`):\n\n", 1)[1].split("\n\n", 1)[0]
     assert len(table.splitlines()) == len(cli.default_config())
@@ -224,7 +290,7 @@ def test_crash_mid_write_leaves_no_partial_artifact(tmp_path, capsys, monkeypatc
             fh.write("12\n-3\n")  # part of the series, then the writer dies
         raise OSError("disk full")
 
-    monkeypatch.setattr(cli.engine, "write_returns_text", crashing_writer)
+    monkeypatch.setattr(engine, "write_returns_text", crashing_writer)
     with pytest.raises(OSError, match="disk full"):
         run_cli(tiny_run_args(tmp_path / "a"))
     monkeypatch.undo()
@@ -271,6 +337,77 @@ assert "scipy" not in sys.modules
     result = subprocess.run([sys.executable, "-c", script], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+BASE_MODULES = {"herdvote", "herdvote.cli", "herdvote.config"}
+SIMULATOR = {"herdvote.engine", "herdvote.population", "herdvote.series", "herdvote.strategy",
+             "herdvote.voting"}
+COMMAND_MODULES = {
+    "version": BASE_MODULES,
+    "meanfield": BASE_MODULES | {"herdvote.meanfield", "herdvote.voting"},
+    "analyze": BASE_MODULES | {"herdvote.analysis", "herdvote.series"},
+    "run": BASE_MODULES | SIMULATOR,
+    "run_ez": BASE_MODULES | SIMULATOR | {"herdvote.ez"},
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_MODULES))
+def test_each_command_loads_only_its_layers(tmp_path, capsys, command):
+    """The package modules a fresh process holds after one command: an eager
+    import added anywhere shows here before it slows every command down."""
+    run_args = tiny_run_args(tmp_path / "runs")
+    argv = {
+        "version": ["--version"],
+        "meanfield": ["meanfield", "--n-agents", "50", "--x", "0.41",
+                      "--out", str(tmp_path / "dist.txt")],
+        "analyze": ["analyze", "RUN_DIR", "--r-min", "1", "--out", str(tmp_path / "s.csv")],
+        "run": run_args,
+        "run_ez": [*run_args, "--set", "model=ez"],
+    }[command]
+    if command == "analyze":
+        assert run_cli(run_args) == 0
+        argv[1] = capsys.readouterr().out.strip()
+    script = """
+import contextlib, io, json, sys
+from herdvote import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = cli.main(json.loads(sys.argv[1]))
+    except SystemExit as exc:  # --version
+        code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "herdvote")]))
+"""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", script, json.dumps(argv)], env=env,
+                            capture_output=True, text=True, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    code, modules = json.loads(result.stdout)
+    assert code == 0
+    assert set(modules) == COMMAND_MODULES[command]
+
+
+def test_package_names_resolve_on_first_access():
+    """`import herdvote` loads no subpackage; each exported name then
+    resolves to the object its home module defines."""
+    script = """
+import sys
+import herdvote
+assert sorted(m for m in sys.modules if m.startswith("herdvote")) == ["herdvote"]
+for name in herdvote.__all__:
+    getattr(herdvote, name)
+assert herdvote.run is sys.modules["herdvote.engine"].run
+assert herdvote.SimConfig is sys.modules["herdvote.config"].SimConfig
+assert herdvote.engine is sys.modules["herdvote.engine"]
+assert set(herdvote.__all__) <= set(dir(herdvote))
+"""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    with pytest.raises(AttributeError, match="no_such_name"):
+        herdvote.no_such_name
 
 
 def test_absolute_majority_warning_lands_in_manifest(tmp_path, capsys):
@@ -423,7 +560,7 @@ def test_out_under_an_existing_file_is_config_error(tmp_path, monkeypatch, capsy
     def no_simulation(*_args):
         raise AssertionError("simulated although the output cannot be written")
 
-    monkeypatch.setattr(cli.engine, "run", no_simulation)
+    monkeypatch.setattr(engine, "run", no_simulation)
     argv = {
         "run": tiny_run_args(a_file),
         "sweep": sweep_args(a_file, 1),
@@ -537,28 +674,91 @@ def test_analyze_missing_artifact_named(tmp_path, capsys):
     assert "config.txt" in capsys.readouterr().err
 
 
-def test_analyze_no_trades_is_explicit(tmp_path, capsys):
-    run_dir = tmp_path / "zero"
+def write_analyze_inputs(run_dir, series_bytes):
+    """A run directory holding only what `analyze` reads: config.txt, a
+    returns_raw.bin of the given bytes and a manifest of their digests."""
     run_dir.mkdir()
     config = cli.resolve_config(cli.apply_overrides(
         cli.default_config(), ["n_agents=100", "total_steps=1000"]))
-    (run_dir / "config.txt").write_text(cli.config_text(config))
-    (run_dir / "returns_rescaled_k2.txt").write_text("0\n" * 50)
+    files = {"config.txt": cli.config_text(config).encode(), "returns_raw.bin": series_bytes}
+    for name, data in files.items():
+        (run_dir / name).write_bytes(data)
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+    (run_dir / "manifest.json").write_text(json.dumps({"artifacts": digests}))
+
+
+def test_analyze_no_trades_is_explicit(tmp_path, capsys):
+    run_dir = tmp_path / "zero"
+    write_analyze_inputs(run_dir, (100).to_bytes(8, "little") + bytes(8 * 100))
     code = run_cli(["analyze", str(run_dir)])
     assert code == cli.EXIT_CONFIG
     assert "no trades" in capsys.readouterr().err
 
 
 def test_analyze_damaged_returns_file(tmp_path, capsys):
+    """A series file whose count disagrees with its values, recorded as such
+    in the manifest, is refused by the reader."""
     run_dir = tmp_path / "damaged"
-    run_dir.mkdir()
-    config = cli.resolve_config(cli.apply_overrides(
-        cli.default_config(), ["n_agents=100", "total_steps=1000"]))
-    (run_dir / "config.txt").write_text(cli.config_text(config))
-    (run_dir / "returns_rescaled_k2.txt").write_text("3\n-1\ngarbage\n2\n")
+    values = np.array([3, -1, 2], dtype="<i8").tobytes()
+    write_analyze_inputs(run_dir, (4).to_bytes(8, "little") + values)
     code = run_cli(["analyze", str(run_dir), "--out", str(tmp_path / "summary.csv")])
     assert code == cli.EXIT_CONFIG
-    assert "returns_rescaled_k2.txt" in capsys.readouterr().err
+    assert "returns_raw.bin" in capsys.readouterr().err
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-5])
+
+
+def _flip_one_byte(path):
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0x10
+    path.write_bytes(bytes(data))
+
+
+def _unparseable(path):
+    path.write_text('{"artifacts": {')
+
+
+def _without_series_entry(path):
+    manifest = json.loads(path.read_text())
+    del manifest["artifacts"]["returns_raw.bin"]
+    path.write_text(json.dumps(manifest))
+
+
+def _edit_seed(path):
+    text = path.read_text()
+    assert "seed = 3\n" in text
+    path.write_text(text.replace("seed = 3\n", "seed = 4\n"))
+
+
+@pytest.mark.parametrize("name, damage", [
+    ("returns_raw.bin", _truncate),
+    ("returns_raw.bin", _flip_one_byte),
+    ("returns_raw.bin", os.remove),
+    ("manifest.json", os.remove),
+    ("manifest.json", _unparseable),
+    ("manifest.json", _without_series_entry),
+    ("config.txt", _edit_seed),
+], ids=["bin_truncated", "bin_byte_flipped", "bin_deleted", "manifest_deleted",
+        "manifest_unparseable", "manifest_without_entry", "config_edited"])
+def test_analyze_damaged_artifact_is_named(tmp_path, capsys, name, damage):
+    """Exit 3 with one error line naming the file; nothing is written, also
+    for an intact run directory named before the damaged one."""
+    assert run_cli(tiny_run_args(tmp_path / "runs", extra=["--set", "seed=5"])) == 0
+    intact = capsys.readouterr().out.strip()
+    assert run_cli(tiny_run_args(tmp_path / "runs")) == 0
+    damaged = capsys.readouterr().out.strip()
+    damage(Path(damaged) / name)
+    out_csv = tmp_path / "summary.csv"
+    code = run_cli(["analyze", intact, damaged, "--r-min", "1", "--out", str(out_csv)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert os.path.join(damaged, name) in err
+    assert not out_csv.exists()
+    for run_dir in (intact, damaged):
+        assert not os.path.exists(os.path.join(run_dir, "analysis"))
 
 
 def test_analyze_summary_fits_at_the_largest_own_cutoff(tmp_path, capsys):

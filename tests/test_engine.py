@@ -359,6 +359,16 @@ def test_iid_state_draws_no_tables(monkeypatch):
     monkeypatch.setattr(engine, "assign_strategies", no_draw)
     state, _ = init_state(small_config(vote_mode=VoteMode.IID_UNIFORM))
     assert state._rows is None and state._single is None
+    assert len(state._cdf) == state.config.n_agents + 1
+
+
+def test_strategy_state_holds_no_size_cdfs():
+    """Strategy votes never read a decision CDF, so the state keeps no
+    per-size list for them (N + 1 pointers, 8 MB at N = 2^20)."""
+    state, rng = init_state(small_config(vote_mode=VoteMode.STRATEGY_DRIVEN))
+    assert state._cdf is None
+    advance(state, rng, 5_000)
+    assert state._cdf is None
 
 
 def test_conditional_decision_frequencies_iid():

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from herdvote import voting
 from herdvote.voting import (
@@ -82,6 +84,38 @@ def test_decide_three_way_tie():
     rng = np.random.default_rng(5)
     outcomes = {decide(VoteTally(2, 2, 2), 0.30, rng) for _ in range(200)}
     assert outcomes == {Decision.BUY, Decision.SELL, Decision.MERGE}
+
+
+ALL_TALLIES = [VoteTally(b, s, size - b - s) for size in range(1, 31)
+               for b in range(size + 1) for s in range(size + 1 - b)]
+
+
+# x = k / n puts the threshold of a size-n group on the integer k, where a
+# count equal to T must clear it
+THRESHOLD_ON_A_COUNT = st.integers(2, 30).flatmap(
+    lambda n: st.integers(1, n - 1).map(lambda k: k / n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | THRESHOLD_ON_A_COUNT)
+def test_decide_classifies_every_small_tally(x):
+    """Every tally of at most 30 votes, classified from its definition: it
+    fragments when all three counts fall below T, else the options holding
+    the maximum are the tied set.  A single option is returned without
+    drawing; on a tie the result lies in the tied set."""
+    rng = np.random.default_rng(17)
+    options = (Decision.BUY, Decision.SELL, Decision.MERGE)
+    for tally in ALL_TALLIES:
+        threshold = consensus_threshold(sum(tally), x)
+        if all(count < threshold for count in tally):
+            expected = {Decision.FRAGMENT}
+        else:
+            expected = {o for o, count in zip(options, tally) if count == max(tally)}
+        before = rng.bit_generator.state
+        result = decide(tally, x, rng)
+        assert result in expected, (tally, x)
+        if len(expected) == 1:
+            assert rng.bit_generator.state == before, (tally, x)
 
 
 def test_decide_is_total_on_random_tallies():
