@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MIN_TAIL = 100  # fewest tail points a power-law fit accepts
+
 
 @dataclass
 class CcdfCurve:
@@ -104,15 +106,15 @@ def log_binned_pdf(returns, bins_per_decade: int = 10) -> tuple[np.ndarray, np.n
     return centers[keep], density[keep]
 
 
-def fit_power_law(sample, r_min: float | None = None, min_tail: int = 100) -> TailFit:
-    """Tail-exponent MLE over |sample| >= r_min.
+def fit_power_law(sample, r_min: float | None = None) -> TailFit:
+    """Tail-exponent MLE over |sample| >= r_min, from at least `MIN_TAIL` points.
 
     With r_min=None the cutoff is scanned over a grid of observed values
     (capped at 64 candidates) and the KS-optimal one is kept.
     """
     vals = _abs_nonzero(sample)
     if r_min is not None:
-        return _fit_at(vals, float(r_min), min_tail)
+        return _fit_at(vals, float(r_min))
     # with return_counts NumPy's unique does not import numpy.ma (10-13 ms)
     candidates = np.unique(vals, return_counts=True)[0]
     if len(candidates) > 64:
@@ -121,21 +123,21 @@ def fit_power_law(sample, r_min: float | None = None, min_tail: int = 100) -> Ta
     best = None
     for cand in candidates:
         try:
-            fit = _fit_at(vals, float(cand), min_tail)
+            fit = _fit_at(vals, float(cand))
         except ValueError:
             continue
         if best is None or fit.ks_distance < best.ks_distance:
             best = fit
     if best is None:
-        raise ValueError(f"no cutoff leaves at least {min_tail} non-degenerate tail points")
+        raise ValueError(f"no cutoff leaves at least {MIN_TAIL} non-degenerate tail points")
     return best
 
 
-def _fit_at(vals: np.ndarray, r_min: float, min_tail: int) -> TailFit:
+def _fit_at(vals: np.ndarray, r_min: float) -> TailFit:
     tail = vals[vals >= r_min]
     n = len(tail)
-    if n < min_tail:
-        raise ValueError(f"only {n} tail points above r_min={r_min}, need {min_tail}")
+    if n < MIN_TAIL:
+        raise ValueError(f"only {n} tail points above r_min={r_min}, need {MIN_TAIL}")
     log_sum = float(np.sum(np.log(tail / r_min)))
     if log_sum <= 0.0:
         raise ValueError(f"degenerate tail: all points equal r_min={r_min}")
@@ -167,7 +169,6 @@ def cutoff_scan(
     returns_by_x: dict,
     r_min: float | None = None,
     tail_threshold: float = 50.0,
-    min_tail: int = 100,
 ) -> list[dict]:
     """Tail fits for several consensus parameters over one common fit range.
 
@@ -184,7 +185,7 @@ def cutoff_scan(
         picked = []
         for vals in series.values():
             try:
-                picked.append(fit_power_law(vals, None, min_tail).r_min)
+                picked.append(fit_power_law(vals).r_min)
             except ValueError:
                 pass
         if not picked:
@@ -199,7 +200,7 @@ def cutoff_scan(
             "tail_threshold": tail_threshold,
         }
         try:
-            fit = _fit_at(vals, r_min, min_tail)
+            fit = _fit_at(vals, r_min)
             row.update(
                 alpha_density=fit.alpha_density,
                 alpha_cumulative=fit.alpha_cumulative,

@@ -36,8 +36,9 @@ echoed into every run directory and its SHA-256 names the directory, so a
 run can always be reproduced byte for byte from its manifest.
 
 Exit codes: 0 success, 2 usage error, 3 config/input error, 4 validation
-failure, 5 solver non-convergence.  HERDVOTE_WORKERS sets the default
-worker count for sweeps.
+failure, 5 solver non-convergence.  The options and config keys are all
+the settings there are: no environment variable changes what a command
+does.
 
 Each subcommand imports only the layers it runs, inside the function that
 runs them: the simulator (`engine`, `ez`) on the run path, `analysis` in
@@ -75,8 +76,6 @@ EXIT_VALIDATION = 4
 EXIT_NONCONVERGENCE = 5
 
 SCHEMA_VERSION = 2
-
-WORKERS_ENV = "HERDVOTE_WORKERS"
 
 
 class ConfigError(Exception):
@@ -298,12 +297,7 @@ def execute_run(config: dict, out_root: str) -> RunResult:
 
         manifest_path = os.path.join(run_dir, "manifest.json")
         if os.path.exists(manifest_path):
-            try:
-                with open(manifest_path, "r", encoding="utf-8") as fh:
-                    recorded = json.load(fh)["artifacts"]
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ConfigError(f"damaged manifest {manifest_path}: {exc!r}")
-            if recorded != artifacts:
+            if _recorded_digests(manifest_path) != artifacts:
                 raise ConfigError(f"refusing to overwrite {manifest_path}: its artifact "
                                   f"digests differ from the verified artifacts")
             return result
@@ -324,6 +318,24 @@ def execute_run(config: dict, out_root: str) -> RunResult:
     finally:
         shutil.rmtree(staging, ignore_errors=True)
     return result
+
+
+def _recorded_digests(manifest_path: str) -> dict:
+    """The artifact digests a run's manifest records, by file name.
+
+    A manifest that is not JSON or holds no "artifacts" mapping is a config
+    error that names it.
+    """
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            recorded = json.load(fh)["artifacts"]
+    except KeyError as exc:
+        raise ConfigError(f"damaged manifest {manifest_path}: no entry {exc.args[0]!r}") from None
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"damaged manifest {manifest_path}: {exc!r}") from None
+    if not isinstance(recorded, dict):
+        raise ConfigError(f"damaged manifest {manifest_path}: its artifacts are not a mapping")
+    return recorded
 
 
 def _write_text(path, text: str) -> None:
@@ -424,18 +436,13 @@ def cmd_sweep(args) -> int:
                 config["seed"] = derive_seed(args.master_seed, x, n, rep)
                 points.append((config, args.out))
 
-    try:
-        workers = args.workers or int(os.environ.get(WORKERS_ENV, "1"))
-    except ValueError:
-        raise ConfigError(
-            f"{WORKERS_ENV} must be an integer, got {os.environ[WORKERS_ENV]!r}") from None
     _make_dir(args.out)
-    if workers <= 1:
+    if args.workers <= 1:
         records = [_sweep_point(p) for p in points]
     else:
         # imported here: it pulls in multiprocessing, which only a parallel sweep uses
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
             records = list(pool.map(_sweep_point, points))
 
     manifest = {
@@ -497,16 +504,12 @@ def _read_verified(run_dir: str, names) -> list:
     for path in [os.path.join(run_dir, name) for name in names] + [manifest_path]:
         if not os.path.exists(path):
             raise ConfigError(f"missing artifact: {path}")
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            recorded = json.load(fh)["artifacts"]
-        digests = [recorded[name] for name in names]
-    except KeyError as exc:
-        raise ConfigError(f"damaged manifest {manifest_path}: no entry {exc.args[0]!r}") from None
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"damaged manifest {manifest_path}: {exc!r}") from None
+    recorded = _recorded_digests(manifest_path)
     contents = []
-    for name, digest in zip(names, digests):
+    for name in names:
+        if name not in recorded:
+            raise ConfigError(f"damaged manifest {manifest_path}: no entry {name!r}")
+        digest = recorded[name]
         path = os.path.join(run_dir, name)
         with open(path, "rb") as fh:
             data = fh.read()
@@ -576,11 +579,16 @@ def cmd_analyze(args) -> int:
     r_min = args.r_min if args.r_min is not None else max(cutoffs, default=None)
     if r_min is None:
         raise ConfigError(
-            "no run has enough trades for a tail fit (every cutoff leaves fewer than "
-            "100 tail points); pass --r-min to fit every run at a fixed cutoff")
+            f"no run has enough trades for a tail fit (every cutoff leaves fewer than "
+            f"{analysis.MIN_TAIL} tail points); pass --r-min to fit every run at a fixed cutoff")
+    # a file in the way of an output fails here, before anything is written
+    _make_dir(os.path.dirname(args.out) or os.curdir)
+    if os.path.isdir(args.out):
+        raise ConfigError(f"cannot write {args.out}: it is a directory")
+    for run_dir, *_ in analysed:
+        _make_dir(os.path.join(run_dir, "analysis"))
     for run_dir, curve, (centers, density), fit_row in analysed:
         out_dir = os.path.join(run_dir, "analysis")
-        os.makedirs(out_dir, exist_ok=True)
         _write_csv(
             os.path.join(out_dir, "ccdf.csv"),
             ("value", "probability"),
@@ -627,16 +635,16 @@ def _fmt_cell(value):
 
 # -- validate ----------------------------------------------------------------
 
-def validation_checks(pfrg=None) -> list:
+def validation_checks() -> list:
     """Fast oracle suite; each entry is (name, passed, detail).
 
-    `pfrg(s, x)` is the fragmentation probability under test, by default
-    `voting.fragmentation_probability`.
+    The fragmentation probability under test is looked up as
+    `voting.fragmentation_probability` when the checks run, so a test that
+    replaces it sees the checks fail.
     """
     from . import analysis, meanfield, voting
 
-    if pfrg is None:
-        pfrg = voting.fragmentation_probability
+    pfrg = voting.fragmentation_probability
     results = []
 
     xs = (0.34, 0.35, 0.37, 0.41, 0.45, 0.47, 0.499)
@@ -717,15 +725,7 @@ def validation_checks(pfrg=None) -> list:
 
 
 def cmd_validate(args) -> int:
-    from .voting import fragmentation_probability
-
-    pfrg = None
-    if args.perturb_pfrg:
-        eps = args.perturb_pfrg
-        pfrg = lambda s, x: min(1.0, fragmentation_probability(s, x) + eps)
-        print(f"note: self-test perturbation +{eps} applied to the fragmentation "
-              f"probability; failures below are expected", file=sys.stderr)
-    results = validation_checks(pfrg)
+    results = validation_checks()
     width = max(len(name) for name, _, _ in results)
     ok = True
     for name, passed, detail in results:
@@ -759,8 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n-agents", help="comma-separated population sizes")
     p_sweep.add_argument("--replicates", type=int, default=1, help="seeds per grid point")
     p_sweep.add_argument("--master-seed", type=int, default=1)
-    p_sweep.add_argument("--workers", type=int, default=0,
-                         help=f"parallel workers (default ${WORKERS_ENV} or 1)")
+    p_sweep.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     p_sweep.add_argument("--out", default="runs", help="output root directory")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -783,9 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.set_defaults(func=cmd_analyze)
 
     p_val = sub.add_parser("validate", help="run the fast oracle self-checks")
-    p_val.add_argument("--perturb-pfrg", type=float, default=0.0,
-                       help="negative-control hook: bias the fragmentation "
-                            "probability to prove the checks can fail")
     p_val.set_defaults(func=cmd_validate)
     return parser
 

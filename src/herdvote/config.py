@@ -62,7 +62,6 @@ class SimConfig(RunConfig):
     memory: int = 2
     initial_history: tuple = (1, 1)
     vote_mode: VoteMode = VoteMode.STRATEGY_DRIVEN
-    disperse_after_trade: bool = False  # sensitivity switch, off in the model
 
     def __post_init__(self):
         try:

@@ -47,10 +47,7 @@ this module.
 
 Trading groups staying intact is a deliberate reading of the rules: only
 the no-consensus outcome disperses a group, so the balance equations in
-`meanfield` carry no trade-loss term.  Herding dynamics in which trading
-groups *do* disperse (as in `ez`) can be emulated for sensitivity studies
-with `disperse_after_trade=True`; that switch is not part of the voting
-model.
+`meanfield` carry no trade-loss term.
 """
 
 from __future__ import annotations
@@ -117,16 +114,17 @@ class SimState:
 
     __slots__ = (
         "config", "partition", "history", "step_index", "decision_counts",
-        "_n", "_x", "_size_cdf", "_cdf", "_disperse", "_ez_merge", "_rows",
-        "_width", "_single", "_group_votes", "_hist_idx", "_ubuf", "_upicks",
-        "_upos",
+        "_n", "_x", "_size_cdf", "_cdf", "_ez", "_rows", "_width", "_single",
+        "_group_votes", "_hist_idx", "_ubuf", "_upicks", "_upos",
     )
 
-    def __init__(self, config, tables, size_cdf=None, *, history=(),
-                 disperse=False, ez_merge=False):
+    def __init__(self, config, tables, size_cdf=None, *, history=(), ez=False):
         """`size_cdf(s)` gives the decision CDF (buy, buy+sell, buy+sell+merge)
         of a group of size s when decisions are drawn; None means the votes
-        come from `tables` (see `_tally_packer`; `config.x` is the threshold)."""
+        come from `tables` (see `_tally_packer`; `config.x` is the threshold).
+        `ez=True` selects the E-Z baseline's actions (`ez.init_ez_state`):
+        a trading group disperses, and a merge joins the group of any agent
+        but the picked one, nothing happening when that is the same group."""
         self.config = config
         self.partition = Partition.singletons(config.n_agents)
         self.history = history
@@ -136,8 +134,7 @@ class SimState:
         self._size_cdf = size_cdf
         # per-size decision CDFs (drawn decisions only), filled lazily by `advance`
         self._cdf = None if size_cdf is None else [None] * (config.n_agents + 1)
-        self._disperse = disperse
-        self._ez_merge = ez_merge
+        self._ez = ez
         # per-agent table rows and per-group packed tallies (strategy mode)
         self._x = config.x if size_cdf is None else None
         self._width, self._rows, self._single = (
@@ -234,8 +231,7 @@ def init_state(config: SimConfig) -> tuple[SimState, np.random.Generator]:
     else:
         strat_rng = np.random.Generator(np.random.PCG64(strat_seq))
         tables, size_cdf = assign_strategies(config.n_agents, config.memory, strat_rng), None
-    state = SimState(config, tables, size_cdf, history=config.initial_history,
-                     disperse=config.disperse_after_trade)
+    state = SimState(config, tables, size_cdf, history=config.initial_history)
     return state, np.random.Generator(np.random.PCG64(dyn_seq))
 
 
@@ -315,8 +311,6 @@ def step(state: SimState, rng: np.random.Generator) -> StepEvent:
         net = s
     elif decision == 1:
         net = -s
-    if decision <= 1 and state._disperse and s > 1:
-        _fragment(state, g)
     elif decision == 2:
         if s < n:
             while True:
@@ -334,7 +328,8 @@ def step(state: SimState, rng: np.random.Generator) -> StepEvent:
                 _merge(state, g, group_of[target])
     elif decision == 3:
         if s > 1:
-            _fragment(state, g)
+            state._group_votes.pop(g, None)
+            part.fragment(g)
 
     state._upos = pos
     state.decision_counts[decision] += 1
@@ -367,7 +362,7 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
 
     A group's size is one read of the partition's `_size`.  Merges and
     fragments update the partition in place, as `Partition.merge` and
-    `Partition.fragment` (and `_merge` / `_fragment` in strategy mode)
+    `Partition.fragment` (and `_merge` in strategy mode)
     would: a singleton joins a group without a list of its own, and a
     fragment sends every member back to its own handle and size 1 without
     allocating.  The cyclic garbage collector is off, for the whole
@@ -388,8 +383,7 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
     rows = state._rows
     single = state._single
     votes = state._group_votes
-    disperse = state._disperse
-    ez_merge = state._ez_merge
+    ez = state._ez
     counts = state.decision_counts
     memory = len(state.history)
     mask = (1 << memory) - 1
@@ -475,16 +469,16 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
                     h = ((h << 1) | (1 - d)) & mask  # buy shifts in a 1, sell a 0
                     if i >= first_recorded:
                         returns[i - first_recorded] = s if d == 0 else -s
-                    if not disperse or s == 1:
+                    if not ez or s == 1:
                         continue
                 elif d == 2:
-                    if ez_merge or s < n:
+                    if ez or s < n:
                         # E-Z: any agent but the picked one, same group is a no-op;
                         # voting model: an agent outside the group
                         while True:
                             target = picks[pos]
                             pos += 1
-                            if target != agent if ez_merge else group_of[target] != g:
+                            if target != agent if ez else group_of[target] != g:
                                 break
                             if pos >= _BUF_SIZE:
                                 buf = picks = None
@@ -556,11 +550,6 @@ def _merge(state: SimState, g: int, g2: int) -> None:
     t1 = votes.pop(g) if part.size_of(g) > 1 else state._single[g]
     t2 = votes.pop(g2) if part.size_of(g2) > 1 else state._single[g2]
     votes[part.merge(g, g2)] = t1 + t2
-
-
-def _fragment(state: SimState, g: int) -> None:
-    state._group_votes.pop(g, None)
-    state.partition.fragment(g)
 
 
 def run(config: SimConfig) -> tuple[np.ndarray, RunSummary]:

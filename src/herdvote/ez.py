@@ -38,7 +38,7 @@ from .voting import Decision
 def init_ez_state(config: EzConfig) -> tuple[SimState, np.random.Generator]:
     """All-singleton E-Z state and its dynamics generator."""
     cdf = (config.a / 2, config.a, 1.0)
-    state = SimState(config, None, lambda s: cdf, disperse=True, ez_merge=True)
+    state = SimState(config, None, lambda s: cdf, ez=True)
     return state, np.random.default_rng(config.seed)
 
 

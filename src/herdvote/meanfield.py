@@ -63,9 +63,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .voting import decision_probabilities, probability_table, share_total
+from .voting import ONE_THIRD, decision_probabilities, probability_table, share_total
 
-ONE_THIRD = 1.0 / 3.0
 _DAMPING = 0.5  # share of the balancing step taken per sweep
 
 

@@ -1,4 +1,7 @@
+import argparse
+import ast
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -533,29 +536,14 @@ def test_derived_seeds_are_stable():
     assert cli.derive_seed(1, 0.37, 100, 0) != cli.derive_seed(2, 0.37, 100, 0)
 
 
-def test_workers_env_variable(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.WORKERS_ENV, "2")
-    code = run_cli(["sweep", "--x", "0.41", "--replicates", "1",
-                    "--set", "n_agents=100", "--set", "total_steps=1000",
-                    "--out", str(tmp_path / "env")])
-    assert code == 0
-    assert (tmp_path / "env" / "sweep.json").exists()
-
-
-def test_workers_env_variable_must_be_an_integer(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(cli.WORKERS_ENV, "abc")
-    code = run_cli(sweep_args(tmp_path / "env", 0))
-    assert code == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and cli.WORKERS_ENV in err and "'abc'" in err
-    assert not (tmp_path / "env").exists()
-
-
-@pytest.mark.parametrize("command", ["run", "sweep", "meanfield"])
+@pytest.mark.parametrize("command", ["run", "sweep", "meanfield", "analyze"])
 def test_out_under_an_existing_file_is_config_error(tmp_path, monkeypatch, capsys, command):
-    """Refused before any simulation, with the path named."""
+    """Refused before any simulation or analysis output, with the path named."""
     a_file = tmp_path / "a_file"
     a_file.write_text("")
+    if command == "analyze":
+        assert run_cli(tiny_run_args(tmp_path / "runs")) == 0
+        run_dir = capsys.readouterr().out.strip()
 
     def no_simulation(*_args):
         raise AssertionError("simulated although the output cannot be written")
@@ -566,11 +554,40 @@ def test_out_under_an_existing_file_is_config_error(tmp_path, monkeypatch, capsy
         "sweep": sweep_args(a_file, 1),
         "meanfield": ["meanfield", "--n-agents", "6", "--x", "0.41",
                       "--out", str(a_file / "dist.txt")],
+        "analyze": ["analyze", "RUN_DIR", "--r-min", "1", "--out", str(a_file / "s.csv")],
     }[command]
+    if command == "analyze":
+        argv[1] = run_dir
     assert run_cli(argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(a_file) in err
     assert a_file.read_text() == ""
+    if command == "analyze":
+        assert not os.path.exists(os.path.join(run_dir, "analysis"))
+
+
+@pytest.mark.parametrize("blocked", ["analysis", "summary.csv"])
+def test_analyze_output_blocked_is_config_error(tmp_path, capsys, blocked):
+    """A file named like a run's analysis directory, or a directory named
+    like the summary, is refused with the path named before anything is
+    written."""
+    assert run_cli(tiny_run_args(tmp_path / "runs")) == 0
+    run_dir = capsys.readouterr().out.strip()
+    analysis_dir = Path(run_dir) / "analysis"
+    out_csv = tmp_path / "summary.csv"
+    blocked_path = {"analysis": analysis_dir, "summary.csv": out_csv}[blocked]
+    if blocked == "analysis":
+        analysis_dir.write_text("")
+    else:
+        out_csv.mkdir()
+    code = run_cli(["analyze", run_dir, "--r-min", "1", "--out", str(out_csv)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and str(blocked_path) in err
+    if blocked == "analysis":
+        assert analysis_dir.read_text() == "" and not out_csv.exists()
+    else:
+        assert not analysis_dir.exists() and out_csv.is_dir()
 
 
 # -- meanfield -------------------------------------------------------------------
@@ -761,6 +778,43 @@ def test_analyze_damaged_artifact_is_named(tmp_path, capsys, name, damage):
         assert not os.path.exists(os.path.join(run_dir, "analysis"))
 
 
+def _json_list(path):
+    path.write_text(json.dumps(list(json.loads(path.read_text())["artifacts"].items())))
+
+
+@pytest.mark.parametrize("name, damage", [
+    ("returns_raw.bin", _truncate),
+    ("summary.json", _flip_one_byte),
+    ("manifest.json", _unparseable),
+    ("manifest.json", _json_list),
+    ("returns_raw.bin", os.remove),
+    ("manifest.json", os.remove),
+], ids=["bin_truncated", "summary_byte_flipped", "manifest_unparseable", "manifest_json_list",
+        "bin_deleted", "manifest_deleted"])
+def test_rerun_damaged_artifact_is_named(tmp_path, capsys, name, damage):
+    """A rerun into a damaged directory exits 3 with one error line naming
+    the file and leaves the directory as it was; a deleted file is not
+    damage: the rerun completes the directory with the recorded digests."""
+    assert run_cli(tiny_run_args(tmp_path)) == 0
+    run_dir = Path(capsys.readouterr().out.strip())
+    recorded = json.loads((run_dir / "manifest.json").read_text())["artifacts"]
+    damage(run_dir / name)
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    code = run_cli(tiny_run_args(tmp_path))
+    err = capsys.readouterr().err
+    if damage is os.remove:
+        assert code == 0 and err == ""
+        restored = json.loads((run_dir / "manifest.json").read_text())["artifacts"]
+        assert restored == recorded
+        assert {p.name: sha256_of(p) for p in run_dir.iterdir()
+                if p.name != "manifest.json"} == recorded
+    else:
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert str(run_dir / name) in err
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+
 def test_analyze_summary_fits_at_the_largest_own_cutoff(tmp_path, capsys):
     """Without --r-min the summary equals `cutoff_scan`'s own KS scan, byte
     for byte, on desk-sized populations (strategy, iid and E-Z runs)."""
@@ -823,7 +877,59 @@ def test_validate_passes(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_validate_negative_control(capsys):
-    code = run_cli(["validate", "--perturb-pfrg", "1e-6"])
+def test_validate_negative_control(capsys, monkeypatch):
+    """The checks fail when the fragmentation probability is off by 1e-6."""
+    from herdvote import voting
+
+    exact = voting.fragmentation_probability
+    monkeypatch.setattr(voting, "fragmentation_probability",
+                        lambda s, x: min(1.0, exact(s, x) + 1e-6))
+    code = run_cli(["validate"])
     assert code == cli.EXIT_VALIDATION
     assert "FAIL" in capsys.readouterr().out
+
+
+# -- the settable surface ----------------------------------------------------------
+
+SURFACE = {
+    "herdvote": ["--help", "--version", "-h"],
+    "run": ["--config", "--help", "--out", "--set", "-h"],
+    "sweep": ["--config", "--help", "--master-seed", "--n-agents", "--out", "--replicates",
+              "--set", "--workers", "--x", "-h"],
+    "meanfield": ["--help", "--max-iterations", "--n-agents", "--out", "--tolerance", "--x", "-h"],
+    "analyze": ["--bins-per-decade", "--help", "--out", "--r-min", "--tail-threshold",
+                "--use-raw", "-h", "run_dirs"],
+    "validate": ["--help", "-h"],
+}
+CONFIG_FIELDS = {
+    "SimConfig": ["n_agents", "total_steps", "equilibration_steps", "seed", "rescale_k",
+                  "x", "memory", "initial_history", "vote_mode"],
+    "EzConfig": ["n_agents", "total_steps", "equilibration_steps", "seed", "rescale_k", "a"],
+}
+
+
+def test_settable_surface_is_pinned():
+    """Every option, config field and environment read the package has.  A
+    new setting edits this test, so that it shows in review."""
+
+    def options(parser):
+        return sorted(opt for action in parser._actions
+                      if not isinstance(action, argparse._SubParsersAction)
+                      for opt in action.option_strings or [action.dest])
+
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {"herdvote": options(parser)}
+    surface.update({name: options(sub) for name, sub in commands.choices.items()})
+    assert surface == SURFACE
+
+    assert {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+            for cls in (herdvote.SimConfig, herdvote.EzConfig)} == CONFIG_FIELDS
+
+    environment = {"environ", "environb", "getenv", "getenvb"}
+    for module in sorted(Path(herdvote.__file__).parent.glob("*.py")):
+        tree = ast.parse(module.read_text())
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        assert not names & environment, module

@@ -140,10 +140,9 @@ def assert_loop_matches_oracle(config):
         advance(fused, rng, -1)
 
 
-@pytest.mark.parametrize("disperse", [False, True])
 @pytest.mark.parametrize("mode", [VoteMode.STRATEGY_DRIVEN, VoteMode.IID_UNIFORM])
-def test_fused_loop_matches_step_oracle(mode, disperse):
-    assert_loop_matches_oracle(small_config(vote_mode=mode, disperse_after_trade=disperse))
+def test_fused_loop_matches_step_oracle(mode):
+    assert_loop_matches_oracle(small_config(vote_mode=mode))
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -155,14 +154,12 @@ def test_fused_loop_matches_step_oracle(mode, disperse):
     seed=st.integers(0, 2**32),
     total_steps=st.integers(1, 3000),
     mode=st.sampled_from(list(VoteMode)),
-    disperse=st.booleans(),
 )
 def test_fused_loop_matches_step_oracle_on_random_configs(
-        n_agents, x, memory, bits, seed, total_steps, mode, disperse):
+        n_agents, x, memory, bits, seed, total_steps, mode):
     assert_loop_matches_oracle(SimConfig(
         n_agents=n_agents, x=x, total_steps=total_steps, memory=memory,
         initial_history=tuple(bits[:memory]), vote_mode=mode, seed=seed,
-        disperse_after_trade=disperse,
     ))
 
 
@@ -411,29 +408,6 @@ def test_whole_population_group_merge_is_noop():
     assert summary.decision_counts["fragment"] == 0
     assert summary.final_size_histogram == {2: 1}
     assert summary.decision_counts["merge"] > 0
-
-
-def test_disperse_after_trade_switch():
-    """Off-model sensitivity switch: a trading group breaks into singletons."""
-    config = SimConfig(n_agents=12, x=0.40, total_steps=10, seed=0,
-                       disperse_after_trade=True)
-    # everyone waits at history (1,1) and buys at any other history
-    wait_at_11 = np.array([[0, 0, 0, 2]] * 12, dtype=np.uint8)
-    _, rng = init_state(config)
-    state = SimState(config, wait_at_11, history=config.initial_history,
-                     disperse=True)
-    for _ in range(200):
-        step(state, rng)  # merges only: history frozen at (1,1)
-    assert max(s for s in state.partition.size_histogram()) > 1
-    state.history = (1, 0)
-    state._hist_idx = 2
-    for _ in range(200):
-        event = step(state, rng)
-        assert event.decision == Decision.BUY
-        assert state.partition.size_histogram() == {1: 12}
-        state.history = (1, 0)  # pin the history; every step is a buy
-        state._hist_idx = 2
-    state.partition.check_invariants()
 
 
 def test_equilibration_boundary():
