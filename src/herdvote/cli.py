@@ -9,7 +9,8 @@ Subcommands
     meanfield  stationary group-size distribution for (N, x)
     analyze    tail statistics (CCDF, binned density, power-law fits) for
                existing run directories plus a cross-x comparison table
-               with one row per directory; each run's config.txt and
+               with one row per directory, of returns summed over
+               windows of --rescale-k steps; each run's config.txt and
                returns_raw.bin are checked against its manifest digests
     validate   fast self-checks of the exact math against brute-force
                oracles; nonzero exit when anything disagrees
@@ -18,7 +19,7 @@ Config files are plain "key = value" text (LF, UTF-8, '#' comments).  The
 keys, in echo order, with their defaults (set by `config.SimConfig` and
 `config.EzConfig`; a test keeps this table equal to `default_config()`):
 
-    schema_version      = 2           # 2: iid and E-Z runs use the fused loop's draws
+    schema_version      = 3           # 3: a run echoes only its model's keys
     model               = main        # main | ez
     n_agents            = 10000
     x                   = 0.37
@@ -28,12 +29,12 @@ keys, in echo order, with their defaults (set by `config.SimConfig` and
     initial_history     = 1,1
     vote_mode           = strategy    # strategy | iid
     seed                = 1           # >= 0
-    rescale_k           = 2
     ez_a                = 0.01        # E-Z trade probability (model = ez)
 
-`--set key=value` overrides any file value.  The fully resolved config is
-echoed into every run directory and its SHA-256 names the directory, so a
-run can always be reproduced byte for byte from its manifest.
+`--set key=value` overrides any file value.  A run echoes `schema_version`,
+`model` and its model's keys (E-Z drops x, memory_m, initial_history and
+vote_mode, the voting model ez_a); the SHA-256 of the echo names its run
+directory, so a run can always be reproduced byte for byte.
 
 Exit codes: 0 success, 2 usage error, 3 config/input error, 4 validation
 failure, 5 solver non-convergence.  The options and config keys are all
@@ -44,7 +45,7 @@ Each subcommand imports only the layers it runs, inside the function that
 runs them: the simulator (`engine`, `ez`) on the run path, `analysis` in
 `analyze` and `validate`, `meanfield` in `meanfield` and `validate`.  At
 module level this file needs only `config`.  The run path calls the
-simulator and the series writers as `engine.<name>`, so a caller that
+simulator and the series writer as `engine.<name>`, so a caller that
 replaces such an attribute replaces the call.
 """
 
@@ -75,7 +76,7 @@ EXIT_CONFIG = 3
 EXIT_VALIDATION = 4
 EXIT_NONCONVERGENCE = 5
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class ConfigError(Exception):
@@ -83,6 +84,12 @@ class ConfigError(Exception):
 
 
 # -- config file handling --------------------------------------------------
+
+def _schema(version: int) -> int:
+    if version != SCHEMA_VERSION:
+        raise ConfigError(f"schema_version {version} is not supported (supported: {SCHEMA_VERSION})")
+    return version
+
 
 def _parse_history(text: str) -> tuple:
     try:
@@ -98,9 +105,10 @@ def _parse_equilibration(text: str):
 
 
 # The file format: key -> (from-string, to-string), in the order of the
-# canonical echo.  Defaults and checks belong to the model dataclasses.
+# canonical echo.  Defaults and checks belong to the model dataclasses; the
+# schema is checked as read, so another schema's file fails before its keys.
 _CONFIG_SPEC = {
-    "schema_version": (int, str),
+    "schema_version": (lambda text: _schema(int(text)), str),
     "model": (str, str),
     "n_agents": (int, str),
     "x": (float, repr),
@@ -110,7 +118,6 @@ _CONFIG_SPEC = {
     "initial_history": (_parse_history, lambda v: ",".join(str(b) for b in v)),
     "vote_mode": (str, lambda v: getattr(v, "value", v)),  # str() of a VoteMode is its name
     "seed": (int, str),
-    "rescale_k": (int, str),
     "ez_a": (float, repr),
 }
 _FIELD_OF = {"memory_m": "memory", "ez_a": "a"}  # config keys named unlike their field
@@ -161,23 +168,23 @@ def resolve_config(config: dict) -> dict:
 
 
 def _resolve(config: dict) -> tuple[dict, RunConfig]:
-    """The canonical dict and the model dataclass it describes, built once."""
-    if config["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {config['schema_version']}")
+    """The canonical dict, of the keys its model reads, and that model's dataclass."""
+    _schema(config["schema_version"])
     cls = _MODELS.get(config["model"])
     if cls is None:
         raise ConfigError(f"model must be 'main' or 'ez', got {config['model']!r}")
     names = {f.name for f in dataclasses.fields(cls)}
-    fields = {_FIELD_OF.get(key, key): value for key, value in config.items()}
+    own = {key: value for key, value in config.items() if _FIELD_OF.get(key, key) in names}
     try:
-        sim_config = cls(**{name: v for name, v in fields.items() if name in names})
+        sim_config = cls(**{_FIELD_OF.get(key, key): value for key, value in own.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return {**config, "equilibration_steps": sim_config.equilibration_steps}, sim_config
+    return {"schema_version": config["schema_version"], "model": config["model"], **own,
+            "equilibration_steps": sim_config.equilibration_steps}, sim_config
 
 
 def _formatted(config: dict) -> dict:
-    return {key: fmt(config[key]) for key, (_, fmt) in _CONFIG_SPEC.items()}
+    return {key: fmt(config[key]) for key, (_, fmt) in _CONFIG_SPEC.items() if key in config}
 
 
 def config_text(config: dict) -> str:
@@ -262,7 +269,6 @@ def execute_run(config: dict, out_root: str) -> RunResult:
         returns, summary = ez_run(sim_config)
     else:
         returns, summary = engine.run(sim_config)
-    rescaled = engine.rescale_returns(returns, config["rescale_k"])
 
     _make_dir(run_dir)
     staging = tempfile.mkdtemp(prefix=".staging-", dir=run_dir)
@@ -286,12 +292,7 @@ def execute_run(config: dict, out_root: str) -> RunResult:
             artifacts[name] = fresh
 
         emit("config.txt", lambda p: _write_text(p, config_text(config)))
-        emit("returns_raw.txt", lambda p: engine.write_returns_text(p, returns))
         emit("returns_raw.bin", lambda p: engine.write_returns_binary(p, returns))
-        emit(
-            f"returns_rescaled_k{config['rescale_k']}.txt",
-            lambda p: engine.write_returns_text(p, rescaled),
-        )
         emit("size_histogram.csv", lambda p: _write_histogram(p, summary.final_size_histogram))
         emit("summary.json", lambda p: _write_json(p, _summary_dict(summary)))
 
@@ -422,6 +423,8 @@ def _grid_values(text, parse, default) -> list:
 
 def cmd_sweep(args) -> int:
     base = _load_config_arg(args)
+    if args.x and base["model"] == "ez":
+        raise ConfigError("--x sets the voting model's consensus parameter; model 'ez' has no x")
     xs = _grid_values(args.x, float, base["x"])
     ns = _grid_values(args.n_agents, int, base["n_agents"])
     if not xs or not ns or args.replicates < 1:
@@ -465,17 +468,17 @@ def cmd_sweep(args) -> int:
 def cmd_meanfield(args) -> int:
     from . import meanfield
 
-    try:  # the solver checks its inputs before any work
+    out = args.out or f"meanfield_N{args.n_agents}_x{args.x}.txt"
+    _make_dir(os.path.dirname(out) or os.curdir)  # before the solve, as `run` does
+    if os.path.isdir(out):
+        raise ConfigError(f"cannot write {out}: it is a directory")
+    try:
         dist, report = meanfield.solve_stationary(
             args.n_agents, args.x, tolerance=args.tolerance, max_iterations=args.max_iterations,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    out = args.out or f"meanfield_N{args.n_agents}_x{args.x}.txt"
-    try:
-        meanfield.write_distribution(out, dist)
-    except (NotADirectoryError, IsADirectoryError):
-        raise ConfigError(f"cannot write {out}: it is a directory or a parent is a file") from None
+    meanfield.write_distribution(out, dist)
     report_dict = {
         "n_agents": args.n_agents,
         "x": args.x,
@@ -521,10 +524,11 @@ def _read_verified(run_dir: str, names) -> list:
     return contents
 
 
-def _read_run_returns(run_dir: str, use_raw: bool) -> tuple[dict, np.ndarray]:
-    """A run's config and its return series, raw or rescaled by the run's k.
+def _read_run_returns(run_dir: str, k: int) -> tuple[dict, np.ndarray]:
+    """A run's config and its return series summed over windows of k steps.
 
-    Both come from digest-checked files: `config.txt` and `returns_raw.bin`.
+    Both come from digest-checked files: `config.txt` and `returns_raw.bin`;
+    a config that does not parse, such as another schema's, names its path.
     """
     from .series import parse_returns_binary, rescale_returns
 
@@ -533,17 +537,26 @@ def _read_run_returns(run_dir: str, use_raw: bool) -> tuple[dict, np.ndarray]:
         text = config_bytes.decode("utf-8")
         config = resolve_config({**default_config(), **parse_config_text(text)})
     except (UnicodeDecodeError, ConfigError) as exc:
-        raise ConfigError(f"damaged artifact {os.path.join(run_dir, 'config.txt')}: {exc}") from None
+        raise ConfigError(f"{os.path.join(run_dir, 'config.txt')}: {exc}") from None
     try:
         returns = parse_returns_binary(series_bytes)
     except ValueError as exc:
         raise ConfigError(f"damaged artifact {os.path.join(run_dir, 'returns_raw.bin')}: {exc}")
-    return config, returns if use_raw else rescale_returns(returns, config["rescale_k"])
+    return config, rescale_returns(returns, k)
 
 
 def cmd_analyze(args) -> int:
     from . import analysis
 
+    for option, value, ok in (
+        ("--r-min", args.r_min, args.r_min is None or 0 < args.r_min < math.inf),
+        ("--tail-threshold", args.tail_threshold, 0 < args.tail_threshold < math.inf),
+        ("--bins-per-decade", args.bins_per_decade, args.bins_per_decade >= 1),
+        ("--rescale-k", args.rescale_k, args.rescale_k >= 1),
+    ):
+        if not ok:
+            rule = ">= 1" if isinstance(value, int) else "finite and > 0"
+            raise ConfigError(f"{option} must be {rule}, got {value}")
     returns_by_x = {}
     # every directory is read and fitted before anything is written
     analysed = []  # (run dir, CCDF, binned density, fit row)
@@ -553,20 +566,20 @@ def cmd_analyze(args) -> int:
     for run_dir in args.run_dirs:
         run_dirs.setdefault(os.path.realpath(run_dir), run_dir)
     for run_dir in run_dirs.values():
-        config, returns = _read_run_returns(run_dir, args.use_raw)
+        config, returns = _read_run_returns(run_dir, args.rescale_k)
         if not np.any(returns):
             raise ConfigError(f"no trades in {run_dir}: every recorded return is zero")
+        param = config["x"] if config["model"] == "main" else f"ez a={config['ez_a']}"
         try:
             fit = analysis.fit_power_law(returns, args.r_min)
             cutoffs.append(fit.r_min)
-            fit_row = (config["x"], fit.alpha_density, fit.alpha_cumulative,
+            fit_row = (param, fit.alpha_density, fit.alpha_cumulative,
                        fit.r_min, fit.stderr, fit.n_tail)
         except ValueError:
-            fit_row = (config["x"], math.nan, math.nan, math.nan, math.nan, 0)
+            fit_row = (param, math.nan, math.nan, math.nan, math.nan, 0)
         analysed.append((run_dir, analysis.ccdf(returns),
                          analysis.log_binned_pdf(returns, args.bins_per_decade), fit_row))
         # one row per run directory
-        param = config["x"] if config["model"] == "main" else f"ez a={config['ez_a']}"
         key = param
         if key in returns_by_x:  # replicate runs at the same parameters
             key = f"{param} seed={config['seed']}"
@@ -776,8 +789,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--r-min", type=float, default=None, help="fixed fit cutoff")
     p_an.add_argument("--tail-threshold", type=float, default=50.0)
     p_an.add_argument("--bins-per-decade", type=int, default=10)
-    p_an.add_argument("--use-raw", action="store_true",
-                      help="analyze the raw series instead of the rescaled one")
+    p_an.add_argument("--rescale-k", type=int, default=2, metavar="K",
+                      help="sum non-overlapping windows of K steps per return (1: the raw series)")
     p_an.add_argument("--out", default="analysis_summary.csv")
     p_an.set_defaults(func=cmd_analyze)
 

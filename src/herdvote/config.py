@@ -33,7 +33,6 @@ class RunConfig:
     total_steps: int = 1_000_000
     equilibration_steps: int | None = None  # default: 10% of total_steps
     seed: int = 1
-    rescale_k: int = 2  # steps summed per return in the rescaled series
 
     def __post_init__(self):
         if self.equilibration_steps is None:
@@ -52,8 +51,6 @@ class RunConfig:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.rescale_k < 1:
-            raise ValueError(f"rescale_k must be >= 1, got {self.rescale_k}")
 
 
 @dataclass(kw_only=True)

@@ -41,9 +41,9 @@ block (the same IEEE product and truncation), so the loop reads them ready
 made and never converts a float.
 
 The run parameters (`SimConfig`) live in `config` and the return-series
-files and rescaling in `series`; this module re-exports them, and the
-command line's run path calls `rescale_returns` and the writers through
-this module.
+files and rescaling in `series`; this module re-exports them under their
+old import paths, and the command line's run path calls the binary writer
+through this module.
 
 Trading groups staying intact is a deliberate reading of the rules: only
 the no-consensus outcome disperses a group, so the balance equations in
@@ -60,7 +60,7 @@ import numpy as np
 
 from .config import SimConfig, VoteMode
 from .population import Partition
-from .series import (  # noqa: F401  (the run path calls them as `engine.<name>`)
+from .series import (  # noqa: F401  (old import paths; the run path calls the writer here)
     read_returns_binary,
     read_returns_text,
     rescale_returns,

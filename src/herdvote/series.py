@@ -1,12 +1,11 @@
-"""Return series: rescaling, and the text and binary files a run writes.
+"""Return series: rescaling, and the binary and text forms of a series.
 
-A run records one signed integer return per step after equilibration.  It
-writes that series twice: as text, one integer per line, for people and
-other tools, and as a length-prefixed binary file (little-endian uint64
-count, then int64 values) that `herdvote analyze` reads.  The rescaled
-series, which sums non-overlapping windows of k steps, is written as text
-only; `analyze` rescales the binary series in memory.  NumPy only: reading
-and rescaling a series loads no simulator code.
+A run records one signed integer return per step after equilibration and
+writes it once, as a length-prefixed binary file (little-endian uint64
+count, then int64 values); `herdvote analyze` reads it and sums windows of
+k steps in memory.  The text form, one integer per line, is for people and
+other tools: `write_returns_text(path, read_returns_binary(bin_path))`.
+NumPy only: reading and rescaling a series loads no simulator code.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ def rescale_returns(series: np.ndarray, k: int) -> np.ndarray:
     if k < 1:
         raise ValueError(f"window length must be >= 1, got {k}")
     series = np.asarray(series)
-    if k == 1:
-        return series.copy()
     n = (len(series) // k) * k
     return series[:n].reshape(-1, k).sum(axis=1)
 
@@ -33,18 +30,9 @@ def write_returns_text(path, series) -> None:
     """One signed integer per line, LF endings."""
     series = np.asarray(series)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        # joined chunk by chunk: the text of a whole series is never in memory.
-        # Every integer in a chunk's [min, max] is formatted once and looked up
-        # by its offset from min; a span wider than the chunk formats each value
+        # chunk by chunk: the text of a whole series is never in memory
         for start in range(0, len(series), _TEXT_CHUNK):
-            chunk = series[start:start + _TEXT_CHUNK]
-            lo, hi = int(chunk.min()), int(chunk.max())
-            if hi - lo < len(chunk):
-                text = list(map(str, range(lo, hi + 1)))
-                lines = map(text.__getitem__, (chunk - lo).tolist())
-            else:
-                lines = map(str, chunk.tolist())
-            fh.write("\n".join(lines) + "\n")
+            fh.writelines(f"{v}\n" for v in series[start:start + _TEXT_CHUNK].tolist())
 
 
 def read_returns_text(path) -> np.ndarray:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import herdvote
 from herdvote import analysis, cli, engine
-from herdvote.series import read_returns_binary, read_returns_text
+from herdvote.series import read_returns_binary
 
 
 def run_cli(argv):
@@ -65,7 +65,6 @@ def resolved_configs(draw):
                                                max_size=memory))),
         "vote_mode": draw(st.sampled_from(["strategy", "iid"])),
         "seed": draw(st.integers(0, 2**64)),
-        "rescale_k": draw(st.integers(1, 100)),
         "ez_a": draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
     }
     return cli.resolve_config(raw)
@@ -85,17 +84,18 @@ def test_config_text_round_trip_of_resolved_configs(config):
 # configs (seed 900001, 2x10^5 steps); config text is the run directory's
 # name, so these must not move without a schema change.
 PINNED_DIGESTS = [
-    ([], "73ac5caef8cda78101a54bb26155ecde6c563a045d99baca267625317335a143"),
+    ([], "f2320a90d7b59a37fd97d3f9b97a4eaec791e873688bdb52385e622988d1bb82"),
     (["model=main", "n_agents=10000", "x=0.41", "vote_mode=strategy"],
-     "ebb3e3c33ac0a13d11897de8c06420b38d74f912f62417db938bd95e1464ede9"),
+     "9debcda4a72442bb1f196197df38d15262610e94705e484b6975f4940ba9a9ab"),
     (["model=main", "n_agents=10000", "x=0.41", "vote_mode=iid"],
-     "8e292fa2bf12fc2bf794461007baf1c829fefc5c8a4086f92136ae8ca15b8a5e"),
+     "2b725c8b2f2bbff2ef845917590c7a2d2d33549ecc719f32bd309dbde1213436"),
     (["model=ez", "n_agents=10000", "ez_a=0.01"],
-     "9df0343da8b9ba2ff7250d4921b0542819344ca6096abfe01c49a8a4c73fc6e3"),
+     "f758c44ead3832b0658274ba3636250adae04c6a9500811d973dade657945026"),
 ]
 
 
-@pytest.mark.parametrize("overrides, digest", PINNED_DIGESTS)
+@pytest.mark.parametrize("overrides, digest", PINNED_DIGESTS,
+                         ids=["default", "desk_strategy", "desk_iid", "ez_desk"])
 def test_config_digests_are_pinned(overrides, digest):
     if overrides:
         overrides = [*overrides, "total_steps=200000", "seed=900001"]
@@ -108,26 +108,20 @@ def test_config_digests_are_pinned(overrides, digest):
 # or the writers must leave these bytes alone unless it bumps the schema.
 PINNED_ARTIFACTS = {
     "vote_mode=strategy": {
-        "config.txt": "b20412d47196dc50b6ce1687f641da61d57e8d0603621ab66dc0b694e9046f22",
+        "config.txt": "e553298a2f7246db80cbf105e49460a61f5269d165fdb304842b820d540b400f",
         "returns_raw.bin": "f36369971181bd37f8761478f441aca2f797139903f0514002b9ffa4b405f45b",
-        "returns_raw.txt": "e94798b1f9694d17c6333a1891d3582e2bddc25f2498361f5791016c89ef8611",
-        "returns_rescaled_k2.txt": "16d45dc5116ec8c33a74f1182ba3bbb7a80a8d3a7baafe8193c205e2766c1f0e",
         "size_histogram.csv": "169f5e1e0c99278630afac785c4b33e74d42b557b15a66e1134d30dc3b424cb5",
         "summary.json": "bcce805db75d50386e2828500f3c616f98738bdf8d190cc53d7649ae0a12d7dd",
     },
     "vote_mode=iid": {
-        "config.txt": "5c11242820942d6ba10ecd05a899bca5a209dfd79e08f194089794f24de0a17a",
+        "config.txt": "97b9527f74f44971c8f8a89bf214434af8d3aeb1cb8dbaa1c7054535b4bac3e4",
         "returns_raw.bin": "668c82aff2819980ce6d22ccc8d0b7b7a24e0c5aad535229a73ec4e6eadce097",
-        "returns_raw.txt": "e75157f362f817564621c6cc58655024946fdb86d922877ded5a0d745b596432",
-        "returns_rescaled_k2.txt": "20a5575e9cc33f7d972af243e9a39854708a36a7da25fd875926cbfddb8de8fd",
         "size_histogram.csv": "de73e34b006c1471abbe4ca2310eda97fa3f5903a380954b360347d98d6c2d77",
         "summary.json": "43915165706226cf17172552e9a0350498148d9fc9d4496211cb66d15640c041",
     },
     "model=ez": {
-        "config.txt": "51e2c8dfdd9f8d484a321a24a29a06ff855d13f12f2eefb6267ed866a303c0b1",
+        "config.txt": "9f65e8089da591c4fb0bbaac61e33ea54d1794ec8db9327272510e9481bfea83",
         "returns_raw.bin": "00cf2b41bacf54debc0329946a5f37a5fb8a012693e7d0b23f38c3c10bb95b16",
-        "returns_raw.txt": "24d3b6ccb7f0f51091542b75a36a10c0692ba75d0d3d31fed6839ae2f5400351",
-        "returns_rescaled_k2.txt": "0f85590fdec958f631d6979389636e6a15d8921af869aa12a1906d2514282f93",
         "size_histogram.csv": "87c258aa37cbb7ff929ce3c0f3dadddbb856792dbab5844551bcf85b110afb0d",
         "summary.json": "32815a0525ca393fae05dc45c3606e4c4b01ab78e203399ae09e82f74163a94d",
     },
@@ -145,9 +139,12 @@ def test_run_artifacts_are_pinned(tmp_path, capsys, override):
 
 
 # sha256 of the analysis outputs of the same three runs: analysis/ccdf.csv,
-# pdf.csv and fit.csv and the summary CSV, of the rescaled series (False) and
-# with --use-raw (True).  Computed while `analyze` parsed the text series;
-# it now reads returns_raw.bin, and these show that the bytes did not move.
+# pdf.csv and fit.csv and the summary CSV, of returns summed over pairs of
+# steps (False, the default --rescale-k 2) and of the raw series (True,
+# --rescale-k 1).  Computed while `analyze` parsed the text series and took k
+# from the run's config; these show that the bytes did not move.  Except: an
+# E-Z fit.csv labels its row "ez a=<a>", as the summary does, where it once
+# echoed an x that the E-Z model never read; every fitted value is unchanged.
 PINNED_ANALYSIS = {
     ("vote_mode=strategy", False): {
         "ccdf.csv": "9064eebe574739ea5f1971d802db17e98332d1009bdb59062b96df066e640ed5",
@@ -176,13 +173,13 @@ PINNED_ANALYSIS = {
     ("model=ez", False): {
         "ccdf.csv": "0ca4b3e3b8af2ec0163d551c432d056727fed94adddceba2db2c23bd6de60c5a",
         "pdf.csv": "bcc7385fc76eda432937814868611168ffb1d0cec941fd5137a5ab870a66adb7",
-        "fit.csv": "372937660917c5d16847a96586df3c4460ca85a350c5f256ea025592328321da",
+        "fit.csv": "d0f34e9feb6b5afe0ad908e6f91bc4dc4209cadbeadef4af482d959a59752616",
         "summary": "b507cd7ac1afe4c1fc269dbeb61a59861fd99a2d381e1ac04cf79ab0f133eab2",
     },
     ("model=ez", True): {
         "ccdf.csv": "c5f26674b2bf5d5a20a1edb3da77a6f0d49055b9c512b596bd540c0a8a2b1516",
         "pdf.csv": "ecddd29be68786138bd054b79756cbba3b2ca68adf69752d736bdf164a5b62c9",
-        "fit.csv": "ab399873e342538fe2ce88a71507c1693d02d113c0a1fca8fcf120dfbe81033b",
+        "fit.csv": "845561c19dc7b5440963be3deb202e50846fbee0d2f8eabf1b7a2b9a0953dfe8",
         "summary": "6da737b20de7caefed143c1dbda1bb7e81c772f7f039a5659327ba096108945c",
     },
 }
@@ -196,7 +193,7 @@ def test_analyze_outputs_are_pinned(tmp_path, capsys, override, use_raw):
     run_dir = capsys.readouterr().out.strip()
     summary = tmp_path / "summary.csv"
     assert run_cli(["analyze", run_dir, "--out", str(summary),
-                    *(["--use-raw"] if use_raw else [])]) == 0
+                    *(["--rescale-k", "1"] if use_raw else [])]) == 0
     digests = {name: sha256_of(os.path.join(run_dir, "analysis", name))
                for name in ("ccdf.csv", "pdf.csv", "fit.csv")}
     assert {**digests, "summary": sha256_of(summary)} == PINNED_ANALYSIS[override, use_raw]
@@ -246,16 +243,14 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
     run_dir = capsys.readouterr().out.strip()
     names = sorted(os.listdir(run_dir))
     assert names == [
-        "config.txt", "manifest.json", "returns_raw.bin", "returns_raw.txt",
-        "returns_rescaled_k2.txt", "size_histogram.csv", "summary.json",
+        "config.txt", "manifest.json", "returns_raw.bin", "size_histogram.csv", "summary.json",
     ]
     manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
     assert manifest["config"]["x"] == "0.41"
     assert set(manifest["artifacts"]) == set(names) - {"manifest.json"}
-    raw = read_returns_text(os.path.join(run_dir, "returns_raw.txt"))
-    assert np.array_equal(raw, read_returns_binary(os.path.join(run_dir, "returns_raw.bin")))
-    rescaled = read_returns_text(os.path.join(run_dir, "returns_rescaled_k2.txt"))
-    assert len(rescaled) == len(raw) // 2
+    summary = json.load(open(os.path.join(run_dir, "summary.json")))
+    raw = read_returns_binary(os.path.join(run_dir, "returns_raw.bin"))
+    assert len(raw) == summary["recorded_steps"]
 
 
 def test_run_twice_is_idempotent_and_deterministic(tmp_path, capsys):
@@ -287,13 +282,31 @@ def test_rerun_leaves_manifest_byte_identical(tmp_path, capsys):
     assert "manifest.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model, unread", [
+    ("ez", ["x=0.45", "vote_mode=iid"]),
+    ("main", ["ez_a=0.02"]),
+])
+def test_keys_the_model_does_not_read_name_no_second_directory(tmp_path, capsys, model, unread):
+    """A key the model does not read is dropped: the run that sets it is the
+    run that does not, verified in place with its manifest left as it was."""
+    assert run_cli(tiny_run_args(tmp_path, extra=["--set", f"model={model}"])) == 0
+    run_dir = capsys.readouterr().out.strip()
+    manifest = Path(run_dir) / "manifest.json"
+    before = manifest.read_bytes()
+    extra = ["--set", f"model={model}", *(arg for kv in unread for arg in ("--set", kv))]
+    assert run_cli(tiny_run_args(tmp_path, extra=extra)) == 0
+    assert capsys.readouterr().out.strip() == run_dir
+    assert os.listdir(tmp_path) == [os.path.basename(run_dir)]
+    assert manifest.read_bytes() == before
+
+
 def test_crash_mid_write_leaves_no_partial_artifact(tmp_path, capsys, monkeypatch):
     def crashing_writer(path, series):
         with open(path, "w") as fh:
             fh.write("12\n-3\n")  # part of the series, then the writer dies
         raise OSError("disk full")
 
-    monkeypatch.setattr(engine, "write_returns_text", crashing_writer)
+    monkeypatch.setattr(engine, "write_returns_binary", crashing_writer)
     with pytest.raises(OSError, match="disk full"):
         run_cli(tiny_run_args(tmp_path / "a"))
     monkeypatch.undo()
@@ -451,11 +464,11 @@ def test_negative_seed_is_config_error(tmp_path, capsys, model):
     assert not os.path.exists(tmp_path / "runs")
 
 
-def test_ez_rescale_k_zero_is_config_error(tmp_path, capsys):
-    code = run_cli(tiny_run_args(tmp_path / "runs", extra=["--set", "model=ez",
-                                                           "--set", "rescale_k=0"]))
+def test_rescale_k_is_an_unknown_key(tmp_path, capsys):
+    """The window length is `analyze --rescale-k`; no simulation reads it."""
+    code = run_cli(tiny_run_args(tmp_path / "runs", extra=["--set", "rescale_k=2"]))
     assert code == cli.EXIT_CONFIG
-    assert "rescale_k" in capsys.readouterr().err
+    assert "unknown config key 'rescale_k'" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "runs")
 
 
@@ -501,9 +514,9 @@ def test_sweep_worker_count_does_not_change_outputs(tmp_path, capsys):
     for record in sweep1["runs"]:
         assert record["status"] == "ok"
         other = os.path.join(tmp_path / "w2", os.path.basename(record["run_dir"]))
-        for name in ("returns_raw.txt", "summary.json", "config.txt"):
-            assert open(os.path.join(record["run_dir"], name)).read() == open(
-                os.path.join(other, name)).read()
+        for name in ("returns_raw.bin", "summary.json", "config.txt"):
+            assert open(os.path.join(record["run_dir"], name), "rb").read() == open(
+                os.path.join(other, name), "rb").read()
 
 
 def test_sweep_empty_grid_rejected(tmp_path):
@@ -528,6 +541,15 @@ def test_sweep_drops_repeated_grid_values(tmp_path, capsys):
     assert sweep["n_agents_values"] == [100]
     assert [r["x"] for r in sweep["runs"]] == [0.41, 0.43]
     assert len({r["run_dir"] for r in sweep["runs"]}) == 2
+
+
+def test_sweep_over_x_of_the_ez_model_is_config_error(tmp_path, capsys):
+    """E-Z has no x: a grid over it would run one simulation per point."""
+    code = run_cli(["sweep", "--x", "0.41,0.45", "--set", "model=ez", "--out", str(tmp_path / "runs")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--x" in err
+    assert not os.path.exists(tmp_path / "runs")
 
 
 def test_derived_seeds_are_stable():
@@ -617,6 +639,13 @@ def test_meanfield_command(tmp_path, capsys):
     assert report["converged"] is True
 
 
+def test_meanfield_creates_a_missing_out_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "dist.txt"
+    assert run_cli(["meanfield", "--n-agents", "6", "--x", "0.41", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 6
+    assert json.loads(Path(f"{out}.report.json").read_text())["converged"] is True
+
+
 def test_meanfield_two_agent_file(tmp_path):
     out = tmp_path / "n2.txt"
     assert run_cli(["meanfield", "--n-agents", "2", "--x", "0.41", "--out", str(out)]) == 0
@@ -691,13 +720,15 @@ def test_analyze_missing_artifact_named(tmp_path, capsys):
     assert "config.txt" in capsys.readouterr().err
 
 
-def write_analyze_inputs(run_dir, series_bytes):
-    """A run directory holding only what `analyze` reads: config.txt, a
-    returns_raw.bin of the given bytes and a manifest of their digests."""
+def write_analyze_inputs(run_dir, series_bytes, config_text=None):
+    """A run directory holding only what `analyze` reads: config.txt (the
+    given text, else a resolved config's), a returns_raw.bin of the given
+    bytes and a manifest of their digests."""
     run_dir.mkdir()
-    config = cli.resolve_config(cli.apply_overrides(
-        cli.default_config(), ["n_agents=100", "total_steps=1000"]))
-    files = {"config.txt": cli.config_text(config).encode(), "returns_raw.bin": series_bytes}
+    if config_text is None:
+        config_text = cli.config_text(cli.resolve_config(cli.apply_overrides(
+            cli.default_config(), ["n_agents=100", "total_steps=1000"])))
+    files = {"config.txt": config_text.encode(), "returns_raw.bin": series_bytes}
     for name, data in files.items():
         (run_dir / name).write_bytes(data)
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
@@ -721,6 +752,42 @@ def test_analyze_damaged_returns_file(tmp_path, capsys):
     code = run_cli(["analyze", str(run_dir), "--out", str(tmp_path / "summary.csv")])
     assert code == cli.EXIT_CONFIG
     assert "returns_raw.bin" in capsys.readouterr().err
+
+
+def test_analyze_refuses_a_run_of_another_schema(tmp_path, capsys):
+    """A schema-2 run directory, intact by its manifest, is refused by its
+    schema_version: not as damage, and not by the rescale_k key it holds."""
+    run_dir = tmp_path / "schema2"
+    config = ("schema_version = 2\nmodel = main\nn_agents = 100\nx = 0.41\n"
+              "total_steps = 1000\nequilibration_steps = 100\nmemory_m = 2\n"
+              "initial_history = 1,1\nvote_mode = strategy\nseed = 1\nrescale_k = 2\n"
+              "ez_a = 0.01\n")
+    write_analyze_inputs(run_dir, (3).to_bytes(8, "little") + bytes(range(1, 25)), config)
+    out_csv = tmp_path / "summary.csv"
+    assert run_cli(["analyze", str(run_dir), "--out", str(out_csv)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert str(run_dir / "config.txt") in err
+    assert f"schema_version 2 is not supported (supported: {cli.SCHEMA_VERSION})" in err
+    assert "rescale_k" not in err and "damaged" not in err
+    assert not out_csv.exists() and not (run_dir / "analysis").exists()
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--r-min", "0"), ("--r-min", "-5"), ("--r-min", "nan"), ("--r-min", "inf"),
+    ("--tail-threshold", "0"), ("--tail-threshold", "nan"),
+    ("--bins-per-decade", "0"), ("--rescale-k", "0"),
+])
+def test_analyze_bad_option_is_config_error(tmp_path, capsys, option, value):
+    """Refused with the option named before any run directory is read (the
+    one named here does not exist)."""
+    out_csv = tmp_path / "summary.csv"
+    code = run_cli(["analyze", str(tmp_path / "no_run"), option, value, "--out", str(out_csv)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert f"{option} must be" in err and value in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def _truncate(path):
@@ -829,8 +896,8 @@ def test_analyze_summary_fits_at_the_largest_own_cutoff(tmp_path, capsys):
 
     returns_by_x = {}
     for run_dir in run_dirs:
-        config, returns = cli._read_run_returns(run_dir, False)
-        returns_by_x[f"{config['model']} {config['vote_mode']}"] = returns
+        config, returns = cli._read_run_returns(run_dir, 2)
+        returns_by_x[f"{config['model']} {config.get('vote_mode')}"] = returns
     rows = analysis.cutoff_scan(returns_by_x)  # r_min=None: its own scan
     own = []
     for run_dir in run_dirs:
@@ -897,14 +964,14 @@ SURFACE = {
     "sweep": ["--config", "--help", "--master-seed", "--n-agents", "--out", "--replicates",
               "--set", "--workers", "--x", "-h"],
     "meanfield": ["--help", "--max-iterations", "--n-agents", "--out", "--tolerance", "--x", "-h"],
-    "analyze": ["--bins-per-decade", "--help", "--out", "--r-min", "--tail-threshold",
-                "--use-raw", "-h", "run_dirs"],
+    "analyze": ["--bins-per-decade", "--help", "--out", "--r-min", "--rescale-k",
+                "--tail-threshold", "-h", "run_dirs"],
     "validate": ["--help", "-h"],
 }
 CONFIG_FIELDS = {
-    "SimConfig": ["n_agents", "total_steps", "equilibration_steps", "seed", "rescale_k",
+    "SimConfig": ["n_agents", "total_steps", "equilibration_steps", "seed",
                   "x", "memory", "initial_history", "vote_mode"],
-    "EzConfig": ["n_agents", "total_steps", "equilibration_steps", "seed", "rescale_k", "a"],
+    "EzConfig": ["n_agents", "total_steps", "equilibration_steps", "seed", "a"],
 }
 
 

@@ -65,8 +65,6 @@ def test_config_defaults_and_validation():
         SimConfig(n_agents=10, x=0.41, total_steps=100, initial_history=(1, 1, 0))
     with pytest.raises(ValueError):
         SimConfig(n_agents=10, x=0.41, total_steps=100, initial_history=(1, 2))
-    with pytest.raises(ValueError):
-        SimConfig(n_agents=10, x=0.41, total_steps=100, rescale_k=0)
     with pytest.raises(ValueError, match="seed"):
         SimConfig(n_agents=10, x=0.41, total_steps=100, seed=-1)
     with pytest.raises(ValueError, match="'strategy' or 'iid'"):

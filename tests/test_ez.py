@@ -27,8 +27,6 @@ def test_config_validation():
         EzConfig(n_agents=1, a=0.1, total_steps=1000)
     with pytest.raises(ValueError, match="seed"):
         EzConfig(n_agents=100, a=0.1, total_steps=1000, seed=-1)
-    with pytest.raises(ValueError, match="rescale_k"):
-        EzConfig(n_agents=100, a=0.1, total_steps=1000, rescale_k=0)
     with pytest.raises(TypeError):
         EzConfig(100)  # keyword-only
     assert EzConfig().n_agents == 10_000  # the command line's default
