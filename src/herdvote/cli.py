@@ -15,9 +15,10 @@ Subcommands
     validate   fast self-checks of the exact math against brute-force
                oracles; nonzero exit when anything disagrees
 
-Config files are plain "key = value" text (LF, UTF-8, '#' comments).  The
-keys, in echo order, with their defaults (set by `config.SimConfig` and
-`config.EzConfig`; a test keeps this table equal to `default_config()`):
+Config files are plain "key = value" text (LF, UTF-8, '#' comments), each
+key set at most once.  The keys, in echo order, with their defaults (set
+by `config.SimConfig` and `config.EzConfig`; a test keeps this table equal
+to `default_config()`):
 
     schema_version      = 3           # 3: a run echoes only its model's keys
     model               = main        # main | ez
@@ -36,17 +37,24 @@ keys, in echo order, with their defaults (set by `config.SimConfig` and
 vote_mode, the voting model ez_a); the SHA-256 of the echo names its run
 directory, so a run can always be reproduced byte for byte.
 
-Exit codes: 0 success, 2 usage error, 3 config/input error, 4 validation
-failure, 5 solver non-convergence.  The options and config keys are all
-the settings there are: no environment variable changes what a command
-does.
+Exit codes: 0 success, 2 usage error, 3 config/input error (one "error:"
+line), 4 validation failure, 5 solver non-convergence.  The options and
+config keys are all the settings there are: no environment variable
+changes what a command does.
+
+Every file a command writes goes through `artifacts.publication`: its
+output paths are checked before any work, and its files are staged and
+moved into place together, so an error leaves every output as it was.
+This module holds the file formats (the `_write_*` writers and the config
+text) and each command's policy: which files it writes, and `run`'s
+append-only digest check on a rerun.
 
 Each subcommand imports only the layers it runs, inside the function that
 runs them: the simulator (`engine`, `ez`) on the run path, `analysis` in
 `analyze` and `validate`, `meanfield` in `meanfield` and `validate`.  At
-module level this file needs only `config`.  The run path calls the
-simulator and the series writer as `engine.<name>`, so a caller that
-replaces such an attribute replaces the call.
+module level this file needs only `config` and `artifacts`.  The run path
+calls the simulator and the series writer as `engine.<name>`, so a caller
+that replaces such an attribute replaces the call.
 """
 
 from __future__ import annotations
@@ -59,15 +67,14 @@ import hashlib
 import json
 import math
 import os
-import shutil
 import sys
-import tempfile
 import time
 from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
+from .artifacts import ConfigError, publication, read_verified, recorded_digests, sha256_file
 from .config import EzConfig, RunConfig, SimConfig
 
 EXIT_OK = 0
@@ -77,10 +84,6 @@ EXIT_VALIDATION = 4
 EXIT_NONCONVERGENCE = 5
 
 SCHEMA_VERSION = 3
-
-
-class ConfigError(Exception):
-    pass
 
 
 # -- config file handling --------------------------------------------------
@@ -140,16 +143,28 @@ def _parse_value(key: str, text: str, where: str = ""):
 
 
 def parse_config_text(text: str) -> dict:
-    values = {}
+    values, line_of = {}, {}
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = _parse_value(key.strip(), value.strip(), f"line {line_no}: ")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in line_of:
+            raise ConfigError(f"line {line_no}: {key!r} is set twice, on lines "
+                              f"{line_of[key]} and {line_no}")
+        line_of[key] = line_no
+        values[key] = _parse_value(key, value, f"line {line_no}: ")
     return values
+
+
+def _parse_config_bytes(data: bytes) -> dict:
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return parse_config_text(text)
 
 
 def apply_overrides(config: dict, overrides) -> dict:
@@ -215,26 +230,10 @@ def regime_warnings(config: dict) -> list:
 
 # -- run artifacts ----------------------------------------------------------
 
-def _sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 class RunResult(NamedTuple):
     run_dir: str
     config_digest: str
     warnings: list
-
-
-def _make_dir(path: str) -> None:
-    """`os.makedirs` that names the path when a file is in the way."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except (FileExistsError, NotADirectoryError):
-        raise ConfigError(f"cannot create directory {path}: it or a parent is a file") from None
 
 
 def ez_run(config: EzConfig):
@@ -245,15 +244,15 @@ def ez_run(config: EzConfig):
 
 
 def execute_run(config: dict, out_root: str) -> RunResult:
-    """Simulate per `config` and write artifacts into its run directory.
+    """Simulate per `config` and publish its artifacts in its run directory.
 
     The directory name is the config digest.  Directories are append-only:
-    an existing run with matching artifact digests is left untouched, its
-    manifest included, and a mismatch is an error.  Every file is written
-    under a private staging directory inside the run directory and moved to
-    its name with one `os.replace`, so a crash never leaves a partial file
-    under an artifact's name.  Returns the directory, the resolved config's
-    digest and its regime warnings.
+    every file is staged and digested first, and a file that exists with
+    another digest, or a manifest that records other digests, is refused
+    with nothing published.  Otherwise a missing file is restored, a
+    verified one is replaced by its byte-identical staged copy, and a
+    verified manifest is left as it was.  Returns the directory, the
+    resolved config's digest and its regime warnings.
     """
     from . import engine  # the simulator loads on the run path only
 
@@ -263,80 +262,40 @@ def execute_run(config: dict, out_root: str) -> RunResult:
     result = RunResult(run_dir, digest, regime_warnings(config))
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t0 = time.perf_counter()
+    path = {name: os.path.join(run_dir, name) for name in (
+        "config.txt", "returns_raw.bin", "size_histogram.csv", "summary.json", "manifest.json")}
 
-    _make_dir(out_root)  # before the simulation, so a file in the way fails fast
-    if config["model"] == "ez":
-        returns, summary = ez_run(sim_config)
-    else:
-        returns, summary = engine.run(sim_config)
-
-    _make_dir(run_dir)
-    staging = tempfile.mkdtemp(prefix=".staging-", dir=run_dir)
-    try:
+    with publication(path.values()) as stage:
+        returns, summary = (ez_run if config["model"] == "ez" else engine.run)(sim_config)
         artifacts = {}
-
-        def emit(name: str, writer) -> None:
-            path = os.path.join(run_dir, name)
-            tmp = os.path.join(staging, name)
-            writer(tmp)
-            fresh = _sha256_file(tmp)
-            if os.path.exists(path):
-                existing = _sha256_file(path)
-                if fresh != existing:
-                    raise ConfigError(
-                        f"refusing to overwrite {path}: existing digest {existing[:12]} "
-                        f"differs from recomputed {fresh[:12]}"
-                    )
-            else:
-                os.replace(tmp, path)
-            artifacts[name] = fresh
-
-        emit("config.txt", lambda p: _write_text(p, config_text(config)))
-        emit("returns_raw.bin", lambda p: engine.write_returns_binary(p, returns))
-        emit("size_histogram.csv", lambda p: _write_histogram(p, summary.final_size_histogram))
-        emit("summary.json", lambda p: _write_json(p, _summary_dict(summary)))
-
-        manifest_path = os.path.join(run_dir, "manifest.json")
-        if os.path.exists(manifest_path):
-            if _recorded_digests(manifest_path) != artifacts:
-                raise ConfigError(f"refusing to overwrite {manifest_path}: its artifact "
-                                  f"digests differ from the verified artifacts")
-            return result
-        manifest = {
-            "schema_version": SCHEMA_VERSION,
-            "package_version": __version__,
-            "config": _formatted(config),
-            "config_digest": digest,
-            "seed": config["seed"],
-            "warnings": result.warnings,
-            "started_utc": started,
-            "finished_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "wall_time_s": time.perf_counter() - t0,
-            "artifacts": artifacts,
-        }
-        _write_json(os.path.join(staging, "manifest.json"), manifest)
-        os.replace(os.path.join(staging, "manifest.json"), manifest_path)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+        for name, write in (
+            ("config.txt", lambda p: _write_text(p, config_text(config))),
+            ("returns_raw.bin", lambda p: engine.write_returns_binary(p, returns)),
+            ("size_histogram.csv", lambda p: _write_histogram(p, summary.final_size_histogram)),
+            ("summary.json", lambda p: _write_json(p, _summary_dict(summary))),
+        ):
+            artifacts[name] = fresh = sha256_file(stage(path[name], write))
+            if os.path.exists(path[name]) and (existing := sha256_file(path[name])) != fresh:
+                raise ConfigError(f"refusing to overwrite {path[name]}: existing digest "
+                                  f"{existing[:12]} differs from recomputed {fresh[:12]}")
+        if not os.path.exists(path["manifest.json"]):
+            manifest = {
+                "schema_version": SCHEMA_VERSION,
+                "package_version": __version__,
+                "config": _formatted(config),
+                "config_digest": digest,
+                "seed": config["seed"],
+                "warnings": result.warnings,
+                "started_utc": started,
+                "finished_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+                "wall_time_s": time.perf_counter() - t0,
+                "artifacts": artifacts,
+            }
+            stage(path["manifest.json"], lambda p: _write_json(p, manifest))
+        elif recorded_digests(path["manifest.json"]) != artifacts:
+            raise ConfigError(f"refusing to overwrite {path['manifest.json']}: its artifact "
+                              f"digests differ from the verified artifacts")
     return result
-
-
-def _recorded_digests(manifest_path: str) -> dict:
-    """The artifact digests a run's manifest records, by file name.
-
-    A manifest that is not JSON or holds no "artifacts" mapping is a config
-    error that names it.
-    """
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            recorded = json.load(fh)["artifacts"]
-    except KeyError as exc:
-        raise ConfigError(f"damaged manifest {manifest_path}: no entry {exc.args[0]!r}") from None
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"damaged manifest {manifest_path}: {exc!r}") from None
-    if not isinstance(recorded, dict):
-        raise ConfigError(f"damaged manifest {manifest_path}: its artifacts are not a mapping")
-    return recorded
 
 
 def _write_text(path, text: str) -> None:
@@ -375,10 +334,17 @@ def _summary_dict(summary) -> dict:
 def _load_config_arg(args) -> dict:
     config = default_config()
     if args.config:
-        if not os.path.exists(args.config):
-            raise ConfigError(f"config file not found: {args.config}")
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config.update(parse_config_text(fh.read()))
+        try:
+            with open(args.config, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {args.config}") from None
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc.strerror}") from None
+        try:
+            config.update(_parse_config_bytes(data))
+        except ConfigError as exc:
+            raise ConfigError(f"{args.config}: {exc}") from None
     return apply_overrides(config, args.set)
 
 
@@ -390,15 +356,18 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def derive_seed(master_seed: int, x: float, n_agents: int, replicate: int) -> int:
-    """Stable per-grid-point seed; independent of grid order and worker count."""
-    tag = f"herdvote-sweep:{master_seed}:{x!r}:{n_agents}:{replicate}"
+def derive_seed(master_seed: int, x: float | None, n_agents: int, replicate: int) -> int:
+    """Stable per-grid-point seed; independent of grid order and worker count.
+
+    `x` is None for the E-Z model, which reads no x.
+    """
+    coordinates = f"{n_agents}" if x is None else f"{x!r}:{n_agents}"
+    tag = f"herdvote-sweep:{master_seed}:{coordinates}:{replicate}"
     return int.from_bytes(hashlib.sha256(tag.encode()).digest()[:8], "little")
 
 
 def _sweep_point(payload) -> dict:
-    config, out_root = payload
-    record = {k: config[k] for k in ("x", "n_agents", "seed")}
+    config, record, out_root = payload
     try:
         result = execute_run(config, out_root)
         record.update(status="ok", run_dir=result.run_dir, config_digest=result.config_digest)
@@ -423,45 +392,49 @@ def _grid_values(text, parse, default) -> list:
 
 def cmd_sweep(args) -> int:
     base = _load_config_arg(args)
-    if args.x and base["model"] == "ez":
+    ez = base["model"] == "ez"
+    if args.x and ez:
         raise ConfigError("--x sets the voting model's consensus parameter; model 'ez' has no x")
-    xs = _grid_values(args.x, float, base["x"])
+    xs = [None] if ez else _grid_values(args.x, float, base["x"])
     ns = _grid_values(args.n_agents, int, base["n_agents"])
     if not xs or not ns or args.replicates < 1:
         raise ConfigError("sweep grid is empty")
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     points = []
     for x in xs:
         for n in ns:
             for rep in range(args.replicates):
-                config = dict(base)
-                config["x"] = x
-                config["n_agents"] = n
-                config["seed"] = derive_seed(args.master_seed, x, n, rep)
-                points.append((config, args.out))
+                # each record holds the grid keys its model reads, and its seed
+                record = {"n_agents": n, "seed": derive_seed(args.master_seed, x, n, rep)}
+                if x is not None:
+                    record["x"] = x
+                points.append(({**base, **record}, record, args.out))
 
-    _make_dir(args.out)
-    if args.workers <= 1:
-        records = [_sweep_point(p) for p in points]
-    else:
-        # imported here: it pulls in multiprocessing, which only a parallel sweep uses
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            records = list(pool.map(_sweep_point, points))
-
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "package_version": __version__,
-        "master_seed": args.master_seed,
-        "x_values": xs,
-        "n_agents_values": ns,
-        "replicates": args.replicates,
-        "runs": records,
-    }
-    _write_json(os.path.join(args.out, "sweep.json"), manifest)
+    sweep_path = os.path.join(args.out, "sweep.json")
+    with publication([sweep_path]) as stage:
+        if args.workers == 1:
+            records = [_sweep_point(p) for p in points]
+        else:
+            # imported here: it pulls in multiprocessing, which only a parallel sweep uses
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=args.workers) as pool:
+                records = list(pool.map(_sweep_point, points))
+        manifest = {
+            "schema_version": SCHEMA_VERSION,
+            "package_version": __version__,
+            "master_seed": args.master_seed,
+            **({} if ez else {"x_values": xs}),
+            "n_agents_values": ns,
+            "replicates": args.replicates,
+            "runs": records,
+        }
+        stage(sweep_path, lambda p: _write_json(p, manifest))
     failures = [r for r in records if r["status"] != "ok"]
     for r in failures:
-        print(f"error: grid point x={r['x']} n={r['n_agents']}: {r['error']}", file=sys.stderr)
-    print(os.path.join(args.out, "sweep.json"))
+        point = " ".join(f"{k}={r[k]}" for k in ("x", "n_agents") if k in r)
+        print(f"error: grid point {point}: {r['error']}", file=sys.stderr)
+    print(sweep_path)
     return EXIT_CONFIG if failures else EXIT_OK
 
 
@@ -469,59 +442,31 @@ def cmd_meanfield(args) -> int:
     from . import meanfield
 
     out = args.out or f"meanfield_N{args.n_agents}_x{args.x}.txt"
-    _make_dir(os.path.dirname(out) or os.curdir)  # before the solve, as `run` does
-    if os.path.isdir(out):
-        raise ConfigError(f"cannot write {out}: it is a directory")
-    try:
-        dist, report = meanfield.solve_stationary(
-            args.n_agents, args.x, tolerance=args.tolerance, max_iterations=args.max_iterations,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    meanfield.write_distribution(out, dist)
-    report_dict = {
-        "n_agents": args.n_agents,
-        "x": args.x,
-        "tolerance": args.tolerance,
-        "iterations": report.iterations,
-        "residual": report.residual,
-        "converged": report.converged,
-    }
-    _write_json(out + ".report.json", report_dict)
+    report_path = out + ".report.json"
+    with publication([out, report_path]) as stage:
+        try:
+            dist, report = meanfield.solve_stationary(
+                args.n_agents, args.x, tolerance=args.tolerance,
+                max_iterations=args.max_iterations,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        stage(out, lambda p: meanfield.write_distribution(p, dist))
+        report_dict = {
+            "n_agents": args.n_agents,
+            "x": args.x,
+            "tolerance": args.tolerance,
+            "iterations": report.iterations,
+            "residual": report.residual,
+            "converged": report.converged,
+        }
+        stage(report_path, lambda p: _write_json(p, report_dict))
     print(json.dumps(report_dict))
     if not report.converged:
         print(f"error: no convergence within {args.max_iterations} sweeps "
               f"(residual {report.residual:.3e})", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     return EXIT_OK
-
-
-def _read_verified(run_dir: str, names) -> list:
-    """The bytes of each named artifact, checked against the run's manifest.
-
-    A missing file, a manifest that cannot be read or lacks a digest, and a
-    file whose sha256 differs from its recorded digest are config errors
-    that name the file.
-    """
-    manifest_path = os.path.join(run_dir, "manifest.json")
-    for path in [os.path.join(run_dir, name) for name in names] + [manifest_path]:
-        if not os.path.exists(path):
-            raise ConfigError(f"missing artifact: {path}")
-    recorded = _recorded_digests(manifest_path)
-    contents = []
-    for name in names:
-        if name not in recorded:
-            raise ConfigError(f"damaged manifest {manifest_path}: no entry {name!r}")
-        digest = recorded[name]
-        path = os.path.join(run_dir, name)
-        with open(path, "rb") as fh:
-            data = fh.read()
-        fresh = hashlib.sha256(data).hexdigest()
-        if fresh != digest:
-            raise ConfigError(f"damaged artifact {path}: sha256 {fresh[:12]} differs from "
-                              f"the manifest's {str(digest)[:12]}")
-        contents.append(data)
-    return contents
 
 
 def _read_run_returns(run_dir: str, k: int) -> tuple[dict, np.ndarray]:
@@ -532,14 +477,16 @@ def _read_run_returns(run_dir: str, k: int) -> tuple[dict, np.ndarray]:
     """
     from .series import parse_returns_binary, rescale_returns
 
-    config_bytes, series_bytes = _read_verified(run_dir, ("config.txt", "returns_raw.bin"))
+    config_bytes, series_bytes = read_verified(run_dir, ("config.txt", "returns_raw.bin"))
     try:
-        text = config_bytes.decode("utf-8")
-        config = resolve_config({**default_config(), **parse_config_text(text)})
-    except (UnicodeDecodeError, ConfigError) as exc:
+        config = resolve_config({**default_config(), **_parse_config_bytes(config_bytes)})
+    except ConfigError as exc:
         raise ConfigError(f"{os.path.join(run_dir, 'config.txt')}: {exc}") from None
     try:
         returns = parse_returns_binary(series_bytes)
+        n = config["n_agents"]  # no group that trades is larger than the population
+        if returns.size and (returns.min() < -n or returns.max() > n):
+            raise ValueError(f"a return exceeds the run's {n} agents")
     except ValueError as exc:
         raise ConfigError(f"damaged artifact {os.path.join(run_dir, 'returns_raw.bin')}: {exc}")
     return config, rescale_returns(returns, k)
@@ -557,74 +504,60 @@ def cmd_analyze(args) -> int:
         if not ok:
             rule = ">= 1" if isinstance(value, int) else "finite and > 0"
             raise ConfigError(f"{option} must be {rule}, got {value}")
-    returns_by_x = {}
-    # every directory is read and fitted before anything is written
-    analysed = []  # (run dir, CCDF, binned density, fit row)
-    cutoffs = []  # the cutoff of each directory's own fit
     # a directory named twice, however spelled, is analysed and summarised once
     run_dirs = {}
     for run_dir in args.run_dirs:
         run_dirs.setdefault(os.path.realpath(run_dir), run_dir)
-    for run_dir in run_dirs.values():
-        config, returns = _read_run_returns(run_dir, args.rescale_k)
-        if not np.any(returns):
-            raise ConfigError(f"no trades in {run_dir}: every recorded return is zero")
-        param = config["x"] if config["model"] == "main" else f"ez a={config['ez_a']}"
-        try:
-            fit = analysis.fit_power_law(returns, args.r_min)
-            cutoffs.append(fit.r_min)
-            fit_row = (param, fit.alpha_density, fit.alpha_cumulative,
-                       fit.r_min, fit.stderr, fit.n_tail)
-        except ValueError:
-            fit_row = (param, math.nan, math.nan, math.nan, math.nan, 0)
-        analysed.append((run_dir, analysis.ccdf(returns),
-                         analysis.log_binned_pdf(returns, args.bins_per_decade), fit_row))
-        # one row per run directory
-        key = param
-        if key in returns_by_x:  # replicate runs at the same parameters
-            key = f"{param} seed={config['seed']}"
-        if key in returns_by_x:  # and the same seed: other keys differ
-            key = f"{param} {run_dir}"
-        returns_by_x[key] = returns
+    returns_by_x = {}
+    cutoffs = []  # the cutoff of each directory's own fit
+    with publication([*(os.path.join(run_dir, "analysis", name) for run_dir in run_dirs.values()
+                        for name in ("ccdf.csv", "pdf.csv", "fit.csv")), args.out]) as stage:
+        for run_dir in run_dirs.values():
+            config, returns = _read_run_returns(run_dir, args.rescale_k)
+            if not np.any(returns):
+                raise ConfigError(f"no trades in {run_dir}: every recorded return is zero")
+            param = config["x"] if config["model"] == "main" else f"ez a={config['ez_a']}"
+            try:
+                fit = analysis.fit_power_law(returns, args.r_min)
+                cutoffs.append(fit.r_min)
+                fit_row = (param, fit.alpha_density, fit.alpha_cumulative,
+                           fit.r_min, fit.stderr, fit.n_tail)
+            except ValueError:
+                fit_row = (param, math.nan, math.nan, math.nan, math.nan, 0)
+            curve = analysis.ccdf(returns)
+            centers, density = analysis.log_binned_pdf(returns, args.bins_per_decade)
+            out_dir = os.path.join(run_dir, "analysis")
+            stage(os.path.join(out_dir, "ccdf.csv"), lambda p: _write_csv(
+                p, ("value", "probability"), zip(curve.values, curve.probabilities)))
+            stage(os.path.join(out_dir, "pdf.csv"), lambda p: _write_csv(
+                p, ("bin_center", "density"), zip(centers, density)))
+            stage(os.path.join(out_dir, "fit.csv"), lambda p: _write_csv(
+                p, ("x", "alpha_density", "alpha_cumulative", "r_min", "stderr", "n_tail"),
+                [fit_row]))
+            # one row per run directory
+            key = param
+            if key in returns_by_x:  # replicate runs at the same parameters
+                key = f"{param} seed={config['seed']}"
+            if key in returns_by_x:  # and the same seed: other keys differ
+                key = f"{param} {run_dir}"
+            returns_by_x[key] = returns
 
-    # the summary fits every series at one cutoff: the given one, else the
-    # largest KS-optimal cutoff found above (`cutoff_scan`'s own choice)
-    r_min = args.r_min if args.r_min is not None else max(cutoffs, default=None)
-    if r_min is None:
-        raise ConfigError(
-            f"no run has enough trades for a tail fit (every cutoff leaves fewer than "
-            f"{analysis.MIN_TAIL} tail points); pass --r-min to fit every run at a fixed cutoff")
-    # a file in the way of an output fails here, before anything is written
-    _make_dir(os.path.dirname(args.out) or os.curdir)
-    if os.path.isdir(args.out):
-        raise ConfigError(f"cannot write {args.out}: it is a directory")
-    for run_dir, *_ in analysed:
-        _make_dir(os.path.join(run_dir, "analysis"))
-    for run_dir, curve, (centers, density), fit_row in analysed:
-        out_dir = os.path.join(run_dir, "analysis")
-        _write_csv(
-            os.path.join(out_dir, "ccdf.csv"),
-            ("value", "probability"),
-            zip(curve.values, curve.probabilities),
-        )
-        _write_csv(os.path.join(out_dir, "pdf.csv"), ("bin_center", "density"), zip(centers, density))
-        _write_csv(
-            os.path.join(out_dir, "fit.csv"),
-            ("x", "alpha_density", "alpha_cumulative", "r_min", "stderr", "n_tail"),
-            [fit_row],
-        )
-
-    rows = analysis.cutoff_scan(returns_by_x, r_min=r_min, tail_threshold=args.tail_threshold)
-    _write_csv(
-        args.out,
-        ("x", "alpha_density", "alpha_cumulative", "r_min", "stderr", "n_tail",
-         "tail_threshold", "tail_mass"),
-        (
-            (r["x"], r["alpha_density"], r["alpha_cumulative"], r["r_min"],
-             r["stderr"], r["n_tail"], r["tail_threshold"], r["tail_mass"])
-            for r in rows
-        ),
-    )
+        # the summary fits every series at one cutoff: the given one, else the
+        # largest KS-optimal cutoff found above (`cutoff_scan`'s own choice)
+        r_min = args.r_min if args.r_min is not None else max(cutoffs, default=None)
+        if r_min is None:
+            raise ConfigError(
+                f"no run has enough trades for a tail fit (every cutoff leaves fewer than "
+                f"{analysis.MIN_TAIL} tail points); pass --r-min to fit every run at a fixed "
+                f"cutoff")
+        rows = analysis.cutoff_scan(returns_by_x, r_min=r_min, tail_threshold=args.tail_threshold)
+        stage(args.out, lambda p: _write_csv(
+            p,
+            ("x", "alpha_density", "alpha_cumulative", "r_min", "stderr", "n_tail",
+             "tail_threshold", "tail_mass"),
+            ((r["x"], r["alpha_density"], r["alpha_cumulative"], r["r_min"],
+              r["stderr"], r["n_tail"], r["tail_threshold"], r["tail_mass"]) for r in rows),
+        ))
     print(args.out)
     return EXIT_OK
 

@@ -1,12 +1,15 @@
 import argparse
 import ast
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import herdvote
-from herdvote import analysis, cli, engine
+from herdvote import analysis, artifacts, cli, engine, meanfield
 from herdvote.series import read_returns_binary
 
 
@@ -230,6 +233,25 @@ def test_missing_config_file_is_config_error(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["directory", "not_utf8", "key_twice"])
+def test_unreadable_config_file_is_config_error(tmp_path, capsys, case):
+    """Exit 3 with one error line naming the file, before any run."""
+    cfg = tmp_path / "base.cfg"
+    if case == "directory":
+        cfg.mkdir()
+    else:
+        cfg.write_bytes({"not_utf8": b"n_agents = 150\nx = 0.4\xff\n",
+                         "key_twice": b"x = 0.41\n# a comment\nseed = 2\nx = 0.45\n"}[case])
+    code = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "runs")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and str(cfg) in err
+    expected = {"directory": "Is a directory", "not_utf8": "not UTF-8 text",
+                "key_twice": "line 4: 'x' is set twice, on lines 1 and 4"}[case]
+    assert expected in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         run_cli(["no-such-command"])
@@ -300,27 +322,74 @@ def test_keys_the_model_does_not_read_name_no_second_directory(tmp_path, capsys,
     assert manifest.read_bytes() == before
 
 
-def test_crash_mid_write_leaves_no_partial_artifact(tmp_path, capsys, monkeypatch):
-    def crashing_writer(path, series):
+def tree(root) -> dict:
+    """Every path under `root`, with each file's bytes (None for a directory)."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in Path(root).rglob("*")}
+
+
+@pytest.mark.parametrize("command, module, writer, crash_on", [
+    ("run", engine, "write_returns_binary", "returns_raw.bin"),
+    ("analyze", cli, "_write_csv", "summary.csv"),
+    ("meanfield", cli, "_write_json", "dist.txt.report.json"),
+    ("sweep", cli, "_write_json", "sweep.json"),
+], ids=["run", "analyze", "meanfield", "sweep"])
+def test_crash_mid_write_leaves_no_partial_artifact(tmp_path, capsys, monkeypatch,
+                                                    command, module, writer, crash_on):
+    """A writer that dies part-way through one file publishes none of the
+    command's files: every output path, and the directories made for them,
+    are left as they were, with no staging left behind.  A rerun then
+    writes what a clean run does."""
+    if command == "analyze":
+        assert run_cli(tiny_run_args(tmp_path / "runs")) == 0
+        run_dir = Path(capsys.readouterr().out.strip())
+    argv = {
+        "run": tiny_run_args(tmp_path / "a"),
+        "analyze": ["analyze", "RUN_DIR", "--r-min", "1", "--out", str(tmp_path / "summary.csv")],
+        "meanfield": ["meanfield", "--n-agents", "6", "--x", "0.41",
+                      "--out", str(tmp_path / "m" / "dist.txt")],
+        "sweep": sweep_args(tmp_path / "s", 1),
+    }[command]
+    if command == "analyze":
+        argv[1] = str(run_dir)
+    before = tree(tmp_path)
+    write = getattr(module, writer)
+
+    def crashing_writer(path, *args):
+        if os.path.basename(path) != crash_on:
+            return write(path, *args)
         with open(path, "w") as fh:
-            fh.write("12\n-3\n")  # part of the series, then the writer dies
+            fh.write("12\n-3\n")  # part of the file, then the writer dies
         raise OSError("disk full")
 
-    monkeypatch.setattr(engine, "write_returns_binary", crashing_writer)
+    monkeypatch.setattr(module, writer, crashing_writer)
     with pytest.raises(OSError, match="disk full"):
-        run_cli(tiny_run_args(tmp_path / "a"))
+        run_cli(argv)
     monkeypatch.undo()
-    (run_dir,) = (tmp_path / "a").iterdir()
-    assert os.listdir(run_dir) == ["config.txt"]  # complete files only, no staging left
+    after = tree(tmp_path)
+    assert not any(".staging-" in path for path in after)
+    if command == "sweep":  # each grid point's run is whole, published before sweep.json
+        runs = list((tmp_path / "s").iterdir())
+        assert len(runs) == 2 and all((p / "manifest.json").exists() for p in runs)
+    else:
+        assert after == before
 
-    assert run_cli(tiny_run_args(tmp_path / "a")) == 0
-    assert capsys.readouterr().out.strip() == str(run_dir)
-    assert run_cli(tiny_run_args(tmp_path / "b")) == 0
-    fresh_dir = capsys.readouterr().out.strip()
-    man_a = json.load(open(os.path.join(run_dir, "manifest.json")))
-    man_b = json.load(open(os.path.join(fresh_dir, "manifest.json")))
-    assert man_a["artifacts"] == man_b["artifacts"]
-    assert sorted(os.listdir(run_dir)) == sorted(os.listdir(fresh_dir))
+    assert run_cli(argv) == 0
+    capsys.readouterr()
+    if command == "run":
+        (run_dir,) = (tmp_path / "a").iterdir()
+        assert run_cli(tiny_run_args(tmp_path / "b")) == 0
+        fresh_dir = capsys.readouterr().out.strip()
+        assert tree(run_dir).keys() == tree(fresh_dir).keys()
+        man_a = json.load(open(os.path.join(run_dir, "manifest.json")))
+        man_b = json.load(open(os.path.join(fresh_dir, "manifest.json")))
+        assert man_a["artifacts"] == man_b["artifacts"]
+    else:
+        written = {"analyze": ["summary.csv", "runs/*/analysis/fit.csv"],
+                   "meanfield": ["m/dist.txt", "m/dist.txt.report.json"],
+                   "sweep": ["s/sweep.json"]}[command]
+        assert all(list(tmp_path.glob(pattern)) for pattern in written)
+        assert not any(".staging-" in path for path in tree(tmp_path))
 
 
 def test_scipy_stays_off_the_run_and_analyze_path(tmp_path):
@@ -355,7 +424,7 @@ assert "scipy" not in sys.modules
     assert result.returncode == 0, result.stderr
 
 
-BASE_MODULES = {"herdvote", "herdvote.cli", "herdvote.config"}
+BASE_MODULES = {"herdvote", "herdvote.artifacts", "herdvote.cli", "herdvote.config"}
 SIMULATOR = {"herdvote.engine", "herdvote.population", "herdvote.series", "herdvote.strategy",
              "herdvote.voting"}
 COMMAND_MODULES = {
@@ -552,64 +621,103 @@ def test_sweep_over_x_of_the_ez_model_is_config_error(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "runs")
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_workers_below_one_rejected(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setattr(engine, "run", lambda *_: pytest.fail("ran a grid point"))
+    code = run_cli([*sweep_args(tmp_path / "runs", 1), "--workers", workers])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--workers" in err and workers in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_records_only_the_keys_the_model_reads(tmp_path, capsys):
+    """An E-Z sweep labels and seeds its points without x, which that model
+    never reads; a voting-model sweep keeps the seeds it always had."""
+    ez = ["sweep", "--n-agents", "100,120", "--replicates", "2", "--master-seed", "5",
+          "--set", "model=ez", "--set", "total_steps=1000", "--out", str(tmp_path / "ez")]
+    assert run_cli(ez) == 0
+    assert run_cli(sweep_args(tmp_path / "main", 1)) == 0
+    capsys.readouterr()
+    sweep = json.load(open(tmp_path / "ez" / "sweep.json"))
+    assert "x_values" not in sweep and sweep["n_agents_values"] == [100, 120]
+    assert [(r["n_agents"], r["seed"]) for r in sweep["runs"]] == [
+        (n, cli.derive_seed(5, None, n, rep)) for n in (100, 120) for rep in range(2)]
+    assert all(set(r) == {"n_agents", "seed", "status", "run_dir", "config_digest"}
+               for r in sweep["runs"])
+    assert len({r["run_dir"] for r in sweep["runs"]}) == 4
+    sweep = json.load(open(tmp_path / "main" / "sweep.json"))
+    assert [(r["x"], r["n_agents"], r["seed"]) for r in sweep["runs"]] == [
+        (0.41, 120, 3760007070974085378), (0.47, 120, 8313916661294398450)]
+
+
 def test_derived_seeds_are_stable():
     assert cli.derive_seed(1, 0.37, 100, 0) == cli.derive_seed(1, 0.37, 100, 0)
     assert cli.derive_seed(1, 0.37, 100, 0) != cli.derive_seed(1, 0.37, 100, 1)
     assert cli.derive_seed(1, 0.37, 100, 0) != cli.derive_seed(2, 0.37, 100, 0)
 
 
-@pytest.mark.parametrize("command", ["run", "sweep", "meanfield", "analyze"])
+@pytest.mark.parametrize("command", ["run", "sweep", "meanfield", "analyze",
+                                     "meanfield_report", "sweep_json"])
 def test_out_under_an_existing_file_is_config_error(tmp_path, monkeypatch, capsys, command):
-    """Refused before any simulation or analysis output, with the path named."""
-    a_file = tmp_path / "a_file"
-    a_file.write_text("")
+    """Refused before any simulation, solve or analysis output, with the path
+    named, and nothing left behind: a file where an output directory must
+    go, or a directory where `meanfield`'s report or `sweep.json` must go."""
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
     if command == "analyze":
         assert run_cli(tiny_run_args(tmp_path / "runs")) == 0
         run_dir = capsys.readouterr().out.strip()
 
-    def no_simulation(*_args):
-        raise AssertionError("simulated although the output cannot be written")
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("worked although the output cannot be written")
 
-    monkeypatch.setattr(engine, "run", no_simulation)
+    monkeypatch.setattr(engine, "run", no_work)
+    monkeypatch.setattr(meanfield, "solve_stationary", no_work)
     argv = {
-        "run": tiny_run_args(a_file),
-        "sweep": sweep_args(a_file, 1),
+        "run": tiny_run_args(blocker),
+        "sweep": sweep_args(blocker, 1),
         "meanfield": ["meanfield", "--n-agents", "6", "--x", "0.41",
-                      "--out", str(a_file / "dist.txt")],
-        "analyze": ["analyze", "RUN_DIR", "--r-min", "1", "--out", str(a_file / "s.csv")],
+                      "--out", str(blocker / "dist.txt")],
+        "analyze": ["analyze", "RUN_DIR", "--r-min", "1", "--out", str(blocker / "s.csv")],
+        "meanfield_report": ["meanfield", "--n-agents", "6", "--x", "0.41",
+                             "--out", str(tmp_path / "m" / "d.txt")],
+        "sweep_json": sweep_args(tmp_path / "s", 1),
     }[command]
     if command == "analyze":
         argv[1] = run_dir
+    if command in ("meanfield_report", "sweep_json"):
+        blocker = tmp_path / {"meanfield_report": "m/d.txt.report.json",
+                              "sweep_json": "s/sweep.json"}[command]
+        blocker.mkdir(parents=True)
+    before = tree(tmp_path)
     assert run_cli(argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("error:") and str(a_file) in err
-    assert a_file.read_text() == ""
-    if command == "analyze":
-        assert not os.path.exists(os.path.join(run_dir, "analysis"))
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and str(blocker) in err
+    assert tree(tmp_path) == before
 
 
-@pytest.mark.parametrize("blocked", ["analysis", "summary.csv"])
+@pytest.mark.parametrize("blocked", ["analysis", "summary.csv", "fit.csv"])
 def test_analyze_output_blocked_is_config_error(tmp_path, capsys, blocked):
     """A file named like a run's analysis directory, or a directory named
-    like the summary, is refused with the path named before anything is
-    written."""
+    like the summary or like one of a run's analysis files, is refused with
+    the path named before anything is written."""
     assert run_cli(tiny_run_args(tmp_path / "runs")) == 0
     run_dir = capsys.readouterr().out.strip()
     analysis_dir = Path(run_dir) / "analysis"
     out_csv = tmp_path / "summary.csv"
-    blocked_path = {"analysis": analysis_dir, "summary.csv": out_csv}[blocked]
+    blocked_path = {"analysis": analysis_dir, "summary.csv": out_csv,
+                    "fit.csv": analysis_dir / "fit.csv"}[blocked]
     if blocked == "analysis":
         analysis_dir.write_text("")
     else:
-        out_csv.mkdir()
+        blocked_path.mkdir(parents=True)
+    before = tree(tmp_path)
     code = run_cli(["analyze", run_dir, "--r-min", "1", "--out", str(out_csv)])
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1 and str(blocked_path) in err
-    if blocked == "analysis":
-        assert analysis_dir.read_text() == "" and not out_csv.exists()
-    else:
-        assert not analysis_dir.exists() and out_csv.is_dir()
+    assert tree(tmp_path) == before
 
 
 # -- meanfield -------------------------------------------------------------------
@@ -849,15 +957,20 @@ def _json_list(path):
     path.write_text(json.dumps(list(json.loads(path.read_text())["artifacts"].items())))
 
 
+def _deeply_nested(path):
+    path.write_text("[" * 100_000)
+
+
 @pytest.mark.parametrize("name, damage", [
     ("returns_raw.bin", _truncate),
     ("summary.json", _flip_one_byte),
     ("manifest.json", _unparseable),
     ("manifest.json", _json_list),
+    ("manifest.json", _deeply_nested),
     ("returns_raw.bin", os.remove),
     ("manifest.json", os.remove),
 ], ids=["bin_truncated", "summary_byte_flipped", "manifest_unparseable", "manifest_json_list",
-        "bin_deleted", "manifest_deleted"])
+        "manifest_deeply_nested", "bin_deleted", "manifest_deleted"])
 def test_rerun_damaged_artifact_is_named(tmp_path, capsys, name, damage):
     """A rerun into a damaged directory exits 3 with one error line naming
     the file and leaves the directory as it was; a deleted file is not
@@ -934,6 +1047,72 @@ def test_analyze_without_any_tail_fit_asks_for_r_min(tmp_path, capsys):
     with open(out_csv, newline="") as fh:
         (row,) = list(csv.DictReader(fh))
     assert row["r_min"] == "1.0" and row["alpha_density"] == "nan"
+
+
+# -- arbitrary input ---------------------------------------------------------------
+
+def _series_bytes(values) -> bytes:
+    return len(values).to_bytes(8, "little") + np.array(values, dtype="<i8").tobytes()
+
+
+ARBITRARY_INPUT = {
+    "config.txt": st.binary(),
+    "manifest.json": st.binary(),
+    "returns_raw.bin": st.binary() | st.lists(st.integers(-2**63, 2**63 - 1)).map(_series_bytes),
+    "--set": st.text() | st.builds("{}={}".format, st.sampled_from(list(cli._CONFIG_SPEC)),
+                                   st.text()),
+}
+
+
+@pytest.mark.parametrize("target", list(ARBITRARY_INPUT))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_arbitrary_input_exits_0_or_3_and_leaves_no_partial_output(target, data):
+    """Arbitrary bytes as a config file, a run's manifest or series, and
+    arbitrary `--set` text: the command returns 0 or 3 (an exception here is
+    a traceback at the command line), exit 3 prints one error line and
+    changes no file, and every run a success leaves verifies."""
+    payload = data.draw(ARBITRARY_INPUT[target])
+    tiny = ["--set", "n_agents=50", "--set", "total_steps=300"]  # the fuzzed value comes first
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        runs = str(root / "runs")
+        summary = ["--r-min", "1", "--out", str(root / "summary.csv")]
+        if target == "config.txt":
+            (root / "in.cfg").write_bytes(payload)
+            argvs = [["run", "--config", str(root / "in.cfg"), *tiny, "--out", runs]]
+        elif target == "--set":
+            argvs = [["run", f"--set={payload}", *tiny, "--out", runs]]
+        elif target == "manifest.json":
+            with contextlib.redirect_stdout(io.StringIO()) as printed:
+                assert cli.main(["run", *tiny, "--out", runs]) == 0
+            run_dir = printed.getvalue().strip()
+            Path(run_dir, "manifest.json").write_bytes(payload)
+            argvs = [["run", *tiny, "--out", runs], ["analyze", run_dir, *summary]]
+        else:
+            write_analyze_inputs(root / "run", payload)
+            argvs = [["analyze", str(root / "run"), *summary]]
+        for argv in argvs:
+            before = tree(root)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = cli.main(argv)
+            after = tree(root)
+            assert not any(".staging-" in path for path in after)
+            if code == cli.EXIT_CONFIG:
+                assert err.getvalue().startswith("error:")
+                assert len(err.getvalue().splitlines()) == 1
+                assert after == before
+            else:
+                assert code == cli.EXIT_OK
+                for manifest in Path(root).rglob("manifest.json"):
+                    artifacts.read_verified(manifest.parent, list(artifacts.recorded_digests(
+                        str(manifest))))
+                if argv[0] == "analyze":
+                    assert (root / "summary.csv").exists()
+                if target == "returns_raw.bin":  # only a series a run could write: |r| <= N
+                    series = read_returns_binary(root / "run" / "returns_raw.bin")
+                    assert np.all((series >= -100) & (series <= 100))
 
 
 # -- validate ----------------------------------------------------------------------
