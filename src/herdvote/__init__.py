@@ -40,7 +40,7 @@ _EXPORTS = {  # submodule -> the public names it defines
     ),
     "strategy": ("assign_strategies", "history_index", "poll_group", "update_history"),
     "voting": (
-        "ConsensusParameter", "Decision", "DecisionProbabilities", "VoteTally",
+        "Decision", "DecisionProbabilities", "VoteTally",
         "consensus_probability", "consensus_threshold", "decide", "decision_probabilities",
         "enumerate_fragmentation_probability", "fragmentation_probability",
     ),

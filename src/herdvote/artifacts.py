@@ -5,7 +5,8 @@ A command names its output paths to `publication` before it does any work.
 Each path is checked then, and a private `.staging-*` directory is made
 for it in the nearest existing directory above it.  A directory (or a
 name such as "dir/") where the file must go, a file standing where a
-directory must be, or a directory that cannot be written in is a
+directory must be, a directory that cannot be written in, or a file that
+two outputs name (however spelled, through links included) is a
 `ConfigError` naming the path, so a bad output path costs no simulation or
 solve and leaves nothing behind.  Inside the `with` block the command
 stages each file: its writer writes it into the staging directory.  When
@@ -41,6 +42,7 @@ def publication(paths):
     when the `with` block ends without an error.
     """
     staging, staged = {}, []  # output directory -> its staging; (staged, final) paths
+    named = set()  # the resolved output paths
 
     def stage(path: str, write) -> str:
         tmp = os.path.join(staging[os.path.dirname(path) or os.curdir], os.path.basename(path))
@@ -52,6 +54,9 @@ def publication(paths):
         for path in paths:
             if os.path.isdir(path) or os.path.basename(path) in ("", ".", ".."):
                 raise ConfigError(f"cannot write {path}: it names a directory")
+            if (real := os.path.realpath(path)) in named:
+                raise ConfigError(f"cannot write {path}: another output names the same file")
+            named.add(real)
             directory = found = os.path.dirname(path) or os.curdir
             while not os.path.lexists(found):  # stage in the nearest existing directory
                 found = os.path.dirname(found) or os.curdir

@@ -4,8 +4,8 @@ Subcommands
     run        one simulation (voting model or the E-Z baseline), artifacts
                written to a directory content-addressed by the config digest
     sweep      a grid of runs over x / population size / replicates, with
-               per-point seeds derived from one master seed; grid points
-               execute in parallel without affecting any output
+               per-point seeds derived from the base config's seed; grid
+               points execute in parallel without affecting any output
     meanfield  stationary group-size distribution for (N, x)
     analyze    tail statistics (CCDF, binned density, power-law fits) for
                existing run directories plus a cross-x comparison table
@@ -38,9 +38,10 @@ vote_mode, the voting model ez_a); the SHA-256 of the echo names its run
 directory, so a run can always be reproduced byte for byte.
 
 Exit codes: 0 success, 2 usage error, 3 config/input error (one "error:"
-line), 4 validation failure, 5 solver non-convergence.  The options and
-config keys are all the settings there are: no environment variable
-changes what a command does.
+line; an allocation the machine refuses is one too), 4 validation failure,
+5 solver non-convergence.  The options and config keys are all the
+settings there are: no environment variable changes what a command does,
+and `sweep` takes its master seed from the base config's `seed`.
 
 Every file a command writes goes through `artifacts.publication`: its
 output paths are checked before any work, and its files are staged and
@@ -212,20 +213,19 @@ def config_digest(config: dict) -> str:
 
 
 def regime_warnings(config: dict) -> list:
-    warnings = []
-    if config["model"] == "main":
-        from .voting import ConsensusParameter
+    """Where a voting-model x lies outside the relative-majority regime.
 
-        cp = ConsensusParameter(config["x"])
-        if not cp.fragmentation_possible:
-            warnings.append(
-                f"x={config['x']} is in the no-fragmentation regime (x <= 1/3): groups only grow"
-            )
-        elif cp.absolute_majority:
-            warnings.append(
-                f"x={config['x']} is in the absolute-majority regime (x > 1/2)"
-            )
-    return warnings
+    At x <= 1/3 no group can fragment: three counts summing to s cannot all
+    stay below s/3.  Above 1/2 the winning option needs an absolute majority.
+    """
+    if config["model"] != "main":
+        return []
+    x = config["x"]
+    if x <= 1 / 3:
+        return [f"x={x} is in the no-fragmentation regime (x <= 1/3): groups only grow"]
+    if x > 0.5:
+        return [f"x={x} is in the absolute-majority regime (x > 1/2)"]
+    return []
 
 
 # -- run artifacts ----------------------------------------------------------
@@ -401,12 +401,13 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep grid is empty")
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    master_seed = base["seed"]
     points = []
     for x in xs:
         for n in ns:
             for rep in range(args.replicates):
                 # each record holds the grid keys its model reads, and its seed
-                record = {"n_agents": n, "seed": derive_seed(args.master_seed, x, n, rep)}
+                record = {"n_agents": n, "seed": derive_seed(master_seed, x, n, rep)}
                 if x is not None:
                     record["x"] = x
                 points.append(({**base, **record}, record, args.out))
@@ -423,7 +424,7 @@ def cmd_sweep(args) -> int:
         manifest = {
             "schema_version": SCHEMA_VERSION,
             "package_version": __version__,
-            "master_seed": args.master_seed,
+            "master_seed": master_seed,
             **({} if ez else {"x_values": xs}),
             "n_agents_values": ns,
             "replicates": args.replicates,
@@ -704,7 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--x", help="comma-separated consensus parameters")
     p_sweep.add_argument("--n-agents", help="comma-separated population sizes")
     p_sweep.add_argument("--replicates", type=int, default=1, help="seeds per grid point")
-    p_sweep.add_argument("--master-seed", type=int, default=1)
     p_sweep.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     p_sweep.add_argument("--out", default="runs", help="output root directory")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -738,6 +738,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # sizes too large for this machine are bad input too
+        print(f"error: out of memory: {str(exc) or 'an allocation was refused'}", file=sys.stderr)
         return EXIT_CONFIG
 
 

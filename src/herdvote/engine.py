@@ -24,12 +24,14 @@ cyclic garbage collector is off while it runs.  `run` drives it over a
 whole config.  `step` is the same update one call at a time, through
 `Partition.merge` and `Partition.fragment`: it is the reference that tests
 compare the loop against byte for byte, not production code.  The E-Z
-baseline (`ez`) is a configuration of the same loop: its decision
-distribution is the constant (a/2, a/2, 1-a), a trading group disperses,
-and a merge joins the group of another agent (nothing happens when that
-agent is in the same group).
+baseline (`ez`) runs on the same loop: a state built from an `EzConfig`
+draws its decisions from the constant (a/2, a/2, 1-a), a trading group
+disperses, and a merge joins the group of another agent (nothing happens
+when that agent is in the same group).
 
-Returns are recorded only after the configured equilibration window.
+A state reads every setting of its run from its config: the model and
+vote mode, the initial history and the equilibration window, after which
+returns are recorded.
 A run is fully determined by its config: the seed feeds two independent
 generator streams, one that draws the strategy tables (strategy mode
 only) and one that drives the dynamics.  Every dynamics draw is a
@@ -58,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import SimConfig, VoteMode
+from .config import EzConfig, SimConfig, VoteMode
 from .population import Partition
 from .series import (  # noqa: F401  (old import paths; the run path calls the writer here)
     read_returns_binary,
@@ -114,33 +116,43 @@ class SimState:
 
     __slots__ = (
         "config", "partition", "history", "step_index", "decision_counts",
-        "_n", "_x", "_size_cdf", "_cdf", "_ez", "_rows", "_width", "_single",
+        "_n", "_x", "_cdf", "_ez", "_rows", "_width", "_single",
         "_group_votes", "_hist_idx", "_ubuf", "_upicks", "_upos",
     )
 
-    def __init__(self, config, tables, size_cdf=None, *, history=(), ez=False):
-        """`size_cdf(s)` gives the decision CDF (buy, buy+sell, buy+sell+merge)
-        of a group of size s when decisions are drawn; None means the votes
-        come from `tables` (see `_tally_packer`; `config.x` is the threshold).
-        `ez=True` selects the E-Z baseline's actions (`ez.init_ez_state`):
-        a trading group disperses, and a merge joins the group of any agent
-        but the picked one, nothing happening when that is the same group."""
+    def __init__(self, config, tables=None):
+        """The state at step 0 of a run of `config`: every agent alone.
+
+        The config alone says how groups decide.  An `EzConfig` draws each
+        decision from the constant CDF (a/2, a, 1.0) and takes the E-Z
+        baseline's actions: a trading group disperses, and a merge joins the
+        group of any agent but the picked one, nothing happening when that
+        is the same group.  An iid `SimConfig` draws from
+        `voting.decision_cdf` at `config.x`; a strategy one polls `tables`,
+        the agents' strategy tables (see `_tally_packer`; `config.x` is the
+        threshold).  The history starts at `config.initial_history`, and is
+        empty for E-Z.
+        """
+        ez = isinstance(config, EzConfig)
+        polled = not ez and config.vote_mode == VoteMode.STRATEGY_DRIVEN
+        if polled and tables is None:
+            raise ValueError("strategy votes need the agents' strategy tables")
+        n = config.n_agents
         self.config = config
-        self.partition = Partition.singletons(config.n_agents)
-        self.history = history
+        self.partition = Partition.singletons(n)
+        self.history = () if ez else config.initial_history
         self.step_index = 0
         self.decision_counts = [0, 0, 0, 0]  # indexed by Decision
-        self._n = config.n_agents
-        self._size_cdf = size_cdf
-        # per-size decision CDFs (drawn decisions only), filled lazily by `advance`
-        self._cdf = None if size_cdf is None else [None] * (config.n_agents + 1)
+        self._n = n
+        self._x = None if ez else config.x
         self._ez = ez
+        # per-size decision CDFs of drawn decisions: E-Z's one constant, the
+        # iid ones filled lazily by `advance`
+        self._cdf = None if polled else [(config.a / 2, config.a, 1.0) if ez else None] * (n + 1)
         # per-agent table rows and per-group packed tallies (strategy mode)
-        self._x = config.x if size_cdf is None else None
-        self._width, self._rows, self._single = (
-            _tally_packer(tables) if size_cdf is None else (0, None, None))
+        self._width, self._rows, self._single = _tally_packer(tables) if polled else (0, None, None)
         self._group_votes: dict = {}
-        self._hist_idx = history_index(history)
+        self._hist_idx = history_index(self.history)
         self._ubuf = self._upicks = ()  # no block drawn yet
         self._upos = 0
 
@@ -226,22 +238,11 @@ def init_state(config: SimConfig) -> tuple[SimState, np.random.Generator]:
     iid mode draws none.
     """
     strat_seq, dyn_seq = np.random.SeedSequence(config.seed).spawn(2)
-    if config.vote_mode == VoteMode.IID_UNIFORM:
-        tables, size_cdf = None, _iid_cdf(config.x)
-    else:
+    tables = None
+    if config.vote_mode == VoteMode.STRATEGY_DRIVEN:
         strat_rng = np.random.Generator(np.random.PCG64(strat_seq))
-        tables, size_cdf = assign_strategies(config.n_agents, config.memory, strat_rng), None
-    state = SimState(config, tables, size_cdf, history=config.initial_history)
-    return state, np.random.Generator(np.random.PCG64(dyn_seq))
-
-
-def _iid_cdf(x: float):
-    """Decision CDF per size under i.i.d. uniform votes, `voting.decision_cdf`.
-
-    Its last entry is exactly 1.0 where p_frg = 0, so such a size can never
-    fragment (a uniform draw is always below 1.0).
-    """
-    return lambda s: decision_cdf(s, x)
+        tables = assign_strategies(config.n_agents, config.memory, strat_rng)
+    return SimState(config, tables), np.random.Generator(np.random.PCG64(dyn_seq))
 
 
 def step(state: SimState, rng: np.random.Generator) -> StepEvent:
@@ -266,9 +267,9 @@ def step(state: SimState, rng: np.random.Generator) -> StepEvent:
     pos += 1
     g, s = part.group_of(agent)
 
-    if state._size_cdf is not None:
+    if state._cdf is not None:
         # draw the decision from its exact distribution for this size
-        c_buy, c_sell, c_merge = state._size_cdf(s)
+        c_buy, c_sell, c_merge = decision_cdf(s, state._x)
         u = buf[pos]
         pos += 1
         decision = 0 if u < c_buy else 1 if u < c_sell else 2 if u < c_merge else 3
@@ -342,13 +343,14 @@ def step(state: SimState, rng: np.random.Generator) -> StepEvent:
 
 
 def advance(state: SimState, rng: np.random.Generator, n_steps: int,
-            returns: np.ndarray | None = None, first_recorded: int = 0) -> None:
+            returns: np.ndarray | None = None) -> None:
     """Run `n_steps` steps of the simulation in one fused loop.
 
     Step i (counted from the start of the run) writes a nonzero return to
-    `returns[i - first_recorded]` when i >= first_recorded; entries of
-    no-trade steps are left as they are.  `returns` is a writable int64
-    array, written through a memoryview; without it nothing is recorded.
+    `returns[i - e]` when i >= e, the config's `equilibration_steps`;
+    entries of no-trade steps are left as they are.  `returns` is a
+    writable int64 array, written through a memoryview; without it nothing
+    is recorded.
     The loop can be driven in chunks: consecutive calls continue the same
     run, with the same results as one call.  Every 10^4 steps it checks, in
     O(groups), that the singletons and the member lists still cover every
@@ -378,7 +380,6 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
     size = part._size
     members = part._members
     n_single = part._n_single
-    size_cdf = state._size_cdf
     cdf = state._cdf
     rows = state._rows
     single = state._single
@@ -400,6 +401,7 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
     if returns is None:
         first_recorded = stop  # no step of this call reaches it
     else:
+        first_recorded = state.config.equilibration_steps
         returns = memoryview(returns)
 
     # the loop builds only lists that cannot form a cycle, and reference
@@ -421,10 +423,10 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
                 s = size[g]
 
                 # decide
-                if size_cdf is not None:
+                if cdf is not None:
                     c = cdf[s]
                     if c is None:
-                        c = cdf[s] = size_cdf(s)
+                        c = cdf[s] = decision_cdf(s, x)
                     u = buf[pos]
                     pos += 1
                     if u < c[0]:
@@ -554,17 +556,16 @@ def _merge(state: SimState, g: int, g2: int) -> None:
 
 def run(config: SimConfig) -> tuple[np.ndarray, RunSummary]:
     """Full simulation: returns (post-equilibration return series, summary)."""
-    state, rng = init_state(config)
-    return simulate(state, rng, config)
+    return simulate(*init_state(config))
 
 
-def simulate(state: SimState, rng: np.random.Generator, config) -> tuple[np.ndarray, RunSummary]:
-    """Run a fresh state through `config.total_steps` steps and summarise;
-    shared by `run` and `ez.ez_run`."""
-    equil = config.equilibration_steps
-    recorded = config.total_steps - equil
+def simulate(state: SimState, rng: np.random.Generator) -> tuple[np.ndarray, RunSummary]:
+    """Run a fresh state through its config's `total_steps` steps and
+    summarise; shared by `run` and `ez.ez_run`."""
+    config = state.config
+    recorded = config.total_steps - config.equilibration_steps
     returns = np.zeros(recorded, dtype=np.int64)
-    advance(state, rng, config.total_steps, returns, equil)
+    advance(state, rng, config.total_steps, returns)
     summary = RunSummary(
         n_agents=config.n_agents,
         total_steps=config.total_steps,

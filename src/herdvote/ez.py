@@ -17,9 +17,9 @@ models are compared on their return-tail statistics only.
 
 Its parameters, `EzConfig` (trade probability `a`), live in `config`
 with the voting model's.  The baseline runs on the engine's fused loop
-(`engine.advance`) as one of its configurations: the decision
-distribution is the constant (a/2, a/2, 1-a) for (buy, sell, merge),
-trading groups disperse, and merges follow the rule above.  The dynamics
+(`engine.advance`): an `engine.SimState` built from an `EzConfig` draws
+its decisions from the constant (a/2, a/2, 1-a) for (buy, sell, merge),
+disperses trading groups, and merges by the rule above.  The dynamics
 stream is `numpy.random.default_rng(seed)`; every draw is a scalar uniform
 from a pre-drawn block, consumed per step in the order [agent pick]
 [decision][other-agent rejections].  The loop reads the agent picks int(u * n)
@@ -36,10 +36,8 @@ from .voting import Decision
 
 
 def init_ez_state(config: EzConfig) -> tuple[SimState, np.random.Generator]:
-    """All-singleton E-Z state and its dynamics generator."""
-    cdf = (config.a / 2, config.a, 1.0)
-    state = SimState(config, None, lambda s: cdf, ez=True)
-    return state, np.random.default_rng(config.seed)
+    """All-singleton E-Z state and its dynamics generator, seeded by `config.seed`."""
+    return SimState(config), np.random.default_rng(config.seed)
 
 
 def ez_step(state: SimState, rng) -> StepEvent:
@@ -88,5 +86,4 @@ def ez_step(state: SimState, rng) -> StepEvent:
 
 def ez_run(config: EzConfig) -> tuple[np.ndarray, RunSummary]:
     """Run the baseline; mirrors `engine.run` (seeded, post-equilibration series)."""
-    state, rng = init_ez_state(config)
-    return simulate(state, rng, config)
+    return simulate(*init_ez_state(config))

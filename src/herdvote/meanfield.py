@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .voting import ONE_THIRD, decision_probabilities, probability_table, share_total
+from .voting import ONE_THIRD, decision_probabilities, probability_table
 
 _DAMPING = 0.5  # share of the balancing step taken per sweep
 
@@ -103,8 +103,7 @@ def _rates(n_agents: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     """p_frg and p_merge indexed by size 0..N (entry 0 zero), from one table."""
     sizes = np.arange(1, n_agents + 1)
     p_frg, consensus = probability_table(sizes, x)
-    p_merge = share_total(sizes, p_frg, consensus) / 3.0
-    return np.r_[0.0, p_frg], np.r_[0.0, p_merge]
+    return np.r_[0.0, p_frg], np.r_[0.0, consensus / 3.0]
 
 
 def _flows(n: np.ndarray, p_frg: np.ndarray, p_merge: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

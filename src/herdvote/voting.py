@@ -23,16 +23,17 @@ complement, the consensus probability, is split evenly by symmetry:
 How each is computed (NumPy and the standard library only):
 
 - s <= 64: both are ratios of one exact integer count
-  (`fragmentation_count`) to 3^s.  The shares split the float complement
-  1 - p_frg.
+  (`fragmentation_count`) to 3^s, so consensus is exactly 1.0 where
+  p_frg is 0.
 - s > 64: whichever of the two is smaller is summed directly, and the other
   is its complement, so both keep full relative precision.  Consensus is
   3 P(B >= c) - 3 P(B >= c, S >= c) with c = ceil(x * s).  Its terms decay
   geometrically from b = c, so it takes O(sqrt(s)) of them.  Where
   consensus exceeds one half (x near 1/3), p_frg is summed instead, over
   its narrow window of W.  Every binomial term comes from a ratio chain
-  started at one value in Loader's saddle-point form, and the shares split
-  consensus.
+  started at one value in Loader's saddle-point form.
+
+At every size the three shares split the consensus probability.
 
 `probability_table` evaluates a whole array of sizes in one vectorised
 pass (the rate equations need every size 1..N).  The scalar lookups
@@ -49,7 +50,6 @@ when it has to break a tie.  Cached probability lookups are thread-safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
 from typing import NamedTuple
@@ -64,41 +64,6 @@ class Decision(IntEnum):
     SELL = 1
     MERGE = 2
     FRAGMENT = 3
-
-
-@dataclass(frozen=True)
-class ConsensusParameter:
-    """Consensus fraction x in (0, 1) with regime classification.
-
-    The model operates for 1/3 < x < 1.  Below (or at) one third no group
-    can ever fragment: three counts summing to s cannot all stay below s/3.
-    Above one half the winning option needs an absolute majority.
-    """
-
-    x: float
-
-    def __post_init__(self):
-        if not 0.0 < self.x < 1.0:
-            raise ValueError(f"consensus parameter must be in (0, 1), got {self.x}")
-
-    def __float__(self) -> float:
-        return self.x
-
-    @property
-    def fragmentation_possible(self) -> bool:
-        return self.x > ONE_THIRD
-
-    @property
-    def absolute_majority(self) -> bool:
-        return self.x > 0.5
-
-    @property
-    def regime(self) -> str:
-        if not self.fragmentation_possible:
-            return "no-fragmentation"
-        if self.absolute_majority:
-            return "absolute-majority"
-        return "relative-majority"
 
 
 class VoteTally(NamedTuple):
@@ -402,17 +367,6 @@ def probability_table(sizes, x) -> tuple[np.ndarray, np.ndarray]:
     return p_frg, consensus
 
 
-def share_total(sizes, p_frg, consensus):
-    """P(buy) + P(sell) + P(merge), the total that the three equal shares split.
-
-    Up to `_EXACT_SIZE_LIMIT` it is the float complement 1 - p_frg, the
-    value iid runs draw against at those sizes; above, the directly summed
-    consensus, which keeps its relative precision where it is small.
-    Elementwise over arrays.
-    """
-    return np.where(np.asarray(sizes) <= _EXACT_SIZE_LIMIT, 1.0 - p_frg, consensus)
-
-
 def _probabilities(size: int, x) -> tuple[float, float]:
     if size < 1:
         raise ValueError(f"group size must be >= 1, got {size}")
@@ -441,17 +395,17 @@ def consensus_probability(size: int, x) -> float:
 def decision_probabilities(size: int, x) -> DecisionProbabilities:
     """Outcome probabilities (fragment, buy, sell, merge) for (size, x)."""
     p_frg, consensus = _probabilities(size, x)
-    share = float(share_total(size, p_frg, consensus)) / 3.0
+    share = consensus / 3.0
     return DecisionProbabilities(p_frg, share, share, share)
 
 
 def decision_cdf(size: int, x) -> tuple[float, float, float]:
     """Cumulative (buy, buy + sell, buy + sell + merge) for (size, x).
 
-    The last entry is `share_total`, exactly 1.0 where p_frg = 0, so a
-    uniform draw below it never fragments such a group.
+    The last entry is the consensus probability, exactly 1.0 where
+    p_frg = 0, so a uniform draw below it never fragments such a group.
     """
-    q = float(share_total(size, *_probabilities(size, x)))
+    q = _probabilities(size, x)[1]
     return q / 3.0, 2.0 * q / 3.0, q
 
 

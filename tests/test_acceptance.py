@@ -236,10 +236,10 @@ def test_criterion_7_trades_come_from_small_groups():
     group_counts = Counter()
     # sample after every step i >= equil with i % 1000 == 0
     for end in range(equil + 1, config.total_steps + 1, 1000):
-        advance(state, rng, end - state.step_index, returns, equil)
+        advance(state, rng, end - state.step_index, returns)
         for size, count in state.partition.size_histogram().items():
             group_counts[size] += count
-    advance(state, rng, config.total_steps - state.step_index, returns, equil)
+    advance(state, rng, config.total_steps - state.step_index, returns)
     # a trading group stays intact, so each nonzero return is +-(its size)
     trade_sizes = Counter(np.abs(returns[returns != 0]).tolist())
     total_groups = sum(group_counts.values())
@@ -284,7 +284,7 @@ def test_criterion_9_determinism_and_performance(tmp_path):
     digests_b = json.load(open(os.path.join(dir_b, "manifest.json")))["artifacts"]
     identical = digests_a == digests_b
 
-    sweep_args = ["sweep", "--x", "0.41,0.47", "--replicates", "1", "--master-seed", "3",
+    sweep_args = ["sweep", "--x", "0.41,0.47", "--replicates", "1", "--set", "seed=3",
                   "--set", "n_agents=300", "--set", "total_steps=4000"]
     assert cli.main(sweep_args + ["--workers", "1", "--out", str(tmp_path / "w1")]) == 0
     assert cli.main(sweep_args + ["--workers", "2", "--out", str(tmp_path / "w2")]) == 0

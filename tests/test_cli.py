@@ -4,6 +4,7 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import herdvote
-from herdvote import analysis, artifacts, cli, engine, meanfield
+from herdvote import analysis, artifacts, cli, engine, ez, meanfield
 from herdvote.series import read_returns_binary
 
 
@@ -505,6 +506,42 @@ def test_absolute_majority_warning_lands_in_manifest(tmp_path, capsys):
     assert "absolute-majority" in out.err
 
 
+@pytest.mark.parametrize("x, regime", [
+    (0.30, "no-fragmentation"), (1 / 3, "no-fragmentation"), (0.41, None),
+    (0.6, "absolute-majority"),
+])
+def test_regime_warnings(x, regime):
+    warnings = cli.regime_warnings({"model": "main", "x": x})
+    assert [regime in w for w in warnings] == ([] if regime is None else [True])
+    assert cli.regime_warnings({"model": "ez", "ez_a": 0.01}) == []
+
+
+@pytest.mark.parametrize("command, message", [
+    ("run", ""), ("analyze", "Unable to allocate 13.1 GiB for an array"),
+], ids=["run", "analyze"])
+def test_refused_allocation_is_config_error(tmp_path, capsys, monkeypatch, command, message):
+    """An allocation the machine refuses, such as the series of a 10^12-step
+    run or the bins of `--bins-per-decade 1000000000`, ends in one error
+    line and exit 3, with nothing published.  The layer raises here: an
+    allocation that size would start for real on a host that overcommits."""
+
+    def refused(*_args, **_kwargs):
+        raise MemoryError(message)
+
+    argv = tiny_run_args(tmp_path / "runs")
+    if command == "analyze":
+        assert run_cli(argv) == 0
+        argv = ["analyze", capsys.readouterr().out.strip(), "--out", str(tmp_path / "s.csv")]
+        monkeypatch.setattr(analysis, "log_binned_pdf", refused)
+    else:
+        monkeypatch.setattr(engine, "run", refused)
+    before = tree(tmp_path)
+    assert run_cli(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: out of memory: {message or 'an allocation was refused'}\n"
+    assert tree(tmp_path) == before
+
+
 def test_run_ez_model(tmp_path, capsys):
     code = run_cli([
         "run", "--out", str(tmp_path),
@@ -566,7 +603,7 @@ def test_run_config_file_plus_override(tmp_path, capsys):
 def sweep_args(out, workers):
     return [
         "sweep", "--x", "0.41,0.47", "--replicates", "1",
-        "--master-seed", "5", "--workers", str(workers), "--out", str(out),
+        "--set", "seed=5", "--workers", str(workers), "--out", str(out),
         "--set", "n_agents=120", "--set", "total_steps=2000",
     ]
 
@@ -634,9 +671,9 @@ def test_sweep_workers_below_one_rejected(tmp_path, capsys, monkeypatch, workers
 def test_sweep_records_only_the_keys_the_model_reads(tmp_path, capsys):
     """An E-Z sweep labels and seeds its points without x, which that model
     never reads; a voting-model sweep keeps the seeds it always had."""
-    ez = ["sweep", "--n-agents", "100,120", "--replicates", "2", "--master-seed", "5",
-          "--set", "model=ez", "--set", "total_steps=1000", "--out", str(tmp_path / "ez")]
-    assert run_cli(ez) == 0
+    ez_sweep = ["sweep", "--n-agents", "100,120", "--replicates", "2", "--set", "seed=5",
+                "--set", "model=ez", "--set", "total_steps=1000", "--out", str(tmp_path / "ez")]
+    assert run_cli(ez_sweep) == 0
     assert run_cli(sweep_args(tmp_path / "main", 1)) == 0
     capsys.readouterr()
     sweep = json.load(open(tmp_path / "ez" / "sweep.json"))
@@ -697,19 +734,23 @@ def test_out_under_an_existing_file_is_config_error(tmp_path, monkeypatch, capsy
     assert tree(tmp_path) == before
 
 
-@pytest.mark.parametrize("blocked", ["analysis", "summary.csv", "fit.csv"])
+@pytest.mark.parametrize("blocked", ["analysis", "summary.csv", "fit.csv", "summary_is_fit.csv"])
 def test_analyze_output_blocked_is_config_error(tmp_path, capsys, blocked):
-    """A file named like a run's analysis directory, or a directory named
-    like the summary or like one of a run's analysis files, is refused with
-    the path named before anything is written."""
+    """A file named like a run's analysis directory, a directory named like
+    the summary or like one of a run's analysis files, or a summary named
+    like a run's `fit.csv` is refused with the path named before anything
+    is written."""
     assert run_cli(tiny_run_args(tmp_path / "runs")) == 0
     run_dir = capsys.readouterr().out.strip()
     analysis_dir = Path(run_dir) / "analysis"
     out_csv = tmp_path / "summary.csv"
     blocked_path = {"analysis": analysis_dir, "summary.csv": out_csv,
-                    "fit.csv": analysis_dir / "fit.csv"}[blocked]
+                    "fit.csv": analysis_dir / "fit.csv",
+                    "summary_is_fit.csv": analysis_dir / "fit.csv"}[blocked]
     if blocked == "analysis":
         analysis_dir.write_text("")
+    elif blocked == "summary_is_fit.csv":
+        out_csv = blocked_path
     else:
         blocked_path.mkdir(parents=True)
     before = tree(tmp_path)
@@ -1140,12 +1181,19 @@ def test_validate_negative_control(capsys, monkeypatch):
 SURFACE = {
     "herdvote": ["--help", "--version", "-h"],
     "run": ["--config", "--help", "--out", "--set", "-h"],
-    "sweep": ["--config", "--help", "--master-seed", "--n-agents", "--out", "--replicates",
+    "sweep": ["--config", "--help", "--n-agents", "--out", "--replicates",
               "--set", "--workers", "--x", "-h"],
     "meanfield": ["--help", "--max-iterations", "--n-agents", "--out", "--tolerance", "--x", "-h"],
     "analyze": ["--bins-per-decade", "--help", "--out", "--r-min", "--rescale-k",
                 "--tail-threshold", "-h", "run_dirs"],
     "validate": ["--help", "-h"],
+}
+# the simulator's own parameters: a run's settings come from its config alone
+SIGNATURES = {
+    "SimState.__init__": ["self", "config", "tables"],
+    "advance": ["state", "rng", "n_steps", "returns"],
+    "init_state": ["config"],
+    "init_ez_state": ["config"],
 }
 CONFIG_FIELDS = {
     "SimConfig": ["n_agents", "total_steps", "equilibration_steps", "seed",
@@ -1171,6 +1219,10 @@ def test_settable_surface_is_pinned():
 
     assert {cls.__name__: [f.name for f in dataclasses.fields(cls)]
             for cls in (herdvote.SimConfig, herdvote.EzConfig)} == CONFIG_FIELDS
+    assert {name: list(inspect.signature(function).parameters) for name, function in (
+        ("SimState.__init__", engine.SimState.__init__), ("advance", engine.advance),
+        ("init_state", engine.init_state), ("init_ez_state", ez.init_ez_state),
+    )} == SIGNATURES
 
     environment = {"environ", "environb", "getenv", "getenvb"}
     for module in sorted(Path(herdvote.__file__).parent.glob("*.py")):

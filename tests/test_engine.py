@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from herdvote import engine
+from herdvote.config import EzConfig
 from herdvote.engine import (
     _decode_picks,
-    _iid_cdf,
     _merge,
     SimConfig,
     SimState,
@@ -31,7 +31,12 @@ from herdvote.strategy import (
     poll_group,
     update_history,
 )
-from herdvote.voting import Decision, decision_probabilities, fragmentation_probability
+from herdvote.voting import (
+    Decision,
+    decision_cdf,
+    decision_probabilities,
+    fragmentation_probability,
+)
 
 
 def assert_same_sizes(fused, oracle):
@@ -124,7 +129,7 @@ def assert_loop_matches_oracle(config):
         chunk = min(chunk, config.total_steps - fused.step_index)
         if chunk == 0:
             break
-        advance(fused, rng, chunk, chunked, config.equilibration_steps)
+        advance(fused, rng, chunk, chunked)
     assert np.array_equal(chunked, expected)
     assert fused.decision_counts == oracle.decision_counts
     assert fused.history == oracle.history
@@ -200,11 +205,11 @@ def test_decoded_picks_equal_scalar_truncation(n, lattice):
     assert picks[0] == 0 and picks[1] == n - 1
 
 
-def test_advance_turns_gc_off_and_restores_it():
+def test_advance_turns_gc_off_and_restores_it(monkeypatch):
     state, rng = init_state(small_config(vote_mode=VoteMode.IID_UNIFORM))
     seen = []
-    size_cdf = state._size_cdf
-    state._size_cdf = lambda s: (seen.append(gc.isenabled()), size_cdf(s))[1]
+    monkeypatch.setattr(engine, "decision_cdf",
+                        lambda s, x: (seen.append(gc.isenabled()), decision_cdf(s, x))[1])
     assert gc.isenabled()
     advance(state, rng, 500)
     assert seen and not any(seen)  # off while the loop runs
@@ -231,9 +236,8 @@ def test_advance_turns_gc_off_and_restores_it():
 
 def test_iid_cdf_never_fragments_where_p_frg_is_zero():
     for x in (0.2, 1 / 3, 0.34, 0.41, 0.47, 0.6):
-        cdf = _iid_cdf(x)
         for s in range(1, 200):
-            c_buy, c_sell, c_merge = cdf(s)
+            c_buy, c_sell, c_merge = decision_cdf(s, x)
             assert 0.0 <= c_buy <= c_sell <= c_merge <= 1.0
             if fragmentation_probability(s, x) == 0.0:
                 assert c_merge == 1.0
@@ -273,7 +277,7 @@ def test_group_vote_cache_matches_fresh_poll():
     """The engine's incremental tallies must equal a from-scratch poll."""
     config = small_config(total_steps=5000, n_agents=60)
     tables = assign_strategies(config.n_agents, config.memory, np.random.default_rng(8))
-    state = SimState(config, tables, history=config.initial_history)
+    state = SimState(config, tables)
     rng = np.random.default_rng(config.seed)
     for _ in range(config.total_steps):
         step(state, rng)
@@ -297,12 +301,12 @@ def test_packed_tallies_do_not_carry_at_a_full_field(memory):
     """At N = 256 a count of every agent needs a ninth bit: one group of all
     agents, all buying at history 0 and all waiting at the last history."""
     n = 256
-    config = SimConfig(n_agents=n, x=0.41, total_steps=10, memory=memory,
-                       initial_history=(0,) * memory)
+    config = SimConfig(n_agents=n, x=0.41, total_steps=10, equilibration_steps=0,
+                       memory=memory, initial_history=(0,) * memory)
     rng = np.random.default_rng(memory)
     tables = np.array([(0, *rng.integers(0, 3, 2**memory - 2).tolist(), 2) for _ in range(n)],
                       dtype=np.uint8)
-    state = SimState(config, tables, history=config.initial_history)
+    state = SimState(config, tables)
     part = state.partition
     # two halves grown one singleton at a time, then one tally-plus-tally merge
     for first, last in ((0, n // 2), (n // 2, n)):
@@ -334,7 +338,7 @@ def test_table_rows_and_packed_rows_are_shared(memory):
     config = SimConfig(n_agents=n, x=0.41, total_steps=10, memory=memory,
                        initial_history=(0,) * memory)
     tables = assign_strategies(n, memory, np.random.default_rng(memory))
-    state = SimState(config, tables, history=config.initial_history)
+    state = SimState(config, tables)
     distinct = 3 ** (2**memory)
     assert len(set(map(id, state._rows))) <= distinct
     assert len(set(map(id, state._single))) <= distinct
@@ -355,6 +359,17 @@ def test_iid_state_draws_no_tables(monkeypatch):
     state, _ = init_state(small_config(vote_mode=VoteMode.IID_UNIFORM))
     assert state._rows is None and state._single is None
     assert len(state._cdf) == state.config.n_agents + 1
+
+
+def test_state_reads_its_mode_from_the_config():
+    """The config alone sets how a state decides and which history it keeps."""
+    ez = SimState(EzConfig(n_agents=10, a=0.2, total_steps=100))
+    assert ez._ez and ez.history == () and ez._rows is None
+    assert set(ez._cdf) == {(0.1, 0.2, 1.0)}
+    iid = SimState(small_config(vote_mode=VoteMode.IID_UNIFORM, initial_history=(0, 1)))
+    assert not iid._ez and iid.history == (0, 1) and iid._cdf == [None] * 41
+    with pytest.raises(ValueError, match="tables"):
+        SimState(small_config())
 
 
 def test_strategy_state_holds_no_size_cdfs():

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from herdvote import voting
 from herdvote.voting import (
-    ConsensusParameter,
     Decision,
     VoteTally,
     consensus_probability,
@@ -26,28 +25,12 @@ from herdvote.voting import (
 X_GRID = (0.34, 0.35, 0.37, 0.41, 0.45, 0.47, 0.499)
 
 
-# -- consensus parameter ------------------------------------------------------
-
-@pytest.mark.parametrize("x", [0.0, 1.0, -0.2, 1.5])
-def test_consensus_parameter_bounds(x):
-    with pytest.raises(ValueError):
-        ConsensusParameter(x)
-
-
-def test_consensus_parameter_regimes():
-    assert ConsensusParameter(0.30).regime == "no-fragmentation"
-    assert ConsensusParameter(1 / 3).regime == "no-fragmentation"
-    assert ConsensusParameter(0.40).regime == "relative-majority"
-    assert ConsensusParameter(0.60).regime == "absolute-majority"
-    assert not ConsensusParameter(0.30).fragmentation_possible
-    assert ConsensusParameter(0.34).fragmentation_possible
-
+# -- threshold ------------------------------------------------------------------
 
 def test_threshold_values():
     assert consensus_threshold(5, 0.40) == 2.0
     assert consensus_threshold(1, 0.47) == 0.47
     assert consensus_threshold(10_000, 0.37) == 3700.0
-    assert consensus_threshold(5, ConsensusParameter(0.40)) == 2.0
     with pytest.raises(ValueError):
         consensus_threshold(0, 0.4)
 
@@ -301,17 +284,16 @@ def test_decision_probabilities_known_values():
     assert probs.buy == probs.sell == probs.merge
 
 
-def test_shares_split_the_float_complement_up_to_64_and_consensus_above():
+def test_shares_split_consensus_at_every_size():
     for x in (0.34, 0.41, 0.47):
-        for s in (2, 20, 64):
+        for s in (1, 2, 20, 64, 65, 400, 1000):
+            q = consensus_probability(s, x)
             p_frg = fragmentation_probability(s, x)
-            q = 1.0 - p_frg
             assert decision_probabilities(s, x) == (p_frg, q / 3.0, q / 3.0, q / 3.0)
             assert voting.decision_cdf(s, x) == (q / 3.0, 2.0 * q / 3.0, q)
-        for s in (65, 400, 1000):
-            q = consensus_probability(s, x)
-            assert decision_probabilities(s, x).merge == q / 3.0
-            assert voting.decision_cdf(s, x) == (q / 3.0, 2.0 * q / 3.0, q)
+    # where p_frg is 0, on both sides of 64, the CDF ends at exactly 1.0
+    for s, x in ((1, 0.47), (2, 0.41), (64, 0.3), (500, 0.3)):
+        assert fragmentation_probability(s, x) == 0.0 and voting.decision_cdf(s, x)[2] == 1.0
     # deep in the cutoff the merge share stays a positive, accurate third
     assert decision_probabilities(1000, 0.47).merge == pytest.approx(
         8.101021595684863e-19 / 3, rel=1e-13)
