@@ -412,14 +412,17 @@ def cmd_sweep(args) -> int:
                     record["x"] = x
                 points.append(({**base, **record}, record, args.out))
 
+    # a pool may start all its workers on the first task (it does with the
+    # fork start method), so it gets no more than the grid or the CPUs can use
+    workers = min(args.workers, len(points), os.cpu_count() or 1)
     sweep_path = os.path.join(args.out, "sweep.json")
     with publication([sweep_path]) as stage:
-        if args.workers == 1:
+        if workers == 1:
             records = [_sweep_point(p) for p in points]
         else:
             # imported here: it pulls in multiprocessing, which only a parallel sweep uses
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 records = list(pool.map(_sweep_point, points))
         manifest = {
             "schema_version": SCHEMA_VERSION,
@@ -705,7 +708,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--x", help="comma-separated consensus parameters")
     p_sweep.add_argument("--n-agents", help="comma-separated population sizes")
     p_sweep.add_argument("--replicates", type=int, default=1, help="seeds per grid point")
-    p_sweep.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    p_sweep.add_argument("--workers", type=int, default=1,
+                         help="parallel worker processes, at most one per grid point and CPU")
     p_sweep.add_argument("--out", default="runs", help="output root directory")
     p_sweep.set_defaults(func=cmd_sweep)
 

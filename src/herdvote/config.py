@@ -15,6 +15,11 @@ from enum import Enum
 # Strategy tables hold n_agents * 2**memory entries; a config above this
 # budget is refused before anything is allocated.
 TABLE_BUDGET = 2**24
+# Largest population of a run or a mean-field solve.  A simulation state
+# holds some 56 B per agent and fills its lists piece by piece, so a
+# population too large for the machine would end in the OOM killer, not in
+# a MemoryError; it is refused before anything is allocated instead.
+AGENT_LIMIT = 2**24
 
 
 class VoteMode(str, Enum):
@@ -40,8 +45,8 @@ class RunConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.n_agents < 2:
-            raise ValueError(f"n_agents must be >= 2, got {self.n_agents}")
+        if not 2 <= self.n_agents <= AGENT_LIMIT:
+            raise ValueError(f"n_agents must be in [2, {AGENT_LIMIT}], got {self.n_agents}")
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
         if not 0 <= self.equilibration_steps < self.total_steps:

@@ -21,13 +21,14 @@ Each time step:
 caches each size's decision CDF on first use and applies merges and
 fragments to the partition's flat size list and member lists inline; the
 cyclic garbage collector is off while it runs.  `run` drives it over a
-whole config.  `step` is the same update one call at a time, through
-`Partition.merge` and `Partition.fragment`: it is the reference that tests
-compare the loop against byte for byte, not production code.  The E-Z
-baseline (`ez`) runs on the same loop: a state built from an `EzConfig`
-draws its decisions from the constant (a/2, a/2, 1-a), a trading group
-disperses, and a merge joins the group of another agent (nothing happens
-when that agent is in the same group).
+whole config.  The E-Z baseline (`ez`) runs on the same loop: a state
+built from an `EzConfig` draws its decisions from the constant
+(a/2, a/2, 1-a), a trading group disperses, and a merge joins the group of
+any agent but the picked one (nothing happens when that agent is in the
+same group).  `step` is the same update, for all three models, one call
+at a time through `Partition.merge` and `Partition.fragment`: it is the
+one reference that tests compare the loop against byte for byte
+(`ez.ez_step` is another name for it), not production code.
 
 A state reads every setting of its run from its config: the model and
 vote mode, the initial history and the equilibration window, after which
@@ -74,6 +75,13 @@ from .voting import Decision, decision_cdf
 
 _BUF_SIZE = 1 << 16
 _CHECK_EVERY = 10_000  # steps between partition checksums in `advance`
+# A step starts on a new block when this many uniforms of the current one,
+# or fewer, are left.  It reads at most two before its merge-target
+# rejections (the agent pick, then a tie-break or decision uniform), and the
+# rejection loop refills by itself at the block's very end, so any margin of
+# two or more is safe.  The margin fixes where each block is cut, so changing
+# it changes every run's outputs.
+_REFILL_MARGIN = 16
 
 class StepEvent(NamedTuple):
     index: int
@@ -112,12 +120,16 @@ class SimState:
     agent picks decoded from that same block (`_draw_block` makes both);
     `_upos` is the next unread position.  They change together: the picks
     never belong to another block than the floats.
+
+    The state holds no copy of a setting: the population size, x, the
+    model and the history's table index are read from `config` and
+    `history` where they are needed.
     """
 
     __slots__ = (
         "config", "partition", "history", "step_index", "decision_counts",
-        "_n", "_x", "_cdf", "_ez", "_rows", "_width", "_single",
-        "_group_votes", "_hist_idx", "_ubuf", "_upicks", "_upos",
+        "_cdf", "_rows", "_width", "_single", "_group_votes",
+        "_ubuf", "_upicks", "_upos",
     )
 
     def __init__(self, config, tables=None):
@@ -143,16 +155,12 @@ class SimState:
         self.history = () if ez else config.initial_history
         self.step_index = 0
         self.decision_counts = [0, 0, 0, 0]  # indexed by Decision
-        self._n = n
-        self._x = None if ez else config.x
-        self._ez = ez
         # per-size decision CDFs of drawn decisions: E-Z's one constant, the
         # iid ones filled lazily by `advance`
         self._cdf = None if polled else [(config.a / 2, config.a, 1.0) if ez else None] * (n + 1)
         # per-agent table rows and per-group packed tallies (strategy mode)
         self._width, self._rows, self._single = _tally_packer(tables) if polled else (0, None, None)
         self._group_votes: dict = {}
-        self._hist_idx = history_index(self.history)
         self._ubuf = self._upicks = ()  # no block drawn yet
         self._upos = 0
 
@@ -246,17 +254,23 @@ def init_state(config: SimConfig) -> tuple[SimState, np.random.Generator]:
 
 
 def step(state: SimState, rng: np.random.Generator) -> StepEvent:
-    """Advance the voting model by one time step.
+    """Advance any of the three models by one time step.
 
-    Reference oracle for tests, not production code: `run` never calls it.
-    It states the update of `advance` one step at a time and consumes the
+    Reference oracle for tests, not production code: `run` and `ez.ez_run`
+    never call it.  It states the update of `advance` one step at a time,
+    through `Partition.merge` and `Partition.fragment`, and consumes the
     dynamics stream in the same order, so a loop of `step` calls reproduces
-    `advance` byte for byte.
+    `advance` byte for byte.  It reads none of the loop's tables: an E-Z
+    decision is drawn from (a/2, a, 1.0) built from `config.a`, an iid one
+    from `voting.decision_cdf`, and strategy votes are polled at the index
+    of `state.history`.
     """
+    config = state.config
+    ez = isinstance(config, EzConfig)
+    n = config.n_agents
     buf = state._ubuf
     pos = state._upos
-    n = state._n
-    if pos >= len(buf) - 16:
+    if pos >= len(buf) - _REFILL_MARGIN:
         buf, state._upicks = _draw_block(rng, n)
         state._ubuf = buf
         pos = 0
@@ -267,24 +281,25 @@ def step(state: SimState, rng: np.random.Generator) -> StepEvent:
     pos += 1
     g, s = part.group_of(agent)
 
-    if state._cdf is not None:
+    if state._rows is None:
         # draw the decision from its exact distribution for this size
-        c_buy, c_sell, c_merge = decision_cdf(s, state._x)
+        c_buy, c_sell, c_merge = (config.a / 2, config.a, 1.0) if ez else decision_cdf(s, config.x)
         u = buf[pos]
         pos += 1
         decision = 0 if u < c_buy else 1 if u < c_sell else 2 if u < c_merge else 3
     else:
         # poll
+        h = history_index(state.history)
         if s == 1:
-            v = state._rows[agent][state._hist_idx]
+            v = state._rows[agent][h]
             b = 1 if v == 0 else 0
             sc = 1 if v == 1 else 0
             w = 1 if v == 2 else 0
         else:
-            b, sc, w = state.group_vote_matrix(g)[state._hist_idx]
+            b, sc, w = state.group_vote_matrix(g)[h]
 
         # classify
-        threshold = state._x * s
+        threshold = config.x * s
         mx = b if b >= sc else sc
         if w > mx:
             mx = w
@@ -308,37 +323,39 @@ def step(state: SimState, rng: np.random.Generator) -> StepEvent:
 
     # act
     net = 0
-    if decision == 0:
-        net = s
-    elif decision == 1:
-        net = -s
+    if decision <= 1:
+        net = s if decision == 0 else -s
+        if ez:
+            part.fragment(g)  # an E-Z trading group disperses
     elif decision == 2:
-        if s < n:
+        if ez or s < n:
+            # E-Z: any agent but the picked one; voting model: an agent outside the group
             while True:
                 target = int(buf[pos] * n)
                 pos += 1
-                if group_of[target] != g:
+                if target != agent if ez else group_of[target] != g:
                     break
                 if pos >= len(buf):
                     buf, state._upicks = _draw_block(rng, n)
                     state._ubuf = buf
                     pos = 0
-            if state._rows is None:
-                part.merge(g, group_of[target])
+            g2 = group_of[target]
+            if g2 == g:
+                pass  # E-Z: the other agent is in the same group, nothing happens
+            elif state._rows is None:
+                part.merge(g, g2)
             else:
-                _merge(state, g, group_of[target])
-    elif decision == 3:
-        if s > 1:
-            state._group_votes.pop(g, None)
-            part.fragment(g)
+                _merge(state, g, g2)
+    elif s > 1:
+        state._group_votes.pop(g, None)
+        part.fragment(g)
 
     state._upos = pos
     state.decision_counts[decision] += 1
     index = state.step_index
     state.step_index = index + 1
-    if net != 0:
+    if net != 0 and not ez:  # an E-Z state keeps no history
         state.history = update_history(state.history, net)
-        state._hist_idx = history_index(state.history)
     return StepEvent(index, Decision(decision), s, net)
 
 
@@ -373,8 +390,10 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    n = state._n
-    x = state._x
+    config = state.config
+    ez = isinstance(config, EzConfig)
+    n = config.n_agents
+    x = None if ez else config.x
     part = state.partition
     group_of = part._group_of
     size = part._size
@@ -384,24 +403,23 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
     rows = state._rows
     single = state._single
     votes = state._group_votes
-    ez = state._ez
     counts = state.decision_counts
     memory = len(state.history)
     mask = (1 << memory) - 1
     w = state._width
     w2, w3 = 2 * w, 3 * w
     fmask = (1 << w) - 1
-    h = state._hist_idx
+    h = history_index(state.history)
     buf = state._ubuf
     picks = state._upicks
     pos = state._upos
-    low = len(buf) - 16
+    low = len(buf) - _REFILL_MARGIN
     i = state.step_index
     stop = i + n_steps
     if returns is None:
         first_recorded = stop  # no step of this call reaches it
     else:
-        first_recorded = state.config.equilibration_steps
+        first_recorded = config.equilibration_steps
         returns = memoryview(returns)
 
     # the loop builds only lists that cannot form a cycle, and reference
@@ -415,7 +433,7 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
                 if pos >= low:
                     buf = picks = None  # let the old block go before the next one is drawn
                     buf, picks = _draw_block(rng, n)
-                    low = _BUF_SIZE - 16
+                    low = _BUF_SIZE - _REFILL_MARGIN
                     pos = 0
                 agent = picks[pos]
                 pos += 1
@@ -485,7 +503,7 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
                             if pos >= _BUF_SIZE:
                                 buf = picks = None
                                 buf, picks = _draw_block(rng, n)
-                                low = _BUF_SIZE - 16
+                                low = _BUF_SIZE - _REFILL_MARGIN
                                 pos = 0
                         g2 = group_of[target]
                         if g2 != g:
@@ -540,7 +558,6 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
     state._ubuf = buf
     state._upicks = picks
     state._upos = pos
-    state._hist_idx = h
     state.history = tuple((h >> k) & 1 for k in range(memory - 1, -1, -1))
     state.step_index = stop
 

@@ -23,7 +23,9 @@ disperses trading groups, and merges by the rule above.  The dynamics
 stream is `numpy.random.default_rng(seed)`; every draw is a scalar uniform
 from a pre-drawn block, consumed per step in the order [agent pick]
 [decision][other-agent rejections].  The loop reads the agent picks int(u * n)
-decoded for the whole block; `ez_step` computes them from the floats.
+decoded for the whole block; the per-step oracle computes them from the
+floats.  That oracle is the engine's own: `ez_step` is `engine.step`, which
+takes the E-Z rules from the state's config.
 """
 
 from __future__ import annotations
@@ -31,57 +33,13 @@ from __future__ import annotations
 import numpy as np
 
 from .config import EzConfig
-from .engine import _draw_block, RunSummary, SimState, StepEvent, simulate
-from .voting import Decision
+from .engine import RunSummary, SimState, simulate
+from .engine import step as ez_step  # noqa: F401  (the per-step oracle, under its E-Z name)
 
 
 def init_ez_state(config: EzConfig) -> tuple[SimState, np.random.Generator]:
     """All-singleton E-Z state and its dynamics generator, seeded by `config.seed`."""
     return SimState(config), np.random.default_rng(config.seed)
-
-
-def ez_step(state: SimState, rng) -> StepEvent:
-    """One update: trade-and-disperse with probability a, else merge.
-
-    Reference oracle for tests, not production code: `ez_run` never calls
-    it.  It takes a state from `init_ez_state` and consumes the stream in
-    the fused loop's order, so a loop of `ez_step` calls reproduces
-    `engine.advance` byte for byte.
-    """
-    buf, pos = state._ubuf, state._upos
-    part = state.partition
-    n = part.n_agents
-    if pos >= len(buf) - 16:
-        buf, state._upicks = _draw_block(rng, n)
-        pos = 0
-    a = state.config.a
-    agent = int(buf[pos] * n)
-    g, s = part.group_of(agent)
-    u = buf[pos + 1]
-    pos += 2
-    if u < a:
-        decision = Decision.BUY if u < a / 2 else Decision.SELL
-        net = s if decision == Decision.BUY else -s
-        part.fragment(g)
-    else:
-        decision, net = Decision.MERGE, 0
-        # merge with the group of another agent; same group means nothing happens
-        while True:
-            other = int(buf[pos] * n)
-            pos += 1
-            if other != agent:
-                break
-            if pos >= len(buf):
-                buf, state._upicks = _draw_block(rng, n)
-                pos = 0
-        g2, _ = part.group_of(other)
-        if g2 != g:
-            part.merge(g, g2)
-    state._ubuf, state._upos = buf, pos
-    state.decision_counts[decision] += 1
-    index = state.step_index
-    state.step_index = index + 1
-    return StepEvent(index, decision, s, net)
 
 
 def ez_run(config: EzConfig) -> tuple[np.ndarray, RunSummary]:

@@ -63,6 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import AGENT_LIMIT
 from .voting import ONE_THIRD, decision_probabilities, probability_table
 
 _DAMPING = 0.5  # share of the balancing step taken per sweep
@@ -164,8 +165,8 @@ def solve_stationary(
     """
     N = int(n_agents)
     x = float(x)
-    if N < 2:
-        raise ValueError(f"need at least 2 agents, got {N}")
+    if not 2 <= N <= AGENT_LIMIT:
+        raise ValueError(f"n_agents must be in [2, {AGENT_LIMIT}], got {N}")
     if not ONE_THIRD < x < 1.0:
         raise ValueError(f"solver requires 1/3 < x < 1, got x={x}")
     if not tolerance > 0:

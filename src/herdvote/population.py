@@ -30,8 +30,8 @@ A Partition is single-writer: mutate it from one thread only.
 
 The simulation loop (`engine.advance`) applies merges and fragments to these
 pieces inline, by the rules of `merge` and `fragment` below.  Those remain
-the reference: the per-step oracles (`engine.step`, `ez.ez_step`) call
-them, and tests hold the loop to them.
+the reference: the per-step oracle `engine.step` (`ez.ez_step` is the same
+function) calls them for every model, and tests hold the loop to them.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import concurrent.futures
 import contextlib
 import csv
 import dataclasses
@@ -554,6 +555,30 @@ def test_run_ez_model(tmp_path, capsys):
     assert summary["decision_counts"]["fragment"] == 0
 
 
+@pytest.mark.parametrize("command", ["run", "run_ez", "meanfield"])
+def test_population_over_the_agent_limit_is_config_error(tmp_path, capsys, monkeypatch, command):
+    """More than 2**24 agents is refused before the state or the solver's
+    arrays are allocated: one error line, exit 3, nothing written."""
+    monkeypatch.setattr(engine, "run", lambda *_: pytest.fail("simulated"))
+    monkeypatch.setattr(cli, "ez_run", lambda *_: pytest.fail("simulated"))
+    monkeypatch.setattr(meanfield, "_rates", lambda *_: pytest.fail("allocated the solver"))
+    argv = {
+        "run": tiny_run_args(tmp_path / "runs", extra=["--set", f"n_agents={2**24 + 1}"]),
+        "run_ez": tiny_run_args(tmp_path / "runs", extra=["--set", "model=ez",
+                                                          "--set", "n_agents=200000000"]),
+        "meanfield": ["meanfield", "--n-agents", "100000000", "--x", "0.41",
+                      "--out", str(tmp_path / "dist.txt")],
+    }[command]
+    assert run_cli(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert "n_agents" in captured.err and str(2**24) in captured.err
+    assert list(tmp_path.iterdir()) == []
+    # the limit itself is accepted: building a config allocates nothing
+    herdvote.EzConfig(n_agents=2**24)
+
+
 def test_memory_over_table_budget_is_config_error(tmp_path, capsys):
     code = run_cli(tiny_run_args(tmp_path / "runs", extra=["--set", "memory_m=40"]))
     assert code == cli.EXIT_CONFIG
@@ -666,6 +691,41 @@ def test_sweep_workers_below_one_rejected(tmp_path, capsys, monkeypatch, workers
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--workers" in err and workers in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("grid, cpus, pool_size", [
+    (["--x", "0.41,0.47"], 8, 2), (["--replicates", "6"], 4, 4), (["--replicates", "6"], None, None),
+], ids=["two_points", "six_replicates", "cpu_count_unknown"])
+def test_sweep_pool_is_no_larger_than_the_grid_or_the_cpus(
+        tmp_path, capsys, monkeypatch, grid, cpus, pool_size):
+    """A pool can start all its workers on its first task, whatever the grid:
+    `--workers 1000000` gets one per grid point, at most one per CPU, and a
+    pool of one is the serial path.  The stand-in pool starts no process."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *_exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    code = run_cli(["sweep", *grid, "--workers", "1000000", "--set", "n_agents=50",
+                    "--set", "total_steps=500", "--out", str(tmp_path)])
+    assert code == 0
+    capsys.readouterr()
+    assert sizes == ([] if pool_size is None else [pool_size])
+    runs = json.load(open(tmp_path / "sweep.json"))["runs"]
+    assert len(runs) == (2 if "--x" in grid else 6)
+    assert all(r["status"] == "ok" for r in runs)
 
 
 def test_sweep_records_only_the_keys_the_model_reads(tmp_path, capsys):
@@ -1195,6 +1255,12 @@ SIGNATURES = {
     "init_state": ["config"],
     "init_ez_state": ["config"],
 }
+# the state's fields: a field that copies the config shows here as a parameter does
+SIMSTATE_SLOTS = (
+    "config", "partition", "history", "step_index", "decision_counts",
+    "_cdf", "_rows", "_width", "_single", "_group_votes",
+    "_ubuf", "_upicks", "_upos",
+)
 CONFIG_FIELDS = {
     "SimConfig": ["n_agents", "total_steps", "equilibration_steps", "seed",
                   "x", "memory", "initial_history", "vote_mode"],
@@ -1223,6 +1289,7 @@ def test_settable_surface_is_pinned():
         ("SimState.__init__", engine.SimState.__init__), ("advance", engine.advance),
         ("init_state", engine.init_state), ("init_ez_state", ez.init_ez_state),
     )} == SIGNATURES
+    assert engine.SimState.__slots__ == SIMSTATE_SLOTS
 
     environment = {"environ", "environb", "getenv", "getenvb"}
     for module in sorted(Path(herdvote.__file__).parent.glob("*.py")):

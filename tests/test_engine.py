@@ -227,7 +227,7 @@ def test_advance_turns_gc_off_and_restores_it(monkeypatch):
     advance(state, rng, 8_999)
     assert state.step_index == 9_999
     part = state.partition
-    lone = next(a for a in range(state._n) if part.group_of(a) == (a, 1))
+    lone = next(a for a in range(part.n_agents) if part.group_of(a) == (a, 1))
     part._members[lone] = [lone]
     with pytest.raises(AssertionError, match="partition corrupted at step 9999"):
         advance(state, rng, 1)
@@ -364,10 +364,10 @@ def test_iid_state_draws_no_tables(monkeypatch):
 def test_state_reads_its_mode_from_the_config():
     """The config alone sets how a state decides and which history it keeps."""
     ez = SimState(EzConfig(n_agents=10, a=0.2, total_steps=100))
-    assert ez._ez and ez.history == () and ez._rows is None
+    assert ez.history == () and ez._rows is None
     assert set(ez._cdf) == {(0.1, 0.2, 1.0)}
     iid = SimState(small_config(vote_mode=VoteMode.IID_UNIFORM, initial_history=(0, 1)))
-    assert not iid._ez and iid.history == (0, 1) and iid._cdf == [None] * 41
+    assert iid.history == (0, 1) and iid._rows is None and iid._cdf == [None] * 41
     with pytest.raises(ValueError, match="tables"):
         SimState(small_config())
 

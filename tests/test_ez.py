@@ -52,6 +52,7 @@ def test_step_conserves_agents():
             assert event.net_return == 0
         assert sum(s * c for s, c in part.size_histogram().items()) == 50
     part.check_invariants()
+    assert state.history == ()  # an E-Z state keeps no history
 
 
 @pytest.mark.parametrize("n_agents, a", [(80, 0.05), (2, 0.3), (300, 0.005)])
