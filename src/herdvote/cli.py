@@ -53,7 +53,9 @@ append-only digest check on a rerun.
 Each subcommand imports only the layers it runs, inside the function that
 runs them: the simulator (`engine`, `ez`) on the run path, `analysis` in
 `analyze` and `validate`, `meanfield` in `meanfield` and `validate`.  At
-module level this file needs only `config` and `artifacts`.  The run path
+module level this file needs only `config` and `artifacts`, and no NumPy,
+so `--help`, `--version`, usage errors and a refusal made before a layer
+loads cost no NumPy import.  The run path
 calls the simulator and the series writer as `engine.<name>`, so a caller
 that replaces such an attribute replaces the call.
 """
@@ -70,13 +72,14 @@ import math
 import os
 import sys
 import time
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 from .artifacts import ConfigError, publication, read_verified, recorded_digests, sha256_file
 from .config import EzConfig, RunConfig, SimConfig
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -463,6 +466,7 @@ def cmd_meanfield(args) -> int:
             "iterations": report.iterations,
             "residual": report.residual,
             "converged": report.converged,
+            "support": report.support,
         }
         stage(report_path, lambda p: _write_json(p, report_dict))
     print(json.dumps(report_dict))
@@ -497,6 +501,8 @@ def _read_run_returns(run_dir: str, k: int) -> tuple[dict, np.ndarray]:
 
 
 def cmd_analyze(args) -> int:
+    import numpy as np
+
     from . import analysis
 
     for option, value, ok in (
@@ -575,6 +581,8 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _fmt_cell(value):
+    import numpy as np
+
     # repr of a NumPy float is "np.float64(...)" under NumPy 2: convert first
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
@@ -592,6 +600,8 @@ def validation_checks() -> list:
     `voting.fragmentation_probability` when the checks run, so a test that
     replaces it sees the checks fail.
     """
+    import numpy as np
+
     from . import analysis, meanfield, voting
 
     pfrg = voting.fragmentation_probability
@@ -737,6 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command line; returns its exit code."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -748,5 +759,23 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
 
+def console_entry() -> None:
+    """The `herdvote` command: `main`, then an exit without interpreter teardown.
+
+    Once `main` has returned its code, both output streams are flushed and
+    the process ends with `os._exit`, which skips freeing every object and
+    module.  Every file has been closed and every worker process joined by
+    then.  A `SystemExit` or an exception raised in `main` (a usage error, a
+    traceback), or a stream that cannot be flushed, takes the normal exit.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:  # such as a closed pipe: the normal exit reports it
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_entry()

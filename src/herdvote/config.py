@@ -20,6 +20,11 @@ TABLE_BUDGET = 2**24
 # population too large for the machine would end in the OOM killer, not in
 # a MemoryError; it is refused before anything is allocated instead.
 AGENT_LIMIT = 2**24
+# Largest group size a mean-field solve holds a count for.  Its sweep costs
+# O(S^2) in the support S, so a population whose stationary groups reach past
+# this is refused instead of solved for hours; every N up to the limit solves
+# on at most N sizes.
+SUPPORT_LIMIT = 2**14
 
 
 class VoteMode(str, Enum):

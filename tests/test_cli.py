@@ -457,6 +457,7 @@ def test_each_command_loads_only_its_layers(tmp_path, capsys, command):
     script = """
 import contextlib, io, json, sys
 from herdvote import cli
+assert "numpy" not in sys.modules, "import herdvote.cli"
 with contextlib.redirect_stdout(io.StringIO()):
     try:
         code = cli.main(json.loads(sys.argv[1]))
@@ -562,6 +563,7 @@ def test_population_over_the_agent_limit_is_config_error(tmp_path, capsys, monke
     monkeypatch.setattr(engine, "run", lambda *_: pytest.fail("simulated"))
     monkeypatch.setattr(cli, "ez_run", lambda *_: pytest.fail("simulated"))
     monkeypatch.setattr(meanfield, "_rates", lambda *_: pytest.fail("allocated the solver"))
+    monkeypatch.setattr(meanfield, "_size_rates", lambda *_: pytest.fail("allocated the solver"))
     argv = {
         "run": tiny_run_args(tmp_path / "runs", extra=["--set", f"n_agents={2**24 + 1}"]),
         "run_ez": tiny_run_args(tmp_path / "runs", extra=["--set", "model=ez",
@@ -863,12 +865,100 @@ def test_meanfield_two_agent_file(tmp_path):
     assert float(lines[1].split()[1]) == pytest.approx(1.0)
 
 
+def test_meanfield_support_over_the_limit_is_config_error(tmp_path, capsys, monkeypatch):
+    """A solve whose groups reach past `config.SUPPORT_LIMIT` sizes (x near
+    1/3 at a large N) is refused with one error line, exit 3 and nothing
+    written, instead of running O(S^2) sweeps for hours."""
+    monkeypatch.setattr(meanfield, "SUPPORT_LIMIT", 64)
+    code = run_cli(["meanfield", "--n-agents", "1000", "--x", "0.41",
+                    "--out", str(tmp_path / "m" / "dist.txt")])
+    assert code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert "support limit of 64" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_meanfield_nonconvergence_exit_code(tmp_path, capsys):
     out = tmp_path / "bad.txt"
     code = run_cli(["meanfield", "--n-agents", "20", "--x", "0.41",
                     "--tolerance", "1e-30", "--max-iterations", "3", "--out", str(out)])
     assert code == cli.EXIT_NONCONVERGENCE
     assert out.exists()  # partial result still written
+
+
+# -- the console entry -------------------------------------------------------------
+
+def cli_process(args, cwd, **kwargs):
+    """`python -m herdvote.cli ARGS`, the console entry, in a fresh process
+    whose output to a file or pipe is block-buffered."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "herdvote.cli", *args], env=env, cwd=cwd,
+                            **kwargs)
+
+
+@pytest.mark.parametrize("command", ["meanfield", "run"])
+def test_console_entry_flushes_redirected_output(tmp_path, command):
+    """The process ends without interpreter teardown once `main` returns.  A
+    stdout redirected to a file is block-buffered, and still gets its whole
+    last line."""
+    args = {"meanfield": ["meanfield", "--n-agents", "400", "--x", "0.41", "--out", "dist.txt"],
+            "run": tiny_run_args("runs")}[command]
+    with open(tmp_path / "stdout.txt", "w") as out:
+        proc = cli_process(args, tmp_path, stdout=out, stderr=subprocess.PIPE, text=True)
+        _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 0, err
+    text = (tmp_path / "stdout.txt").read_text()
+    assert text.endswith("\n")
+    last = text.splitlines()[-1]
+    if command == "meanfield":
+        assert json.loads(last)["converged"] is True
+    else:
+        assert (tmp_path / last / "manifest.json").is_file()
+
+
+@pytest.mark.parametrize("args, code", [
+    (["meanfield", "--n-agents", "20", "--x", "0.41", "--out", "d.txt"], cli.EXIT_OK),
+    (["meanfield", "--n-agents", "20"], cli.EXIT_USAGE),  # argparse exits inside `main`
+    (["meanfield", "--n-agents", "1", "--x", "0.41", "--out", "d.txt"], cli.EXIT_CONFIG),
+    (["meanfield", "--n-agents", "20", "--x", "0.41", "--tolerance", "1e-30",
+      "--max-iterations", "3", "--out", "d.txt"], cli.EXIT_NONCONVERGENCE),
+], ids=["ok", "usage", "config", "nonconvergence"])
+def test_console_entry_exit_codes(tmp_path, args, code):
+    proc = cli_process(args, tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    out, err = proc.communicate(timeout=300)
+    assert proc.returncode == code, err
+    assert "Traceback" not in err
+    if code in (cli.EXIT_OK, cli.EXIT_NONCONVERGENCE):
+        assert json.loads(out.splitlines()[-1])["iterations"] > 0
+
+
+def _session_of(stat_path: Path):
+    try:
+        fields = stat_path.read_text().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):  # the process ended while it was read
+        return None
+    return int(fields[3])  # state, ppid, pgrp, session
+
+
+def test_parallel_sweep_leaves_no_process(tmp_path):
+    """A parallel sweep joins its pool before the process ends: once the
+    command has exited, no process of its session is left.  A worker left
+    behind would also hold the pipes open, and `communicate` would wait."""
+    args = ["sweep", "--x", "0.41,0.45", "--set", "n_agents=200", "--set", "total_steps=4000",
+            "--workers", "2", "--out", "runs"]
+    proc = cli_process(args, tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                       text=True, start_new_session=True)
+    out, err = proc.communicate(timeout=300)
+    assert proc.returncode == 0, err
+    assert json.loads((tmp_path / out.strip()).read_text())["runs"][1]["status"] == "ok"
+    if os.path.isdir("/proc"):
+        left = [p.parent.name for p in Path("/proc").glob("[0-9]*/stat")
+                if _session_of(p) == proc.pid]
+        assert left == []
 
 
 # -- analyze ----------------------------------------------------------------------

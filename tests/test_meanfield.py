@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
+from herdvote import config, meanfield
 from herdvote.engine import SimConfig, advance, init_state
 from herdvote.meanfield import (
     GroupSizeDistribution,
+    _flows,
     _rates,
+    _solve,
     balance_residual,
     solve_stationary,
     stationary_oracle,
@@ -12,6 +17,7 @@ from herdvote.meanfield import (
 )
 from herdvote.strategy import VoteMode
 from herdvote.voting import decision_probabilities
+from oracles import damped_stationary
 
 
 def weighted_mass(dist):
@@ -155,6 +161,95 @@ def test_solver_coagulation_shortcut():
         assert np.allclose(dist.counts, expected, atol=1e-12)
         oracle = stationary_oracle(n_agents, x)
         assert np.allclose(oracle.counts, expected, atol=1e-9)
+
+
+# PR 3's grid: every (N, x) pair with p_frg(N) > 0 is solved by both solvers.
+GRID_N = (3, 4, 5, 6, 7, 8, 10, 17, 50, 100, 200)
+GRID_X = (0.336, 0.34, 0.345, 0.35, 0.36, 0.41, 0.47, 0.6, 0.95)
+
+
+def test_solver_matches_the_damped_sweep_on_the_grid():
+    """The bounded, mixed iteration reaches the fixed point of the plain
+    damped sweep over all N sizes (`oracles.damped_stationary`).
+
+    Run to a residual of 1e-13, the two agree within 1e-9.  At the default
+    1e-10 the converged flags agree and the gap is at most 5e-8 plus the
+    damped sweep's own distance from its 1e-13 result: near x = 1/3 the
+    residual hardly sees the slow directions of the equations, and there
+    the damped sweep at 1e-10 is itself up to 1.5e-7 from its tight result
+    (N = 200, x = 0.36), so no bound below that can hold against it.
+    """
+    for n_agents in GRID_N:
+        for x in GRID_X:
+            if 3 * (math.ceil(x * n_agents) - 1) < n_agents:
+                continue  # p_frg(N) = 0: the coagulation shortcut, tested below
+            fast, fast_report = solve_stationary(n_agents, x, tolerance=1e-13)
+            slow, slow_report = damped_stationary(n_agents, x, tolerance=1e-13)
+            assert fast_report.converged and slow_report.converged
+            assert np.max(np.abs(fast.counts - slow.counts)) <= 1e-9, (n_agents, x)
+
+            fast_default, fast_report = solve_stationary(n_agents, x)
+            slow_default, slow_report = damped_stationary(n_agents, x)
+            assert fast_report.converged == slow_report.converged
+            own_error = np.max(np.abs(slow_default.counts - slow.counts))
+            gap = np.max(np.abs(fast_default.counts - slow_default.counts))
+            assert gap <= 5e-8 + own_error, (n_agents, x)
+
+
+@pytest.mark.parametrize("n_agents", [400, 10_000])
+def test_solution_lives_on_the_reported_support(tmp_path, n_agents):
+    """Every count above the support is exactly 0, and the residual over all
+    sizes 1..N, mass and export hold as if every size had been solved."""
+    dist, report = solve_stationary(n_agents, 0.41)
+    assert report.converged and report.support < n_agents
+    assert np.all(dist.counts[report.support + 1:] == 0.0)
+    assert dist.counts[report.support] > 0.0
+    residual = float(np.max(np.abs(balance_residual(dist, 0.41))))
+    assert residual == pytest.approx(report.residual, rel=1e-6, abs=1e-15)
+    assert residual <= 1e-10
+    assert weighted_mass(dist) == pytest.approx(n_agents, rel=1e-9)
+    path = tmp_path / "dist.txt"
+    write_distribution(path, dist)
+    assert len(path.read_text().splitlines()) == n_agents
+
+
+@pytest.mark.parametrize("x, sweeps, support", [(0.41, 37, 256), (0.36, 58, 1024)])
+def test_work_at_desk_n(x, sweeps, support):
+    """Work guard: the sweeps and the support at N = 10^4, exactly.  The plain
+    damped sweep over every size took 93 and 166 sweeps of 10^4 sizes; a
+    lost acceleration or support bound shows here before any timing."""
+    _, report = solve_stationary(10_000, x)
+    assert report.converged
+    assert (report.iterations, report.support) == (sweeps, support)
+
+
+def test_support_limit_is_refused(monkeypatch):
+    """A solve whose support would pass `config.SUPPORT_LIMIT` raises
+    before it allocates the larger support.  Every N up to the limit solves,
+    since the support never passes N."""
+    assert config.SUPPORT_LIMIT >= 10_000
+    monkeypatch.setattr(meanfield, "SUPPORT_LIMIT", 128)
+    with pytest.raises(ValueError, match="support limit of 128"):
+        solve_stationary(10_000, 0.41)
+    _, report = solve_stationary(128, 0.36)
+    assert report.converged and report.support == 128
+
+
+def test_iteration_solves_another_rate_table():
+    """`_solve` takes any rate table: the E-Z baseline's (p_frg = a, p_merge =
+    (1 - a)(N - s)/(N - 1)) converges to a zero of the same flows."""
+    n_agents, a = 300, 0.05
+
+    def ez_rates(sizes):
+        return np.full(len(sizes), a), (1 - a) * (n_agents - sizes) / (n_agents - 1)
+
+    dist, report = _solve(n_agents, ez_rates, 1e-10, 10_000)
+    assert report.converged
+    sizes = np.arange(1, n_agents + 1)
+    p_frg, p_merge = (np.r_[0.0, r] for r in ez_rates(sizes))
+    inflow, rate = _flows(dist.counts, p_frg, p_merge, n_agents)
+    assert float(np.max(np.abs(inflow - rate * dist.counts))) <= 1e-10
+    assert weighted_mass(dist) == pytest.approx(n_agents, rel=1e-9)
 
 
 # -- exact tiny-N oracle ----------------------------------------------------------
