@@ -15,31 +15,91 @@ with standard error (alpha_hat - 1) / sqrt(n).  When no cutoff is supplied,
 r_min is chosen by minimising the Kolmogorov-Smirnov distance between the
 empirical tail and the fitted power law over a candidate grid; pass an
 explicit r_min for reproducible comparisons across series.
+
+Every statistic is computed from one `Histogram`: the distinct nonzero |r|
+of a series, ascending, with their counts.  Each function here takes a
+histogram or a series (of which it builds one), and `herdvote analyze`
+builds one per run directory and passes it to all of them.  The work then
+grows with the number of distinct values D, never more than k N for a run
+of N agents summed over windows of k steps, not with the series length:
+the CCDF is the suffix counts, the density evaluates the edges of occupied
+bins only, and each candidate cutoff of the fit is one pass over the
+distinct values above it.  Standard library only.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate
+from operator import mul
 
 MIN_TAIL = 100  # fewest tail points a power-law fit accepts
+CANDIDATES = 64  # most cutoffs the KS scan tries
+
+
+@dataclass(frozen=True)
+class Histogram:
+    """Distinct nonzero |r| of a series, ascending, with their counts.
+
+    `above[i]` counts the points at `values[i]` or above, and `above[D]` is
+    0.  `len()` is the length of the series, zeros included.
+    """
+
+    values: list[float]
+    counts: list[int]
+    above: list[int]
+    length: int
+
+    def __len__(self) -> int:
+        return self.length
+
+
+def histogram(returns) -> Histogram:
+    """The histogram of |r| over the nonzero entries of `returns`.
+
+    A histogram is returned as it is.  NaN entries count toward the length
+    only, as zeros do.
+    """
+    if isinstance(returns, Histogram):
+        return returns
+    if not isinstance(returns, array) and hasattr(returns, "tolist"):
+        returns = returns.tolist()  # a NumPy array: count Python numbers, not NumPy scalars
+    tally = Counter(returns)
+    sizes = Counter()
+    for value, count in tally.items():
+        size = abs(value)
+        if size > 0:
+            sizes[float(size)] += count
+    values = sorted(sizes)
+    counts = [sizes[v] for v in values]
+    above = [*accumulate(reversed(counts))][::-1] + [0]
+    return Histogram(values, counts, above, sum(tally.values()))
+
+
+def _with_trades(returns) -> Histogram:
+    hist = histogram(returns)
+    if not hist.values:
+        raise ValueError("series contains no trades (all returns are zero)")
+    return hist
 
 
 @dataclass
 class CcdfCurve:
     """Empirical P(|r| >= value) at every distinct absolute return value."""
 
-    values: np.ndarray         # ascending distinct |r|
-    probabilities: np.ndarray  # non-increasing, starts at 1
+    values: list[float]         # ascending distinct |r|
+    probabilities: list[float]  # non-increasing, starts at 1
 
     def tail_mass(self, threshold: float) -> float:
         """P(|r| >= threshold), zero beyond the largest observed value."""
-        idx = np.searchsorted(self.values, threshold, side="left")
+        idx = bisect_left(self.values, threshold)
         if idx >= len(self.values):
             return 0.0
-        return float(self.probabilities[idx])
+        return self.probabilities[idx]
 
 
 @dataclass
@@ -58,20 +118,12 @@ class TailFit:
         return self.alpha_density - 1.0
 
 
-def _abs_nonzero(returns) -> np.ndarray:
-    arr = np.abs(np.asarray(returns, dtype=float))
-    return arr[arr > 0]
-
-
 def ccdf(returns) -> CcdfCurve:
     """Exact empirical CCDF of absolute nonzero returns."""
-    vals = _abs_nonzero(returns)
-    if len(vals) == 0:
-        raise ValueError("series contains no trades (all returns are zero)")
-    distinct, counts = np.unique(vals, return_counts=True)
+    hist = _with_trades(returns)
+    n = hist.above[0]
     # P(|r| >= v_i) = fraction of points at v_i or above
-    above = np.cumsum(counts[::-1])[::-1]
-    return CcdfCurve(distinct, above / len(vals))
+    return CcdfCurve(hist.values, [a / n for a in hist.above[:-1]])
 
 
 def tail_mass(returns, threshold: float) -> float:
@@ -79,51 +131,101 @@ def tail_mass(returns, threshold: float) -> float:
     return ccdf(returns).tail_mass(threshold)
 
 
-def log_binned_pdf(returns, bins_per_decade: int = 10) -> tuple[np.ndarray, np.ndarray]:
-    """Density of |r| on geometric bins: (bin centers, density per unit |r|).
+def log_bins(returns, bins_per_decade: int = 10) -> list[tuple[float, float, int]]:
+    """The occupied geometric bins of |r|: (left edge, right edge, count).
 
-    Density is count / (sample size * linear bin width), so the densities
-    integrate to one over the covered range whatever the bin count.  Empty
-    bins are omitted.
+    The grid's edges are 10^(k / bins_per_decade) for the integers k whose
+    edges enclose the values, the outer two moved out to the smallest and
+    largest value where rounding leaves them inside.  A bin holds the
+    values from its left edge up to, not including, its right one; the last
+    bin holds its right edge too.  Only the edges of occupied bins are
+    evaluated, so the cost grows with the occupied bins, not the grid.
     """
     if bins_per_decade < 1:
         raise ValueError("bins_per_decade must be >= 1")
-    vals = _abs_nonzero(returns)
-    if len(vals) == 0:
-        raise ValueError("series contains no trades (all returns are zero)")
-    lo, hi = vals.min(), vals.max()
+    hist = _with_trades(returns)
+    values, above = hist.values, hist.above
+    lo, hi = values[0], values[-1]
     k_lo = math.floor(bins_per_decade * math.log10(lo))
     k_hi = math.ceil(bins_per_decade * math.log10(hi))
     if k_hi == k_lo:
         k_hi += 1
-    edges = 10.0 ** (np.arange(k_lo, k_hi + 1) / bins_per_decade)
-    edges[0] = min(edges[0], lo)  # guard rounding at the extremes
-    edges[-1] = max(edges[-1], hi)
-    counts, _ = np.histogram(vals, edges)
-    density = counts / (len(vals) * np.diff(edges))
-    centers = np.sqrt(edges[:-1] * edges[1:])
-    keep = counts > 0
-    return centers[keep], density[keep]
+
+    def edge(k: int) -> float:
+        e = 10.0 ** (k / bins_per_decade)
+        if k == k_lo:
+            return min(e, lo)  # guard rounding at the extremes
+        return max(e, hi) if k == k_hi else e
+
+    def bin_of(v: float) -> int:
+        """The last k in [k_lo, k_hi) with edge(k) <= v."""
+        k = min(max(math.floor(bins_per_decade * math.log10(v)), k_lo), k_hi - 1)
+        if edge(k) <= v and (k == k_hi - 1 or v < edge(k + 1)):
+            return k
+        lo_k, hi_k = k_lo, k_hi - 1  # edge(k_lo) <= lo <= v
+        while lo_k < hi_k:
+            mid = (lo_k + hi_k + 1) // 2
+            if edge(mid) <= v:
+                lo_k = mid
+            else:
+                hi_k = mid - 1
+        return lo_k
+
+    bins = []
+    i = 0
+    while i < len(values):
+        k = bin_of(values[i])
+        left, right = edge(k), edge(k + 1)
+        j = len(values) if k == k_hi - 1 else bisect_left(values, right, i)
+        bins.append((left, right, above[i] - above[j]))
+        i = j
+    return bins
+
+
+def log_binned_pdf(returns, bins_per_decade: int = 10) -> tuple[list[float], list[float]]:
+    """Density of |r| on geometric bins: (bin centers, density per unit |r|).
+
+    Density is count / (sample size * linear bin width), so the densities
+    integrate to one over the covered range whatever the bin count.  Empty
+    bins are omitted; `log_bins` gives the edges and counts.
+    """
+    hist = histogram(returns)
+    bins = log_bins(hist, bins_per_decade)
+    n = hist.above[0]
+    centers = [math.sqrt(left * right) for left, right, _ in bins]
+    density = [count / (n * (right - left)) for left, right, count in bins]
+    return centers, density
+
+
+def candidate_indices(n_values: int) -> list[int]:
+    """Indices of the cutoffs the KS scan tries among `n_values` distinct values.
+
+    Every value when there are at most `CANDIDATES`, else that many spread
+    evenly from the first to the last, as int(linspace(0, D - 1, 64)) picks
+    them: i (D - 1) / 63 truncated, and D - 1 itself.
+    """
+    if n_values <= CANDIDATES:
+        return list(range(n_values))
+    step = (n_values - 1) / (CANDIDATES - 1)
+    return [int(i * step) for i in range(CANDIDATES - 1)] + [n_values - 1]
 
 
 def fit_power_law(sample, r_min: float | None = None) -> TailFit:
     """Tail-exponent MLE over |sample| >= r_min, from at least `MIN_TAIL` points.
 
     With r_min=None the cutoff is scanned over a grid of observed values
-    (capped at 64 candidates) and the KS-optimal one is kept.
+    (capped at `CANDIDATES`) and the KS-optimal one is kept; of equal
+    distances, the smallest cutoff.
     """
-    vals = _abs_nonzero(sample)
+    hist = histogram(sample)
     if r_min is not None:
-        return _fit_at(vals, float(r_min))
-    # with return_counts NumPy's unique does not import numpy.ma (10-13 ms)
-    candidates = np.unique(vals, return_counts=True)[0]
-    if len(candidates) > 64:
-        idx = np.linspace(0, len(candidates) - 1, 64).astype(int)
-        candidates = candidates[idx]
+        return _fit_at(hist, float(r_min))
     best = None
-    for cand in candidates:
+    for start in candidate_indices(len(hist.values)):
+        if hist.above[start] < MIN_TAIL:
+            break  # and at every larger cutoff
         try:
-            fit = _fit_at(vals, float(cand))
+            fit = _fit_at(hist, hist.values[start])
         except ValueError:
             continue
         if best is None or fit.ks_distance < best.ks_distance:
@@ -133,32 +235,43 @@ def fit_power_law(sample, r_min: float | None = None) -> TailFit:
     return best
 
 
-def _fit_at(vals: np.ndarray, r_min: float) -> TailFit:
-    tail = vals[vals >= r_min]
-    n = len(tail)
+def _fit_at(hist: Histogram, r_min: float) -> TailFit:
+    start = bisect_left(hist.values, r_min)
+    n = hist.above[start]
     if n < MIN_TAIL:
         raise ValueError(f"only {n} tail points above r_min={r_min}, need {MIN_TAIL}")
-    log_sum = float(np.sum(np.log(tail / r_min)))
+    counts = hist.counts[start:]
+    ratios = [v / r_min for v in hist.values[start:]]
+    log_sum = math.fsum(map(mul, counts, map(math.log, ratios)))
     if log_sum <= 0.0:
         raise ValueError(f"degenerate tail: all points equal r_min={r_min}")
     alpha = 1.0 + n / log_sum
     stderr = (alpha - 1.0) / math.sqrt(n)
-    tail_sorted = np.sort(tail)
-    model_cdf = 1.0 - (tail_sorted / r_min) ** (1.0 - alpha)
-    grid = np.arange(1, n + 1) / n
-    ks = float(np.max(np.maximum(np.abs(grid - model_cdf), np.abs(grid - 1.0 / n - model_cdf))))
+    # KS distance: the empirical CDF steps from (j - 1)/n to j/n at the j-th
+    # point; across a run of equal values the model CDF is one number, so
+    # the largest gap lies at the run's first or last point
+    exponent = 1.0 - alpha
+    model = [1.0 - q ** exponent for q in ratios]
+    lasts = list(accumulate(counts))  # the 1-based index of each run's last point
+    point = 1.0 / n
+    ks = max(max([abs(last / n - cdf) for last, cdf in zip(lasts, model)]),
+             max([abs((last - c + 1) / n - point - cdf)
+                  for last, c, cdf in zip(lasts, counts, model)]))
     return TailFit(
         alpha_density=alpha,
         r_min=r_min,
-        r_max=float(tail_sorted[-1]),
+        r_max=hist.values[-1],
         stderr=stderr,
         n_tail=n,
         ks_distance=ks,
     )
 
 
-def sample_pareto(alpha_density: float, size: int, rng, r_min: float = 1.0) -> np.ndarray:
-    """Synthetic Pareto sample with density exponent alpha (> 1), for calibration."""
+def sample_pareto(alpha_density: float, size: int, rng, r_min: float = 1.0):
+    """Synthetic Pareto sample with density exponent alpha (> 1), for calibration.
+
+    `rng.random(size)` draws the uniforms, so a NumPy generator gives an array.
+    """
     if alpha_density <= 1.0:
         raise ValueError("density exponent must exceed 1")
     u = rng.random(size)
@@ -176,31 +289,32 @@ def cutoff_scan(
     cutoff and the largest of those cutoffs becomes the common one, so every
     series is fitted inside its tail regime.  Rows report NaN exponents when
     a series has too few points above the common cutoff; the tail mass
-    P(|r| >= tail_threshold) is always reported.
+    P(|r| >= tail_threshold) is always reported.  Each value may be a
+    series or its `Histogram`.
     """
-    series = {x: _abs_nonzero(r) for x, r in returns_by_x.items()}
-    if not series:
+    hists = {x: histogram(r) for x, r in returns_by_x.items()}
+    if not hists:
         raise ValueError("no series given")
     if r_min is None:
         picked = []
-        for vals in series.values():
+        for hist in hists.values():
             try:
-                picked.append(fit_power_law(vals).r_min)
+                picked.append(fit_power_law(hist).r_min)
             except ValueError:
                 pass
         if not picked:
             raise ValueError("no series supports a tail fit; supply r_min explicitly")
         r_min = max(picked)
     rows = []
-    for x, vals in series.items():
+    for x, hist in hists.items():
         row = {
             "x": x,
             "r_min": r_min,
-            "tail_mass": ccdf(vals).tail_mass(tail_threshold),
+            "tail_mass": ccdf(hist).tail_mass(tail_threshold),
             "tail_threshold": tail_threshold,
         }
         try:
-            fit = _fit_at(vals, r_min)
+            fit = _fit_at(hist, r_min)
             row.update(
                 alpha_density=fit.alpha_density,
                 alpha_cumulative=fit.alpha_cumulative,
@@ -208,10 +322,20 @@ def cutoff_scan(
                 n_tail=fit.n_tail,
             )
         except ValueError:
-            row.update(alpha_density=math.nan, alpha_cumulative=math.nan,
-                       stderr=math.nan, n_tail=int(np.sum(vals >= r_min)))
+            row.update(alpha_density=math.nan, alpha_cumulative=math.nan, stderr=math.nan,
+                       n_tail=hist.above[bisect_left(hist.values, r_min)])
         rows.append(row)
     return rows
+
+
+def _line_ssr(x: list[float], y: list[float]) -> float:
+    """Residual sum of squares of the least-squares line y = a + b x."""
+    x_mean = math.fsum(x) / len(x)
+    y_mean = math.fsum(y) / len(y)
+    dx = [v - x_mean for v in x]
+    dy = [v - y_mean for v in y]
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / math.fsum(a * a for a in dx)
+    return math.fsum((b - slope * a) ** 2 for a, b in zip(dx, dy))
 
 
 def compare_tail_models(returns, threshold: float = 50.0) -> dict:
@@ -222,21 +346,15 @@ def compare_tail_models(returns, threshold: float = 50.0) -> dict:
     reports both residual sums of squares.
     """
     curve = ccdf(returns)
-    keep = curve.values >= threshold
-    v = curve.values[keep]
+    start = bisect_left(curve.values, threshold)
+    v = curve.values[start:]
     if len(v) < 3:
         raise ValueError(f"need at least 3 distinct values >= {threshold}, have {len(v)}")
-    log_p = np.log(curve.probabilities[keep])
-
-    def ssr(design: np.ndarray) -> float:
-        coef, *_ = np.linalg.lstsq(design, log_p, rcond=None)
-        return float(np.sum((log_p - design @ coef) ** 2))
-
-    ones = np.ones_like(v)
-    exponential_ssr = ssr(np.column_stack([ones, v]))
-    power_ssr = ssr(np.column_stack([ones, np.log(v)]))
+    log_p = [math.log(p) for p in curve.probabilities[start:]]
+    exponential_ssr = _line_ssr(v, log_p)
+    power_ssr = _line_ssr([math.log(a) for a in v], log_p)
     return {
-        "n_points": int(len(v)),
+        "n_points": len(v),
         "threshold": threshold,
         "exponential_ssr": exponential_ssr,
         "power_ssr": power_ssr,

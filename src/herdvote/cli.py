@@ -55,7 +55,8 @@ runs them: the simulator (`engine`, `ez`) on the run path, `analysis` in
 `analyze` and `validate`, `meanfield` in `meanfield` and `validate`.  At
 module level this file needs only `config` and `artifacts`, and no NumPy,
 so `--help`, `--version`, usage errors and a refusal made before a layer
-loads cost no NumPy import.  The run path
+loads cost no NumPy import, and neither does `analyze`, whose layers
+(`series`, `analysis`) are standard library only.  The run path
 calls the simulator and the series writer as `engine.<name>`, so a caller
 that replaces such an attribute replaces the call.
 """
@@ -72,14 +73,12 @@ import math
 import os
 import sys
 import time
-from typing import TYPE_CHECKING, NamedTuple
+from collections.abc import Iterator
+from typing import NamedTuple
 
 from . import __version__
 from .artifacts import ConfigError, publication, read_verified, recorded_digests, sha256_file
 from .config import EzConfig, RunConfig, SimConfig
-
-if TYPE_CHECKING:
-    import numpy as np
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -383,14 +382,18 @@ def _grid_values(text, parse, default) -> list:
     """Comma-separated grid values in first-seen order, repeats dropped.
 
     A repeated value would give two grid points one config, hence one run
-    directory written by two workers at once.
+    directory written by two workers at once.  A value that does not parse,
+    or a float that is not finite, is refused before any run starts.
     """
     if not text:
         return [default]
     try:
-        return list(dict.fromkeys(parse(v) for v in text.split(",")))
+        values = list(dict.fromkeys(parse(v) for v in text.split(",")))
     except ValueError:
         raise ConfigError(f"bad grid values {text!r}")
+    if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+        raise ConfigError(f"bad grid values {text!r}: every value must be finite")
+    return values
 
 
 def cmd_sweep(args) -> int:
@@ -477,13 +480,14 @@ def cmd_meanfield(args) -> int:
     return EXIT_OK
 
 
-def _read_run_returns(run_dir: str, k: int) -> tuple[dict, np.ndarray]:
+def _read_run_returns(run_dir: str, k: int) -> tuple[dict, Iterator[int]]:
     """A run's config and its return series summed over windows of k steps.
 
     Both come from digest-checked files: `config.txt` and `returns_raw.bin`;
     a config that does not parse, such as another schema's, names its path.
+    The sums come one at a time, for one pass such as a histogram's.
     """
-    from .series import parse_returns_binary, rescale_returns
+    from .series import parse_returns_binary, window_sums
 
     config_bytes, series_bytes = read_verified(run_dir, ("config.txt", "returns_raw.bin"))
     try:
@@ -491,18 +495,14 @@ def _read_run_returns(run_dir: str, k: int) -> tuple[dict, np.ndarray]:
     except ConfigError as exc:
         raise ConfigError(f"{os.path.join(run_dir, 'config.txt')}: {exc}") from None
     try:
-        returns = parse_returns_binary(series_bytes)
-        n = config["n_agents"]  # no group that trades is larger than the population
-        if returns.size and (returns.min() < -n or returns.max() > n):
-            raise ValueError(f"a return exceeds the run's {n} agents")
+        # no group that trades is larger than the population
+        returns = parse_returns_binary(series_bytes, bound=config["n_agents"])
     except ValueError as exc:
         raise ConfigError(f"damaged artifact {os.path.join(run_dir, 'returns_raw.bin')}: {exc}")
-    return config, rescale_returns(returns, k)
+    return config, window_sums(returns, k)
 
 
 def cmd_analyze(args) -> int:
-    import numpy as np
-
     from . import analysis
 
     for option, value, ok in (
@@ -518,24 +518,25 @@ def cmd_analyze(args) -> int:
     run_dirs = {}
     for run_dir in args.run_dirs:
         run_dirs.setdefault(os.path.realpath(run_dir), run_dir)
-    returns_by_x = {}
+    histograms = {}  # one row of the summary per run directory
     cutoffs = []  # the cutoff of each directory's own fit
     with publication([*(os.path.join(run_dir, "analysis", name) for run_dir in run_dirs.values()
                         for name in ("ccdf.csv", "pdf.csv", "fit.csv")), args.out]) as stage:
         for run_dir in run_dirs.values():
             config, returns = _read_run_returns(run_dir, args.rescale_k)
-            if not np.any(returns):
+            hist = analysis.histogram(returns)  # every statistic below reads it
+            if not hist.values:
                 raise ConfigError(f"no trades in {run_dir}: every recorded return is zero")
             param = config["x"] if config["model"] == "main" else f"ez a={config['ez_a']}"
             try:
-                fit = analysis.fit_power_law(returns, args.r_min)
+                fit = analysis.fit_power_law(hist, args.r_min)
                 cutoffs.append(fit.r_min)
                 fit_row = (param, fit.alpha_density, fit.alpha_cumulative,
                            fit.r_min, fit.stderr, fit.n_tail)
             except ValueError:
                 fit_row = (param, math.nan, math.nan, math.nan, math.nan, 0)
-            curve = analysis.ccdf(returns)
-            centers, density = analysis.log_binned_pdf(returns, args.bins_per_decade)
+            curve = analysis.ccdf(hist)
+            centers, density = analysis.log_binned_pdf(hist, args.bins_per_decade)
             out_dir = os.path.join(run_dir, "analysis")
             stage(os.path.join(out_dir, "ccdf.csv"), lambda p: _write_csv(
                 p, ("value", "probability"), zip(curve.values, curve.probabilities)))
@@ -544,13 +545,12 @@ def cmd_analyze(args) -> int:
             stage(os.path.join(out_dir, "fit.csv"), lambda p: _write_csv(
                 p, ("x", "alpha_density", "alpha_cumulative", "r_min", "stderr", "n_tail"),
                 [fit_row]))
-            # one row per run directory
             key = param
-            if key in returns_by_x:  # replicate runs at the same parameters
+            if key in histograms:  # replicate runs at the same parameters
                 key = f"{param} seed={config['seed']}"
-            if key in returns_by_x:  # and the same seed: other keys differ
+            if key in histograms:  # and the same seed: other keys differ
                 key = f"{param} {run_dir}"
-            returns_by_x[key] = returns
+            histograms[key] = hist
 
         # the summary fits every series at one cutoff: the given one, else the
         # largest KS-optimal cutoff found above (`cutoff_scan`'s own choice)
@@ -560,7 +560,7 @@ def cmd_analyze(args) -> int:
                 f"no run has enough trades for a tail fit (every cutoff leaves fewer than "
                 f"{analysis.MIN_TAIL} tail points); pass --r-min to fit every run at a fixed "
                 f"cutoff")
-        rows = analysis.cutoff_scan(returns_by_x, r_min=r_min, tail_threshold=args.tail_threshold)
+        rows = analysis.cutoff_scan(histograms, r_min=r_min, tail_threshold=args.tail_threshold)
         stage(args.out, lambda p: _write_csv(
             p,
             ("x", "alpha_density", "alpha_cumulative", "r_min", "stderr", "n_tail",
@@ -573,22 +573,11 @@ def cmd_analyze(args) -> int:
 
 
 def _write_csv(path, header, rows) -> None:
+    """Cells as `str` writes them: a float as its shortest round-trip repr."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt_cell(c) for c in row])
-
-
-def _fmt_cell(value):
-    import numpy as np
-
-    # repr of a NumPy float is "np.float64(...)" under NumPy 2: convert first
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
+        writer.writerows(rows)
 
 
 # -- validate ----------------------------------------------------------------

@@ -191,8 +191,8 @@ def solve_stationary(
         raise ValueError(f"n_agents must be in [2, {AGENT_LIMIT}], got {N}")
     if not ONE_THIRD < x < 1.0:
         raise ValueError(f"solver requires 1/3 < x < 1, got x={x}")
-    if not tolerance > 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
 

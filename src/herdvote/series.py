@@ -2,61 +2,96 @@
 
 A run records one signed integer return per step after equilibration and
 writes it once, as a length-prefixed binary file (little-endian uint64
-count, then int64 values); `herdvote analyze` reads it and sums windows of
-k steps in memory.  The text form, one integer per line, is for people and
-other tools: `write_returns_text(path, read_returns_binary(bin_path))`.
-NumPy only: reading and rescaling a series loads no simulator code.
+count, then int64 values); `herdvote analyze` reads it into an
+`array('q')` and sums windows of k steps in memory.  The text form, one
+integer per line, is for people and other tools:
+`write_returns_text(path, read_returns_binary(bin_path))`.
+Standard library only: reading and rescaling a series loads neither NumPy
+nor simulator code.  The writers take any sequence of integers; the
+simulator's int64 NumPy array is copied through its buffer.
 """
 
 from __future__ import annotations
 
 import struct
-
-import numpy as np
+import sys
+from array import array
+from collections.abc import Iterator
+from operator import add
 
 _TEXT_CHUNK = 1 << 13  # values per write in `write_returns_text`
+_SWAP = sys.byteorder == "big"  # the files hold little-endian values
 
 
-def rescale_returns(series: np.ndarray, k: int) -> np.ndarray:
-    """Sum non-overlapping windows of k consecutive returns; partial tail dropped."""
+def _int64_array(series) -> array:
+    """`series` as array('q'): a contiguous buffer of 8-byte integers, such
+    as an int64 NumPy array, is copied whole, anything else value by value."""
+    if isinstance(series, array) and series.typecode == "q":
+        return series
+    try:
+        view = memoryview(series)
+    except TypeError:
+        return array("q", series)
+    if view.itemsize != 8 or view.format not in ("q", "l") or not view.c_contiguous:
+        return array("q", series)
+    values = array("q")
+    values.frombytes(view.cast("B"))
+    return values
+
+
+def window_sums(series, k: int) -> Iterator[int]:
+    """The sums of non-overlapping windows of k consecutive returns, one at a
+    time; the partial window at the end is dropped."""
     if k < 1:
         raise ValueError(f"window length must be >= 1, got {k}")
-    series = np.asarray(series)
-    n = (len(series) // k) * k
-    return series[:n].reshape(-1, k).sum(axis=1)
+    values = _int64_array(series)
+    n = (len(values) // k) * k
+    sums = iter(values[0:n:k] if k > 1 else values)
+    for offset in range(1, k):
+        sums = map(add, sums, values[offset:n:k])
+    return sums
+
+
+def rescale_returns(series, k: int) -> array:
+    """Sum non-overlapping windows of k consecutive returns; partial tail dropped."""
+    return array("q", window_sums(series, k))
 
 
 def write_returns_text(path, series) -> None:
     """One signed integer per line, LF endings."""
-    series = np.asarray(series)
+    values = _int64_array(series)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         # chunk by chunk: the text of a whole series is never in memory
-        for start in range(0, len(series), _TEXT_CHUNK):
-            fh.writelines(f"{v}\n" for v in series[start:start + _TEXT_CHUNK].tolist())
+        for start in range(0, len(values), _TEXT_CHUNK):
+            fh.writelines(f"{v}\n" for v in values[start:start + _TEXT_CHUNK])
 
 
-def read_returns_text(path) -> np.ndarray:
+def read_returns_text(path) -> array:
     with open(path, "r", encoding="utf-8") as fh:
-        return np.array([int(line) for line in fh if line.strip()], dtype=np.int64)
+        return array("q", (int(line) for line in fh if line.strip()))
 
 
 def write_returns_binary(path, series) -> None:
     """Length-prefixed binary: little-endian uint64 count, then int64 values."""
-    arr = np.asarray(series, dtype="<i8")
+    values = _int64_array(series)
+    if _SWAP:
+        values = array("q", values)
+        values.byteswap()
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", len(arr)))
-        fh.write(arr.tobytes())
+        fh.write(struct.pack("<Q", len(values)))
+        fh.write(values)
 
 
-def read_returns_binary(path) -> np.ndarray:
+def read_returns_binary(path) -> array:
     with open(path, "rb") as fh:
         return parse_returns_binary(fh.read())
 
 
-def parse_returns_binary(data: bytes) -> np.ndarray:
+def parse_returns_binary(data: bytes, bound: int | None = None) -> array:
     """The series held by the bytes of a `write_returns_binary` file.
 
-    The count must match the values that follow it exactly.
+    The count must match the values that follow it exactly, and with a
+    `bound` every value must lie in [-bound, bound].
     """
     if len(data) < 8:
         raise ValueError(f"{len(data)} bytes hold no 8-byte count")
@@ -64,4 +99,21 @@ def parse_returns_binary(data: bytes) -> np.ndarray:
     held, extra = divmod(len(data) - 8, 8)
     if held != count or extra:
         raise ValueError(f"expected {count} values, file holds {len(data) - 8} bytes of values")
-    return np.frombuffer(data, dtype="<i8", offset=8).astype(np.int64)
+    values = array("q")
+    values.frombytes(memoryview(data)[8:])
+    if _SWAP:
+        values.byteswap()
+    if bound is not None and not _bounded(data, values, bound):
+        raise ValueError(f"a return exceeds {bound} in absolute value")
+    return values
+
+
+def _bounded(data: bytes, values: array, bound: int) -> bool:
+    # Most series hold no return beyond 255.  Then bytes 1-7 of each value
+    # are all 0x00 or all 0xFF, so it lies in [-256, 255], and byte-string
+    # slices of the file show that without a Python loop over the values.
+    high = data[9::8]
+    if bound >= 256 and not high.translate(None, b"\x00\xff") and all(
+            data[i::8] == high for i in range(10, 16)):
+        return True
+    return not values or (-bound <= min(values) and max(values) <= bound)

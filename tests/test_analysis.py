@@ -1,35 +1,44 @@
+import math
+
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from herdvote.analysis import (
+    candidate_indices,
     ccdf,
     compare_tail_models,
     cutoff_scan,
     fit_power_law,
+    histogram,
+    log_bins,
     log_binned_pdf,
     sample_pareto,
     tail_mass,
 )
+from herdvote.series import rescale_returns
 
 
 # -- ccdf -----------------------------------------------------------------------
 
 def test_ccdf_single_value():
     curve = ccdf([2, -2, 2, -2])
-    assert curve.values.tolist() == [2.0]
-    assert curve.probabilities.tolist() == [1.0]
+    assert curve.values == [2.0]
+    assert curve.probabilities == [1.0]
 
 
 def test_ccdf_counts():
     curve = ccdf([1, -2, 4])
-    assert curve.values.tolist() == [1.0, 2.0, 4.0]
-    assert curve.probabilities.tolist() == pytest.approx([1.0, 2 / 3, 1 / 3])
+    assert curve.values == [1.0, 2.0, 4.0]
+    assert curve.probabilities == pytest.approx([1.0, 2 / 3, 1 / 3])
 
 
 def test_ccdf_excludes_zeros():
     curve = ccdf([0, 0, 3, 0])
-    assert curve.values.tolist() == [3.0]
-    assert curve.probabilities.tolist() == [1.0]
+    assert curve.values == [3.0]
+    assert curve.probabilities == [1.0]
 
 
 def test_ccdf_rejects_all_zero():
@@ -59,7 +68,7 @@ def test_log_binned_pdf_slope_on_pareto():
     # density should sit near -2.5
     rng = np.random.default_rng(42)
     sample = sample_pareto(2.5, 1_000_000, rng)
-    centers, density = log_binned_pdf(sample, bins_per_decade=8)
+    centers, density = map(np.asarray, log_binned_pdf(sample, bins_per_decade=8))
     keep = density > 0
     window = (centers > 2) & (centers < 100) & keep
     slope, _ = np.polyfit(np.log(centers[window]), np.log(density[window]), 1)
@@ -78,7 +87,7 @@ def test_log_binned_pdf_mass_invariant_under_refinement():
     rng = np.random.default_rng(1)
     sample = rng.lognormal(2.0, 1.0, size=20_000)
     for bpd in (5, 10):
-        centers, density = log_binned_pdf(sample, bins_per_decade=bpd)
+        centers, density = map(np.asarray, log_binned_pdf(sample, bins_per_decade=bpd))
         # widths from the geometric grid: center_i = sqrt(e_i e_{i+1})
         ratio = 10 ** (1 / (2 * bpd))
         widths = centers * (ratio - 1 / ratio)
@@ -192,3 +201,139 @@ def test_compare_tail_models_prefers_power_on_pareto_data():
 def test_compare_tail_models_needs_points():
     with pytest.raises(ValueError):
         compare_tail_models([5, 5, 5, 6], threshold=5)
+
+
+# -- the histogram against the NumPy reference (tests/oracles.py) -----------------------
+
+def test_histogram_counts_nonzero_magnitudes():
+    hist = histogram([0, 3, -1, 3, -3, 0, 1.0, float("nan")])
+    assert (hist.values, hist.counts, hist.above) == ([1.0, 3.0], [2, 3], [5, 3, 0])
+    assert len(hist) == 8  # the series length, zeros and NaN included
+    assert histogram(hist) is hist
+
+
+def test_candidate_indices_are_numpys_linspace():
+    """int(linspace(0, D - 1, 64)) is i (D - 1) / 63 truncated, then D - 1."""
+    assert candidate_indices(64) == list(range(64))
+    for n_values in range(65, 5001):
+        expected = np.linspace(0, n_values - 1, 64).astype(int).tolist()
+        assert candidate_indices(n_values) == expected, n_values
+
+
+def _within_ulps(a: float, b: float, ulps: int) -> bool:
+    return abs(a - b) <= ulps * math.ulp(b)
+
+
+def _relclose(a: float, b: float, rel: float = 1e-12) -> bool:
+    return abs(a - b) <= rel * abs(b) or (math.isnan(a) and math.isnan(b))
+
+
+@st.composite
+def tail_samples(draw):
+    """A rescaled integer series (k = 1, 2, 3) of signed heavy-tailed trade
+    sizes with no-trade zeros, or a continuous Pareto sample."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(1, 4000))
+    alpha = draw(st.floats(1.2, 3.5))
+    if draw(st.booleans()):
+        return sample_pareto(alpha, size, rng, r_min=draw(st.floats(0.01, 100.0)))
+    cap = draw(st.sampled_from([3, 300, 10_000]))  # the population size
+    sizes = np.floor(np.minimum(sample_pareto(alpha, size, rng), cap)).astype(np.int64)
+    signs = rng.choice([-1, 1], size=size)
+    trades = rng.random(size) >= draw(st.floats(0.0, 0.9))
+    return np.asarray(rescale_returns(sizes * signs * trades, draw(st.sampled_from([1, 2, 3]))))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(sample=tail_samples(), bins_per_decade=st.sampled_from([1, 3, 10, 100, 10_000]))
+def test_statistics_match_the_numpy_reference(sample, bins_per_decade):
+    """Tolerances, fixed before the comparison was first run:
+    - CCDF values and probabilities and PDF counts: exactly equal;
+    - PDF centers and densities: within 4 ulp, both from libm's pow edges
+      (NumPy's SIMD power rounds some edges differently on AVX-512 hosts);
+    - the KS-chosen r_min and n_tail: equal whenever the reference's two
+      best KS distances differ by more than 1e-12;
+    - alpha, stderr and the KS distance: within 1e-12 relative."""
+    if not np.any(sample):
+        with pytest.raises(ValueError):
+            ccdf(sample)
+        return
+    curve = ccdf(sample)
+    values, probabilities = oracles.ccdf(sample)
+    assert curve.values == values.tolist()
+    assert curve.probabilities == probabilities.tolist()
+
+    bins = log_bins(sample, bins_per_decade)
+    assert [count for _, _, count in bins] == oracles.log_binned_pdf(sample, bins_per_decade)[2].tolist()
+    centers, density = log_binned_pdf(sample, bins_per_decade)
+    ref_centers, ref_density, _ = oracles.log_binned_pdf(
+        sample, bins_per_decade, power=oracles.libm_power)
+    assert all(map(_within_ulps, centers, ref_centers.tolist(), [4] * len(centers)))
+    assert all(map(_within_ulps, density, ref_density.tolist(), [4] * len(density)))
+
+    for r_min in (values[0], values[len(values) // 2], 1.5):
+        try:
+            ref = oracles.fit_power_law(sample, r_min=r_min)
+        except ValueError:
+            with pytest.raises(ValueError):
+                fit_power_law(sample, r_min=r_min)
+            continue
+        fit = fit_power_law(sample, r_min=r_min)
+        assert (fit.r_min, fit.r_max, fit.n_tail) == (ref.r_min, ref.r_max, ref.n_tail)
+        for name in ("alpha_density", "stderr", "ks_distance"):
+            assert _relclose(getattr(fit, name), getattr(ref, name)), name
+
+    fits = oracles.candidate_fits(sample)
+    if not fits:
+        with pytest.raises(ValueError):
+            fit_power_law(sample)
+        return
+    fit = fit_power_law(sample)
+    distances = sorted(f.ks_distance for f in fits)
+    if len(distances) == 1 or distances[1] - distances[0] > 1e-12:
+        ref = oracles.fit_power_law(sample)
+        assert (fit.r_min, fit.n_tail) == (ref.r_min, ref.n_tail)
+    else:  # a near tie: the cutoff chosen is one of the tied ones
+        ref = next(f for f in fits if f.r_min == fit.r_min)
+        assert ref.ks_distance - distances[0] <= 1e-12
+    for name in ("alpha_density", "stderr", "ks_distance"):
+        assert _relclose(getattr(fit, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cutoff_scan_and_shape_test_match_the_numpy_reference(seed):
+    """cutoff_scan at its own cutoff and at a fixed one (same tolerances as
+    above), and the two-line comparison within 1e-9 relative of
+    `np.linalg.lstsq` (1e-12 absolute, for a near-perfect line)."""
+    rng = np.random.default_rng(seed)
+    series = {x: rescale_returns(np.floor(sample_pareto(alpha, 20_000, rng)).astype(np.int64), 2)
+              for x, alpha in ((0.37, 1.6), (0.41, 2.0), (0.47, 2.6))}
+    for r_min in (None, 4.0):
+        rows = cutoff_scan(series, r_min=r_min, tail_threshold=20.0)
+        ref_rows = oracles.cutoff_scan({x: np.asarray(s) for x, s in series.items()},
+                                       r_min=r_min, tail_threshold=20.0)
+        for row, ref in zip(rows, ref_rows):
+            assert {k: row[k] for k in ("x", "r_min", "n_tail", "tail_mass", "tail_threshold")} == \
+                {k: ref[k] for k in ("x", "r_min", "n_tail", "tail_mass", "tail_threshold")}
+            for name in ("alpha_density", "alpha_cumulative", "stderr"):
+                assert _relclose(row[name], ref[name]), name
+    for s in series.values():
+        shape, ref = compare_tail_models(s, 5.0), oracles.compare_tail_models(np.asarray(s), 5.0)
+        assert shape["n_points"] == ref["n_points"]
+        for name in ("exponential_ssr", "power_ssr"):
+            assert shape[name] == pytest.approx(ref[name], rel=1e-9, abs=1e-12)
+        assert shape["preferred"] == ref["preferred"]
+
+
+def test_a_billion_bins_per_decade_cost_the_occupied_bins_only():
+    """The grid of 4x10^9 edges is never built: each of the few distinct
+    values gets its own bin, and every point is counted once."""
+    rng = np.random.default_rng(4)
+    sample = rescale_returns(np.floor(sample_pareto(1.8, 50_000, rng)).astype(np.int64), 2)
+    hist = histogram(sample)
+    bins = log_bins(hist, 1_000_000_000)
+    assert [count for _, _, count in bins] == hist.counts
+    assert all(left <= v <= right for (left, right, _), v in zip(bins, hist.values))
+    centers, density = log_binned_pdf(hist, 1_000_000_000)
+    assert math.fsum(d * (right - left) for d, (left, right, _) in zip(density, bins)) == \
+        pytest.approx(1.0, rel=1e-9)

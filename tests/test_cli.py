@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import herdvote
 from herdvote import analysis, artifacts, cli, engine, ez, meanfield
-from herdvote.series import read_returns_binary
+from herdvote.series import parse_returns_binary, read_returns_binary
 
 
 def run_cli(argv):
@@ -166,8 +166,8 @@ PINNED_ANALYSIS = {
     ("vote_mode=iid", False): {
         "ccdf.csv": "a69729d4958e7558ee37a21f55f7a7cb2ce3e52638ba94d37be5ea2d9a363691",
         "pdf.csv": "761f6995b2a00e61c1d3513e66eb9ca6030f243161e239093b29d998db6b25b7",
-        "fit.csv": "42af9f34da8fae92ab89c48c2484d59788986c3b8202814325f7e11185b0bb3f",
-        "summary": "532eacf14743de36a672245041263a4c79e264c6cdf71f52cb2d22defc4e5682",
+        "fit.csv": "cf1f1814c35845123e9aaf482fb9ce2ed6baa61563e6d01bf75fd4df0e77362a",
+        "summary": "4a52e3b3eff03c717f5f16fede3c4880818b8bddaecb93d29125f17fc6dd3d56",
     },
     ("vote_mode=iid", True): {
         "ccdf.csv": "0795757fd6b8084ff09bd887ba2ee5e5104400b795f4d351fbb8401872798cb3",
@@ -177,31 +177,57 @@ PINNED_ANALYSIS = {
     },
     ("model=ez", False): {
         "ccdf.csv": "0ca4b3e3b8af2ec0163d551c432d056727fed94adddceba2db2c23bd6de60c5a",
-        "pdf.csv": "bcc7385fc76eda432937814868611168ffb1d0cec941fd5137a5ab870a66adb7",
+        "pdf.csv": "625583adc75fc5667d9d53791e23b848f73fbb29a0c211009f7f3540ffa2cea5",
         "fit.csv": "d0f34e9feb6b5afe0ad908e6f91bc4dc4209cadbeadef4af482d959a59752616",
         "summary": "b507cd7ac1afe4c1fc269dbeb61a59861fd99a2d381e1ac04cf79ab0f133eab2",
     },
     ("model=ez", True): {
         "ccdf.csv": "c5f26674b2bf5d5a20a1edb3da77a6f0d49055b9c512b596bd540c0a8a2b1516",
-        "pdf.csv": "ecddd29be68786138bd054b79756cbba3b2ca68adf69752d736bdf164a5b62c9",
+        "pdf.csv": "0637e17d85459ad67486526a3e47c96ab7a46d9e10c033295766c8109da19cb9",
         "fit.csv": "845561c19dc7b5440963be3deb202e50846fbee0d2f8eabf1b7a2b9a0953dfe8",
         "summary": "6da737b20de7caefed143c1dbda1bb7e81c772f7f039a5659327ba096108945c",
     },
 }
 
 
-@pytest.mark.parametrize("override, use_raw", list(PINNED_ANALYSIS))
-def test_analyze_outputs_are_pinned(tmp_path, capsys, override, use_raw):
+def _pinned_run(tmp_path, capsys, override) -> str:
     argv = ["run", "--out", str(tmp_path), "--set", "n_agents=300", "--set", "total_steps=30000",
             "--set", "x=0.41", "--set", "seed=1", "--set", override]
     assert run_cli(argv) == 0
-    run_dir = capsys.readouterr().out.strip()
+    return capsys.readouterr().out.strip()
+
+
+def _analysis_digests(run_dir, summary) -> dict:
+    digests = {name: sha256_of(os.path.join(run_dir, "analysis", name))
+               for name in ("ccdf.csv", "pdf.csv", "fit.csv")}
+    return {**digests, "summary": sha256_of(summary)}
+
+
+@pytest.mark.parametrize("override, use_raw", list(PINNED_ANALYSIS))
+def test_analyze_outputs_are_pinned(tmp_path, capsys, override, use_raw):
+    run_dir = _pinned_run(tmp_path, capsys, override)
     summary = tmp_path / "summary.csv"
     assert run_cli(["analyze", run_dir, "--out", str(summary),
                     *(["--rescale-k", "1"] if use_raw else [])]) == 0
-    digests = {name: sha256_of(os.path.join(run_dir, "analysis", name))
-               for name in ("ccdf.csv", "pdf.csv", "fit.csv")}
-    assert {**digests, "summary": sha256_of(summary)} == PINNED_ANALYSIS[override, use_raw]
+    assert _analysis_digests(run_dir, summary) == PINNED_ANALYSIS[override, use_raw]
+
+
+@pytest.mark.parametrize("override, use_raw", list(PINNED_ANALYSIS))
+def test_analysis_outputs_do_not_follow_simd_dispatch(tmp_path, capsys, override, use_raw):
+    """`analyze` in a process whose NumPy may use no AVX-512 kernel, as on an
+    AVX2-only host, writes the pinned bytes too.  NumPy's AVX-512 power once
+    rounded some log-bin edges differently from the C library's pow."""
+    run_dir = _pinned_run(tmp_path, capsys, override)
+    summary = tmp_path / "summary.csv"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4")
+    result = subprocess.run(
+        [sys.executable, "-m", "herdvote.cli", "analyze", run_dir, "--out", str(summary),
+         *(["--rescale-k", "1"] if use_raw else [])],
+        env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert _analysis_digests(run_dir, summary) == PINNED_ANALYSIS[override, use_raw]
 
 
 def test_docstring_table_is_the_defaults():
@@ -463,16 +489,19 @@ with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(json.loads(sys.argv[1]))
     except SystemExit as exc:  # --version
         code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "herdvote")]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "herdvote"),
+                  "numpy" in sys.modules]))
 """
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run([sys.executable, "-c", script, json.dumps(argv)], env=env,
                             capture_output=True, text=True, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
-    code, modules = json.loads(result.stdout)
+    code, modules, numpy_loaded = json.loads(result.stdout)
     assert code == 0
     assert set(modules) == COMMAND_MODULES[command]
+    if command in ("version", "analyze"):  # their layers are standard library only
+        assert not numpy_loaded
 
 
 def test_package_names_resolve_on_first_access():
@@ -523,9 +552,9 @@ def test_regime_warnings(x, regime):
 ], ids=["run", "analyze"])
 def test_refused_allocation_is_config_error(tmp_path, capsys, monkeypatch, command, message):
     """An allocation the machine refuses, such as the series of a 10^12-step
-    run or the bins of `--bins-per-decade 1000000000`, ends in one error
-    line and exit 3, with nothing published.  The layer raises here: an
-    allocation that size would start for real on a host that overcommits."""
+    run, ends in one error line and exit 3, with nothing published, in
+    `run` and in `analyze`.  The layer raises here: an allocation that size
+    would start for real on a host that overcommits."""
 
     def refused(*_args, **_kwargs):
         raise MemoryError(message)
@@ -662,6 +691,18 @@ def test_sweep_malformed_grid_value_rejected(tmp_path, capsys, grid):
     code = run_cli(["sweep", *grid, "--out", str(tmp_path)])
     assert code == cli.EXIT_CONFIG
     assert "bad grid values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x", ["nan,0.41", "0.41,inf", "0.41,-inf"])
+def test_sweep_non_finite_grid_value_rejected(tmp_path, capsys, x):
+    """A non-finite x is refused before any grid point runs: no run
+    directory and no sweep.json, whose x_values it would make invalid JSON."""
+    code = run_cli(["sweep", "--x", x, "--set", "n_agents=50", "--set", "total_steps=1000",
+                    "--out", str(tmp_path / "runs")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad grid values") and len(err.splitlines()) == 1
+    assert not (tmp_path / "runs").exists()
 
 
 def test_sweep_drops_repeated_grid_values(tmp_path, capsys):
@@ -827,7 +868,7 @@ def test_analyze_output_blocked_is_config_error(tmp_path, capsys, blocked):
 
 @pytest.mark.parametrize("flag, value", [
     ("--n-agents", "1"), ("--x", "0.3"), ("--x", "1.5"), ("--tolerance", "0"),
-    ("--tolerance", "nan"), ("--max-iterations", "0"),
+    ("--tolerance", "nan"), ("--tolerance", "inf"), ("--max-iterations", "0"),
 ])
 def test_meanfield_bad_input_is_config_error(tmp_path, capsys, flag, value):
     out = tmp_path / "dist.txt"
@@ -1051,6 +1092,23 @@ def test_analyze_damaged_returns_file(tmp_path, capsys):
     code = run_cli(["analyze", str(run_dir), "--out", str(tmp_path / "summary.csv")])
     assert code == cli.EXIT_CONFIG
     assert "returns_raw.bin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values", [
+    [0, 5, -7], [255, -256, 0], [256, -3], [-257], [300, -300], [65280], [-65531], [2**40],
+    [-2**63], [],
+])
+@pytest.mark.parametrize("bound", [100, 256, 300])
+def test_series_bound_is_exact(values, bound):
+    """A series within [-bound, bound] parses and one value past either end
+    is refused, whether or not every value fits one byte, the case that the
+    file's bytes settle without a loop over the values."""
+    data = _series_bytes(values)
+    if all(-bound <= v <= bound for v in values):
+        assert parse_returns_binary(data, bound=bound).tolist() == values
+    else:
+        with pytest.raises(ValueError, match=f"exceeds {bound} "):
+            parse_returns_binary(data, bound=bound)
 
 
 def test_analyze_refuses_a_run_of_another_schema(tmp_path, capsys):
@@ -1303,7 +1361,7 @@ def test_arbitrary_input_exits_0_or_3_and_leaves_no_partial_output(target, data)
                     assert (root / "summary.csv").exists()
                 if target == "returns_raw.bin":  # only a series a run could write: |r| <= N
                     series = read_returns_binary(root / "run" / "returns_raw.bin")
-                    assert np.all((series >= -100) & (series <= 100))
+                    assert all(-100 <= v <= 100 for v in series)
 
 
 # -- validate ----------------------------------------------------------------------
