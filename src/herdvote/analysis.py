@@ -69,11 +69,12 @@ def histogram(returns) -> Histogram:
     if not isinstance(returns, array) and hasattr(returns, "tolist"):
         returns = returns.tolist()  # a NumPy array: count Python numbers, not NumPy scalars
     tally = Counter(returns)
-    sizes = Counter()
+    sizes = {}
     for value, count in tally.items():
         size = abs(value)
         if size > 0:
-            sizes[float(size)] += count
+            size = float(size)
+            sizes[size] = sizes.get(size, 0) + count
     values = sorted(sizes)
     counts = [sizes[v] for v in values]
     above = [*accumulate(reversed(counts))][::-1] + [0]

@@ -495,8 +495,11 @@ def _read_run_returns(run_dir: str, k: int) -> tuple[dict, Iterator[int]]:
     except ConfigError as exc:
         raise ConfigError(f"{os.path.join(run_dir, 'config.txt')}: {exc}") from None
     try:
-        # no group that trades is larger than the population
-        returns = parse_returns_binary(series_bytes, bound=config["n_agents"])
+        returns = parse_returns_binary(series_bytes)
+        n = config["n_agents"]  # no group that trades is larger than the population
+        distinct = set(returns)  # built faster than min() and max() scan the series
+        if distinct and (min(distinct) < -n or max(distinct) > n):
+            raise ValueError(f"a return exceeds the run's {n} agents")
     except ValueError as exc:
         raise ConfigError(f"damaged artifact {os.path.join(run_dir, 'returns_raw.bin')}: {exc}")
     return config, window_sums(returns, k)

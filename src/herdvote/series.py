@@ -87,11 +87,10 @@ def read_returns_binary(path) -> array:
         return parse_returns_binary(fh.read())
 
 
-def parse_returns_binary(data: bytes, bound: int | None = None) -> array:
+def parse_returns_binary(data: bytes) -> array:
     """The series held by the bytes of a `write_returns_binary` file.
 
-    The count must match the values that follow it exactly, and with a
-    `bound` every value must lie in [-bound, bound].
+    The count must match the values that follow it exactly.
     """
     if len(data) < 8:
         raise ValueError(f"{len(data)} bytes hold no 8-byte count")
@@ -103,17 +102,4 @@ def parse_returns_binary(data: bytes, bound: int | None = None) -> array:
     values.frombytes(memoryview(data)[8:])
     if _SWAP:
         values.byteswap()
-    if bound is not None and not _bounded(data, values, bound):
-        raise ValueError(f"a return exceeds {bound} in absolute value")
     return values
-
-
-def _bounded(data: bytes, values: array, bound: int) -> bool:
-    # Most series hold no return beyond 255.  Then bytes 1-7 of each value
-    # are all 0x00 or all 0xFF, so it lies in [-256, 255], and byte-string
-    # slices of the file show that without a Python loop over the values.
-    high = data[9::8]
-    if bound >= 256 and not high.translate(None, b"\x00\xff") and all(
-            data[i::8] == high for i in range(10, 16)):
-        return True
-    return not values or (-bound <= min(values) and max(values) <= bound)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import herdvote
 from herdvote import analysis, artifacts, cli, engine, ez, meanfield
-from herdvote.series import parse_returns_binary, read_returns_binary
+from herdvote.series import read_returns_binary
 
 
 def run_cli(argv):
@@ -205,26 +205,22 @@ def _analysis_digests(run_dir, summary) -> dict:
 
 @pytest.mark.parametrize("override, use_raw", list(PINNED_ANALYSIS))
 def test_analyze_outputs_are_pinned(tmp_path, capsys, override, use_raw):
+    """The pinned bytes, written in this process and again by `analyze` in a
+    process whose NumPy may use no AVX-512 kernel, as on an AVX2-only host.
+    NumPy's AVX-512 power once rounded some log-bin edges differently from
+    the C library's pow."""
     run_dir = _pinned_run(tmp_path, capsys, override)
     summary = tmp_path / "summary.csv"
-    assert run_cli(["analyze", run_dir, "--out", str(summary),
-                    *(["--rescale-k", "1"] if use_raw else [])]) == 0
+    rescale = ["--rescale-k", "1"] if use_raw else []
+    assert run_cli(["analyze", run_dir, "--out", str(summary), *rescale]) == 0
     assert _analysis_digests(run_dir, summary) == PINNED_ANALYSIS[override, use_raw]
 
-
-@pytest.mark.parametrize("override, use_raw", list(PINNED_ANALYSIS))
-def test_analysis_outputs_do_not_follow_simd_dispatch(tmp_path, capsys, override, use_raw):
-    """`analyze` in a process whose NumPy may use no AVX-512 kernel, as on an
-    AVX2-only host, writes the pinned bytes too.  NumPy's AVX-512 power once
-    rounded some log-bin edges differently from the C library's pow."""
-    run_dir = _pinned_run(tmp_path, capsys, override)
-    summary = tmp_path / "summary.csv"
+    summary = tmp_path / "summary_no_avx512.csv"
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
                NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4")
     result = subprocess.run(
-        [sys.executable, "-m", "herdvote.cli", "analyze", run_dir, "--out", str(summary),
-         *(["--rescale-k", "1"] if use_raw else [])],
+        [sys.executable, "-m", "herdvote.cli", "analyze", run_dir, "--out", str(summary), *rescale],
         env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert _analysis_digests(run_dir, summary) == PINNED_ANALYSIS[override, use_raw]
@@ -1094,21 +1090,22 @@ def test_analyze_damaged_returns_file(tmp_path, capsys):
     assert "returns_raw.bin" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("values", [
-    [0, 5, -7], [255, -256, 0], [256, -3], [-257], [300, -300], [65280], [-65531], [2**40],
-    [-2**63], [],
+@pytest.mark.parametrize("values, ok", [
+    ([100, -100, 7], True), ([101, 3], False), ([-101, 3], False), ([2**40], False),
+    ([-2**63], False),
 ])
-@pytest.mark.parametrize("bound", [100, 256, 300])
-def test_series_bound_is_exact(values, bound):
-    """A series within [-bound, bound] parses and one value past either end
-    is refused, whether or not every value fits one byte, the case that the
-    file's bytes settle without a loop over the values."""
-    data = _series_bytes(values)
-    if all(-bound <= v <= bound for v in values):
-        assert parse_returns_binary(data, bound=bound).tolist() == values
+def test_analyze_refuses_a_return_beyond_the_population(tmp_path, capsys, values, ok):
+    """A return of more than the run's 100 agents, of either sign, marks a
+    damaged series; one of exactly 100 does not."""
+    run_dir = tmp_path / "run"
+    write_analyze_inputs(run_dir, _series_bytes(values * 50))
+    code = run_cli(["analyze", str(run_dir), "--r-min", "1", "--out", str(tmp_path / "s.csv")])
+    err = capsys.readouterr().err
+    if ok:
+        assert code == 0, err
     else:
-        with pytest.raises(ValueError, match=f"exceeds {bound} "):
-            parse_returns_binary(data, bound=bound)
+        assert code == cli.EXIT_CONFIG
+        assert "a return exceeds the run's 100 agents" in err
 
 
 def test_analyze_refuses_a_run_of_another_schema(tmp_path, capsys):
