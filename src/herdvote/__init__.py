@@ -11,7 +11,9 @@ structure), `voting` (decision rule and exact probabilities), `strategy`
 (history and strategy tables), `engine` (simulation loop), `ez`
 (Eguiluz-Zimmermann baseline), `meanfield` (stationary group-size
 equations), `series` (return-series files), `analysis` (tail statistics),
-`cli` (command-line interface).
+`cli` (command-line interface; the bodies of `sweep`, `meanfield`,
+`analyze` and `validate` are `cli_sweep`, `cli_meanfield`, `cli_analyze`
+and `cli_validate`, each imported when its command runs).
 
 The names below resolve on first access (PEP 562), so `import herdvote`
 loads no subpackage and a command loads only the layers it runs.

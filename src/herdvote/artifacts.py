@@ -22,7 +22,6 @@ printed as one `error:` line and the process exits with code 3.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 import shutil
@@ -85,6 +84,8 @@ def _read(path: str) -> bytes:
 
 
 def sha256_file(path) -> str:
+    import hashlib  # only the commands that digest files load it
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -114,6 +115,8 @@ def read_verified(run_dir: str, names) -> list:
     digest, and a file whose sha256 differs from its recorded digest are
     config errors that name the file.
     """
+    import hashlib
+
     contents = [_read(os.path.join(run_dir, name)) for name in names]
     manifest_path = os.path.join(run_dir, "manifest.json")
     recorded = recorded_digests(manifest_path)

@@ -46,34 +46,37 @@ and `sweep` takes its master seed from the base config's `seed`.
 Every file a command writes goes through `artifacts.publication`: its
 output paths are checked before any work, and its files are staged and
 moved into place together, so an error leaves every output as it was.
-This module holds the file formats (the `_write_*` writers and the config
-text) and each command's policy: which files it writes, and `run`'s
-append-only digest check on a rerun.
+This module holds the parser and the dispatch, the file formats (the
+`_write_*` writers and the config text) and the `run` command: which files
+it writes, and its append-only digest check on a rerun.
 
-Each subcommand imports only the layers it runs, inside the function that
-runs them: the simulator (`engine`, `ez`) on the run path, `analysis` in
-`analyze` and `validate`, `meanfield` in `meanfield` and `validate`.  At
-module level this file needs only `config` and `artifacts`, and no NumPy,
-so `--help`, `--version`, usage errors and a refusal made before a layer
-loads cost no NumPy import, and neither does `analyze`, whose layers
-(`series`, `analysis`) are standard library only.  The run path
-calls the simulator and the series writer as `engine.<name>`, so a caller
-that replaces such an attribute replaces the call.
+A process compiles and imports only the command it runs.  The bodies of
+`sweep`, `meanfield`, `analyze` and `validate` live in `cli_sweep`,
+`cli_meanfield`, `cli_analyze` and `cli_validate`, each imported when its
+command is dispatched together with the layers it runs: `analysis` for
+`analyze` and `validate`, `meanfield` for `meanfield` and `validate`.  The
+run path imports the simulator (`engine`, and `ez` for an E-Z run) inside
+`execute_run`.  A standard-library module is imported where it is used:
+`hashlib` by the digest and seed code, `csv` by `_write_csv`, `datetime`
+by `execute_run`.  At module level this file needs only `config` and
+`artifacts`, and no NumPy, so `--help`, `--version`, usage errors and a
+refusal made before a layer loads cost no NumPy import, and neither does
+`analyze`, whose layers (`series`, `analysis`) are standard library only.
+The command bodies call the writers and `execute_run` as `cli.<name>`, and
+the run path calls the simulator and the series writer as
+`engine.<name>`, so a caller that replaces such an attribute replaces the
+call.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import datetime
-import hashlib
 import json
-import math
 import os
 import sys
 import time
-from collections.abc import Iterator
+from importlib import import_module
 from typing import NamedTuple
 
 from . import __version__
@@ -211,6 +214,8 @@ def config_text(config: dict) -> str:
 
 
 def config_digest(config: dict) -> str:
+    import hashlib
+
     return hashlib.sha256(config_text(config).encode()).hexdigest()
 
 
@@ -256,6 +261,8 @@ def execute_run(config: dict, out_root: str) -> RunResult:
     verified manifest is left as it was.  Returns the directory, the
     resolved config's digest and its regime warnings.
     """
+    import datetime
+
     from . import engine  # the simulator loads on the run path only
 
     config, sim_config = _resolve(config)
@@ -318,6 +325,16 @@ def _write_histogram(path, histogram: dict) -> None:
             fh.write(f"{size},{histogram[size]}\n")
 
 
+def _write_csv(path, header, rows) -> None:
+    """Cells as `str` writes them: a float as its shortest round-trip repr."""
+    import csv
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _summary_dict(summary) -> dict:
     # wall time is reported in the manifest; the digested artifacts must be
     # byte-identical across reruns
@@ -358,333 +375,12 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def derive_seed(master_seed: int, x: float | None, n_agents: int, replicate: int) -> int:
-    """Stable per-grid-point seed; independent of grid order and worker count.
+def _loaded(name: str):
+    """Command `name`: the `main` of module `cli_<name>`, imported when it runs."""
+    def command(args) -> int:
+        return import_module(f".cli_{name}", __package__).main(args)
 
-    `x` is None for the E-Z model, which reads no x.
-    """
-    coordinates = f"{n_agents}" if x is None else f"{x!r}:{n_agents}"
-    tag = f"herdvote-sweep:{master_seed}:{coordinates}:{replicate}"
-    return int.from_bytes(hashlib.sha256(tag.encode()).digest()[:8], "little")
-
-
-def _sweep_point(payload) -> dict:
-    config, record, out_root = payload
-    try:
-        result = execute_run(config, out_root)
-        record.update(status="ok", run_dir=result.run_dir, config_digest=result.config_digest)
-    except Exception as exc:  # isolate failures per grid point
-        record.update(status="error", error=str(exc))
-    return record
-
-
-def _grid_values(text, parse, default) -> list:
-    """Comma-separated grid values in first-seen order, repeats dropped.
-
-    A repeated value would give two grid points one config, hence one run
-    directory written by two workers at once.  A value that does not parse,
-    or a float that is not finite, is refused before any run starts.
-    """
-    if not text:
-        return [default]
-    try:
-        values = list(dict.fromkeys(parse(v) for v in text.split(",")))
-    except ValueError:
-        raise ConfigError(f"bad grid values {text!r}")
-    if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-        raise ConfigError(f"bad grid values {text!r}: every value must be finite")
-    return values
-
-
-def cmd_sweep(args) -> int:
-    base = _load_config_arg(args)
-    ez = base["model"] == "ez"
-    if args.x and ez:
-        raise ConfigError("--x sets the voting model's consensus parameter; model 'ez' has no x")
-    xs = [None] if ez else _grid_values(args.x, float, base["x"])
-    ns = _grid_values(args.n_agents, int, base["n_agents"])
-    if not xs or not ns or args.replicates < 1:
-        raise ConfigError("sweep grid is empty")
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    master_seed = base["seed"]
-    points = []
-    for x in xs:
-        for n in ns:
-            for rep in range(args.replicates):
-                # each record holds the grid keys its model reads, and its seed
-                record = {"n_agents": n, "seed": derive_seed(master_seed, x, n, rep)}
-                if x is not None:
-                    record["x"] = x
-                points.append(({**base, **record}, record, args.out))
-
-    # a pool may start all its workers on the first task (it does with the
-    # fork start method), so it gets no more than the grid or the CPUs can use
-    workers = min(args.workers, len(points), os.cpu_count() or 1)
-    sweep_path = os.path.join(args.out, "sweep.json")
-    with publication([sweep_path]) as stage:
-        if workers == 1:
-            records = [_sweep_point(p) for p in points]
-        else:
-            # imported here: it pulls in multiprocessing, which only a parallel sweep uses
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                records = list(pool.map(_sweep_point, points))
-        manifest = {
-            "schema_version": SCHEMA_VERSION,
-            "package_version": __version__,
-            "master_seed": master_seed,
-            **({} if ez else {"x_values": xs}),
-            "n_agents_values": ns,
-            "replicates": args.replicates,
-            "runs": records,
-        }
-        stage(sweep_path, lambda p: _write_json(p, manifest))
-    failures = [r for r in records if r["status"] != "ok"]
-    for r in failures:
-        point = " ".join(f"{k}={r[k]}" for k in ("x", "n_agents") if k in r)
-        print(f"error: grid point {point}: {r['error']}", file=sys.stderr)
-    print(sweep_path)
-    return EXIT_CONFIG if failures else EXIT_OK
-
-
-def cmd_meanfield(args) -> int:
-    from . import meanfield
-
-    out = args.out or f"meanfield_N{args.n_agents}_x{args.x}.txt"
-    report_path = out + ".report.json"
-    with publication([out, report_path]) as stage:
-        try:
-            dist, report = meanfield.solve_stationary(
-                args.n_agents, args.x, tolerance=args.tolerance,
-                max_iterations=args.max_iterations,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        stage(out, lambda p: meanfield.write_distribution(p, dist))
-        report_dict = {
-            "n_agents": args.n_agents,
-            "x": args.x,
-            "tolerance": args.tolerance,
-            "iterations": report.iterations,
-            "residual": report.residual,
-            "converged": report.converged,
-            "support": report.support,
-        }
-        stage(report_path, lambda p: _write_json(p, report_dict))
-    print(json.dumps(report_dict))
-    if not report.converged:
-        print(f"error: no convergence within {args.max_iterations} sweeps "
-              f"(residual {report.residual:.3e})", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    return EXIT_OK
-
-
-def _read_run_returns(run_dir: str, k: int) -> tuple[dict, Iterator[int]]:
-    """A run's config and its return series summed over windows of k steps.
-
-    Both come from digest-checked files: `config.txt` and `returns_raw.bin`;
-    a config that does not parse, such as another schema's, names its path.
-    The sums come one at a time, for one pass such as a histogram's.
-    """
-    from .series import parse_returns_binary, window_sums
-
-    config_bytes, series_bytes = read_verified(run_dir, ("config.txt", "returns_raw.bin"))
-    try:
-        config = resolve_config({**default_config(), **_parse_config_bytes(config_bytes)})
-    except ConfigError as exc:
-        raise ConfigError(f"{os.path.join(run_dir, 'config.txt')}: {exc}") from None
-    try:
-        returns = parse_returns_binary(series_bytes)
-        n = config["n_agents"]  # no group that trades is larger than the population
-        distinct = set(returns)  # built faster than min() and max() scan the series
-        if distinct and (min(distinct) < -n or max(distinct) > n):
-            raise ValueError(f"a return exceeds the run's {n} agents")
-    except ValueError as exc:
-        raise ConfigError(f"damaged artifact {os.path.join(run_dir, 'returns_raw.bin')}: {exc}")
-    return config, window_sums(returns, k)
-
-
-def cmd_analyze(args) -> int:
-    from . import analysis
-
-    for option, value, ok in (
-        ("--r-min", args.r_min, args.r_min is None or 0 < args.r_min < math.inf),
-        ("--tail-threshold", args.tail_threshold, 0 < args.tail_threshold < math.inf),
-        ("--bins-per-decade", args.bins_per_decade, args.bins_per_decade >= 1),
-        ("--rescale-k", args.rescale_k, args.rescale_k >= 1),
-    ):
-        if not ok:
-            rule = ">= 1" if isinstance(value, int) else "finite and > 0"
-            raise ConfigError(f"{option} must be {rule}, got {value}")
-    # a directory named twice, however spelled, is analysed and summarised once
-    run_dirs = {}
-    for run_dir in args.run_dirs:
-        run_dirs.setdefault(os.path.realpath(run_dir), run_dir)
-    histograms = {}  # one row of the summary per run directory
-    cutoffs = []  # the cutoff of each directory's own fit
-    with publication([*(os.path.join(run_dir, "analysis", name) for run_dir in run_dirs.values()
-                        for name in ("ccdf.csv", "pdf.csv", "fit.csv")), args.out]) as stage:
-        for run_dir in run_dirs.values():
-            config, returns = _read_run_returns(run_dir, args.rescale_k)
-            hist = analysis.histogram(returns)  # every statistic below reads it
-            if not hist.values:
-                raise ConfigError(f"no trades in {run_dir}: every recorded return is zero")
-            param = config["x"] if config["model"] == "main" else f"ez a={config['ez_a']}"
-            try:
-                fit = analysis.fit_power_law(hist, args.r_min)
-                cutoffs.append(fit.r_min)
-                fit_row = (param, fit.alpha_density, fit.alpha_cumulative,
-                           fit.r_min, fit.stderr, fit.n_tail)
-            except ValueError:
-                fit_row = (param, math.nan, math.nan, math.nan, math.nan, 0)
-            curve = analysis.ccdf(hist)
-            centers, density = analysis.log_binned_pdf(hist, args.bins_per_decade)
-            out_dir = os.path.join(run_dir, "analysis")
-            stage(os.path.join(out_dir, "ccdf.csv"), lambda p: _write_csv(
-                p, ("value", "probability"), zip(curve.values, curve.probabilities)))
-            stage(os.path.join(out_dir, "pdf.csv"), lambda p: _write_csv(
-                p, ("bin_center", "density"), zip(centers, density)))
-            stage(os.path.join(out_dir, "fit.csv"), lambda p: _write_csv(
-                p, ("x", "alpha_density", "alpha_cumulative", "r_min", "stderr", "n_tail"),
-                [fit_row]))
-            key = param
-            if key in histograms:  # replicate runs at the same parameters
-                key = f"{param} seed={config['seed']}"
-            if key in histograms:  # and the same seed: other keys differ
-                key = f"{param} {run_dir}"
-            histograms[key] = hist
-
-        # the summary fits every series at one cutoff: the given one, else the
-        # largest KS-optimal cutoff found above (`cutoff_scan`'s own choice)
-        r_min = args.r_min if args.r_min is not None else max(cutoffs, default=None)
-        if r_min is None:
-            raise ConfigError(
-                f"no run has enough trades for a tail fit (every cutoff leaves fewer than "
-                f"{analysis.MIN_TAIL} tail points); pass --r-min to fit every run at a fixed "
-                f"cutoff")
-        rows = analysis.cutoff_scan(histograms, r_min=r_min, tail_threshold=args.tail_threshold)
-        stage(args.out, lambda p: _write_csv(
-            p,
-            ("x", "alpha_density", "alpha_cumulative", "r_min", "stderr", "n_tail",
-             "tail_threshold", "tail_mass"),
-            ((r["x"], r["alpha_density"], r["alpha_cumulative"], r["r_min"],
-              r["stderr"], r["n_tail"], r["tail_threshold"], r["tail_mass"]) for r in rows),
-        ))
-    print(args.out)
-    return EXIT_OK
-
-
-def _write_csv(path, header, rows) -> None:
-    """Cells as `str` writes them: a float as its shortest round-trip repr."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-# -- validate ----------------------------------------------------------------
-
-def validation_checks() -> list:
-    """Fast oracle suite; each entry is (name, passed, detail).
-
-    The fragmentation probability under test is looked up as
-    `voting.fragmentation_probability` when the checks run, so a test that
-    replaces it sees the checks fail.
-    """
-    import numpy as np
-
-    from . import analysis, meanfield, voting
-
-    pfrg = voting.fragmentation_probability
-    results = []
-
-    xs = (0.34, 0.35, 0.37, 0.41, 0.45, 0.47, 0.499)
-    worst = 0.0
-    for s in range(1, 13):
-        for x in xs:
-            exact = float(voting.enumerate_fragmentation_probability(s, x))
-            worst = max(worst, abs(pfrg(s, x) - exact))
-    results.append((
-        "fragmentation probability equals 3^s enumeration (s<=12)",
-        worst <= 1e-12,
-        f"max |diff| = {worst:.3e} (tolerance 1e-12)",
-    ))
-
-    # Above size 64 the smaller of p_frg and consensus is summed and the
-    # other is its complement; here both are summed, on either side of the
-    # switch.  Up to x = 0.41: beyond, at s = 10^4, the p_frg sum's first
-    # term underflows (that sum is used only near x = 1/3).
-    worst = 0.0
-    for s in (100, 1000, 10000):
-        for x in (0.34, 0.35, 0.37, 0.41):
-            if 3 * (math.ceil(x * s) - 1) >= s:
-                worst = max(worst, abs(sum(voting.summed_both_ways(s, x)) - 1.0))
-    results.append((
-        "fragmentation and consensus, each summed directly, sum to one (s>64)",
-        worst <= 1e-12,
-        f"max |sum-1| = {worst:.3e} (tolerance 1e-12)",
-    ))
-
-    s, x = 400, 0.41
-    exact = voting.fragmentation_count(s, x) / 3**s
-    error = abs(pfrg(s, x) - exact) / exact
-    results.append((
-        f"fragmentation probability equals exact count (s={s}, x={x})",
-        error <= 1e-13,
-        f"relative error = {error:.3e} (tolerance 1e-13)",
-    ))
-
-    # Exact agreement is expected only where the whole population coagulates
-    # into one unbreakable group; elsewhere the rate equations ignore
-    # fluctuations and the measured gap is reported for context.
-    exact_worst = 0.0
-    for n_agents, x in ((2, 0.37), (2, 0.47), (4, 0.41), (5, 0.37)):
-        dist, report = meanfield.solve_stationary(n_agents, x)
-        orc = meanfield.stationary_oracle(n_agents, x)
-        exact_worst = max(exact_worst, float(np.max(np.abs(dist.counts - orc.counts))))
-        exact_worst = max(exact_worst, 0.0 if report.converged else math.inf)
-    dist3, report3 = meanfield.solve_stationary(3, 0.41)
-    orc3 = meanfield.stationary_oracle(3, 0.41)
-    gap3 = float(np.max(np.abs(dist3.counts - orc3.counts)))
-    results.append((
-        "mean-field solver vs exact tiny-N chain",
-        exact_worst <= 1e-9 and report3.converged and report3.residual <= 1e-10,
-        f"coagulating cases max |diff| = {exact_worst:.3e} (tolerance 1e-9); "
-        f"fluctuation-dominated N=3 gap = {gap3:.3f} (informational)",
-    ))
-
-    rng = np.random.default_rng(20240917)
-    trials, points, needed = 200, 600, 0.90
-    coverage_ok = True
-    detail = []
-    for alpha in (1.2, 2.0):
-        hits = 0
-        for _ in range(trials):
-            sample = analysis.sample_pareto(alpha, points, rng)
-            fit = analysis.fit_power_law(sample, r_min=1.0)
-            if abs(fit.alpha_density - alpha) <= 3 * fit.stderr:
-                hits += 1
-        rate = hits / trials
-        coverage_ok = coverage_ok and rate >= needed
-        detail.append(f"alpha={alpha}: {rate:.1%}")
-    results.append((
-        "tail estimator recovers synthetic exponents within 3 SE",
-        coverage_ok,
-        f"{'; '.join(detail)} (need >= {needed:.0%} of {trials} trials)",
-    ))
-    return results
-
-
-def cmd_validate(args) -> int:
-    results = validation_checks()
-    width = max(len(name) for name, _, _ in results)
-    ok = True
-    for name, passed, detail in results:
-        status = "PASS" if passed else "FAIL"
-        ok = ok and passed
-        print(f"{status}  {name:<{width}}  {detail}")
-    return EXIT_OK if ok else EXIT_VALIDATION
+    return command
 
 
 # -- parser ------------------------------------------------------------------
@@ -713,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--workers", type=int, default=1,
                          help="parallel worker processes, at most one per grid point and CPU")
     p_sweep.add_argument("--out", default="runs", help="output root directory")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=_loaded("sweep"))
 
     p_mf = sub.add_parser("meanfield", help="solve the stationary group-size equations")
     p_mf.add_argument("--n-agents", type=int, required=True)
@@ -721,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mf.add_argument("--tolerance", type=float, default=1e-10)
     p_mf.add_argument("--max-iterations", type=int, default=10_000)
     p_mf.add_argument("--out", help="distribution file (two columns: size n_s)")
-    p_mf.set_defaults(func=cmd_meanfield)
+    p_mf.set_defaults(func=_loaded("meanfield"))
 
     p_an = sub.add_parser("analyze", help="tail statistics for run directories")
     p_an.add_argument("run_dirs", nargs="+")
@@ -731,10 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--rescale-k", type=int, default=2, metavar="K",
                       help="sum non-overlapping windows of K steps per return (1: the raw series)")
     p_an.add_argument("--out", default="analysis_summary.csv")
-    p_an.set_defaults(func=cmd_analyze)
+    p_an.set_defaults(func=_loaded("analyze"))
 
     p_val = sub.add_parser("validate", help="run the fast oracle self-checks")
-    p_val.set_defaults(func=cmd_validate)
+    p_val.set_defaults(func=_loaded("validate"))
     return parser
 
 
@@ -770,4 +466,8 @@ def console_entry() -> None:
 
 
 if __name__ == "__main__":
+    # `python -m herdvote.cli`: the command bodies import `herdvote.cli`; they
+    # find this module under that name, not a second copy to compile
+    if vars(this := sys.modules[__name__]) is globals():
+        sys.modules.setdefault(f"{__package__}.cli", this)
     console_entry()

@@ -18,16 +18,17 @@ Each time step:
      no movement).
 
 `advance` runs the steps in one fused loop that keeps its state in locals,
-caches each size's decision CDF on first use and applies merges and
-fragments to the partition's flat size list and member lists inline; the
-cyclic garbage collector is off while it runs.  `run` drives it over a
-whole config.  The E-Z baseline (`ez`) runs on the same loop: a state
-built from an `EzConfig` draws its decisions from the constant
-(a/2, a/2, 1-a), a trading group disperses, and a merge joins the group of
-any agent but the picked one (nothing happens when that agent is in the
-same group).  `step` is the same update, for all three models, one call
-at a time through `Partition.merge` and `Partition.fragment`: it is the
-one reference that tests compare the loop against byte for byte
+fills the iid decision CDFs from `voting` as sizes first occur and applies
+merges and fragments to the partition's flat size list and member lists
+inline; the cyclic garbage collector is off while it runs.  Only an iid
+state loads `voting`: a strategy or E-Z run never imports it.  `run`
+drives the loop over a whole config.  The E-Z baseline (`ez`) runs on the
+same loop: a state built from an `EzConfig` draws its decisions from the
+constant (a/2, a/2, 1-a), a trading group disperses, and a merge joins the
+group of any agent but the picked one (nothing happens when that agent is
+in the same group).  `step` is the same update, for all three models, one
+call at a time through `Partition.merge` and `Partition.fragment`: it is
+the one reference that tests compare the loop against byte for byte
 (`ez.ez_step` is another name for it), not production code.
 
 A state reads every setting of its run from its config: the model and
@@ -57,7 +58,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -71,7 +72,9 @@ from .series import (  # noqa: F401  (old import paths; the run path calls the w
     write_returns_text,
 )
 from .strategy import assign_strategies, history_index, update_history
-from .voting import Decision, decision_cdf
+
+if TYPE_CHECKING:
+    from .voting import Decision
 
 _BUF_SIZE = 1 << 16
 _CHECK_EVERY = 10_000  # steps between partition checksums in `advance`
@@ -140,9 +143,9 @@ class SimState:
         baseline's actions: a trading group disperses, and a merge joins the
         group of any agent but the picked one, nothing happening when that
         is the same group.  An iid `SimConfig` draws from
-        `voting.decision_cdf` at `config.x`; a strategy one polls `tables`,
-        the agents' strategy tables (see `_tally_packer`; `config.x` is the
-        threshold).  The history starts at `config.initial_history`, and is
+        `voting.decision_cdf` at `config.x`, and loads `voting` here; a
+        strategy one polls `tables`, the agents' strategy tables (see
+        `_tally_packer`; `config.x` is the threshold).  The history starts at `config.initial_history`, and is
         empty for E-Z.
         """
         ez = isinstance(config, EzConfig)
@@ -156,8 +159,10 @@ class SimState:
         self.step_index = 0
         self.decision_counts = [0, 0, 0, 0]  # indexed by Decision
         # per-size decision CDFs of drawn decisions: E-Z's one constant, the
-        # iid ones filled lazily by `advance`
+        # iid ones filled by `advance` (`_fill_cdfs`)
         self._cdf = None if polled else [(config.a / 2, config.a, 1.0) if ez else None] * (n + 1)
+        if not polled and not ez:
+            from . import voting  # noqa: F401  (an iid state's set-up loads its CDFs' layer)
         # per-agent table rows and per-group packed tallies (strategy mode)
         self._width, self._rows, self._single = _tally_packer(tables) if polled else (0, None, None)
         self._group_votes: dict = {}
@@ -265,6 +270,8 @@ def step(state: SimState, rng: np.random.Generator) -> StepEvent:
     from `voting.decision_cdf`, and strategy votes are polled at the index
     of `state.history`.
     """
+    from .voting import Decision, decision_cdf
+
     config = state.config
     ez = isinstance(config, EzConfig)
     n = config.n_agents
@@ -444,7 +451,7 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
                 if cdf is not None:
                     c = cdf[s]
                     if c is None:
-                        c = cdf[s] = decision_cdf(s, x)
+                        c = _fill_cdfs(cdf, s, x)
                     u = buf[pos]
                     pos += 1
                     if u < c[0]:
@@ -560,6 +567,25 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
     state._upos = pos
     state.history = tuple((h >> k) & 1 for k in range(memory - 1, -1, -1))
     state.step_index = stop
+
+
+def _fill_cdfs(cdf: list, s: int, x: float) -> tuple:
+    """Fill the iid decision CDF of size s and return it.
+
+    Up to `voting.EXACT_SIZE_LIMIT` a CDF is an exact count, cheap alone.
+    Above it each lookup is a NumPy pass, so one `voting.decision_cdfs`
+    pass fills every unfilled size from s up to 2s (at most N): groups grow
+    by merges, so those are the sizes that occur next.
+    """
+    from . import voting
+
+    if s <= voting.EXACT_SIZE_LIMIT:
+        cdf[s] = voting.decision_cdf(s, x)
+        return cdf[s]
+    sizes = [k for k in range(s, min(2 * s, len(cdf) - 1) + 1) if cdf[k] is None]
+    for k, c in zip(sizes, voting.decision_cdfs(sizes, x)):
+        cdf[k] = c
+    return cdf[s]
 
 
 def _merge(state: SimState, g: int, g2: int) -> None:

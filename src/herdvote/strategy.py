@@ -31,12 +31,14 @@ no-trade steps (no trade, no price movement).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .config import VoteMode
-from .voting import VoteTally
+
+if TYPE_CHECKING:
+    from .voting import VoteTally
 
 BUY, SELL, WAIT = 0, 1, 2
 
@@ -100,6 +102,8 @@ def poll_group(
     randomness.  IID_UNIFORM draws one uniform action per member and
     ignores `tables`.
     """
+    from .voting import VoteTally  # the oracle's result type; a run loads no `voting`
+
     if not members:
         raise ValueError("cannot poll an empty group")
     counts = [0, 0, 0]

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import herdvote
-from herdvote import analysis, artifacts, cli, engine, ez, meanfield
+from herdvote import analysis, artifacts, cli, cli_analyze, cli_sweep, engine, ez, meanfield
 from herdvote.series import read_returns_binary
 
 
@@ -449,13 +449,17 @@ assert "scipy" not in sys.modules
 
 
 BASE_MODULES = {"herdvote", "herdvote.artifacts", "herdvote.cli", "herdvote.config"}
-SIMULATOR = {"herdvote.engine", "herdvote.population", "herdvote.series", "herdvote.strategy",
-             "herdvote.voting"}
+SIMULATOR = {"herdvote.engine", "herdvote.population", "herdvote.series", "herdvote.strategy"}
 COMMAND_MODULES = {
     "version": BASE_MODULES,
-    "meanfield": BASE_MODULES | {"herdvote.meanfield", "herdvote.voting"},
-    "analyze": BASE_MODULES | {"herdvote.analysis", "herdvote.series"},
+    "meanfield": BASE_MODULES | {"herdvote.cli_meanfield", "herdvote.meanfield",
+                                 "herdvote.voting"},
+    "analyze": BASE_MODULES | {"herdvote.cli_analyze", "herdvote.analysis", "herdvote.series"},
+    "validate": BASE_MODULES | {"herdvote.cli_validate", "herdvote.analysis",
+                                "herdvote.meanfield", "herdvote.voting"},
+    "sweep": BASE_MODULES | SIMULATOR | {"herdvote.cli_sweep"},
     "run": BASE_MODULES | SIMULATOR,
+    "run_iid": BASE_MODULES | SIMULATOR | {"herdvote.voting"},
     "run_ez": BASE_MODULES | SIMULATOR | {"herdvote.ez"},
 }
 
@@ -463,14 +467,19 @@ COMMAND_MODULES = {
 @pytest.mark.parametrize("command", list(COMMAND_MODULES))
 def test_each_command_loads_only_its_layers(tmp_path, capsys, command):
     """The package modules a fresh process holds after one command: an eager
-    import added anywhere shows here before it slows every command down."""
+    import added anywhere shows here before it slows every command down.
+    A command compiles no other command's body (`cli_<command>`), and only
+    an iid run among the runs loads `voting`."""
     run_args = tiny_run_args(tmp_path / "runs")
     argv = {
         "version": ["--version"],
         "meanfield": ["meanfield", "--n-agents", "50", "--x", "0.41",
                       "--out", str(tmp_path / "dist.txt")],
         "analyze": ["analyze", "RUN_DIR", "--r-min", "1", "--out", str(tmp_path / "s.csv")],
+        "validate": ["validate"],
+        "sweep": sweep_args(tmp_path / "sweep", 1),
         "run": run_args,
+        "run_iid": [*run_args, "--set", "vote_mode=iid"],
         "run_ez": [*run_args, "--set", "model=ez"],
     }[command]
     if command == "analyze":
@@ -486,18 +495,41 @@ with contextlib.redirect_stdout(io.StringIO()):
     except SystemExit as exc:  # --version
         code = exc.code
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "herdvote"),
-                  "numpy" in sys.modules]))
+                  sorted(m for m in ("numpy", "hashlib", "csv") if m in sys.modules)]))
 """
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run([sys.executable, "-c", script, json.dumps(argv)], env=env,
                             capture_output=True, text=True, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
-    code, modules, numpy_loaded = json.loads(result.stdout)
+    code, modules, loaded = json.loads(result.stdout)
     assert code == 0
     assert set(modules) == COMMAND_MODULES[command]
+    bodies = {m for m in modules if m.startswith("herdvote.cli_")}
+    assert bodies <= {f"herdvote.cli_{command}"}
+    if command in ("run", "run_ez"):  # strategy votes and E-Z decisions need no `voting`
+        assert "herdvote.voting" not in modules
     if command in ("version", "analyze"):  # their layers are standard library only
-        assert not numpy_loaded
+        assert "numpy" not in loaded
+    if command in ("version", "meanfield"):  # they digest no file and write no CSV
+        assert not {"hashlib", "csv"} & set(loaded)
+
+
+def test_python_m_compiles_the_cli_once(tmp_path):
+    """`python -m herdvote.cli` runs `cli` as `__main__`; a command body that
+    imports `herdvote.cli` finds that module, so no package file is
+    compiled twice."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run(
+        [sys.executable, "-v", "-m", "herdvote.cli", "meanfield", "--n-agents", "20",
+         "--x", "0.41", "--out", str(tmp_path / "dist.txt")],
+        env=env, capture_output=True, text=True, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    compiled = [line.rsplit(os.sep, 1)[-1] for line in result.stderr.splitlines()
+                if line.startswith("# code object from ") and os.path.dirname(cli.__file__) in line]
+    assert sorted(compiled) == sorted({*compiled}) and "cli.py" in compiled, compiled
 
 
 def test_package_names_resolve_on_first_access():
@@ -778,7 +810,7 @@ def test_sweep_records_only_the_keys_the_model_reads(tmp_path, capsys):
     sweep = json.load(open(tmp_path / "ez" / "sweep.json"))
     assert "x_values" not in sweep and sweep["n_agents_values"] == [100, 120]
     assert [(r["n_agents"], r["seed"]) for r in sweep["runs"]] == [
-        (n, cli.derive_seed(5, None, n, rep)) for n in (100, 120) for rep in range(2)]
+        (n, cli_sweep.derive_seed(5, None, n, rep)) for n in (100, 120) for rep in range(2)]
     assert all(set(r) == {"n_agents", "seed", "status", "run_dir", "config_digest"}
                for r in sweep["runs"])
     assert len({r["run_dir"] for r in sweep["runs"]}) == 4
@@ -788,9 +820,10 @@ def test_sweep_records_only_the_keys_the_model_reads(tmp_path, capsys):
 
 
 def test_derived_seeds_are_stable():
-    assert cli.derive_seed(1, 0.37, 100, 0) == cli.derive_seed(1, 0.37, 100, 0)
-    assert cli.derive_seed(1, 0.37, 100, 0) != cli.derive_seed(1, 0.37, 100, 1)
-    assert cli.derive_seed(1, 0.37, 100, 0) != cli.derive_seed(2, 0.37, 100, 0)
+    derive_seed = cli_sweep.derive_seed
+    assert derive_seed(1, 0.37, 100, 0) == derive_seed(1, 0.37, 100, 0)
+    assert derive_seed(1, 0.37, 100, 0) != derive_seed(1, 0.37, 100, 1)
+    assert derive_seed(1, 0.37, 100, 0) != derive_seed(2, 0.37, 100, 0)
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "meanfield", "analyze",
@@ -1255,7 +1288,7 @@ def test_analyze_summary_fits_at_the_largest_own_cutoff(tmp_path, capsys):
 
     returns_by_x = {}
     for run_dir in run_dirs:
-        config, returns = cli._read_run_returns(run_dir, 2)
+        config, returns = cli_analyze._read_run_returns(run_dir, 2)
         returns_by_x[f"{config['model']} {config.get('vote_mode')}"] = returns
     rows = analysis.cutoff_scan(returns_by_x)  # r_min=None: its own scan
     own = []

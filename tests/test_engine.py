@@ -112,7 +112,8 @@ def test_different_seeds_differ():
 # -- the fused loop against the per-step oracle ---------------------------------------
 
 def assert_loop_matches_oracle(config):
-    """`run` and a chunked `advance` reproduce a loop of `step` byte for byte."""
+    """`run` and a chunked `advance` reproduce a loop of `step` byte for byte;
+    returns the oracle's events."""
     oracle, rng = init_state(config)
     events = [step(oracle, rng) for _ in range(config.total_steps)]
     expected = np.array([e.net_return for e in events], dtype=np.int64)
@@ -141,6 +142,7 @@ def assert_loop_matches_oracle(config):
     assert fused._group_votes == oracle._group_votes
     with pytest.raises(ValueError):
         advance(fused, rng, -1)
+    return events
 
 
 @pytest.mark.parametrize("mode", [VoteMode.STRATEGY_DRIVEN, VoteMode.IID_UNIFORM])
@@ -208,8 +210,9 @@ def test_decoded_picks_equal_scalar_truncation(n, lattice):
 def test_advance_turns_gc_off_and_restores_it(monkeypatch):
     state, rng = init_state(small_config(vote_mode=VoteMode.IID_UNIFORM))
     seen = []
-    monkeypatch.setattr(engine, "decision_cdf",
-                        lambda s, x: (seen.append(gc.isenabled()), decision_cdf(s, x))[1])
+    fill = engine._fill_cdfs
+    monkeypatch.setattr(engine, "_fill_cdfs",
+                        lambda *args: (seen.append(gc.isenabled()), fill(*args))[1])
     assert gc.isenabled()
     advance(state, rng, 500)
     assert seen and not any(seen)  # off while the loop runs
@@ -232,6 +235,24 @@ def test_advance_turns_gc_off_and_restores_it(monkeypatch):
     with pytest.raises(AssertionError, match="partition corrupted at step 9999"):
         advance(state, rng, 1)
     assert gc.isenabled()
+
+
+def test_iid_cdfs_filled_in_table_passes_equal_the_scalar_lookups():
+    """Above size 64 the loop fills the decision CDF of a new size, and of
+    every unfilled size up to twice it, in one `probability_table` pass.  At
+    x = 0.36 the groups grow past size 128: the loop still matches `step`,
+    which looks each size up alone, byte for byte, and every CDF it filled
+    equals `decision_cdf` and holds Python floats."""
+    config = SimConfig(n_agents=500, x=0.36, total_steps=20_000, seed=1,
+                       vote_mode=VoteMode.IID_UNIFORM)
+    met = {e.group_size for e in assert_loop_matches_oracle(config)}
+    assert max(met) > 128
+    state, rng = init_state(config)
+    advance(state, rng, config.total_steps)
+    filled = {s: c for s, c in enumerate(state._cdf) if c is not None}
+    assert met <= set(filled) and max(filled) <= config.n_agents
+    assert all(c == decision_cdf(s, config.x) for s, c in filled.items())
+    assert {type(v) for c in filled.values() for v in c} == {float}
 
 
 def test_iid_cdf_never_fragments_where_p_frg_is_zero():
