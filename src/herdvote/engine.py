@@ -159,7 +159,7 @@ class SimState:
         self.step_index = 0
         self.decision_counts = [0, 0, 0, 0]  # indexed by Decision
         # per-size decision CDFs of drawn decisions: E-Z's one constant, the
-        # iid ones filled by `advance` (`_fill_cdfs`)
+        # iid ones filled by `advance` (`voting.fill_cdfs`)
         self._cdf = None if polled else [(config.a / 2, config.a, 1.0) if ez else None] * (n + 1)
         if not polled and not ez:
             from . import voting  # noqa: F401  (an iid state's set-up loads its CDFs' layer)
@@ -407,6 +407,8 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
     members = part._members
     n_single = part._n_single
     cdf = state._cdf
+    if cdf is not None and not ez:
+        from .voting import fill_cdfs  # an iid state has loaded it
     rows = state._rows
     single = state._single
     votes = state._group_votes
@@ -451,7 +453,7 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
                 if cdf is not None:
                     c = cdf[s]
                     if c is None:
-                        c = _fill_cdfs(cdf, s, x)
+                        c = fill_cdfs(cdf, s, x)
                     u = buf[pos]
                     pos += 1
                     if u < c[0]:
@@ -567,25 +569,6 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
     state._upos = pos
     state.history = tuple((h >> k) & 1 for k in range(memory - 1, -1, -1))
     state.step_index = stop
-
-
-def _fill_cdfs(cdf: list, s: int, x: float) -> tuple:
-    """Fill the iid decision CDF of size s and return it.
-
-    Up to `voting.EXACT_SIZE_LIMIT` a CDF is an exact count, cheap alone.
-    Above it each lookup is a NumPy pass, so one `voting.decision_cdfs`
-    pass fills every unfilled size from s up to 2s (at most N): groups grow
-    by merges, so those are the sizes that occur next.
-    """
-    from . import voting
-
-    if s <= voting.EXACT_SIZE_LIMIT:
-        cdf[s] = voting.decision_cdf(s, x)
-        return cdf[s]
-    sizes = [k for k in range(s, min(2 * s, len(cdf) - 1) + 1) if cdf[k] is None]
-    for k, c in zip(sizes, voting.decision_cdfs(sizes, x)):
-        cdf[k] = c
-    return cdf[s]
 
 
 def _merge(state: SimState, g: int, g2: int) -> None:

@@ -36,8 +36,8 @@ How each is computed (NumPy and the standard library only):
 At every size the three shares split the consensus probability.
 
 `probability_table` evaluates a whole array of sizes in one vectorised
-pass (the rate equations need every size 1..N; `decision_cdfs` gives the
-simulation's iid decision CDFs from it).  The scalar lookups
+pass (the rate equations need every size 1..N; `fill_cdfs` fills the
+simulation's iid decision CDFs above size 64 from it).  The scalar lookups
 `fragmentation_probability`, `consensus_probability`,
 `decision_probabilities` and `decision_cdf` are cached per (s, x) and give
 the same floats.  Sizes of 1e5 and beyond neither overflow nor underflow.
@@ -124,7 +124,7 @@ def _strict_upper(threshold: float) -> int:
 # Up to this size p_frg and consensus are ratios of exact integer counts
 # (the float division at the end is their only rounding).  Above it they
 # are sums of binomial terms, O(sqrt(s)) terms for a size s.
-EXACT_SIZE_LIMIT = 64
+_EXACT_SIZE_LIMIT = 64
 
 
 def fragmentation_count(size: int, x) -> int:
@@ -299,7 +299,7 @@ _ROWS_PER_PASS = 256  # bounds the term arrays at a few MB for any size
 
 
 def _large_size_probabilities(sizes: np.ndarray, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """(p_frg, consensus) for sizes above `EXACT_SIZE_LIMIT`.
+    """(p_frg, consensus) for sizes above `_EXACT_SIZE_LIMIT`.
 
     Whichever of the two is smaller is summed directly and the other is its
     complement: consensus first, and where it exceeds one half, p_frg.
@@ -333,8 +333,8 @@ def summed_both_ways(size: int, x) -> tuple[float, float]:
     from x = 0.45 on); the table sums p_frg only where consensus > 1/2.
     """
     ub = _strict_upper(float(x) * size)
-    if size <= EXACT_SIZE_LIMIT or not size <= 3 * ub < 1.5 * size:
-        raise ValueError(f"both sums need size > {EXACT_SIZE_LIMIT} and s/3 <= ub < s/2")
+    if size <= _EXACT_SIZE_LIMIT or not size <= 3 * ub < 1.5 * size:
+        raise ValueError(f"both sums need size > {_EXACT_SIZE_LIMIT} and s/3 <= ub < s/2")
     s, u = np.array([size]), np.array([ub])
     return float(_fragmentation_sum(s, u)[0]), float(_consensus_sum(s, u + 1)[0])
 
@@ -342,7 +342,7 @@ def summed_both_ways(size: int, x) -> tuple[float, float]:
 @lru_cache(maxsize=None)
 def _fragmentation_probability_cached(size: int, x: float) -> tuple[float, float]:
     """(p_frg, consensus) for one size: the cache behind every scalar lookup."""
-    if size <= EXACT_SIZE_LIMIT:
+    if size <= _EXACT_SIZE_LIMIT:
         frag, total = fragmentation_count(size, x), 3**size
         return frag / total, (total - frag) / total
     p_frg, consensus = _large_size_probabilities(np.array([size]), x)
@@ -359,7 +359,7 @@ def probability_table(sizes, x) -> tuple[np.ndarray, np.ndarray]:
     if np.any(sizes < 1):
         raise ValueError("group sizes must be >= 1")
     x = float(x)
-    large = sizes > EXACT_SIZE_LIMIT
+    large = sizes > _EXACT_SIZE_LIMIT
     p_frg = np.empty(len(sizes))
     consensus = np.empty(len(sizes))
     p_frg[large], consensus[large] = _large_size_probabilities(sizes[large], x)
@@ -414,11 +414,23 @@ def decision_cdf(size: int, x) -> tuple[float, float, float]:
     return _cdf(_probabilities(size, x)[1])
 
 
-def decision_cdfs(sizes, x) -> list:
-    """`decision_cdf` of every size in `sizes`, from one `probability_table`
-    pass: the same floats, as Python floats, at a fraction of the cost of
-    one lookup per size above 64."""
-    return [_cdf(q) for q in probability_table(sizes, x)[1].tolist()]
+def fill_cdfs(cdf: list, size: int, x) -> tuple[float, float, float]:
+    """Fill `cdf[size]` with `decision_cdf(size, x)` and return it.
+
+    `cdf` is indexed by group size up to N, None where not filled yet.  Up
+    to 64 a CDF is an exact count, cheap alone.  Above it one lookup is a
+    NumPy pass of about 0.4 ms, nearly all fixed cost, so one
+    `probability_table` pass fills every unfilled size from `size` up to
+    twice it (at most N), where merges take the group next: the same
+    floats, as Python floats.
+    """
+    if size <= _EXACT_SIZE_LIMIT:
+        cdf[size] = decision_cdf(size, x)
+    else:
+        sizes = [k for k in range(size, min(2 * size, len(cdf) - 1) + 1) if cdf[k] is None]
+        for k, q in zip(sizes, probability_table(sizes, x)[1].tolist()):
+            cdf[k] = _cdf(q)
+    return cdf[size]
 
 
 _ENUM_SIZE_LIMIT = 14

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from herdvote import engine
+from herdvote import engine, voting
 from herdvote.config import EzConfig
 from herdvote.engine import (
     _decode_picks,
@@ -210,8 +210,8 @@ def test_decoded_picks_equal_scalar_truncation(n, lattice):
 def test_advance_turns_gc_off_and_restores_it(monkeypatch):
     state, rng = init_state(small_config(vote_mode=VoteMode.IID_UNIFORM))
     seen = []
-    fill = engine._fill_cdfs
-    monkeypatch.setattr(engine, "_fill_cdfs",
+    fill = voting.fill_cdfs
+    monkeypatch.setattr(voting, "fill_cdfs",
                         lambda *args: (seen.append(gc.isenabled()), fill(*args))[1])
     assert gc.isenabled()
     advance(state, rng, 500)

@@ -284,6 +284,23 @@ def test_decision_probabilities_known_values():
     assert probs.buy == probs.sell == probs.merge
 
 
+def test_fill_cdfs_fills_one_size_up_to_64_and_a_window_above():
+    """Up to 64 only the asked size is filled; above, every unfilled size
+    from s to min(2s, N) in one table pass, a filled one left as it is.
+    Each filled CDF is `decision_cdf`'s, in Python floats."""
+    x, cdf = 0.41, [None] * 201  # N = 200
+    assert voting.fill_cdfs(cdf, 64, x) == voting.decision_cdf(64, x)
+    assert [s for s, c in enumerate(cdf) if c] == [64]
+    cdf[70] = kept = (0.0, 0.0, 1.0)
+    assert voting.fill_cdfs(cdf, 65, x) == voting.decision_cdf(65, x)
+    assert [s for s, c in enumerate(cdf) if c] == list(range(64, 131)) and cdf[70] is kept
+    voting.fill_cdfs(cdf, 150, x)  # the window stops at N
+    assert [s for s, c in enumerate(cdf) if c] == [*range(64, 131), *range(150, 201)]
+    cdf[70] = None
+    assert all(c == voting.decision_cdf(s, x) for s, c in enumerate(cdf) if c)
+    assert {type(v) for c in cdf if c for v in c} == {float}
+
+
 def test_shares_split_consensus_at_every_size():
     for x in (0.34, 0.41, 0.47):
         for s in (1, 2, 20, 64, 65, 400, 1000):
