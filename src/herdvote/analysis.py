@@ -66,7 +66,7 @@ def histogram(returns) -> Histogram:
     """
     if isinstance(returns, Histogram):
         return returns
-    if not isinstance(returns, array) and hasattr(returns, "tolist"):
+    if not isinstance(returns, (array, memoryview)) and hasattr(returns, "tolist"):
         returns = returns.tolist()  # a NumPy array: count Python numbers, not NumPy scalars
     tally = Counter(returns)
     sizes = {}

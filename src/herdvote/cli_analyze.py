@@ -1,11 +1,13 @@
 """The `analyze` command: tail statistics of existing run directories.
 
 Imported by `cli` when `analyze` is dispatched.  Each run's config and
-return series are read back digest-checked (`_read_run_returns`), reduced
-to one histogram of |r|, and written as `analysis/ccdf.csv`, `pdf.csv` and
-`fit.csv` in the run directory; the cross-run summary fits every series at
-one cutoff.  Every file goes through `cli._write_csv`.  Neither this module
-nor its layers (`series`, `analysis`) load NumPy.
+return series are read back digest-checked (`_read_run_returns`).  The
+series, a view of the file's bytes that is never copied, is summed in
+windows of `--rescale-k` steps, reduced to one histogram of |r|, and
+written as `analysis/ccdf.csv`, `pdf.csv` and `fit.csv` in the run
+directory; the cross-run summary fits every series at one cutoff.  Every
+file goes through `cli._write_csv`.  Neither this module nor its layers
+(`series`, `analysis`) load NumPy.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ def _read_run_returns(run_dir: str, k: int) -> tuple[dict, Iterator[int]]:
     """A run's config and its return series summed over windows of k steps.
 
     Both come from digest-checked files: `config.txt` and `returns_raw.bin`;
-    a config that does not parse, such as another schema's, names its path.
-    The sums come one at a time, for one pass such as a histogram's.
+    a config that does not parse, such as another schema's, names its path,
+    and so does a window longer than the recorded series.  The sums come one
+    at a time off a view of the bytes read, for one pass such as a
+    histogram's: the series is never copied.
     """
     config_bytes, series_bytes = read_verified(run_dir, ("config.txt", "returns_raw.bin"))
     try:
@@ -40,6 +44,9 @@ def _read_run_returns(run_dir: str, k: int) -> tuple[dict, Iterator[int]]:
             raise ValueError(f"a return exceeds the run's {n} agents")
     except ValueError as exc:
         raise ConfigError(f"damaged artifact {os.path.join(run_dir, 'returns_raw.bin')}: {exc}")
+    if k > len(returns):
+        raise ConfigError(f"--rescale-k {k} is longer than the {len(returns)} returns "
+                          f"recorded in {run_dir}")
     return config, window_sums(returns, k)
 
 

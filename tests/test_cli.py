@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -1110,6 +1111,39 @@ def test_analyze_no_trades_is_explicit(tmp_path, capsys):
     code = run_cli(["analyze", str(run_dir)])
     assert code == cli.EXIT_CONFIG
     assert "no trades" in capsys.readouterr().err
+
+
+def test_analyze_window_longer_than_the_series_is_config_error(tmp_path, capsys):
+    """A window longer than the recorded series is named.  `analyze` runs in
+    a process of its own, so a crash there fails this test alone."""
+    assert run_cli(["run", "--out", str(tmp_path / "runs"), "--set", "n_agents=200",
+                    "--set", "total_steps=2000", "--set", "seed=3"]) == 0
+    run_dir = capsys.readouterr().out.strip()
+    with open(os.path.join(run_dir, "summary.json")) as fh:
+        recorded = json.load(fh)["recorded_steps"]
+    proc = cli_process(["analyze", run_dir, "--rescale-k", "100000", "--out", "summary.csv"],
+                       tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == cli.EXIT_CONFIG, err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "--rescale-k 100000" in err and run_dir in err and f" {recorded} " in err
+    assert not (tmp_path / "summary.csv").exists()
+
+
+def test_analyze_reads_the_series_without_copying_it(tmp_path):
+    run_dir = tmp_path / "run"
+    rng = np.random.default_rng(5)
+    write_analyze_inputs(run_dir, _series_bytes(rng.integers(-100, 101, 10**6)))
+    read = (run_dir / "returns_raw.bin").stat().st_size
+    tracemalloc.start()
+    try:
+        _, returns = cli_analyze._read_run_returns(str(run_dir), 2)
+        hist = analysis.histogram(returns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hist.length == 5 * 10**5
+    assert peak - read < 1 << 20, f"{peak - read} bytes traced beyond the {read} read"
 
 
 def test_analyze_damaged_returns_file(tmp_path, capsys):

@@ -1,5 +1,8 @@
 import gc
 import itertools
+import math
+import tracemalloc
+from array import array
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from herdvote import engine, voting
+from herdvote import engine, series as series_module, voting
 from herdvote.config import EzConfig
 from herdvote.engine import (
     _decode_picks,
@@ -458,6 +461,7 @@ def test_rescale_examples():
     series = np.array([1, -2, 3, 0, 7])
     assert rescale_returns(series, 1).tolist() == series.tolist()
     assert len(rescale_returns(series, 2)) == 2
+    assert rescale_returns(range(10), 200_000) == array("q")  # no full window
     with pytest.raises(ValueError):
         rescale_returns(series, 0)
 
@@ -467,6 +471,34 @@ def test_rescale_is_fresh_array():
     out = rescale_returns(series, 1)
     out[0] = 99
     assert series[0] == 1
+
+
+def _window_reference(values, k):
+    """The sum of each full window of k consecutive values."""
+    return [sum(values[i:i + k]) for i in range(0, len(values) - k + 1, k)]
+
+
+def _map_depth(sums):
+    """The depth of the tree of `map` objects behind an iterator of sums."""
+    if type(sums) is not map:
+        return 0
+    _, (_, *parts) = sums.__reduce__()
+    return 1 + max(map(_map_depth, parts))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 64, 100_000])
+def test_window_sums_match_the_sum_of_each_full_window(k):
+    rng = np.random.default_rng(k)
+    for n in {k - 1, 2 * k + 1, 3 * k + (k + 1) // 2}:  # k divides none of them but 1
+        values = rng.integers(-(2**40), 2**40, n, dtype=np.int64)
+        expected = _window_reference(values.tolist(), k)
+        for kind in (array("q", values.tolist()), values, values.tolist(),
+                     series_module.parse_returns_binary(len(values).to_bytes(8, "little")
+                                                        + values.astype("<i8").tobytes())):
+            assert list(series_module.window_sums(kind, k)) == expected
+            out = rescale_returns(kind, k)
+            assert type(out) is array and out.typecode == "q" and out.tolist() == expected
+    assert _map_depth(series_module.window_sums(values, k)) == math.ceil(math.log2(k))
 
 
 # -- series files -----------------------------------------------------------------
@@ -525,6 +557,39 @@ def test_binary_round_trip_and_layout(tmp_path):
     assert int.from_bytes(raw[8:16], "little", signed=True) == 1
     assert int.from_bytes(raw[16:24], "little", signed=True) == -2
     assert np.array_equal(read_returns_binary(path), series)
+
+
+def test_binary_reader_views_the_bytes_read():
+    data = (3).to_bytes(8, "little") + np.array([1, -2, 300], dtype="<i8").tobytes()
+    view = series_module.parse_returns_binary(data)
+    assert view.format == "q" and view.readonly and view.tolist() == [1, -2, 300]
+    if not series_module._SWAP:
+        assert view.obj is data  # the bytes themselves, not a copy
+
+
+def test_byte_swap_reverses_each_value_on_write_and_back_on_read(tmp_path, monkeypatch):
+    """The path of a host whose byte order is not the file's."""
+    series = np.array([1, -2, 300], dtype=np.int64)
+    write_returns_binary(tmp_path / "native.bin", series)
+    monkeypatch.setattr(series_module, "_SWAP", not series_module._SWAP)
+    write_returns_binary(tmp_path / "swapped.bin", series)
+    native = (tmp_path / "native.bin").read_bytes()
+    swapped = (tmp_path / "swapped.bin").read_bytes()
+    assert swapped[:8] == native[:8]
+    assert all(swapped[i:i + 8] == native[i:i + 8][::-1] for i in range(8, len(native), 8))
+    assert read_returns_binary(tmp_path / "swapped.bin").tolist() == series.tolist()
+
+
+def test_binary_writer_does_not_copy_the_series(tmp_path):
+    series = np.arange(10**6, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        write_returns_binary(tmp_path / "returns.bin", series)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"{peak} bytes traced writing an 8 MB series"
+    assert np.array_equal(read_returns_binary(tmp_path / "returns.bin"), series)
 
 
 def test_binary_truncation_detected(tmp_path):
