@@ -13,9 +13,15 @@ Writes stationary_n100.txt (two columns: size, n_s).
 
 import numpy as np
 
-from herdvote import SimConfig, advance, init_state, solve_stationary, stationary_oracle
-from herdvote.meanfield import write_distribution
-from herdvote.strategy import VoteMode
+from herdvote import (
+    SimConfig,
+    VoteMode,
+    advance,
+    init_state,
+    solve_stationary,
+    stationary_oracle,
+    write_distribution,
+)
 
 print("=== tiny populations: solver vs exact chain ===")
 print("  (N=2 and N=4 coagulate into one unbreakable group: exact agreement;")
@@ -34,12 +40,12 @@ print(f"  solver converged in {report.iterations} sweeps, residual {report.resid
 
 config = SimConfig(n_agents=100, x=0.41, total_steps=2_000_000,
                    equilibration_steps=200_000, vote_mode=VoteMode.IID_UNIFORM, seed=5)
-state, rng = init_state(config)
+state = init_state(config)
 acc = np.zeros(101)
 samples = 0
 # advance in chunks of 100 steps after the equilibration window, sampling between chunks
 for end in range(config.equilibration_steps + 1, config.total_steps + 1, 100):
-    advance(state, rng, end - state.step_index)
+    advance(state, end - state.step_index)
     for size, count in state.partition.size_histogram().items():
         acc[size] += count
     samples += 1

@@ -8,7 +8,7 @@ pairs of consecutive returns, and writes plot-ready CCDF curves plus a
 comparison table.
 
 Writes ccdf_x*.csv and tail_comparison.csv; saves return_tails.png when
-matplotlib is importable.  Takes ~20 s.
+matplotlib is importable.  Takes a few seconds.
 """
 
 import csv

@@ -7,7 +7,7 @@ for all but enormous groups, and its return tail flattens toward the same
 law - even though the two dynamics differ in kind (E-Z trading groups
 disperse, voting-model trading groups stay intact).
 
-Takes ~6 s.
+Takes a few seconds.
 """
 
 import numpy as np

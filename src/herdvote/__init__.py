@@ -7,11 +7,12 @@ and fragments otherwise.  Trades of a group of size s move the price by
 exponential cutoff as the consensus parameter x rises above one third.
 
 Subpackages: `config` (run parameters), `population` (partition data
-structure), `voting` (decision rule and exact probabilities), `strategy`
-(history and strategy tables), `engine` (simulation loop), `ez`
-(Eguiluz-Zimmermann baseline), `meanfield` (stationary group-size
-equations), `series` (return-series files), `analysis` (tail statistics),
-`cli` (command-line interface; the bodies of `sweep`, `meanfield`,
+structure), `voting` (decision rule and exact probabilities), `engine`
+(a run's state, its streams and strategy tables, and the simulation
+loop), `ez` (the Eguiluz-Zimmermann baseline's names for the engine's
+`run` and `step`), `meanfield` (stationary group-size equations),
+`series` (return-series files), `analysis` (tail statistics), `cli`
+(command-line interface; the bodies of `sweep`, `meanfield`,
 `analyze` and `validate` are `cli_sweep`, `cli_meanfield`, `cli_analyze`
 and `cli_validate`, each imported when its command runs).
 
@@ -29,8 +30,11 @@ _EXPORTS = {  # submodule -> the public names it defines
         "fit_power_law", "log_binned_pdf", "sample_pareto", "tail_mass",
     ),
     "config": ("EzConfig", "SimConfig", "VoteMode"),
-    "engine": ("RunSummary", "StepEvent", "advance", "init_state", "run", "step"),
-    "ez": ("ez_run", "ez_step", "init_ez_state"),
+    "engine": (
+        "RunSummary", "StepEvent", "advance", "assign_strategies", "history_index",
+        "init_state", "run", "step", "update_history",
+    ),
+    "ez": ("ez_run", "ez_step"),
     "meanfield": (
         "GroupSizeDistribution", "SolverReport", "balance_residual", "solve_stationary",
         "stationary_oracle", "write_distribution",
@@ -40,7 +44,6 @@ _EXPORTS = {  # submodule -> the public names it defines
         "read_returns_binary", "read_returns_text", "rescale_returns",
         "write_returns_binary", "write_returns_text",
     ),
-    "strategy": ("assign_strategies", "history_index", "poll_group", "update_history"),
     "voting": (
         "Decision", "DecisionProbabilities", "VoteTally",
         "consensus_probability", "consensus_threshold", "decide", "decision_probabilities",

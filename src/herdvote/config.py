@@ -28,6 +28,15 @@ SUPPORT_LIMIT = 2**14
 
 
 class VoteMode(str, Enum):
+    """How a polled group votes.
+
+    STRATEGY_DRIVEN: each member votes its table entry for the current
+    history, so re-polling the same group at the same history gives the
+    same tally.  IID_UNIFORM: every vote is an independent uniform draw
+    over the three actions, the memoryless regime whose outcome
+    probabilities `voting` computes in closed form; it reads no tables.
+    """
+
     STRATEGY_DRIVEN = "strategy"
     IID_UNIFORM = "iid"
 

@@ -1,5 +1,15 @@
 """Stochastic simulation loop: pick agent, decide, act, record.
 
+Each agent of the voting model holds one immutable random strategy table
+mapping each of the 2^m possible m-bit price-movement histories (bit 1 =
+price went up, most recent movement last) to a fixed action: buy, sell or
+wait.  All agents see the same shared history, so agents holding
+identical table entries act identically: the "crowd" effect of common
+information.  The tables of a population are one C-contiguous uint8 array
+of shape (n_agents, 2^m), drawn by `assign_strategies`: row a is agent a's
+table, column `history_index(h)` its action at history h.  A state reads
+them into its packed tallies and keeps no other copy.
+
 Each time step:
 
   1. a uniformly random agent is picked; its group has size s,
@@ -14,40 +24,44 @@ Each time step:
      Merge -> the group joins the group of a uniformly random agent outside
               itself (no-op when it already spans the whole population)
      Fragment -> the group breaks into singletons, net return 0
-  4. the shared history shifts in the sign of the net return (no trade,
-     no movement).
+  4. the shared history shifts in the sign of the net return
+     (`update_history`; no trade, no movement).
+
+At any fixed history, freshly drawn tables give i.i.d. uniform entries
+across agents, so a single strategy poll is distributed as an iid one; the
+two vote modes differ only in correlations across time.
 
 `advance` runs the steps in one fused loop that keeps its state in locals,
 fills the iid decision CDFs from `voting` as sizes first occur and applies
 merges and fragments to the partition's flat size list and member lists
 inline; the cyclic garbage collector is off while it runs.  Only an iid
 state loads `voting`: a strategy or E-Z run never imports it.  `run`
-drives the loop over a whole config.  The E-Z baseline (`ez`) runs on the
-same loop: a state built from an `EzConfig` draws its decisions from the
-constant (a/2, a/2, 1-a), a trading group disperses, and a merge joins the
-group of any agent but the picked one (nothing happens when that agent is
-in the same group).  `step` is the same update, for all three models, one
-call at a time through `Partition.merge` and `Partition.fragment`: it is
-the one reference that tests compare the loop against byte for byte
-(`ez.ez_step` is another name for it), not production code.
+drives the loop over a whole config of either model.  The E-Z baseline
+(`ez`) runs on the same loop: a state built from an `EzConfig` draws its
+decisions from the constant (a/2, a/2, 1-a), a trading group disperses,
+and a merge joins the group of any agent but the picked one (nothing
+happens when that agent is in the same group).  `step` is the same update,
+for all three models, one call at a time through `Partition.merge` and
+`Partition.fragment`: it is the one reference that tests compare the loop
+against byte for byte (`ez.ez_step` is another name for it), not
+production code.
 
-A state reads every setting of its run from its config: the model and
-vote mode, the initial history and the equilibration window, after which
-returns are recorded.
-A run is fully determined by its config: the seed feeds two independent
-generator streams, one that draws the strategy tables (strategy mode
-only) and one that drives the dynamics.  Every dynamics draw is a
-scalar uniform u from an internal pre-drawn block of that stream, consumed
-in a fixed order per step: [agent pick][tie-break, strategy mode][decision,
-iid mode][merge-target rejections].  An agent pick is int(u * n); `advance`
-decodes the picks of a whole block in one NumPy pass when it draws the
-block (the same IEEE product and truncation), so the loop reads them ready
-made and never converts a float.
+A run is fully determined by its config: `SimState(config)` seeds the
+state's streams (its docstring states how) and reads every other setting
+of the run from the config: the model and vote mode, the initial history
+and the equilibration window, after which returns are recorded.  Every
+dynamics draw is a scalar uniform u from an internal pre-drawn block of
+the state's dynamics stream, consumed in a fixed order per step: [agent
+pick][tie-break, strategy mode][decision, iid and E-Z][merge-target
+rejections].  An agent pick is int(u * n); `advance` decodes the picks of
+a whole block in one NumPy pass when it draws the block (the same IEEE
+product and truncation), so the loop reads them ready made and never
+converts a float.
 
 The run parameters (`SimConfig`) live in `config` and the return-series
-files and rescaling in `series`; this module re-exports them under their
-old import paths, and the command line's run path calls the binary writer
-through this module.
+files and rescaling in `series`; this module re-exports `SimConfig` and
+the text files' functions under their old import paths, and the command
+line's run path calls the binary writer through this module.
 
 Trading groups staying intact is a deliberate reading of the rules: only
 the no-consensus outcome disperses a group, so the balance equations in
@@ -65,17 +79,16 @@ import numpy as np
 from .config import EzConfig, SimConfig, VoteMode
 from .population import Partition
 from .series import (  # noqa: F401  (old import paths; the run path calls the writer here)
-    read_returns_binary,
     read_returns_text,
     rescale_returns,
     write_returns_binary,
     write_returns_text,
 )
-from .strategy import assign_strategies, history_index, update_history
 
 if TYPE_CHECKING:
     from .voting import Decision
 
+_DRAW_CHUNK = 1 << 20  # table entries per int64 draw in `assign_strategies`
 _BUF_SIZE = 1 << 16
 _CHECK_EVERY = 10_000  # steps between partition checksums in `advance`
 # A step starts on a new block when this many uniforms of the current one,
@@ -85,6 +98,47 @@ _CHECK_EVERY = 10_000  # steps between partition checksums in `advance`
 # two or more is safe.  The margin fixes where each block is cut, so changing
 # it changes every run's outputs.
 _REFILL_MARGIN = 16
+
+
+def history_index(history: tuple) -> int:
+    """Encode a bit history (most recent bit last) as a table column index
+    (most recent bit = LSB)."""
+    idx = 0
+    for bit in history:
+        idx = (idx << 1) | bit
+    return idx
+
+
+def update_history(history: tuple, net_return: int) -> tuple:
+    """Shift in the sign of a net return; unchanged when nothing traded."""
+    if net_return > 0:
+        return history[1:] + (1,)
+    if net_return < 0:
+        return history[1:] + (0,)
+    return history
+
+
+def assign_strategies(n_agents: int, memory: int, rng) -> np.ndarray:
+    """Tables for all agents: a C-contiguous uint8 array (n_agents, 2^memory),
+    entries 0 (buy), 1 (sell) and 2 (wait).
+
+    The draw order is part of the reproducibility contract: the entries,
+    and the state `rng` is left in, are those of one int64
+    `rng.integers(0, 3, size=(n_agents, 2**memory))` call, or of one
+    `rng.integers(0, 3, size=2**memory)` call per agent in agent order.
+    Rows are drawn in int64 a chunk at a time and cast to uint8, so no
+    int64 copy of all tables exists (a uint8 draw consumes the stream
+    differently).
+    """
+    if memory < 1:
+        raise ValueError(f"memory length must be >= 1, got {memory}")
+    width = 1 << memory
+    tables = np.empty((n_agents, width), dtype=np.uint8)
+    step = max(1, _DRAW_CHUNK // width)
+    for chunk in np.split(tables, range(step, n_agents, step)):  # views, in row order
+        chunk[:] = rng.integers(0, 3, size=chunk.shape)
+    return tables
+
 
 class StepEvent(NamedTuple):
     index: int
@@ -104,8 +158,15 @@ class RunSummary:
 
 
 class SimState:
-    """Mutable simulation state; create with `init_state` (or
-    `ez.init_ez_state`), advance with `advance`.
+    """Mutable simulation state of one run; `SimState(config)` builds it,
+    `advance` (or `step`) moves it on.
+
+    The state seeds and owns its streams, so a run is a function of its
+    config alone.  A `SimConfig` seed feeds `SeedSequence(seed).spawn(2)`:
+    in strategy mode the agents' tables are drawn from the first child
+    stream (`assign_strategies`), an iid state draws none, and the dynamics
+    run on `PCG64` over the second child.  An `EzConfig`'s dynamics are
+    `numpy.random.default_rng(seed)`.  The dynamics generator is `_rng`.
 
     In strategy mode every group of two or more agents keeps its vote
     tally packed into one int: for each history h and option o (buy 0,
@@ -119,10 +180,10 @@ class SimState:
     more.  A singleton has neither, only its size entry 1 in the
     partition's flat `_size` (see `population`).
 
-    `_ubuf` is the current block of dynamics uniforms and `_upicks` the
-    agent picks decoded from that same block (`_draw_block` makes both);
-    `_upos` is the next unread position.  They change together: the picks
-    never belong to another block than the floats.
+    `_ubuf` is the current block of uniforms drawn from `_rng` and
+    `_upicks` the agent picks decoded from that same block (`_draw_block`
+    makes both); `_upos` is the next unread position.  They change
+    together: the picks never belong to another block than the floats.
 
     The state holds no copy of a setting: the population size, x, the
     model and the history's table index are read from `config` and
@@ -132,10 +193,10 @@ class SimState:
     __slots__ = (
         "config", "partition", "history", "step_index", "decision_counts",
         "_cdf", "_rows", "_width", "_single", "_group_votes",
-        "_ubuf", "_upicks", "_upos",
+        "_rng", "_ubuf", "_upicks", "_upos",
     )
 
-    def __init__(self, config, tables=None):
+    def __init__(self, config):
         """The state at step 0 of a run of `config`: every agent alone.
 
         The config alone says how groups decide.  An `EzConfig` draws each
@@ -144,14 +205,12 @@ class SimState:
         group of any agent but the picked one, nothing happening when that
         is the same group.  An iid `SimConfig` draws from
         `voting.decision_cdf` at `config.x`, and loads `voting` here; a
-        strategy one polls `tables`, the agents' strategy tables (see
-        `_tally_packer`; `config.x` is the threshold).  The history starts at `config.initial_history`, and is
+        strategy one polls the tables it draws here (`config.x` is the
+        threshold).  The history starts at `config.initial_history`, and is
         empty for E-Z.
         """
         ez = isinstance(config, EzConfig)
         polled = not ez and config.vote_mode == VoteMode.STRATEGY_DRIVEN
-        if polled and tables is None:
-            raise ValueError("strategy votes need the agents' strategy tables")
         n = config.n_agents
         self.config = config
         self.partition = Partition.singletons(n)
@@ -164,8 +223,17 @@ class SimState:
         if not polled and not ez:
             from . import voting  # noqa: F401  (an iid state's set-up loads its CDFs' layer)
         # per-agent table rows and per-group packed tallies (strategy mode)
-        self._width, self._rows, self._single = _tally_packer(tables) if polled else (0, None, None)
+        self._width, self._rows, self._single = 0, None, None
         self._group_votes: dict = {}
+        if ez:
+            self._rng = np.random.default_rng(config.seed)
+        else:
+            tables_seq, dynamics_seq = np.random.SeedSequence(config.seed).spawn(2)
+            if polled:
+                tables_rng = np.random.Generator(np.random.PCG64(tables_seq))
+                tables = assign_strategies(n, config.memory, tables_rng)
+                self._width, self._rows, self._single = _tally_packer(tables)
+            self._rng = np.random.Generator(np.random.PCG64(dynamics_seq))
         self._ubuf = self._upicks = ()  # no block drawn yet
         self._upos = 0
 
@@ -243,38 +311,30 @@ def _draw_block(rng: np.random.Generator, n: int):
     return memoryview(u), memoryview(_decode_picks(u, n))
 
 
-def init_state(config: SimConfig) -> tuple[SimState, np.random.Generator]:
-    """Build the initial state and the dynamics generator for a config.
-
-    Stream discipline: SeedSequence(seed) spawns (strategy stream, dynamics
-    stream) in that order; strategy mode draws its tables from the first,
-    iid mode draws none.
-    """
-    strat_seq, dyn_seq = np.random.SeedSequence(config.seed).spawn(2)
-    tables = None
-    if config.vote_mode == VoteMode.STRATEGY_DRIVEN:
-        strat_rng = np.random.Generator(np.random.PCG64(strat_seq))
-        tables = assign_strategies(config.n_agents, config.memory, strat_rng)
-    return SimState(config, tables), np.random.Generator(np.random.PCG64(dyn_seq))
+def init_state(config: SimConfig | EzConfig) -> SimState:
+    """The initial state of a run of `config`: `SimState(config)`."""
+    return SimState(config)
 
 
-def step(state: SimState, rng: np.random.Generator) -> StepEvent:
+def step(state: SimState) -> StepEvent:
     """Advance any of the three models by one time step.
 
-    Reference oracle for tests, not production code: `run` and `ez.ez_run`
-    never call it.  It states the update of `advance` one step at a time,
+    Reference oracle for tests, not production code: `run` (`ez.ez_run`)
+    never calls it.  It states the update of `advance` one step at a time,
     through `Partition.merge` and `Partition.fragment`, and consumes the
-    dynamics stream in the same order, so a loop of `step` calls reproduces
-    `advance` byte for byte.  It reads none of the loop's tables: an E-Z
-    decision is drawn from (a/2, a, 1.0) built from `config.a`, an iid one
-    from `voting.decision_cdf`, and strategy votes are polled at the index
-    of `state.history`.
+    state's dynamics stream in the same order, so a loop of `step` calls
+    reproduces `advance` byte for byte.  It reads none of the loop's
+    tables: an E-Z decision is drawn from (a/2, a, 1.0) built from
+    `config.a`, an iid one from `voting.decision_cdf`, and strategy votes
+    are polled at the index of `state.history` and classified by
+    `voting.consensus_options`.
     """
-    from .voting import Decision, decision_cdf
+    from .voting import Decision, consensus_options, decision_cdf
 
     config = state.config
     ez = isinstance(config, EzConfig)
     n = config.n_agents
+    rng = state._rng
     buf = state._ubuf
     pos = state._upos
     if pos >= len(buf) - _REFILL_MARGIN:
@@ -305,28 +365,14 @@ def step(state: SimState, rng: np.random.Generator) -> StepEvent:
         else:
             b, sc, w = state.group_vote_matrix(g)[h]
 
-        # classify
-        threshold = config.x * s
-        mx = b if b >= sc else sc
-        if w > mx:
-            mx = w
-        if mx < threshold:
+        tied = consensus_options((b, sc, w), config.x)
+        if not tied:
             decision = 3
+        elif len(tied) == 1:
+            decision = tied[0]
         else:
-            n_tied = (b == mx) + (sc == mx) + (w == mx)
-            if n_tied == 1:
-                decision = 0 if b == mx else (1 if sc == mx else 2)
-            else:
-                pick = int(buf[pos] * n_tied)
-                pos += 1
-                tied = []
-                if b == mx:
-                    tied.append(0)
-                if sc == mx:
-                    tied.append(1)
-                if w == mx:
-                    tied.append(2)
-                decision = tied[pick]
+            decision = tied[int(buf[pos] * len(tied))]
+            pos += 1
 
     # act
     net = 0
@@ -366,8 +412,7 @@ def step(state: SimState, rng: np.random.Generator) -> StepEvent:
     return StepEvent(index, Decision(decision), s, net)
 
 
-def advance(state: SimState, rng: np.random.Generator, n_steps: int,
-            returns: np.ndarray | None = None) -> None:
+def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) -> None:
     """Run `n_steps` steps of the simulation in one fused loop.
 
     Step i (counted from the start of the run) writes a nonzero return to
@@ -406,6 +451,7 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
     size = part._size
     members = part._members
     n_single = part._n_single
+    rng = state._rng
     cdf = state._cdf
     if cdf is not None and not ez:
         from .voting import fill_cdfs  # an iid state has loaded it
@@ -467,6 +513,8 @@ def advance(state: SimState, rng: np.random.Generator, n_steps: int,
                 elif s == 1:
                     d = rows[agent][h]  # one vote always clears T = x < 1
                 else:
+                    # `voting.consensus_options` and the tie-break of `step`,
+                    # stated inline: a call per step would cost more than the rule
                     t = votes[g] >> (h * w3)
                     b = t & fmask
                     sc = (t >> w) & fmask
@@ -580,18 +628,13 @@ def _merge(state: SimState, g: int, g2: int) -> None:
     votes[part.merge(g, g2)] = t1 + t2
 
 
-def run(config: SimConfig) -> tuple[np.ndarray, RunSummary]:
-    """Full simulation: returns (post-equilibration return series, summary)."""
-    return simulate(*init_state(config))
-
-
-def simulate(state: SimState, rng: np.random.Generator) -> tuple[np.ndarray, RunSummary]:
-    """Run a fresh state through its config's `total_steps` steps and
-    summarise; shared by `run` and `ez.ez_run`."""
-    config = state.config
+def run(config: SimConfig | EzConfig) -> tuple[np.ndarray, RunSummary]:
+    """Full simulation of a `SimConfig` or an `EzConfig`: returns the
+    post-equilibration return series and the run's summary."""
+    state = SimState(config)
     recorded = config.total_steps - config.equilibration_steps
     returns = np.zeros(recorded, dtype=np.int64)
-    advance(state, rng, config.total_steps, returns)
+    advance(state, config.total_steps, returns)
     summary = RunSummary(
         n_agents=config.n_agents,
         total_steps=config.total_steps,

@@ -16,32 +16,16 @@ any particular large group trades more often than a small one.  The two
 models are compared on their return-tail statistics only.
 
 Its parameters, `EzConfig` (trade probability `a`), live in `config`
-with the voting model's.  The baseline runs on the engine's fused loop
-(`engine.advance`): an `engine.SimState` built from an `EzConfig` draws
-its decisions from the constant (a/2, a/2, 1-a) for (buy, sell, merge),
-disperses trading groups, and merges by the rule above.  The dynamics
-stream is `numpy.random.default_rng(seed)`; every draw is a scalar uniform
-from a pre-drawn block, consumed per step in the order [agent pick]
-[decision][other-agent rejections].  The loop reads the agent picks int(u * n)
-decoded for the whole block; the per-step oracle computes them from the
-floats.  That oracle is the engine's own: `ez_step` is `engine.step`, which
-takes the E-Z rules from the state's config.
+with the voting model's.  The baseline is a configuration of the engine:
+`engine.SimState(config)` of an `EzConfig` seeds its dynamics stream with
+`numpy.random.default_rng(seed)`, draws its decisions from the constant
+(a/2, a/2, 1-a) for (buy, sell, merge), disperses trading groups, and
+merges by the rule above.  Every draw is a scalar uniform from a pre-drawn
+block, consumed per step in the order [agent pick][decision][other-agent
+rejections].  `ez_run` is `engine.run` and `ez_step` is `engine.step`,
+under their E-Z names: both take the E-Z rules from the state's config.
 """
 
-from __future__ import annotations
-
-import numpy as np
-
-from .config import EzConfig
-from .engine import RunSummary, SimState, simulate
+from .config import EzConfig  # noqa: F401  (old import path)
+from .engine import run as ez_run  # noqa: F401  (the engine's run, under its E-Z name)
 from .engine import step as ez_step  # noqa: F401  (the per-step oracle, under its E-Z name)
-
-
-def init_ez_state(config: EzConfig) -> tuple[SimState, np.random.Generator]:
-    """All-singleton E-Z state and its dynamics generator, seeded by `config.seed`."""
-    return SimState(config), np.random.default_rng(config.seed)
-
-
-def ez_run(config: EzConfig) -> tuple[np.ndarray, RunSummary]:
-    """Run the baseline; mirrors `engine.run` (seeded, post-equilibration series)."""
-    return simulate(*init_ez_state(config))

@@ -12,6 +12,10 @@ real fraction; T is never rounded):
 
 A tied maximum >= T is broken uniformly at random among the tied options.
 An integer count equal to an exactly attainable T satisfies ">= T".
+`consensus_options` states the rule once for the per-step oracles: the
+options tied at a maximum that clears T, or none when the group
+fragments.  `decide` and `engine.step` break its ties, and the engine's
+fused loop restates it inline.
 
 For i.i.d. uniform votes (probability 1/3 each) the outcome probabilities
 depend only on (s, x).  The fragmentation probability p_frg is a sum of
@@ -91,29 +95,35 @@ def consensus_threshold(size: int, x) -> float:
     return float(x) * size
 
 
+def consensus_options(tally, x) -> tuple:
+    """The options (0 buy, 1 sell, 2 wait) tied at the largest count of a
+    (buy, sell, wait) tally when that count clears T = x * size, in that
+    order; () when the group fragments.
+
+    The one statement of the rule for the oracles: `decide` and
+    `engine.step` classify through it (the fused loop states it inline).
+    """
+    b, s, w = tally
+    mx = b if b >= s else s
+    if w > mx:
+        mx = w
+    if mx < float(x) * (b + s + w):
+        return ()
+    return tuple(option for option, count in enumerate(tally) if count == mx)
+
+
 def decide(tally: VoteTally, x, rng) -> Decision:
     """Classify a vote tally; `rng` is consumed only on a tied maximum.
 
     Reference oracle for tests, not production code: the engine states the
     same rule inline, breaking ties with its own pre-drawn uniforms.
     """
-    b, s, w = tally
-    t = float(x) * (b + s + w)
-    mx = b if b >= s else s
-    if w > mx:
-        mx = w
-    if mx < t:
+    tied = consensus_options(tally, x)
+    if not tied:
         return Decision.FRAGMENT
-    tied = []
-    if b == mx:
-        tied.append(Decision.BUY)
-    if s == mx:
-        tied.append(Decision.SELL)
-    if w == mx:
-        tied.append(Decision.MERGE)
     if len(tied) == 1:
-        return tied[0]
-    return tied[int(rng.integers(0, len(tied)))]
+        return Decision(tied[0])
+    return Decision(tied[int(rng.integers(0, len(tied)))])
 
 
 def _strict_upper(threshold: float) -> int:

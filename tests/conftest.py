@@ -4,7 +4,7 @@ import pytest
 from herdvote.engine import _REFILL_MARGIN
 
 
-def _step_counting_refills(step_fn, state, rng, n_steps):
+def _step_counting_refills(step_fn, state, n_steps):
     """Step the oracle `n_steps` times: `engine.step`, under that name or as
     `ez.ez_step`.
 
@@ -19,7 +19,7 @@ def _step_counting_refills(step_fn, state, rng, n_steps):
     at_start = in_rejections = 0
     for i in range(n_steps):
         buf, pos = state._ubuf, state._upos
-        returns[i] = step_fn(state, rng).net_return
+        returns[i] = step_fn(state).net_return
         if state._ubuf is not buf:
             n = state.partition.n_agents
             assert list(state._upicks) == [int(u * n) for u in state._ubuf]

@@ -33,10 +33,10 @@ from herdvote.analysis import (
     sample_pareto,
     tail_mass,
 )
+from herdvote.config import VoteMode
 from herdvote.engine import SimConfig, advance, init_state, rescale_returns, run, step
 from herdvote.ez import EzConfig, ez_run
 from herdvote.meanfield import solve_stationary, stationary_oracle
-from herdvote.strategy import VoteMode
 from herdvote.voting import (
     Decision,
     consensus_probability,
@@ -90,10 +90,10 @@ def test_criterion_2_engine_decision_frequencies():
     t0 = time.perf_counter()
     config = SimConfig(n_agents=100, x=0.41, total_steps=1_000_000,
                        equilibration_steps=0, vote_mode=VoteMode.IID_UNIFORM, seed=1)
-    state, rng = init_state(config)
+    state = init_state(config)
     by_size = defaultdict(Counter)
     for _ in range(config.total_steps):
-        event = step(state, rng)
+        event = step(state)
         by_size[event.group_size][event.decision] += 1
     worst_z = 0.0
     n_sizes = 0
@@ -142,12 +142,12 @@ def test_criterion_3_stationary_equations_vs_oracle_and_simulation():
     config = SimConfig(n_agents=100, x=0.41, total_steps=11_000_000,
                        equilibration_steps=1_000_000,
                        vote_mode=VoteMode.IID_UNIFORM, seed=77)
-    state, rng = init_state(config)
+    state = init_state(config)
     acc = np.zeros(101)
     samples = 0
     # sample after every step i >= equilibration_steps with i % 100 == 0
     for end in range(config.equilibration_steps + 1, config.total_steps + 1, 100):
-        advance(state, rng, end - state.step_index)
+        advance(state, end - state.step_index)
         for size, count in state.partition.size_histogram().items():
             acc[size] += count
         samples += 1
@@ -230,16 +230,16 @@ def test_criterion_6_tail_steepening_and_cutoff_shape(desk_runs):
 def test_criterion_7_trades_come_from_small_groups():
     """Trade provenance at x=0.41: small groups do (nearly) all the trading."""
     config = SimConfig(n_agents=DESK_N, x=0.41, total_steps=DESK_STEPS, seed=1)
-    state, rng = init_state(config)
+    state = init_state(config)
     equil = config.equilibration_steps
     returns = np.zeros(config.total_steps - equil, dtype=np.int64)
     group_counts = Counter()
     # sample after every step i >= equil with i % 1000 == 0
     for end in range(equil + 1, config.total_steps + 1, 1000):
-        advance(state, rng, end - state.step_index, returns)
+        advance(state, end - state.step_index, returns)
         for size, count in state.partition.size_histogram().items():
             group_counts[size] += count
-    advance(state, rng, config.total_steps - state.step_index, returns)
+    advance(state, config.total_steps - state.step_index, returns)
     # a trading group stays intact, so each nonzero return is +-(its size)
     trade_sizes = Counter(np.abs(returns[returns != 0]).tolist())
     total_groups = sum(group_counts.values())

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import herdvote
-from herdvote import analysis, artifacts, cli, cli_analyze, cli_sweep, engine, ez, meanfield
+from herdvote import analysis, artifacts, cli, cli_analyze, cli_sweep, engine, meanfield
 from herdvote.series import read_returns_binary
 
 
@@ -450,7 +450,7 @@ assert "scipy" not in sys.modules
 
 
 BASE_MODULES = {"herdvote", "herdvote.artifacts", "herdvote.cli", "herdvote.config"}
-SIMULATOR = {"herdvote.engine", "herdvote.population", "herdvote.series", "herdvote.strategy"}
+SIMULATOR = {"herdvote.engine", "herdvote.population", "herdvote.series"}
 COMMAND_MODULES = {
     "version": BASE_MODULES,
     "meanfield": BASE_MODULES | {"herdvote.cli_meanfield", "herdvote.meanfield",
@@ -1462,16 +1462,15 @@ SURFACE = {
 }
 # the simulator's own parameters: a run's settings come from its config alone
 SIGNATURES = {
-    "SimState.__init__": ["self", "config", "tables"],
-    "advance": ["state", "rng", "n_steps", "returns"],
+    "SimState.__init__": ["self", "config"],
+    "advance": ["state", "n_steps", "returns"],
     "init_state": ["config"],
-    "init_ez_state": ["config"],
 }
 # the state's fields: a field that copies the config shows here as a parameter does
 SIMSTATE_SLOTS = (
     "config", "partition", "history", "step_index", "decision_counts",
     "_cdf", "_rows", "_width", "_single", "_group_votes",
-    "_ubuf", "_upicks", "_upos",
+    "_rng", "_ubuf", "_upicks", "_upos",
 )
 CONFIG_FIELDS = {
     "SimConfig": ["n_agents", "total_steps", "equilibration_steps", "seed",
@@ -1499,7 +1498,7 @@ def test_settable_surface_is_pinned():
             for cls in (herdvote.SimConfig, herdvote.EzConfig)} == CONFIG_FIELDS
     assert {name: list(inspect.signature(function).parameters) for name, function in (
         ("SimState.__init__", engine.SimState.__init__), ("advance", engine.advance),
-        ("init_state", engine.init_state), ("init_ez_state", ez.init_ez_state),
+        ("init_state", engine.init_state),
     )} == SIGNATURES
     assert engine.SimState.__slots__ == SIMSTATE_SLOTS
 

@@ -11,35 +11,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from herdvote import engine, series as series_module, voting
-from herdvote.config import EzConfig
+from herdvote.config import EzConfig, VoteMode
 from herdvote.engine import (
     _decode_picks,
     _merge,
     SimConfig,
     SimState,
     advance,
+    assign_strategies,
+    history_index,
     init_state,
-    read_returns_binary,
     read_returns_text,
     rescale_returns,
     run,
     step,
+    update_history,
     write_returns_binary,
     write_returns_text,
 )
-from herdvote.strategy import (
-    VoteMode,
-    assign_strategies,
-    history_index,
-    poll_group,
-    update_history,
-)
+from herdvote.series import read_returns_binary
 from herdvote.voting import (
     Decision,
     decision_cdf,
     decision_probabilities,
     fragmentation_probability,
 )
+from oracles import poll_group
 
 
 def assert_same_sizes(fused, oracle):
@@ -48,6 +45,11 @@ def assert_same_sizes(fused, oracle):
     assert fused.group_ids() == live
     assert [fused._size[g] for g in live] == [oracle._size[g] for g in live]
     assert fused._n_single == oracle._n_single
+
+
+def use_tables(monkeypatch, tables):
+    """States built from here on poll `tables` instead of drawing their own."""
+    monkeypatch.setattr(engine, "assign_strategies", lambda *_args: tables)
 
 
 def small_config(**kwargs):
@@ -117,8 +119,8 @@ def test_different_seeds_differ():
 def assert_loop_matches_oracle(config):
     """`run` and a chunked `advance` reproduce a loop of `step` byte for byte;
     returns the oracle's events."""
-    oracle, rng = init_state(config)
-    events = [step(oracle, rng) for _ in range(config.total_steps)]
+    oracle = init_state(config)
+    events = [step(oracle) for _ in range(config.total_steps)]
     expected = np.array([e.net_return for e in events], dtype=np.int64)
     expected = expected[config.equilibration_steps:]
 
@@ -127,13 +129,13 @@ def assert_loop_matches_oracle(config):
     assert list(summary.decision_counts.values()) == oracle.decision_counts
     assert summary.final_size_histogram == oracle.partition.size_histogram()
 
-    fused, rng = init_state(config)
+    fused = init_state(config)
     chunked = np.zeros_like(returns)
     for chunk in itertools.cycle((1, 13, 1000, 10_007)):
         chunk = min(chunk, config.total_steps - fused.step_index)
         if chunk == 0:
             break
-        advance(fused, rng, chunk, chunked)
+        advance(fused, chunk, chunked)
     assert np.array_equal(chunked, expected)
     assert fused.decision_counts == oracle.decision_counts
     assert fused.history == oracle.history
@@ -144,7 +146,7 @@ def assert_loop_matches_oracle(config):
     assert fused._upos == oracle._upos
     assert fused._group_votes == oracle._group_votes
     with pytest.raises(ValueError):
-        advance(fused, rng, -1)
+        advance(fused, -1)
     return events
 
 
@@ -183,13 +185,13 @@ def test_fused_loop_matches_oracle_across_blocks_and_both_refill_sites(
     `advance` refills there too, not only before an agent pick."""
     config = SimConfig(n_agents=30, x=0.34, total_steps=n_steps, equilibration_steps=0,
                        seed=seed, vote_mode=mode)
-    oracle, rng = init_state(config)
-    expected, at_start, in_rejections = step_counting_refills(step, oracle, rng, n_steps)
+    oracle = init_state(config)
+    expected, at_start, in_rejections = step_counting_refills(step, oracle, n_steps)
     assert at_start >= 3 and in_rejections >= 1
 
-    fused, rng = init_state(config)
+    fused = init_state(config)
     returns = np.zeros(n_steps, dtype=np.int64)
-    advance(fused, rng, n_steps, returns)
+    advance(fused, n_steps, returns)
     assert np.array_equal(returns, expected)
     assert fused.decision_counts == oracle.decision_counts
     assert list(fused.partition._members.items()) == list(oracle.partition._members.items())
@@ -211,32 +213,32 @@ def test_decoded_picks_equal_scalar_truncation(n, lattice):
 
 
 def test_advance_turns_gc_off_and_restores_it(monkeypatch):
-    state, rng = init_state(small_config(vote_mode=VoteMode.IID_UNIFORM))
+    state = init_state(small_config(vote_mode=VoteMode.IID_UNIFORM))
     seen = []
     fill = voting.fill_cdfs
     monkeypatch.setattr(voting, "fill_cdfs",
                         lambda *args: (seen.append(gc.isenabled()), fill(*args))[1])
     assert gc.isenabled()
-    advance(state, rng, 500)
+    advance(state, 500)
     assert seen and not any(seen)  # off while the loop runs
     assert gc.isenabled()
 
     gc.disable()  # a caller that turned it off keeps it off
     try:
-        advance(state, rng, 500)
+        advance(state, 500)
         assert not gc.isenabled()
     finally:
         gc.enable()
 
     # a raising loop still turns it back on: a stray list breaks the checksum,
     # here a singleton that holds a one-element member list it must not have
-    advance(state, rng, 8_999)
+    advance(state, 8_999)
     assert state.step_index == 9_999
     part = state.partition
     lone = next(a for a in range(part.n_agents) if part.group_of(a) == (a, 1))
     part._members[lone] = [lone]
     with pytest.raises(AssertionError, match="partition corrupted at step 9999"):
-        advance(state, rng, 1)
+        advance(state, 1)
     assert gc.isenabled()
 
 
@@ -250,8 +252,8 @@ def test_iid_cdfs_filled_in_table_passes_equal_the_scalar_lookups():
                        vote_mode=VoteMode.IID_UNIFORM)
     met = {e.group_size for e in assert_loop_matches_oracle(config)}
     assert max(met) > 128
-    state, rng = init_state(config)
-    advance(state, rng, config.total_steps)
+    state = init_state(config)
+    advance(state, config.total_steps)
     filled = {s: c for s, c in enumerate(state._cdf) if c is not None}
     assert met <= set(filled) and max(filled) <= config.n_agents
     assert all(c == decision_cdf(s, config.x) for s, c in filled.items())
@@ -271,9 +273,9 @@ def test_iid_cdf_never_fragments_where_p_frg_is_zero():
 
 def test_step_events_and_invariants():
     config = small_config(total_steps=4000)
-    state, rng = init_state(config)
+    state = init_state(config)
     for i in range(config.total_steps):
-        event = step(state, rng)
+        event = step(state)
         assert event.index == i
         if event.decision in (Decision.BUY, Decision.SELL):
             assert abs(event.net_return) == event.group_size
@@ -289,22 +291,22 @@ def test_step_events_and_invariants():
 
 def test_history_tracks_return_signs():
     config = small_config(total_steps=3000)
-    state, rng = init_state(config)
+    state = init_state(config)
     history = config.initial_history
     for _ in range(config.total_steps):
-        event = step(state, rng)
+        event = step(state)
         history = update_history(history, event.net_return)
     assert state.history == history
 
 
-def test_group_vote_cache_matches_fresh_poll():
+def test_group_vote_cache_matches_fresh_poll(monkeypatch):
     """The engine's incremental tallies must equal a from-scratch poll."""
     config = small_config(total_steps=5000, n_agents=60)
     tables = assign_strategies(config.n_agents, config.memory, np.random.default_rng(8))
-    state = SimState(config, tables)
-    rng = np.random.default_rng(config.seed)
+    use_tables(monkeypatch, tables)
+    state = SimState(config)
     for _ in range(config.total_steps):
-        step(state, rng)
+        step(state)
     part = state.partition
     for g in list(part.group_ids()):
         members = part.members(g)
@@ -321,7 +323,7 @@ def test_group_vote_cache_matches_fresh_poll():
 
 
 @pytest.mark.parametrize("memory", [1, 4])
-def test_packed_tallies_do_not_carry_at_a_full_field(memory):
+def test_packed_tallies_do_not_carry_at_a_full_field(memory, monkeypatch):
     """At N = 256 a count of every agent needs a ninth bit: one group of all
     agents, all buying at history 0 and all waiting at the last history."""
     n = 256
@@ -330,7 +332,8 @@ def test_packed_tallies_do_not_carry_at_a_full_field(memory):
     rng = np.random.default_rng(memory)
     tables = np.array([(0, *rng.integers(0, 3, 2**memory - 2).tolist(), 2) for _ in range(n)],
                       dtype=np.uint8)
-    state = SimState(config, tables)
+    use_tables(monkeypatch, tables)
+    state = SimState(config)
     part = state.partition
     # two halves grown one singleton at a time, then one tally-plus-tally merge
     for first, last in ((0, n // 2), (n // 2, n)):
@@ -348,13 +351,13 @@ def test_packed_tallies_do_not_carry_at_a_full_field(memory):
     part.check_invariants()
 
     returns = np.zeros(1, dtype=np.int64)
-    advance(state, np.random.default_rng(0), 1, returns)
+    advance(state, 1, returns)
     assert state.decision_counts == [1, 0, 0, 0]
     assert returns[0] == n
 
 
 @pytest.mark.parametrize("memory", [1, 2, 3])
-def test_table_rows_and_packed_rows_are_shared(memory):
+def test_table_rows_and_packed_rows_are_shared(memory, monkeypatch):
     """Up to memory 3 every agent's row and packed row points to one of at
     most 3**(2**memory) shared objects, each equal to the agent's own: at
     N = 20000 a list of one object per agent would fail at every memory."""
@@ -362,7 +365,8 @@ def test_table_rows_and_packed_rows_are_shared(memory):
     config = SimConfig(n_agents=n, x=0.41, total_steps=10, memory=memory,
                        initial_history=(0,) * memory)
     tables = assign_strategies(n, memory, np.random.default_rng(memory))
-    state = SimState(config, tables)
+    use_tables(monkeypatch, tables)
+    state = SimState(config)
     distinct = 3 ** (2**memory)
     assert len(set(map(id, state._rows))) <= distinct
     assert len(set(map(id, state._single))) <= distinct
@@ -380,7 +384,7 @@ def test_iid_state_draws_no_tables(monkeypatch):
         raise AssertionError("an iid run drew strategy tables")
 
     monkeypatch.setattr(engine, "assign_strategies", no_draw)
-    state, _ = init_state(small_config(vote_mode=VoteMode.IID_UNIFORM))
+    state = init_state(small_config(vote_mode=VoteMode.IID_UNIFORM))
     assert state._rows is None and state._single is None
     assert len(state._cdf) == state.config.n_agents + 1
 
@@ -392,16 +396,33 @@ def test_state_reads_its_mode_from_the_config():
     assert set(ez._cdf) == {(0.1, 0.2, 1.0)}
     iid = SimState(small_config(vote_mode=VoteMode.IID_UNIFORM, initial_history=(0, 1)))
     assert iid.history == (0, 1) and iid._rows is None and iid._cdf == [None] * 41
-    with pytest.raises(ValueError, match="tables"):
-        SimState(small_config())
+    polled = SimState(small_config())
+    assert polled.history == (1, 1) and polled._cdf is None and len(polled._rows) == 40
+
+
+def test_state_seeds_its_streams_from_the_config():
+    """A voting-model seed spawns (tables, dynamics) streams, the tables
+    drawn only in strategy mode; an E-Z seed seeds `default_rng`."""
+    config = small_config()
+    tables_seq, dynamics_seq = np.random.SeedSequence(config.seed).spawn(2)
+    tables = assign_strategies(config.n_agents, config.memory,
+                               np.random.Generator(np.random.PCG64(tables_seq)))
+    dynamics = np.random.Generator(np.random.PCG64(dynamics_seq)).bit_generator.state
+    polled = SimState(config)
+    assert polled._rows == [bytes(row) for row in tables]
+    assert polled._rng.bit_generator.state == dynamics
+    iid = SimState(small_config(vote_mode=VoteMode.IID_UNIFORM))
+    assert iid._rng.bit_generator.state == dynamics
+    ez = SimState(EzConfig(n_agents=10, a=0.2, total_steps=100, seed=3))
+    assert ez._rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
 
 
 def test_strategy_state_holds_no_size_cdfs():
     """Strategy votes never read a decision CDF, so the state keeps no
     per-size list for them (N + 1 pointers, 8 MB at N = 2^20)."""
-    state, rng = init_state(small_config(vote_mode=VoteMode.STRATEGY_DRIVEN))
+    state = init_state(small_config(vote_mode=VoteMode.STRATEGY_DRIVEN))
     assert state._cdf is None
-    advance(state, rng, 5_000)
+    advance(state, 5_000)
     assert state._cdf is None
 
 
@@ -410,10 +431,10 @@ def test_conditional_decision_frequencies_iid():
         n_agents=100, x=0.41, total_steps=250_000, equilibration_steps=0,
         vote_mode=VoteMode.IID_UNIFORM, seed=424242,
     )
-    state, rng = init_state(config)
+    state = init_state(config)
     by_size = defaultdict(Counter)
     for _ in range(config.total_steps):
-        event = step(state, rng)
+        event = step(state)
         by_size[event.group_size][event.decision] += 1
     checked = 0
     for size, counter in by_size.items():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from herdvote.engine import advance
-from herdvote.ez import EzConfig, ez_run, ez_step, init_ez_state
+from herdvote.engine import SimState, advance
+from herdvote.ez import EzConfig, ez_run, ez_step
 from herdvote.voting import Decision
 
 
@@ -41,10 +41,10 @@ def test_run_is_deterministic():
 
 
 def test_step_conserves_agents():
-    state, rng = init_ez_state(EzConfig(n_agents=50, a=0.1, total_steps=5000, seed=4))
+    state = SimState(EzConfig(n_agents=50, a=0.1, total_steps=5000, seed=4))
     part = state.partition
     for i in range(5000):
-        event = ez_step(state, rng)
+        event = ez_step(state)
         assert event.index == i
         if event.decision in (Decision.BUY, Decision.SELL):
             assert abs(event.net_return) == event.group_size
@@ -59,8 +59,8 @@ def test_step_conserves_agents():
 def test_fused_loop_matches_step_oracle(n_agents, a):
     """`ez_run`'s loop reproduces a loop of `ez_step` byte for byte."""
     config = EzConfig(n_agents=n_agents, a=a, total_steps=30_000, seed=4)
-    oracle, rng = init_ez_state(config)
-    expected = np.array([ez_step(oracle, rng).net_return
+    oracle = SimState(config)
+    expected = np.array([ez_step(oracle).net_return
                          for _ in range(config.total_steps)], dtype=np.int64)
     returns, summary = ez_run(config)
     assert np.array_equal(returns, expected[config.equilibration_steps:])
@@ -68,9 +68,9 @@ def test_fused_loop_matches_step_oracle(n_agents, a):
     assert summary.final_size_histogram == oracle.partition.size_histogram()
 
     # driven in uneven chunks, the loop leaves the very same state
-    fused, rng = init_ez_state(config)
+    fused = SimState(config)
     for chunk in (1, 16, 4999, 10_000, 14_984):
-        advance(fused, rng, chunk)
+        advance(fused, chunk)
     assert fused.partition._group_of == oracle.partition._group_of
     assert list(fused.partition._members.items()) == list(oracle.partition._members.items())
     assert_same_sizes(fused.partition, oracle.partition)
@@ -85,7 +85,7 @@ class TailRunStream:
     draws that same agent as the other one, again and again, so the
     rejection loop runs into the end of the block and refills there.  A
     generator's own stream would need some 15 self-picks in a row at the
-    end of a block for that.
+    end of a block for that.  A test installs it as a state's `_rng`.
     """
 
     def __init__(self, seed, value):
@@ -104,14 +104,15 @@ class TailRunStream:
 def test_fused_loop_matches_oracle_across_blocks_and_both_refill_sites(step_counting_refills):
     config = EzConfig(n_agents=80, a=0.05, total_steps=120_000, equilibration_steps=0, seed=4)
     n = config.total_steps
-    oracle, _ = init_ez_state(config)
-    expected, at_start, in_rejections = step_counting_refills(
-        ez_step, oracle, TailRunStream(config.seed, 0.5), n)
+    oracle = SimState(config)
+    oracle._rng = TailRunStream(config.seed, 0.5)
+    expected, at_start, in_rejections = step_counting_refills(ez_step, oracle, n)
     assert at_start >= 3 and in_rejections >= 2
 
-    fused, _ = init_ez_state(config)
+    fused = SimState(config)
+    fused._rng = TailRunStream(config.seed, 0.5)
     returns = np.zeros(n, dtype=np.int64)
-    advance(fused, TailRunStream(config.seed, 0.5), n, returns)
+    advance(fused, n, returns)
     assert np.array_equal(returns, expected)
     assert fused.decision_counts == oracle.decision_counts
     assert list(fused.partition._members.items()) == list(oracle.partition._members.items())

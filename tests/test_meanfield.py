@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from herdvote import config, meanfield
+from herdvote.config import VoteMode
 from herdvote.engine import SimConfig, advance, init_state
 from herdvote.meanfield import (
     GroupSizeDistribution,
@@ -15,7 +16,6 @@ from herdvote.meanfield import (
     stationary_oracle,
     write_distribution,
 )
-from herdvote.strategy import VoteMode
 from herdvote.voting import decision_probabilities
 from oracles import damped_stationary
 
@@ -302,12 +302,12 @@ def test_oracle_matches_direct_simulation():
         n_agents=n_agents, x=x, total_steps=400_000, equilibration_steps=20_000,
         vote_mode=VoteMode.IID_UNIFORM, seed=90210,
     )
-    state, rng = init_state(config)
+    state = init_state(config)
     acc = np.zeros(n_agents + 1)
     samples = 0
     # sample after every step i >= equilibration_steps with i % 20 == 0
     for end in range(config.equilibration_steps + 1, config.total_steps + 1, 20):
-        advance(state, rng, end - state.step_index)
+        advance(state, end - state.step_index)
         for size, count in state.partition.size_histogram().items():
             acc[size] += count
         samples += 1

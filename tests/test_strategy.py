@@ -4,17 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from herdvote import strategy
-from herdvote.strategy import (
-    BUY,
-    SELL,
-    WAIT,
-    VoteMode,
-    assign_strategies,
-    history_index,
-    poll_group,
-    update_history,
-)
+from herdvote import engine
+from herdvote.config import VoteMode
+from herdvote.engine import assign_strategies, history_index, update_history
+from oracles import BUY, SELL, WAIT, poll_group
 
 CONSTANT_BUY = np.full((1, 4), BUY, dtype=np.uint8)
 
@@ -50,7 +43,7 @@ def test_assign_strategies_matches_per_agent_draws(memory, monkeypatch):
     tables = assign_strategies(n, memory, rngs[0])
     one_draw = rngs[1].integers(0, 3, size=(n, 2**memory))
     per_agent = [rngs[2].integers(0, 3, size=2**memory) for _ in range(n)]
-    monkeypatch.setattr(strategy, "_DRAW_CHUNK", 24)  # many chunks, the last one short
+    monkeypatch.setattr(engine, "_DRAW_CHUNK", 24)  # many chunks, the last one short
     small_chunks = assign_strategies(n, memory, rngs[3])
     assert one_draw.dtype == np.int64
     assert tables.dtype == np.uint8 and tables.flags.c_contiguous

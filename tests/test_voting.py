@@ -14,6 +14,7 @@ from herdvote import voting
 from herdvote.voting import (
     Decision,
     VoteTally,
+    consensus_options,
     consensus_probability,
     consensus_threshold,
     decide,
@@ -127,6 +128,27 @@ def test_decide_buy_sell_relabel_symmetry():
         assert d2 == swap[d1]
         checked += 1
     assert checked > 300
+
+
+def test_consensus_options_are_the_tied_maximum_that_clears_the_threshold():
+    assert consensus_options((3, 1, 1), 0.40) == (0,)
+    assert consensus_options((1, 1, 3), 0.40) == (2,)
+    assert consensus_options((2, 2, 0), 0.40) == (0, 1)
+    assert consensus_options((2, 2, 2), 0.30) == (0, 1, 2)
+    assert consensus_options((1, 1, 1), 0.40) == ()
+
+
+def test_tallies_with_no_option_weigh_the_fragmentation_count():
+    """The fragment condition, stated twice: over every tally of s <= 12
+    votes, the multinomial weight of the tallies with no option equals the
+    count of the 3^s vote assignments that fragment, at each x of the
+    `validate` grid."""
+    for x in X_GRID:
+        for s in range(1, 13):
+            weight = sum(math.comb(s, b) * math.comb(s - b, sc)
+                         for b in range(s + 1) for sc in range(s + 1 - b)
+                         if consensus_options((b, sc, s - b - sc), x) == ())
+            assert weight == voting.fragmentation_count(s, x), (s, x)
 
 
 # -- fragmentation probability -------------------------------------------------
