@@ -418,8 +418,9 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
     Step i (counted from the start of the run) writes a nonzero return to
     `returns[i - e]` when i >= e, the config's `equilibration_steps`;
     entries of no-trade steps are left as they are.  `returns` is a
-    writable int64 array, written through a memoryview; without it nothing
-    is recorded.
+    writable 1-D int64 array, written through a memoryview; without it
+    nothing is recorded.  A `returns` of another kind, or one too short for
+    the steps this call records, raises ValueError before the first step.
     The loop can be driven in chunks: consecutive calls continue the same
     run, with the same results as one call.  Every 10^4 steps it checks, in
     O(groups), that the singletons and the member lists still cover every
@@ -476,6 +477,15 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
     else:
         first_recorded = config.equilibration_steps
         returns = memoryview(returns)
+        # checked before any step: the loop cannot stop partway and leave the
+        # partition moved on but `step_index` and the stream cursor behind
+        if (returns.readonly or returns.ndim != 1 or returns.format not in ("l", "q")
+                or returns.itemsize != 8):
+            raise ValueError("returns must be a writable 1-D array of 8-byte integers, "
+                             f"got format {returns.format!r} with shape {returns.shape}")
+        if len(returns) < stop - first_recorded:
+            raise ValueError(f"returns holds {len(returns)} entries, and steps "
+                             f"{first_recorded}..{stop - 1} need {stop - first_recorded}")
 
     # the loop builds only lists that cannot form a cycle, and reference
     # counting frees them; the cyclic collector would only rescan the partition

@@ -31,19 +31,22 @@ and the balance takes the familiar coagulation-fragmentation form
 The finite-N form (the first display) is written once, in `_flows`, as an
 inflow to each size and an outflow rate per group, so that the balance at
 size s reads inflow_s - rate_s n_s; `balance_residual` and
-`solve_stationary` both evaluate it there.  These are deterministic rate
-equations for the *average* occupation numbers: products of averages stand
-in for averages of products, so correlations and fluctuations are not
-captured.  Fragmentation makes those fluctuations violent (one event
-converts a group of size s into s singletons at once), and at small N the
-fixed point can differ from the
-exact chain's stationary marginals by tens of percent.  `stationary_oracle`
-computes those exact marginals for tiny N by enumerating all integer
-partitions of N as Markov states; use it to quantify the gap.
+`solve_stationary` both evaluate it there, on the occupied sizes 1..S
+only, with the rates of those sizes from `_size_rates`.  These are
+deterministic rate equations for the *average* occupation numbers:
+products of averages stand in for averages of products, so correlations
+and fluctuations are not captured.  Fragmentation makes those fluctuations
+violent (one event converts a group of size s into s singletons at once),
+and at small N the fixed point can differ from the exact chain's
+stationary marginals by tens of percent.  `stationary_oracle` computes
+those exact marginals for tiny N by enumerating all integer partitions of
+N as Markov states; use it to quantify the gap.
 
 One special case is handled exactly: when p_frg(N) = 0 the single
 whole-population group can never break apart, every trajectory eventually
-coagulates into it, and the stationary state is one group of size N.
+coagulates into it, and the stationary state is one group of size N.  That
+group has nobody to join either, so every flow is exactly 0: the solver
+returns the state with residual 0.0 and evaluates no flow or rate.
 
 The solver starts from N singletons and moves every n_s at once halfway to
 the count that balances its inflow against its outflow,
@@ -94,13 +97,6 @@ class GroupSizeDistribution:
         if np.any(self.counts < 0):
             raise ValueError("group counts must be nonnegative")
 
-    def mass(self) -> float:
-        """Total agents accounted for: sum over s of s * n_s."""
-        return float(np.arange(self.n_agents + 1) @ self.counts)
-
-    def n_s(self, size: int) -> float:
-        return float(self.counts[size])
-
 
 @dataclass
 class SolverReport:
@@ -114,12 +110,6 @@ def _size_rates(sizes, x) -> tuple[np.ndarray, np.ndarray]:
     """p_frg and p_merge of each size in the array `sizes`, from one table."""
     p_frg, consensus = probability_table(sizes, x)
     return p_frg, consensus / 3.0
-
-
-def _rates(n_agents: int, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """p_frg and p_merge indexed by size 0..N (entry 0 zero), from one table."""
-    p_frg, p_merge = _size_rates(np.arange(1, n_agents + 1), x)
-    return np.r_[0.0, p_frg], np.r_[0.0, p_merge]
 
 
 def _flows(n: np.ndarray, p_frg: np.ndarray, p_merge: np.ndarray,
@@ -164,10 +154,21 @@ def balance_residual(dist: GroupSizeDistribution, x) -> np.ndarray:
     Flows move agents between sizes but never create or destroy them, so
     sum_s s * residual[s] == 0 holds for any input counts, normalised or not.
     Returned array is indexed like `dist.counts` (entry 0 unused).
+
+    The flows are evaluated on the occupied sizes 1..S only, S being the
+    largest size with a nonzero count (at least 1), in O(S^2) whatever N
+    is; no merge reaches past min(2S, N), and every entry above is 0.
     """
-    n = np.asarray(dist.counts, dtype=float)
-    inflow, rate = _flows(n, *_rates(dist.n_agents, float(x)), dist.n_agents)
-    return inflow - rate * n
+    N = dist.n_agents
+    counts = np.asarray(dist.counts, dtype=float)
+    S = max(int(np.flatnonzero(counts).max(initial=0)), 1)
+    n = counts[: S + 1]
+    p_frg, p_merge = (np.r_[0.0, r] for r in _size_rates(np.arange(1, S + 1), float(x)))
+    inflow, rate = _flows(n, p_frg, p_merge, N)
+    residual = np.zeros(N + 1)
+    residual[: len(inflow)] = inflow
+    residual[: S + 1] -= rate * n
+    return residual
 
 
 def solve_stationary(
@@ -199,11 +200,10 @@ def solve_stationary(
     if 3 * (math.ceil(x * N) - 1) < N:
         # No split of N votes keeps every option below x N, so p_frg(N) = 0:
         # the whole-population group cannot fragment and absorbs everything.
+        # Alone, it has nobody to join either, so every flow is exactly 0.
         counts = np.zeros(N + 1)
         counts[N] = 1.0
-        dist = GroupSizeDistribution(N, counts)
-        residual = float(np.max(np.abs(balance_residual(dist, x))))
-        return dist, SolverReport(iterations=0, residual=residual, converged=True, support=N)
+        return GroupSizeDistribution(N, counts), SolverReport(0, 0.0, True, N)
 
     return _solve(N, lambda sizes: _size_rates(sizes, x), tolerance, max_iterations)
 

@@ -10,7 +10,7 @@ import numpy as np
 from herdvote.analysis import MIN_TAIL, TailFit
 from herdvote.config import VoteMode
 from herdvote.engine import history_index
-from herdvote.meanfield import GroupSizeDistribution, SolverReport, _flows, _rates
+from herdvote.meanfield import GroupSizeDistribution, SolverReport, _flows, _size_rates
 from herdvote.voting import VoteTally
 
 
@@ -25,7 +25,7 @@ def damped_stationary(n_agents: int, x: float, tolerance: float = 1e-10,
     fixed point to reach.
     """
     N = int(n_agents)
-    p_frg, p_merge = _rates(N, float(x))
+    p_frg, p_merge = (np.r_[0.0, r] for r in _size_rates(np.arange(1, N + 1), float(x)))
     n = np.zeros(N + 1)
     n[1] = float(N)
     sizes = np.arange(N + 1, dtype=float)

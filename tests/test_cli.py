@@ -620,7 +620,6 @@ def test_population_over_the_agent_limit_is_config_error(tmp_path, capsys, monke
     arrays are allocated: one error line, exit 3, nothing written."""
     monkeypatch.setattr(engine, "run", lambda *_: pytest.fail("simulated"))
     monkeypatch.setattr(cli, "ez_run", lambda *_: pytest.fail("simulated"))
-    monkeypatch.setattr(meanfield, "_rates", lambda *_: pytest.fail("allocated the solver"))
     monkeypatch.setattr(meanfield, "_size_rates", lambda *_: pytest.fail("allocated the solver"))
     argv = {
         "run": tiny_run_args(tmp_path / "runs", extra=["--set", f"n_agents={2**24 + 1}"]),

@@ -242,6 +242,36 @@ def test_advance_turns_gc_off_and_restores_it(monkeypatch):
     assert gc.isenabled()
 
 
+def state_fields(state):
+    part = state.partition
+    return (state.step_index, state.history, state.decision_counts, list(part._group_of),
+            list(part._size), dict(part._members), part._n_single, state._group_votes,
+            state._cdf, state._upos, list(state._ubuf), state._rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("returns", [
+    np.zeros(5, dtype=np.int64),  # too short for the 1000 - 100 recorded steps
+    np.zeros(900, dtype=np.int32),
+    np.zeros(900, dtype=np.float64),
+    np.zeros((900, 1), dtype=np.int64),
+    np.zeros(900, dtype=np.uint64),
+    np.broadcast_to(np.int64(0), 900),  # read-only
+])
+def test_advance_checks_returns_before_the_first_step(returns):
+    """A `returns` the loop cannot fill is refused before any step: the state
+    stays as built, and a valid call then gives the fresh run's returns."""
+    config = SimConfig(n_agents=50, x=0.41, total_steps=1000, seed=3,
+                       vote_mode=VoteMode.IID_UNIFORM)
+    state, fresh = init_state(config), init_state(config)
+    with pytest.raises(ValueError, match="returns"):
+        advance(state, config.total_steps, returns)
+    assert state_fields(state) == state_fields(fresh)
+    expected, _ = run(config)
+    recorded = np.zeros_like(expected)
+    advance(state, config.total_steps, recorded)
+    assert np.array_equal(recorded, expected)
+
+
 def test_iid_cdfs_filled_in_table_passes_equal_the_scalar_lookups():
     """Above size 64 the loop fills the decision CDF of a new size, and of
     every unfilled size up to twice it, in one `probability_table` pass.  At

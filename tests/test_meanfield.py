@@ -8,8 +8,9 @@ from herdvote.config import VoteMode
 from herdvote.engine import SimConfig, advance, init_state
 from herdvote.meanfield import (
     GroupSizeDistribution,
+    SolverReport,
     _flows,
-    _rates,
+    _size_rates,
     _solve,
     balance_residual,
     solve_stationary,
@@ -80,11 +81,31 @@ def test_residual_matches_term_by_term_balance():
 
 def test_rate_table_equals_the_decision_probabilities():
     for x in (0.34, 0.41, 0.47):
-        p_frg, p_merge = _rates(300, x)
-        assert p_frg[0] == p_merge[0] == 0.0
+        p_frg, p_merge = _size_rates(np.arange(1, 301), x)
         probs = [decision_probabilities(s, x) for s in range(1, 301)]
-        assert p_frg[1:].tolist() == [p.fragment for p in probs]
-        assert p_merge[1:].tolist() == [p.merge for p in probs]
+        assert p_frg.tolist() == [p.fragment for p in probs]
+        assert p_merge.tolist() == [p.merge for p in probs]
+
+
+def test_residual_evaluates_only_the_occupied_sizes(monkeypatch):
+    """Work bound: at N = 10^5 the rates are taken for the support S = 256
+    only, and every flow above min(2S, N) is exactly 0."""
+    n_agents, support = 100_000, 256
+    counts = np.zeros(n_agents + 1)
+    counts[1:support + 1] = np.geomspace(1e3, 1e-6, support)
+    seen = []
+
+    def spy(sizes, x):
+        seen.append(len(sizes))
+        return _size_rates(sizes, x)
+
+    monkeypatch.setattr(meanfield, "_size_rates", spy)
+    residual = balance_residual(GroupSizeDistribution(n_agents, counts), 0.41)
+    assert seen and max(seen) <= support
+    assert residual.shape == (n_agents + 1,)
+    assert np.all(residual[2 * support + 1:] == 0.0)
+    assert np.any(residual[support + 1:2 * support + 1] != 0.0)
+    assert abs(float(np.arange(n_agents + 1) @ residual)) < 1e-6
 
 
 def test_residual_of_all_singletons():
@@ -166,6 +187,29 @@ def test_solver_coagulation_shortcut():
 # PR 3's grid: every (N, x) pair with p_frg(N) > 0 is solved by both solvers.
 GRID_N = (3, 4, 5, 6, 7, 8, 10, 17, 50, 100, 200)
 GRID_X = (0.336, 0.34, 0.345, 0.35, 0.36, 0.41, 0.47, 0.6, 0.95)
+
+
+def test_one_group_state_has_zero_residual():
+    """The coagulation shortcut states its residual as 0.0: wherever p_frg(N)
+    = 0, every flow of the one-group distribution is exactly 0."""
+    for n_agents in range(2, 301):
+        for x in GRID_X:
+            if decision_probabilities(n_agents, x).fragment != 0.0:
+                continue
+            dist, report = solve_stationary(n_agents, x)
+            assert report == SolverReport(0, 0.0, True, n_agents)
+            assert np.all(balance_residual(dist, x) == 0.0), (n_agents, x)
+
+
+def test_one_group_solve_builds_no_rate_table(monkeypatch):
+    """At N = 150001 near x = 1/3 the one-group state is returned without
+    evaluating a flow or a rate."""
+    monkeypatch.setattr(meanfield, "_flows", lambda *_: pytest.fail("evaluated the flows"))
+    monkeypatch.setattr(meanfield, "_size_rates", lambda *_: pytest.fail("built a rate table"))
+    n_agents = 150_001
+    dist, report = solve_stationary(n_agents, 50_000.9 / n_agents)
+    assert report == SolverReport(0, 0.0, True, n_agents)
+    assert dist.counts[n_agents] == 1.0 and weighted_mass(dist) == n_agents
 
 
 def test_solver_matches_the_damped_sweep_on_the_grid():
