@@ -17,7 +17,6 @@ import numpy as np
 
 from herdvote import (
     VoteTally,
-    consensus_threshold,
     decide,
     enumerate_fragmentation_probability,
     fragmentation_probability,
@@ -28,7 +27,7 @@ rng = np.random.default_rng(0)
 
 print("=== the decision rule ===")
 for tally, x in [((3, 1, 1), 0.40), ((1, 1, 1), 0.40), ((1, 1, 3), 0.40), ((2, 2, 0), 0.40)]:
-    t = consensus_threshold(sum(tally), x)
+    t = x * sum(tally)  # T is never rounded
     outcome = decide(VoteTally(*tally), x, rng)
     print(f"  votes (buy, sell, wait) = {tally}, threshold {t:.2f}  ->  {outcome.name}")
 print("  (the last tally is a tie: rerunning it flips between BUY and SELL)")

@@ -46,7 +46,7 @@ _EXPORTS = {  # submodule -> the public names it defines
     ),
     "voting": (
         "Decision", "DecisionProbabilities", "VoteTally",
-        "consensus_probability", "consensus_threshold", "decide", "decision_probabilities",
+        "consensus_probability", "decide", "decision_probabilities",
         "enumerate_fragmentation_probability", "fragmentation_probability",
     ),
 }

@@ -66,7 +66,6 @@ def main(args) -> int:
     for run_dir in args.run_dirs:
         run_dirs.setdefault(os.path.realpath(run_dir), run_dir)
     histograms = {}  # one row of the summary per run directory
-    cutoffs = []  # the cutoff of each directory's own fit
     with publication([*(os.path.join(run_dir, "analysis", name) for run_dir in run_dirs.values()
                         for name in ("ccdf.csv", "pdf.csv", "fit.csv")), args.out]) as stage:
         for run_dir in run_dirs.values():
@@ -77,7 +76,6 @@ def main(args) -> int:
             param = config["x"] if config["model"] == "main" else f"ez a={config['ez_a']}"
             try:
                 fit = analysis.fit_power_law(hist, args.r_min)
-                cutoffs.append(fit.r_min)
                 fit_row = (param, fit.alpha_density, fit.alpha_cumulative,
                            fit.r_min, fit.stderr, fit.n_tail)
             except ValueError:
@@ -99,15 +97,16 @@ def main(args) -> int:
                 key = f"{param} {run_dir}"
             histograms[key] = hist
 
-        # the summary fits every series at one cutoff: the given one, else the
-        # largest KS-optimal cutoff found above (`cutoff_scan`'s own choice)
-        r_min = args.r_min if args.r_min is not None else max(cutoffs, default=None)
-        if r_min is None:
+        # the summary fits every series at one cutoff: the given one, else
+        # `cutoff_scan`'s choice, the largest of their KS-optimal cutoffs
+        try:
+            rows = analysis.cutoff_scan(histograms, r_min=args.r_min,
+                                        tail_threshold=args.tail_threshold)
+        except ValueError:
             raise ConfigError(
                 f"no run has enough trades for a tail fit (every cutoff leaves fewer than "
                 f"{analysis.MIN_TAIL} tail points); pass --r-min to fit every run at a fixed "
-                f"cutoff")
-        rows = analysis.cutoff_scan(histograms, r_min=r_min, tail_threshold=args.tail_threshold)
+                f"cutoff") from None
         stage(args.out, lambda p: cli._write_csv(
             p,
             ("x", "alpha_density", "alpha_cumulative", "r_min", "stderr", "n_tail",

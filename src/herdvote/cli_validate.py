@@ -45,7 +45,7 @@ def validation_checks() -> list:
     worst = 0.0
     for s in (100, 1000, 10000):
         for x in (0.34, 0.35, 0.37, 0.41):
-            if 3 * (math.ceil(x * s) - 1) >= s:
+            if voting.can_fragment(s, x):
                 worst = max(worst, abs(sum(voting.summed_both_ways(s, x)) - 1.0))
     results.append((
         "fragmentation and consensus, each summed directly, sum to one (s>64)",

@@ -7,8 +7,8 @@ wait.  All agents see the same shared history, so agents holding
 identical table entries act identically: the "crowd" effect of common
 information.  The tables of a population are one C-contiguous uint8 array
 of shape (n_agents, 2^m), drawn by `assign_strategies`: row a is agent a's
-table, column `history_index(h)` its action at history h.  A state reads
-them into its packed tallies and keeps no other copy.
+table, column `history_index(h)` its action at history h.  A state keeps
+them as rows and packed rows (`_tally_packer`) and no other copy.
 
 Each time step:
 
@@ -32,18 +32,20 @@ across agents, so a single strategy poll is distributed as an iid one; the
 two vote modes differ only in correlations across time.
 
 `advance` runs the steps in one fused loop that keeps its state in locals,
-fills the iid decision CDFs from `voting` as sizes first occur and applies
-merges and fragments to the partition's flat size list and member lists
-inline; the cyclic garbage collector is off while it runs.  Only an iid
-state loads `voting`: a strategy or E-Z run never imports it.  `run`
-drives the loop over a whole config of either model.  The E-Z baseline
-(`ez`) runs on the same loop: a state built from an `EzConfig` draws its
-decisions from the constant (a/2, a/2, 1-a), a trading group disperses,
-and a merge joins the group of any agent but the picked one (nothing
-happens when that agent is in the same group).  `step` is the same update,
-for all three models, one call at a time through `Partition.merge` and
-`Partition.fragment`: it is the one reference that tests compare the loop
-against byte for byte (`ez.ez_step` is another name for it), not
+fills the iid decision CDFs from `voting` as sizes first occur, keeps each
+strategy group's votes in one packed tally and applies merges and
+fragments to the partition's flat size list and member lists inline; the
+cyclic garbage collector is off while it runs.  Only an iid state loads
+`voting`: a strategy or E-Z run never imports it.  `run` drives the loop
+over a whole config of either model.  The E-Z baseline (`ez`) runs on the
+same loop: a state built from an `EzConfig` draws its decisions from the
+constant (a/2, a/2, 1-a), a trading group disperses, and a merge joins
+the group of any agent but the picked one (nothing happens when that
+agent is in the same group).  `step` is the same update, for all three
+models, one call at a time: it polls each member's table entry, reads no
+packed tally, and merges and fragments through `Partition.merge` and
+`Partition.fragment` alone.  It is the one reference that tests compare
+the loop against byte for byte (`ez.ez_step` is another name for it), not
 production code.
 
 A run is fully determined by its config: `SimState(config)` seeds the
@@ -168,17 +170,18 @@ class SimState:
     run on `PCG64` over the second child.  An `EzConfig`'s dynamics are
     `numpy.random.default_rng(seed)`.  The dynamics generator is `_rng`.
 
-    In strategy mode every group of two or more agents keeps its vote
-    tally packed into one int: for each history h and option o (buy 0,
-    sell 1, wait 2) the count of members voting o at h sits in the
-    `_width`-bit field number 3h + o.  No count exceeds the population,
-    so fields never carry into each other, and the tally of a merged group
-    is the sum of the two tallies.  A singleton's tally is `_single[agent]`,
-    its packed table row, and `_rows[agent]` is that row as bytes (see
-    `_tally_packer`).  The tallies are keyed like
-    the partition's member lists: by the handle of each group of two or
-    more.  A singleton has neither, only its size entry 1 in the
-    partition's flat `_size` (see `population`).
+    In strategy mode `_rows[agent]` is the agent's table row as bytes and
+    `_single[agent]` the same row packed into one int: for each history h
+    and option o (buy 0, sell 1, wait 2) the count of votes for o at h
+    sits in the `_width`-bit field number 3h + o (see `_tally_packer`).
+    No count exceeds the population, so fields never carry into each
+    other, and a group's packed tally is the sum of its members' packed
+    rows.  `_group_votes` holds the packed tally of each group of two or
+    more, keyed like the partition's member lists by the group's handle; a
+    singleton's tally is its packed row.  Only `advance` reads or keeps
+    these tallies: it builds them from the partition when it finds None,
+    which a fresh state holds and `step` sets, and keeps them between its
+    calls.  An iid or E-Z state always holds None.
 
     `_ubuf` is the current block of uniforms drawn from `_rng` and
     `_upicks` the agent picks decoded from that same block (`_draw_block`
@@ -217,14 +220,14 @@ class SimState:
         self.history = () if ez else config.initial_history
         self.step_index = 0
         self.decision_counts = [0, 0, 0, 0]  # indexed by Decision
-        # per-size decision CDFs of drawn decisions: E-Z's one constant, the
-        # iid ones filled by `advance` (`voting.fill_cdfs`)
-        self._cdf = None if polled else [(config.a / 2, config.a, 1.0) if ez else None] * (n + 1)
+        # the iid decision CDF of each size, filled by `advance` (`voting.fill_cdfs`)
+        self._cdf = None
         if not polled and not ez:
             from . import voting  # noqa: F401  (an iid state's set-up loads its CDFs' layer)
-        # per-agent table rows and per-group packed tallies (strategy mode)
+            self._cdf = [None] * (n + 1)
+        # per-agent table rows (strategy mode); the packed tallies are `advance`'s
         self._width, self._rows, self._single = 0, None, None
-        self._group_votes: dict = {}
+        self._group_votes = None
         if ez:
             self._rng = np.random.default_rng(config.seed)
         else:
@@ -236,17 +239,6 @@ class SimState:
             self._rng = np.random.Generator(np.random.PCG64(dynamics_seq))
         self._ubuf = self._upicks = ()  # no block drawn yet
         self._upos = 0
-
-    def group_vote_matrix(self, group: int):
-        """Per-history [buy, sell, wait] counts of a group of size >= 2
-        (strategy mode only); None for a singleton."""
-        tally = self._group_votes.get(group)
-        if tally is None:
-            return None
-        w = self._width
-        fmask = (1 << w) - 1
-        fields = [(tally >> (f * w)) & fmask for f in range(3 << len(self.history))]
-        return [fields[f:f + 3] for f in range(0, len(fields), 3)]
 
 
 def _tally_packer(tables: np.ndarray):
@@ -321,13 +313,15 @@ def step(state: SimState) -> StepEvent:
 
     Reference oracle for tests, not production code: `run` (`ez.ez_run`)
     never calls it.  It states the update of `advance` one step at a time,
-    through `Partition.merge` and `Partition.fragment`, and consumes the
-    state's dynamics stream in the same order, so a loop of `step` calls
-    reproduces `advance` byte for byte.  It reads none of the loop's
-    tables: an E-Z decision is drawn from (a/2, a, 1.0) built from
-    `config.a`, an iid one from `voting.decision_cdf`, and strategy votes
-    are polled at the index of `state.history` and classified by
-    `voting.consensus_options`.
+    merging and fragmenting through `Partition.merge` and
+    `Partition.fragment` alone, and consumes the state's dynamics stream in
+    the same order, so a loop of `step` calls reproduces `advance` byte for
+    byte.  It reads none of the loop's CDFs or packed tallies: an E-Z
+    decision is drawn from (a/2, a, 1.0) built from `config.a`, an iid one
+    from `voting.decision_cdf`, and a strategy group counts each member's
+    table entry at the index of `state.history` and classifies the tally
+    by `voting.consensus_options`.  It leaves `_group_votes` None, so the
+    next `advance` rebuilds the tallies from the partition.
     """
     from .voting import Decision, consensus_options, decision_cdf
 
@@ -355,17 +349,12 @@ def step(state: SimState) -> StepEvent:
         pos += 1
         decision = 0 if u < c_buy else 1 if u < c_sell else 2 if u < c_merge else 3
     else:
-        # poll
+        # poll every member at the current history
         h = history_index(state.history)
-        if s == 1:
-            v = state._rows[agent][h]
-            b = 1 if v == 0 else 0
-            sc = 1 if v == 1 else 0
-            w = 1 if v == 2 else 0
-        else:
-            b, sc, w = state.group_vote_matrix(g)[h]
-
-        tied = consensus_options((b, sc, w), config.x)
+        tally = [0, 0, 0]
+        for a in part.members(g):
+            tally[state._rows[a][h]] += 1
+        tied = consensus_options(tally, config.x)
         if not tied:
             decision = 3
         elif len(tied) == 1:
@@ -393,17 +382,13 @@ def step(state: SimState) -> StepEvent:
                     state._ubuf = buf
                     pos = 0
             g2 = group_of[target]
-            if g2 == g:
-                pass  # E-Z: the other agent is in the same group, nothing happens
-            elif state._rows is None:
+            if g2 != g:  # E-Z: the other agent is in the same group, nothing happens
                 part.merge(g, g2)
-            else:
-                _merge(state, g, g2)
-    elif s > 1:
-        state._group_votes.pop(g, None)
+    else:
         part.fragment(g)
 
     state._upos = pos
+    state._group_votes = None  # the partition moved under any tallies `advance` kept
     state.decision_counts[decision] += 1
     index = state.step_index
     state.step_index = index + 1
@@ -429,17 +414,25 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
     Each block of uniforms is drawn and decoded once (`_draw_block`): the
     loop reads agent and merge-target picks from the block's int picks and
     decision and tie-break uniforms from its floats, in the order `step`
-    consumes them.  In strategy mode a singleton's packed tally is the
-    state's `_single[agent]`, not packed per merge.
+    consumes them.  An iid group decides from its size's CDF in the
+    state's `_cdf`, an E-Z group from the one constant CDF bound here.
+
+    In strategy mode the loop owns the packed tallies (see `SimState`): a
+    singleton's is the state's `_single[agent]`, and a merged group's is
+    the sum of its two sides'.  When the state holds none (`_group_votes`
+    is None), this call first builds them from the partition, after its
+    argument checks: free at step 0, where there are no groups, and
+    O(agents in groups) after `step` moved the state.  Chunked calls keep
+    them.
 
     A group's size is one read of the partition's `_size`.  Merges and
     fragments update the partition in place, as `Partition.merge` and
-    `Partition.fragment` (and `_merge` in strategy mode)
-    would: a singleton joins a group without a list of its own, and a
-    fragment sends every member back to its own handle and size 1 without
-    allocating.  The cyclic garbage collector is off, for the whole
-    process, until the call returns or raises, and is turned back on only
-    if it was on before: drive the loop from one thread at a time.
+    `Partition.fragment` would: a singleton joins a group without a list
+    of its own, and a fragment sends every member back to its own handle
+    and size 1 without allocating.  The cyclic garbage collector is off,
+    for the whole process, until the call returns or raises, and is turned
+    back on only if it was on before: drive the loop from one thread at a
+    time.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
@@ -454,8 +447,9 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
     n_single = part._n_single
     rng = state._rng
     cdf = state._cdf
-    if cdf is not None and not ez:
+    if cdf is not None:
         from .voting import fill_cdfs  # an iid state has loaded it
+    constant = (config.a / 2, config.a, 1.0) if ez else None  # E-Z's one decision CDF
     rows = state._rows
     single = state._single
     votes = state._group_votes
@@ -486,6 +480,9 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
         if len(returns) < stop - first_recorded:
             raise ValueError(f"returns holds {len(returns)} entries, and steps "
                              f"{first_recorded}..{stop - 1} need {stop - first_recorded}")
+    if rows is not None and votes is None:
+        votes = state._group_votes = {g: sum(map(single.__getitem__, m))
+                                      for g, m in members.items()}
 
     # the loop builds only lists that cannot form a cycle, and reference
     # counting frees them; the cyclic collector would only rescan the partition
@@ -506,8 +503,8 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
                 s = size[g]
 
                 # decide
-                if cdf is not None:
-                    c = cdf[s]
+                if rows is None:
+                    c = constant if ez else cdf[s]
                     if c is None:
                         c = fill_cdfs(cdf, s, x)
                     u = buf[pos]
@@ -574,8 +571,8 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
                                 pos = 0
                         g2 = group_of[target]
                         if g2 != g:
-                            # `Partition.merge` (and `_merge`), inlined: the smaller
-                            # side moves, the larger group (on a tie, g) keeps its handle
+                            # `Partition.merge`, inlined, and the tallies summed: the
+                            # smaller side moves, the larger group (on a tie, g) keeps its handle
                             s2 = size[g2]
                             if rows is not None:
                                 t = ((votes.pop(g) if s > 1 else single[g])
@@ -627,15 +624,6 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
     state._upos = pos
     state.history = tuple((h >> k) & 1 for k in range(memory - 1, -1, -1))
     state.step_index = stop
-
-
-def _merge(state: SimState, g: int, g2: int) -> None:
-    """Merge two groups in strategy mode: the union's tally is the sum."""
-    part = state.partition
-    votes = state._group_votes
-    t1 = votes.pop(g) if part.size_of(g) > 1 else state._single[g]
-    t2 = votes.pop(g2) if part.size_of(g2) > 1 else state._single[g2]
-    votes[part.merge(g, g2)] = t1 + t2
 
 
 def run(config: SimConfig | EzConfig) -> tuple[np.ndarray, RunSummary]:

@@ -71,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import AGENT_LIMIT, SUPPORT_LIMIT
-from .voting import ONE_THIRD, decision_probabilities, probability_table
+from .voting import ONE_THIRD, can_fragment, decision_probabilities, probability_table
 
 _DAMPING = 0.5  # share of the balancing step taken per sweep
 _MIXED = 8  # past damped steps that Anderson mixing combines with the new one
@@ -197,7 +197,7 @@ def solve_stationary(
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
 
-    if 3 * (math.ceil(x * N) - 1) < N:
+    if not can_fragment(N, x):
         # No split of N votes keeps every option below x N, so p_frg(N) = 0:
         # the whole-population group cannot fragment and absorbs everything.
         # Alone, it has nobody to join either, so every flow is exactly 0.

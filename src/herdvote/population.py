@@ -31,7 +31,9 @@ A Partition is single-writer: mutate it from one thread only.
 The simulation loop (`engine.advance`) applies merges and fragments to these
 pieces inline, by the rules of `merge` and `fragment` below.  Those remain
 the reference: the per-step oracle `engine.step` (`ez.ez_step` is the same
-function) calls them for every model, and tests hold the loop to them.
+function) changes a partition through them alone, for every model, and
+tests hold the loop to it.  A partition holds sizes and members only: the
+strategy groups' packed vote tallies are the loop's own (`engine.SimState`).
 """
 
 from __future__ import annotations

@@ -15,7 +15,9 @@ An integer count equal to an exactly attainable T satisfies ">= T".
 `consensus_options` states the rule once for the per-step oracles: the
 options tied at a maximum that clears T, or none when the group
 fragments.  `decide` and `engine.step` break its ties, and the engine's
-fused loop restates it inline.
+fused loop restates it inline.  `can_fragment` says whether any split of
+a group's votes fragments it: the one scalar form of that test, which
+the solver, `validate` and the exact counts share.
 
 For i.i.d. uniform votes (probability 1/3 each) the outcome probabilities
 depend only on (s, x).  The fragmentation probability p_frg is a sum of
@@ -88,13 +90,6 @@ class DecisionProbabilities(NamedTuple):
     merge: float
 
 
-def consensus_threshold(size: int, x) -> float:
-    """Vote threshold T = x * size, as an exact real (no rounding)."""
-    if size < 1:
-        raise ValueError(f"group size must be >= 1, got {size}")
-    return float(x) * size
-
-
 def consensus_options(tally, x) -> tuple:
     """The options (0 buy, 1 sell, 2 wait) tied at the largest count of a
     (buy, sell, wait) tally when that count clears T = x * size, in that
@@ -131,6 +126,14 @@ def _strict_upper(threshold: float) -> int:
     return math.ceil(threshold) - 1
 
 
+def can_fragment(size: int, x) -> bool:
+    """Whether a group of `size` can fragment at x: some split of its votes
+    keeps all three counts below T = x * size.  That takes 3 ub >= size,
+    ub the largest count below T, and two or more agents (one vote always
+    clears T = x < 1)."""
+    return size >= 2 and 3 * _strict_upper(float(x) * size) >= size
+
+
 # Up to this size p_frg and consensus are ratios of exact integer counts
 # (the float division at the end is their only rounding).  Above it they
 # are sums of binomial terms, O(sqrt(s)) terms for a size s.
@@ -139,9 +142,9 @@ _EXACT_SIZE_LIMIT = 64
 
 def fragmentation_count(size: int, x) -> int:
     """How many of the 3^size vote assignments fragment: an exact integer."""
-    ub = _strict_upper(float(x) * size)  # every count must be <= ub
-    if 3 * ub < size or size == 1:
+    if not can_fragment(size, x):
         return 0
+    ub = _strict_upper(float(x) * size)  # every count must be <= ub
     total = 0
     for w in range(max(0, size - 2 * ub), min(ub, size) + 1):
         rest = size - w  # B + S = rest, each of them <= ub
@@ -318,7 +321,7 @@ def _large_size_probabilities(sizes: np.ndarray, x: float) -> tuple[np.ndarray, 
     ub = c - 1
     p_frg = np.zeros(len(sizes))
     consensus = np.ones(len(sizes))
-    possible = np.flatnonzero(3 * ub >= sizes)
+    possible = np.flatnonzero(3 * ub >= sizes)  # `can_fragment` of each size (all above 64)
     for lo in range(0, possible.size, _ROWS_PER_PASS):
         rows = possible[lo:lo + _ROWS_PER_PASS]
         s, u = sizes[rows], ub[rows]
@@ -343,7 +346,7 @@ def summed_both_ways(size: int, x) -> tuple[float, float]:
     from x = 0.45 on); the table sums p_frg only where consensus > 1/2.
     """
     ub = _strict_upper(float(x) * size)
-    if size <= _EXACT_SIZE_LIMIT or not size <= 3 * ub < 1.5 * size:
+    if size <= _EXACT_SIZE_LIMIT or not can_fragment(size, x) or 2 * ub >= size:
         raise ValueError(f"both sums need size > {_EXACT_SIZE_LIMIT} and s/3 <= ub < s/2")
     s, u = np.array([size]), np.array([ub])
     return float(_fragmentation_sum(s, u)[0]), float(_consensus_sum(s, u + 1)[0])

@@ -14,7 +14,6 @@ from herdvote import engine, series as series_module, voting
 from herdvote.config import EzConfig, VoteMode
 from herdvote.engine import (
     _decode_picks,
-    _merge,
     SimConfig,
     SimState,
     advance,
@@ -50,6 +49,14 @@ def assert_same_sizes(fused, oracle):
 def use_tables(monkeypatch, tables):
     """States built from here on poll `tables` instead of drawing their own."""
     monkeypatch.setattr(engine, "assign_strategies", lambda *_args: tables)
+
+
+def unpacked(state, g):
+    """Per-history [buy, sell, wait] counts of the packed tally `advance`
+    keeps for group g (of two or more agents)."""
+    tally, w = state._group_votes[g], state._width
+    fields = [(tally >> (f * w)) & ((1 << w) - 1) for f in range(3 << len(state.history))]
+    return [fields[f:f + 3] for f in range(0, len(fields), 3)]
 
 
 def small_config(**kwargs):
@@ -117,8 +124,8 @@ def test_different_seeds_differ():
 # -- the fused loop against the per-step oracle ---------------------------------------
 
 def assert_loop_matches_oracle(config):
-    """`run` and a chunked `advance` reproduce a loop of `step` byte for byte;
-    returns the oracle's events."""
+    """`run`, a chunked `advance`, and `step` and `advance` interleaved
+    reproduce a loop of `step` byte for byte; returns the oracle's events."""
     oracle = init_state(config)
     events = [step(oracle) for _ in range(config.total_steps)]
     expected = np.array([e.net_return for e in events], dtype=np.int64)
@@ -144,15 +151,51 @@ def assert_loop_matches_oracle(config):
     assert list(fused.partition._members.items()) == list(oracle.partition._members.items())
     assert_same_sizes(fused.partition, oracle.partition)
     assert fused._upos == oracle._upos
+    advance(oracle, 0)  # the oracle's tallies, built from its partition
     assert fused._group_votes == oracle._group_votes
     with pytest.raises(ValueError):
         advance(fused, -1)
+
+    # `step`, then `advance` (which rebuilds the tallies `step` dropped), then `step`
+    mixed = init_state(config)
+    interleaved = np.zeros_like(returns)
+    e, third = config.equilibration_steps, config.total_steps // 3
+
+    def step_to(stop):
+        while mixed.step_index < stop:
+            i = mixed.step_index
+            net = step(mixed).net_return
+            if i >= e:
+                interleaved[i - e] = net
+
+    step_to(third)
+    advance(mixed, third, interleaved)
+    step_to(config.total_steps)
+    assert np.array_equal(interleaved, expected)
+    assert mixed.decision_counts == oracle.decision_counts
+    assert list(mixed.partition._members.items()) == list(oracle.partition._members.items())
     return events
 
 
 @pytest.mark.parametrize("mode", [VoteMode.STRATEGY_DRIVEN, VoteMode.IID_UNIFORM])
 def test_fused_loop_matches_step_oracle(mode):
     assert_loop_matches_oracle(small_config(vote_mode=mode))
+
+
+def test_oracle_sees_a_fault_in_the_packed_tallies(monkeypatch):
+    """The oracle polls the members' table rows, never a packed tally: a
+    packer whose packed rows swap the buy and sell counts moves the loop
+    alone, and the comparison fails."""
+    packer = engine._tally_packer
+
+    def swapped(tables):
+        width, rows, _ = packer(tables)
+        _, _, single = packer(np.array([1, 0, 2], dtype=np.uint8)[tables])
+        return width, rows, single
+
+    monkeypatch.setattr(engine, "_tally_packer", swapped)
+    with pytest.raises(AssertionError):
+        assert_loop_matches_oracle(small_config())
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -196,6 +239,7 @@ def test_fused_loop_matches_oracle_across_blocks_and_both_refill_sites(
     assert fused.decision_counts == oracle.decision_counts
     assert list(fused.partition._members.items()) == list(oracle.partition._members.items())
     assert_same_sizes(fused.partition, oracle.partition)
+    advance(oracle, 0)
     assert fused._group_votes == oracle._group_votes
     assert fused._upos == oracle._upos and fused._ubuf == oracle._ubuf
     assert list(fused._upicks) == [int(u * 30) for u in fused._ubuf]
@@ -258,18 +302,21 @@ def state_fields(state):
     np.broadcast_to(np.int64(0), 900),  # read-only
 ])
 def test_advance_checks_returns_before_the_first_step(returns):
-    """A `returns` the loop cannot fill is refused before any step: the state
-    stays as built, and a valid call then gives the fresh run's returns."""
-    config = SimConfig(n_agents=50, x=0.41, total_steps=1000, seed=3,
-                       vote_mode=VoteMode.IID_UNIFORM)
-    state, fresh = init_state(config), init_state(config)
-    with pytest.raises(ValueError, match="returns"):
-        advance(state, config.total_steps, returns)
-    assert state_fields(state) == state_fields(fresh)
-    expected, _ = run(config)
-    recorded = np.zeros_like(expected)
-    advance(state, config.total_steps, recorded)
-    assert np.array_equal(recorded, expected)
+    """A `returns` the loop cannot fill is refused before any step, in each
+    model: the state stays as built (a strategy state builds no tallies
+    either), and a valid call then gives the fresh run's returns."""
+    for config in (SimConfig(n_agents=50, x=0.41, total_steps=1000, seed=3),
+                   SimConfig(n_agents=50, x=0.41, total_steps=1000, seed=3,
+                             vote_mode=VoteMode.IID_UNIFORM),
+                   EzConfig(n_agents=50, a=0.05, total_steps=1000, seed=3)):
+        state, fresh = init_state(config), init_state(config)
+        with pytest.raises(ValueError, match="returns"):
+            advance(state, config.total_steps, returns)
+        assert state_fields(state) == state_fields(fresh)
+        expected, _ = run(config)
+        recorded = np.zeros_like(expected)
+        advance(state, config.total_steps, recorded)
+        assert np.array_equal(recorded, expected)
 
 
 def test_iid_cdfs_filled_in_table_passes_equal_the_scalar_lookups():
@@ -330,26 +377,19 @@ def test_history_tracks_return_signs():
 
 
 def test_group_vote_cache_matches_fresh_poll(monkeypatch):
-    """The engine's incremental tallies must equal a from-scratch poll."""
+    """The loop's incremental tallies must equal a from-scratch poll."""
     config = small_config(total_steps=5000, n_agents=60)
     tables = assign_strategies(config.n_agents, config.memory, np.random.default_rng(8))
     use_tables(monkeypatch, tables)
     state = SimState(config)
-    for _ in range(config.total_steps):
-        step(state)
+    advance(state, config.total_steps)
     part = state.partition
-    for g in list(part.group_ids()):
+    assert set(state._group_votes) == set(part._members)  # a tally per group of two or more
+    for g in part._members:
         members = part.members(g)
         for history in ((0, 0), (0, 1), (1, 0), (1, 1)):
             expected = poll_group(members, tables, history, VoteMode.STRATEGY_DRIVEN, None)
-            if len(members) == 1:
-                assert state.group_vote_matrix(g) is None
-                counts = [0, 0, 0]
-                counts[tables[members[0], history_index(history)]] += 1
-                assert tuple(counts) == tuple(expected)
-            else:
-                row = state.group_vote_matrix(g)[history_index(history)]
-                assert tuple(row) == tuple(expected)
+            assert tuple(unpacked(state, g)[history_index(history)]) == tuple(expected)
 
 
 @pytest.mark.parametrize("memory", [1, 4])
@@ -365,13 +405,11 @@ def test_packed_tallies_do_not_carry_at_a_full_field(memory, monkeypatch):
     use_tables(monkeypatch, tables)
     state = SimState(config)
     part = state.partition
-    # two halves grown one singleton at a time, then one tally-plus-tally merge
-    for first, last in ((0, n // 2), (n // 2, n)):
-        for a in range(first + 1, last):
-            _merge(state, part.group_of(first)[0], part.group_of(a)[0])
-    _merge(state, part.group_of(0)[0], part.group_of(n - 1)[0])
+    for a in range(1, n):
+        part.merge(part.group_of(0)[0], a)
+    advance(state, 0)  # the tally of the one group: the sum of every packed row
     (g,) = part.group_ids()
-    matrix = state.group_vote_matrix(g)
+    matrix = unpacked(state, g)
     assert len(matrix) == 2**memory
     for h, row in enumerate(matrix):
         history = tuple((h >> k) & 1 for k in range(memory - 1, -1, -1))
@@ -403,8 +441,9 @@ def test_table_rows_and_packed_rows_are_shared(memory, monkeypatch):
     assert [bytes(r) for r in tables] == state._rows
     part = state.partition
     for a in range(1, n):  # one group of all agents, its tally the sum of the packed rows
-        _merge(state, part.group_of(0)[0], part.group_of(a)[0])
-    matrix = state.group_vote_matrix(part.group_of(0)[0])
+        part.merge(part.group_of(0)[0], a)
+    advance(state, 0)
+    matrix = unpacked(state, part.group_of(0)[0])
     for h in range(2**memory):
         assert matrix[h] == np.bincount(tables[:, h], minlength=3).tolist()
 
@@ -422,8 +461,7 @@ def test_iid_state_draws_no_tables(monkeypatch):
 def test_state_reads_its_mode_from_the_config():
     """The config alone sets how a state decides and which history it keeps."""
     ez = SimState(EzConfig(n_agents=10, a=0.2, total_steps=100))
-    assert ez.history == () and ez._rows is None
-    assert set(ez._cdf) == {(0.1, 0.2, 1.0)}
+    assert ez.history == () and ez._rows is None and ez._cdf is None
     iid = SimState(small_config(vote_mode=VoteMode.IID_UNIFORM, initial_history=(0, 1)))
     assert iid.history == (0, 1) and iid._rows is None and iid._cdf == [None] * 41
     polled = SimState(small_config())
@@ -447,10 +485,15 @@ def test_state_seeds_its_streams_from_the_config():
     assert ez._rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
 
 
-def test_strategy_state_holds_no_size_cdfs():
-    """Strategy votes never read a decision CDF, so the state keeps no
-    per-size list for them (N + 1 pointers, 8 MB at N = 2^20)."""
-    state = init_state(small_config(vote_mode=VoteMode.STRATEGY_DRIVEN))
+@pytest.mark.parametrize("config", [
+    small_config(vote_mode=VoteMode.STRATEGY_DRIVEN),
+    EzConfig(n_agents=40, a=0.05, total_steps=20_000, seed=5),
+], ids=["strategy", "ez"])
+def test_strategy_state_holds_no_size_cdfs(config):
+    """Strategy votes read no decision CDF and E-Z reads one constant one,
+    so neither state keeps a per-size list (N + 1 pointers, 8 MB at
+    N = 2^20)."""
+    state = init_state(config)
     assert state._cdf is None
     advance(state, 5_000)
     assert state._cdf is None

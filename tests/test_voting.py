@@ -16,7 +16,6 @@ from herdvote.voting import (
     VoteTally,
     consensus_options,
     consensus_probability,
-    consensus_threshold,
     decide,
     decision_probabilities,
     enumerate_fragmentation_probability,
@@ -24,16 +23,6 @@ from herdvote.voting import (
 )
 
 X_GRID = (0.34, 0.35, 0.37, 0.41, 0.45, 0.47, 0.499)
-
-
-# -- threshold ------------------------------------------------------------------
-
-def test_threshold_values():
-    assert consensus_threshold(5, 0.40) == 2.0
-    assert consensus_threshold(1, 0.47) == 0.47
-    assert consensus_threshold(10_000, 0.37) == 3700.0
-    with pytest.raises(ValueError):
-        consensus_threshold(0, 0.4)
 
 
 # -- decide -------------------------------------------------------------------
@@ -90,7 +79,7 @@ def test_decide_classifies_every_small_tally(x):
     rng = np.random.default_rng(17)
     options = (Decision.BUY, Decision.SELL, Decision.MERGE)
     for tally in ALL_TALLIES:
-        threshold = consensus_threshold(sum(tally), x)
+        threshold = x * sum(tally)
         if all(count < threshold for count in tally):
             expected = {Decision.FRAGMENT}
         else:
@@ -251,6 +240,21 @@ def test_probability_table_equals_the_scalar_lookups():
         assert np.all(p_frg[impossible] == 0.0) and np.all(consensus[impossible] == 1.0)
     with pytest.raises(ValueError):
         voting.probability_table([3, 0], 0.41)
+
+
+def test_can_fragment_agrees_with_the_table_form():
+    """`can_fragment` and `probability_table`'s array form of the same test
+    agree on every size up to 3000: p_frg is nonzero exactly where a group
+    can fragment.  At x = (k + 0.9)/(3k + 1) a whole population of 3k + 1
+    cannot fragment, and one of 3k + 2 can."""
+    sizes = np.arange(1, 3001)
+    one_group = {3 * k + 1: (k + 0.9) / (3 * k + 1) for k in (1, 21, 30, 333, 999)}
+    for x in (*X_GRID, 0.6, 0.95, *one_group.values()):
+        p_frg, _ = voting.probability_table(sizes, x)
+        assert (p_frg > 0).tolist() == [voting.can_fragment(s, x) for s in sizes.tolist()]
+    for n, x in one_group.items():
+        assert not voting.can_fragment(n, x) and voting.can_fragment(n + 1, x)
+    assert not voting.can_fragment(1, 0.05)  # one vote always clears T = x < 1
 
 
 def test_both_direct_sums_add_to_one():
