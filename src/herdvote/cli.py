@@ -27,15 +27,16 @@ to `default_config()`):
     total_steps         = 1000000
     equilibration_steps = auto        # auto = 10% of total_steps
     memory_m            = 2           # n_agents * 2**memory_m <= 2**24
-    initial_history     = 1,1
+    initial_history     = auto        # auto = memory_m ones
     vote_mode           = strategy    # strategy | iid
     seed                = 1           # >= 0
     ez_a                = 0.01        # E-Z trade probability (model = ez)
 
 `--set key=value` overrides any file value.  A run echoes `schema_version`,
 `model` and its model's keys (E-Z drops x, memory_m, initial_history and
-vote_mode, the voting model ez_a); the SHA-256 of the echo names its run
-directory, so a run can always be reproduced byte for byte.
+vote_mode, the voting model ez_a), each as the model's dataclass resolved
+it, so an "auto" is echoed as its value; the SHA-256 of the echo names its
+run directory, so a run can always be reproduced byte for byte.
 
 Exit codes: 0 success, 2 usage error, 3 config/input error (one "error:"
 line; an allocation the machine refuses is one too), 4 validation failure,
@@ -107,10 +108,10 @@ def _parse_history(text: str) -> tuple:
         raise ConfigError(f"initial_history must be comma-separated bits, got {text!r}")
 
 
-def _parse_equilibration(text: str):
-    if text == "auto":
-        return None
-    return int(text)
+def _auto(parse, fmt):
+    """A key whose default its dataclass derives: None reads and writes as "auto"."""
+    return (lambda text: None if text == "auto" else parse(text),
+            lambda v: "auto" if v is None else fmt(v))
 
 
 # The file format: key -> (from-string, to-string), in the order of the
@@ -122,9 +123,9 @@ _CONFIG_SPEC = {
     "n_agents": (int, str),
     "x": (float, repr),
     "total_steps": (int, str),
-    "equilibration_steps": (_parse_equilibration, lambda v: "auto" if v is None else str(v)),
+    "equilibration_steps": _auto(int, str),
     "memory_m": (int, str),
-    "initial_history": (_parse_history, lambda v: ",".join(str(b) for b in v)),
+    "initial_history": _auto(_parse_history, lambda v: ",".join(str(b) for b in v)),
     "vote_mode": (str, lambda v: getattr(v, "value", v)),  # str() of a VoteMode is its name
     "seed": (int, str),
     "ez_a": (float, repr),
@@ -195,13 +196,13 @@ def _resolve(config: dict) -> tuple[dict, RunConfig]:
     if cls is None:
         raise ConfigError(f"model must be 'main' or 'ez', got {config['model']!r}")
     names = {f.name for f in dataclasses.fields(cls)}
-    own = {key: value for key, value in config.items() if _FIELD_OF.get(key, key) in names}
+    field = {key: name for key in _CONFIG_SPEC if (name := _FIELD_OF.get(key, key)) in names}
     try:
-        sim_config = cls(**{_FIELD_OF.get(key, key): value for key, value in own.items()})
+        sim_config = cls(**{field[key]: value for key, value in config.items() if key in field})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return {"schema_version": config["schema_version"], "model": config["model"], **own,
-            "equilibration_steps": sim_config.equilibration_steps}, sim_config
+    return {"schema_version": config["schema_version"], "model": config["model"],
+            **{key: getattr(sim_config, name) for key, name in field.items()}}, sim_config
 
 
 def _formatted(config: dict) -> dict:

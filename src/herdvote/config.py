@@ -74,9 +74,14 @@ class RunConfig:
 
 @dataclass(kw_only=True)
 class SimConfig(RunConfig):
+    """The voting model's run: consensus parameter x, the memory m of the
+    strategy tables, the m-step price history they start from, and how
+    groups vote.  A `None` history resolves to `memory` ones, as a `None`
+    `equilibration_steps` resolves to 10% of `total_steps`; the config file
+    writes both as "auto"."""
     x: float = 0.37
     memory: int = 2
-    initial_history: tuple = (1, 1)
+    initial_history: tuple | None = None  # default: `memory` ones
     vote_mode: VoteMode = VoteMode.STRATEGY_DRIVEN
 
     def __post_init__(self):
@@ -85,6 +90,9 @@ class SimConfig(RunConfig):
         except ValueError:
             allowed = " or ".join(repr(m.value) for m in VoteMode)
             raise ValueError(f"vote_mode must be {allowed}, got {self.vote_mode!r}") from None
+        if self.initial_history is None:
+            # capped: a memory past the table budget is refused before the history
+            self.initial_history = (1,) * min(self.memory, TABLE_BUDGET.bit_length())
         self.initial_history = tuple(int(b) for b in self.initial_history)
         super().__post_init__()
 

@@ -19,7 +19,7 @@ Costs:
     * group and size lookup for an agent:  O(1)
     * merge of groups (s1, s2):            O(min(s1, s2))   (smaller side moves)
     * fragment of a group of s:            O(s), allocating nothing
-    * group count, size histogram:         O(groups of two or more)
+    * size histogram:                      O(groups of two or more)
 
 A group's handle is one of its own members, so a singleton's handle is its
 agent id and no handle is ever allocated: a merge keeps the handle of the
@@ -34,6 +34,8 @@ the reference: the per-step oracle `engine.step` (`ez.ez_step` is the same
 function) changes a partition through them alone, for every model, and
 tests hold the loop to it.  A partition holds sizes and members only: the
 strategy groups' packed vote tallies are the loop's own (`engine.SimState`).
+Its methods are those a run, `step`, the benchmark's tracer and set-up
+probe call; the full-scan consistency check is `tests/oracles.check_partition`.
 """
 
 from __future__ import annotations
@@ -61,14 +63,6 @@ class Partition:
         return cls(n)
 
     # -- queries ---------------------------------------------------------
-
-    @property
-    def n_groups(self) -> int:
-        return self._n_single + len(self._members)
-
-    def group_ids(self) -> list[int]:
-        """Live group handles in increasing order (an O(N) scan)."""
-        return [a for a, g in enumerate(self._group_of) if a == g]
 
     def group_of(self, agent: int) -> tuple[int, int]:
         """Return (group handle, group size) for an agent."""
@@ -137,41 +131,3 @@ class Partition:
                 size[a] = 1
             self._n_single += s
         return s
-
-    # -- debug -----------------------------------------------------------
-
-    def check_invariants(self) -> None:
-        """Full-scan consistency check (test/debug use; O(N)).
-
-        Every agent is listed in exactly one member list or is a singleton
-        named by itself; listed agents point to their group, every live
-        handle is one of its own members, every live handle's size is its
-        group's, and the singleton count is the number of singletons.
-        """
-        group_of = self._group_of
-        size = self._size
-        listed = bytearray(self.n_agents)
-        for g, mem in self._members.items():
-            if len(mem) < 2:
-                raise AssertionError(f"group {g} of size {len(mem)} holds a member list")
-            if g not in mem:
-                raise AssertionError(f"handle {g} is not one of its own members {mem[:8]}")
-            if size[g] != len(mem):
-                raise AssertionError(f"group {g} has {len(mem)} members, its size says {size[g]}")
-            for a in mem:
-                if listed[a]:
-                    raise AssertionError(f"agent {a} is listed twice")
-                listed[a] = 1
-                if group_of[a] != g:
-                    raise AssertionError(f"agent {a} points to {group_of[a]}, listed in {g}")
-        singles = 0
-        for a in range(self.n_agents):
-            if listed[a]:
-                continue
-            if group_of[a] != a:
-                raise AssertionError(f"unlisted agent {a} points to {group_of[a]}")
-            if size[a] != 1:
-                raise AssertionError(f"singleton {a} has size {size[a]}")
-            singles += 1
-        if singles != self._n_single:
-            raise AssertionError(f"{singles} singletons, the count says {self._n_single}")

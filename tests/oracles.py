@@ -249,3 +249,45 @@ def poll_group(members, tables, history, mode, rng) -> VoteTally:
         for v in rng.integers(0, 3, size=len(members)):
             counts[v] += 1
     return VoteTally(counts[BUY], counts[SELL], counts[WAIT])
+
+
+def live_groups(part) -> list[int]:
+    """A partition's live group handles in increasing order (an O(N) scan)."""
+    return [a for a, g in enumerate(part._group_of) if a == g]
+
+
+def check_partition(part) -> None:
+    """Full-scan consistency check of a `population.Partition` (O(N)).
+
+    Every agent is listed in exactly one member list or is a singleton
+    named by itself; listed agents point to their group, every live
+    handle is one of its own members, every live handle's size is its
+    group's, and the singleton count is the number of singletons.
+    """
+    group_of = part._group_of
+    size = part._size
+    listed = bytearray(part.n_agents)
+    for g, mem in part._members.items():
+        if len(mem) < 2:
+            raise AssertionError(f"group {g} of size {len(mem)} holds a member list")
+        if g not in mem:
+            raise AssertionError(f"handle {g} is not one of its own members {mem[:8]}")
+        if size[g] != len(mem):
+            raise AssertionError(f"group {g} has {len(mem)} members, its size says {size[g]}")
+        for a in mem:
+            if listed[a]:
+                raise AssertionError(f"agent {a} is listed twice")
+            listed[a] = 1
+            if group_of[a] != g:
+                raise AssertionError(f"agent {a} points to {group_of[a]}, listed in {g}")
+    singles = 0
+    for a in range(part.n_agents):
+        if listed[a]:
+            continue
+        if group_of[a] != a:
+            raise AssertionError(f"unlisted agent {a} points to {group_of[a]}")
+        if size[a] != 1:
+            raise AssertionError(f"singleton {a} has size {size[a]}")
+        singles += 1
+    if singles != part._n_single:
+        raise AssertionError(f"{singles} singletons, the count says {part._n_single}")

@@ -144,6 +144,21 @@ def test_run_artifacts_are_pinned(tmp_path, capsys, override):
     assert manifest["artifacts"] == PINNED_ARTIFACTS[override]
 
 
+def test_desk_iid_run_past_the_exact_sizes_is_pinned(tmp_path, capsys):
+    """The desk iid config (10^4 agents, 2x10^5 steps, x = 0.41) at seed
+    900003 trades groups above 64 agents (its largest |r| is 67), so its
+    returns depend on the summed decision CDFs that `voting.fill_cdfs` fills
+    above the exact counts; the pinned 300-agent runs never reach them."""
+    argv = ["run", "--out", str(tmp_path)]
+    for item in ("n_agents=10000", "x=0.41", "vote_mode=iid", "total_steps=200000",
+                 "seed=900003"):
+        argv += ["--set", item]
+    assert run_cli(argv) == 0
+    path = os.path.join(capsys.readouterr().out.strip(), "returns_raw.bin")
+    assert int(np.abs(read_returns_binary(path)).max()) == 67
+    assert sha256_of(path) == "ccb96d979d331f87174d67af639fade974c4ffd564149c8df3ae6f14d472195f"
+
+
 # sha256 of the analysis outputs of the same three runs: analysis/ccdf.csv,
 # pdf.csv and fit.csv and the summary CSV, of returns summed over pairs of
 # steps (False, the default --rescale-k 2) and of the raw series (True,
@@ -643,6 +658,30 @@ def test_memory_over_table_budget_is_config_error(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     assert "budget" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "runs")
+
+
+def test_memory_alone_sets_the_history_length(tmp_path, capsys):
+    """The default history is `memory_m` ones, echoed as resolved; an
+    explicit history of another length is still refused."""
+    assert run_cli(tiny_run_args(tmp_path / "runs", extra=["--set", "memory_m=3"])) == 0
+    run_dir = capsys.readouterr().out.strip()
+    config_lines = open(os.path.join(run_dir, "config.txt")).read().splitlines()
+    assert "initial_history = 1,1,1" in config_lines and "memory_m = 3" in config_lines
+
+    code = run_cli(tiny_run_args(tmp_path / "other", extra=[
+        "--set", "memory_m=3", "--set", "initial_history=1,1"]))
+    assert code == cli.EXIT_CONFIG
+    assert "initial_history length 2 != memory 3" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "other")
+
+
+def test_resolved_config_echoes_its_dataclass():
+    """Every key of the model is echoed as its dataclass resolved it, "auto"
+    values included, and a key the config omits takes its default."""
+    config = cli.resolve_config({"schema_version": cli.SCHEMA_VERSION, "model": "main",
+                                 "memory_m": 4, "total_steps": 500})
+    assert config["initial_history"] == (1, 1, 1, 1) and config["equilibration_steps"] == 50
+    assert config["n_agents"] == 10_000 and "ez_a" not in config
 
 
 @pytest.mark.parametrize("model", ["main", "ez"])

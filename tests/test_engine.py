@@ -35,13 +35,13 @@ from herdvote.voting import (
     decision_probabilities,
     fragmentation_probability,
 )
-from oracles import poll_group
+from oracles import check_partition, live_groups, poll_group
 
 
 def assert_same_sizes(fused, oracle):
     """Same live handles, the same size under each, the same singleton count."""
-    live = oracle.group_ids()
-    assert fused.group_ids() == live
+    live = live_groups(oracle)
+    assert live_groups(fused) == live
     assert [fused._size[g] for g in live] == [oracle._size[g] for g in live]
     assert fused._n_single == oracle._n_single
 
@@ -71,7 +71,8 @@ def test_config_defaults_and_validation():
     config = SimConfig(n_agents=100, x=0.37, total_steps=1000)
     assert config.equilibration_steps == 100  # 10% default
     assert config.vote_mode is VoteMode.STRATEGY_DRIVEN
-    assert config.initial_history == (1, 1)
+    assert config.initial_history == (1, 1)  # `memory` ones
+    assert SimConfig(memory=3).initial_history == (1, 1, 1)
     with pytest.raises(ValueError):
         SimConfig(n_agents=1, x=0.41, total_steps=100)
     with pytest.raises(ValueError):
@@ -96,6 +97,8 @@ def test_config_defaults_and_validation():
         with pytest.raises(ValueError, match="budget"):
             SimConfig(n_agents=n_agents, x=0.41, total_steps=100, memory=memory,
                       initial_history=(1,) * min(memory, 30))
+    with pytest.raises(ValueError, match="budget"):  # refused before a default history is built
+        SimConfig(n_agents=2, memory=10**12)
 
 
 def test_config_accepts_mode_strings():
@@ -361,9 +364,9 @@ def test_step_events_and_invariants():
         if event.decision == Decision.FRAGMENT:
             assert event.group_size >= 2
         if i % 500 == 0:
-            state.partition.check_invariants()
+            check_partition(state.partition)
     assert sum(state.decision_counts) == config.total_steps
-    state.partition.check_invariants()
+    check_partition(state.partition)
 
 
 def test_history_tracks_return_signs():
@@ -408,7 +411,7 @@ def test_packed_tallies_do_not_carry_at_a_full_field(memory, monkeypatch):
     for a in range(1, n):
         part.merge(part.group_of(0)[0], a)
     advance(state, 0)  # the tally of the one group: the sum of every packed row
-    (g,) = part.group_ids()
+    (g,) = live_groups(part)
     matrix = unpacked(state, g)
     assert len(matrix) == 2**memory
     for h, row in enumerate(matrix):
@@ -416,7 +419,7 @@ def test_packed_tallies_do_not_carry_at_a_full_field(memory, monkeypatch):
         expected = poll_group(part.members(g), tables, history, VoteMode.STRATEGY_DRIVEN, None)
         assert tuple(row) == tuple(expected)
     assert matrix[0] == [n, 0, 0] and matrix[-1] == [0, 0, n]
-    part.check_invariants()
+    check_partition(part)
 
     returns = np.zeros(1, dtype=np.int64)
     advance(state, 1, returns)

@@ -6,12 +6,13 @@ import pytest
 from herdvote.engine import SimState, advance
 from herdvote.ez import EzConfig, ez_run, ez_step
 from herdvote.voting import Decision
+from oracles import check_partition, live_groups
 
 
 def assert_same_sizes(fused, oracle):
     """Same live handles, the same size under each, the same singleton count."""
-    live = oracle.group_ids()
-    assert fused.group_ids() == live
+    live = live_groups(oracle)
+    assert live_groups(fused) == live
     assert [fused._size[g] for g in live] == [oracle._size[g] for g in live]
     assert fused._n_single == oracle._n_single
 
@@ -51,7 +52,7 @@ def test_step_conserves_agents():
         else:
             assert event.net_return == 0
         assert sum(s * c for s, c in part.size_histogram().items()) == 50
-    part.check_invariants()
+    check_partition(part)
     assert state.history == ()  # an E-Z state keeps no history
 
 

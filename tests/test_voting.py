@@ -242,6 +242,48 @@ def test_probability_table_equals_the_scalar_lookups():
         voting.probability_table([3, 0], 0.41)
 
 
+def test_probability_table_refuses_sizes_that_are_not_integers():
+    """Once truncated to 2 and 3; a float array is refused whole."""
+    with pytest.raises(ValueError, match=r"integers >= 1, got \[2.7, 3.2\]"):
+        voting.probability_table([2.7, 3.2], 0.41)
+    with pytest.raises(ValueError, match=r"integers >= 1, got \[0, -4\]"):
+        voting.probability_table(np.array([3, 0, -4]), 0.41)
+    p_frg, consensus = voting.probability_table([], 0.41)
+    assert p_frg.shape == consensus.shape == (0,)
+
+
+def test_scalar_lookups_refuse_sizes_that_are_not_integers():
+    for size in (2.5, 3.0, 100.5):
+        with pytest.raises(TypeError):
+            fragmentation_probability(size, 0.41)
+    assert fragmentation_probability(np.int64(70), 0.41) == fragmentation_probability(70, 0.41)
+
+
+@pytest.mark.parametrize("x", [1.5, math.nan, math.inf, 1.0 + 1e-12, 0.0, -0.2],
+                         ids=["1.5", "nan", "inf", "just_above_1", "0", "negative"])
+def test_lookups_refuse_x_outside_the_unit_interval(x):
+    """Above 1 no count meets T: the sums once indexed past their tables
+    (an IndexError at 1.5, NaN and inf) or warned (just above 1)."""
+    for size in (5, 100):
+        for lookup in (fragmentation_probability, consensus_probability,
+                       decision_probabilities, voting.decision_cdf):
+            with pytest.raises(ValueError, match=r"x must be in \(0, 1\]"):
+                lookup(size, x)
+        with pytest.raises(ValueError, match=r"x must be in \(0, 1\]"):
+            voting.probability_table([size], x)
+
+
+def test_unanimity_is_the_x_one_limit():
+    """At x = 1 a group trades or merges only on a unanimous vote."""
+    sizes = np.arange(1, 200)
+    p_frg, consensus = voting.probability_table(sizes, 1.0)
+    unanimous = [3.0 ** (1 - s) for s in sizes.tolist()]
+    assert consensus.tolist() == pytest.approx(unanimous, rel=1e-12, abs=0.0)
+    assert p_frg.tolist() == [fragmentation_probability(int(s), 1) for s in sizes]
+    for s in range(1, 10):
+        assert fragmentation_probability(s, 1.0) == float(enumerate_fragmentation_probability(s, 1.0))
+
+
 def test_can_fragment_agrees_with_the_table_form():
     """`can_fragment` and `probability_table`'s array form of the same test
     agree on every size up to 3000: p_frg is nonzero exactly where a group
