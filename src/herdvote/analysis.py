@@ -81,6 +81,12 @@ def histogram(returns) -> Histogram:
     return Histogram(values, counts, above, sum(tally.values()))
 
 
+def _require_positive(name: str, value: float) -> None:
+    """Refuse a cutoff or threshold that is not finite and > 0."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 def _with_trades(returns) -> Histogram:
     hist = histogram(returns)
     if not hist.values:
@@ -96,7 +102,8 @@ class CcdfCurve:
     probabilities: list[float]  # non-increasing, starts at 1
 
     def tail_mass(self, threshold: float) -> float:
-        """P(|r| >= threshold), zero beyond the largest observed value."""
+        """P(|r| >= threshold > 0), zero beyond the largest observed value."""
+        _require_positive("threshold", threshold)
         idx = bisect_left(self.values, threshold)
         if idx >= len(self.values):
             return 0.0
@@ -141,6 +148,8 @@ def log_bins(returns, bins_per_decade: int = 10) -> list[tuple[float, float, int
     values from its left edge up to, not including, its right one; the last
     bin holds its right edge too.  Only the edges of occupied bins are
     evaluated, so the cost grows with the occupied bins, not the grid.
+    A value's bin is the guess floor(bins_per_decade * log10 v), which
+    rounding leaves at most one bin off, corrected by one edge comparison.
     """
     if bins_per_decade < 1:
         raise ValueError("bins_per_decade must be >= 1")
@@ -161,16 +170,9 @@ def log_bins(returns, bins_per_decade: int = 10) -> list[tuple[float, float, int
     def bin_of(v: float) -> int:
         """The last k in [k_lo, k_hi) with edge(k) <= v."""
         k = min(max(math.floor(bins_per_decade * math.log10(v)), k_lo), k_hi - 1)
-        if edge(k) <= v and (k == k_hi - 1 or v < edge(k + 1)):
-            return k
-        lo_k, hi_k = k_lo, k_hi - 1  # edge(k_lo) <= lo <= v
-        while lo_k < hi_k:
-            mid = (lo_k + hi_k + 1) // 2
-            if edge(mid) <= v:
-                lo_k = mid
-            else:
-                hi_k = mid - 1
-        return lo_k
+        if edge(k) > v:
+            return k - 1
+        return k + 1 if k < k_hi - 1 and edge(k + 1) <= v else k
 
     bins = []
     i = 0
@@ -216,10 +218,11 @@ def fit_power_law(sample, r_min: float | None = None) -> TailFit:
 
     With r_min=None the cutoff is scanned over a grid of observed values
     (capped at `CANDIDATES`) and the KS-optimal one is kept; of equal
-    distances, the smallest cutoff.
+    distances, the smallest cutoff.  A given r_min must be finite and > 0.
     """
     hist = histogram(sample)
     if r_min is not None:
+        _require_positive("r_min", r_min)
         return _fit_at(hist, float(r_min))
     best = None
     for start in candidate_indices(len(hist.values)):
@@ -291,8 +294,11 @@ def cutoff_scan(
     series is fitted inside its tail regime.  Rows report NaN exponents when
     a series has too few points above the common cutoff; the tail mass
     P(|r| >= tail_threshold) is always reported.  Each value may be a
-    series or its `Histogram`.
+    series or its `Histogram`.  A given r_min, and the threshold, must be
+    finite and > 0.
     """
+    if r_min is not None:
+        _require_positive("r_min", r_min)  # before the per-series fits can swallow it
     hists = {x: histogram(r) for x, r in returns_by_x.items()}
     if not hists:
         raise ValueError("no series given")
@@ -344,8 +350,10 @@ def compare_tail_models(returns, threshold: float = 50.0) -> dict:
 
     Fits log P(|r| >= v) as linear in v (exponential tail) and as linear in
     log v (power-law tail) over the distinct observed values >= threshold and
-    reports both residual sums of squares.
+    reports both residual sums of squares.  The threshold must be finite
+    and > 0.
     """
+    _require_positive("threshold", threshold)
     curve = ccdf(returns)
     start = bisect_left(curve.values, threshold)
     v = curve.values[start:]

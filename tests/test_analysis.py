@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import oracles
@@ -99,6 +100,34 @@ def test_log_binned_pdf_rejects_empty():
         log_binned_pdf([0, 0])
 
 
+def test_log_bins_corrects_the_guess_at_rounded_edges():
+    """At the rounded edges 10^(k/b) and their float neighbours the guess
+    floor(b log10 v) misses by one bin either way; `log_bins` still puts
+    every value in the last bin whose edge is <= v, found here by scanning."""
+    moved_down = moved_up = 0
+    for b in (1, 2, 3, 5, 7, 10, 13, 20, 100):
+        values = []
+        for k in range(-2 * b, 2 * b):
+            e = 10.0 ** (k / b)
+            values += [math.nextafter(e, 0.0), e, math.nextafter(e, math.inf)]
+        lo, hi = min(values), max(values)
+        k_lo, k_hi = math.floor(b * math.log10(lo)), math.ceil(b * math.log10(hi))
+
+        def edge(k):
+            e = 10.0 ** (k / b)
+            return min(e, lo) if k == k_lo else max(e, hi) if k == k_hi else e
+
+        brute = {v: max(k for k in range(k_lo, k_hi) if edge(k) <= v) for v in values}
+        for v, k in brute.items():
+            guess = min(max(math.floor(b * math.log10(v)), k_lo), k_hi - 1)
+            moved_down += guess > k
+            moved_up += guess < k
+        expected = [(edge(k), edge(k + 1), count)
+                    for k, count in sorted(Counter(brute.values()).items())]
+        assert log_bins(values, b) == expected, f"bins_per_decade={b}"
+    assert moved_down and moved_up
+
+
 # -- power-law fit -----------------------------------------------------------------
 
 def test_fit_recovers_synthetic_exponent():
@@ -178,6 +207,30 @@ def test_cutoff_scan_common_r_min_auto():
 def test_cutoff_scan_empty_rejected():
     with pytest.raises(ValueError):
         cutoff_scan({})
+
+
+@pytest.mark.parametrize("bad", [0, -1.0, math.nan, math.inf])
+def test_fit_and_scan_refuse_a_cutoff_they_cannot_use(bad):
+    """Refused with one message, also by `cutoff_scan`, whose per-series
+    fits would otherwise swallow the error into a row of NaNs."""
+    sample = sample_pareto(2.5, 1000, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="r_min must be finite and > 0"):
+        fit_power_law(sample, r_min=bad)
+    with pytest.raises(ValueError, match="r_min must be finite and > 0"):
+        cutoff_scan({0.41: sample}, r_min=bad)
+
+
+@pytest.mark.parametrize("bad", [0, -1.0, math.nan, math.inf])
+def test_tail_mass_and_shape_test_refuse_a_threshold_they_cannot_use(bad):
+    sample = sample_pareto(2.5, 1000, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="threshold must be finite and > 0"):
+        ccdf(sample).tail_mass(bad)
+    with pytest.raises(ValueError, match="threshold must be finite and > 0"):
+        tail_mass(sample, bad)
+    with pytest.raises(ValueError, match="threshold must be finite and > 0"):
+        cutoff_scan({0.41: sample}, r_min=1.0, tail_threshold=bad)
+    with pytest.raises(ValueError, match="threshold must be finite and > 0"):
+        compare_tail_models(sample, bad)
 
 
 # -- exponential vs power comparison ---------------------------------------------------

@@ -709,6 +709,14 @@ def test_bad_vote_mode_names_the_allowed_values(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "runs")
 
 
+def test_malformed_history_is_config_error(tmp_path, capsys):
+    code = run_cli(tiny_run_args(tmp_path / "runs", extra=["--set", "initial_history=1,x"]))
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: initial_history must be comma-separated bits, got '1,x'\n")
+    assert not os.path.exists(tmp_path / "runs")
+
+
 def test_run_config_file_plus_override(tmp_path, capsys):
     cfg = tmp_path / "base.cfg"
     cfg.write_text("n_agents = 150\ntotal_steps = 3000\nx = 0.37\n# comment\n")
@@ -836,6 +844,24 @@ def test_sweep_pool_is_no_larger_than_the_grid_or_the_cpus(
     runs = json.load(open(tmp_path / "sweep.json"))["runs"]
     assert len(runs) == (2 if "--x" in grid else 6)
     assert all(r["status"] == "ok" for r in runs)
+
+
+def test_sweep_with_a_failing_grid_point_publishes_the_others(tmp_path, capsys):
+    """A grid point its config refuses is an `error` record and one stderr
+    line; the other points still run and are published, and the exit is 3."""
+    out = tmp_path / "runs"
+    code = run_cli(["sweep", "--n-agents", "20,1", "--set", "total_steps=200", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == ("error: grid point x=0.37 n_agents=1: "
+                                       "n_agents must be in [2, 16777216], got 1\n")
+    ok, failed = json.load(open(out / "sweep.json"))["runs"]
+    assert (ok["status"], ok["n_agents"], failed["status"], failed["n_agents"]) == (
+        "ok", 20, "error", 1)
+    assert failed["error"] == "n_agents must be in [2, 16777216], got 1"
+    assert "run_dir" not in failed
+    published = json.load(open(os.path.join(ok["run_dir"], "manifest.json")))["artifacts"]
+    assert {name: sha256_of(os.path.join(ok["run_dir"], name)) for name in published} == published
+    assert sorted(os.listdir(out)) == sorted([os.path.basename(ok["run_dir"]), "sweep.json"])
 
 
 def test_sweep_records_only_the_keys_the_model_reads(tmp_path, capsys):
@@ -1308,6 +1334,12 @@ def _json_list(path):
     path.write_text(json.dumps(list(json.loads(path.read_text())["artifacts"].items())))
 
 
+def _artifacts_list(path):
+    manifest = json.loads(path.read_text())
+    manifest["artifacts"] = list(manifest["artifacts"].items())
+    path.write_text(json.dumps(manifest))
+
+
 def _deeply_nested(path):
     path.write_text("[" * 100_000)
 
@@ -1317,11 +1349,12 @@ def _deeply_nested(path):
     ("summary.json", _flip_one_byte),
     ("manifest.json", _unparseable),
     ("manifest.json", _json_list),
+    ("manifest.json", _artifacts_list),
     ("manifest.json", _deeply_nested),
     ("returns_raw.bin", os.remove),
     ("manifest.json", os.remove),
 ], ids=["bin_truncated", "summary_byte_flipped", "manifest_unparseable", "manifest_json_list",
-        "manifest_deeply_nested", "bin_deleted", "manifest_deleted"])
+        "manifest_artifacts_list", "manifest_deeply_nested", "bin_deleted", "manifest_deleted"])
 def test_rerun_damaged_artifact_is_named(tmp_path, capsys, name, damage):
     """A rerun into a damaged directory exits 3 with one error line naming
     the file and leaves the directory as it was; a deleted file is not
@@ -1508,7 +1541,7 @@ SIGNATURES = {
 SIMSTATE_SLOTS = (
     "config", "partition", "history", "step_index", "decision_counts",
     "_cdf", "_rows", "_width", "_single", "_group_votes",
-    "_rng", "_ubuf", "_upicks", "_upos",
+    "_rng", "_ubuf", "_upos",
 )
 CONFIG_FIELDS = {
     "SimConfig": ["n_agents", "total_steps", "equilibration_steps", "seed",

@@ -85,6 +85,10 @@ def test_config_defaults_and_validation():
         SimConfig(n_agents=10, x=0.41, total_steps=100, initial_history=(1, 2))
     with pytest.raises(ValueError, match="seed"):
         SimConfig(n_agents=10, x=0.41, total_steps=100, seed=-1)
+    with pytest.raises(ValueError, match="total_steps must be >= 1"):
+        SimConfig(total_steps=0)
+    with pytest.raises(ValueError, match="memory must be >= 1"):
+        SimConfig(memory=0)
     with pytest.raises(ValueError, match="'strategy' or 'iid'"):
         SimConfig(n_agents=10, x=0.41, total_steps=100, vote_mode="majority")
     with pytest.raises(TypeError):
@@ -245,7 +249,6 @@ def test_fused_loop_matches_oracle_across_blocks_and_both_refill_sites(
     advance(oracle, 0)
     assert fused._group_votes == oracle._group_votes
     assert fused._upos == oracle._upos and fused._ubuf == oracle._ubuf
-    assert list(fused._upicks) == [int(u * 30) for u in fused._ubuf]
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -347,6 +350,47 @@ def test_iid_cdf_never_fragments_where_p_frg_is_zero():
             assert 0.0 <= c_buy <= c_sell <= c_merge <= 1.0
             if fragmentation_probability(s, x) == 0.0:
                 assert c_merge == 1.0
+
+
+class TopHeavyStream:
+    """A dynamics stream in which about every second uniform is the largest
+    one a generator yields, 1 - 2**-53.  A test installs it as a state's
+    `_rng`."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def random(self, size):
+        u = self._rng.random(size)
+        u[self._rng.random(size) < 0.5] = 1.0 - 2.0**-53
+        return u
+
+
+def test_a_singleton_never_fragments():
+    """Why `advance` fragments a group without asking its size: a strategy
+    singleton decides by its own vote, an entry in {0, 1, 2}, and the iid
+    CDF of size 1 (p_frg(1) = 0) and the E-Z one end at 1.0, above every
+    uniform.  Runs fed the largest uniform at many singleton decisions
+    fragment no singleton, in the oracle and in the loop."""
+    for x in (0.34, 0.35, 0.37, 0.41, 0.45, 0.47, 0.499):  # `validate`'s grid
+        assert decision_cdf(1, x)[2] == 1.0
+    for memory in (2, 4):
+        rows = SimState(small_config(n_agents=500, memory=memory,
+                                     initial_history=(1,) * memory))._rows
+        assert set(b"".join(rows)) == {0, 1, 2}
+    n_steps = 20_000
+    for config in (small_config(vote_mode=VoteMode.IID_UNIFORM), small_config(),
+                   EzConfig(n_agents=40, a=0.05, total_steps=n_steps, seed=5)):
+        oracle = SimState(config)
+        oracle._rng = TopHeavyStream(1)
+        for _ in range(n_steps):
+            event = step(oracle)
+            assert not (event.decision == Decision.FRAGMENT and event.group_size == 1)
+        fused = SimState(config)
+        fused._rng = TopHeavyStream(1)
+        advance(fused, n_steps)
+        assert fused.decision_counts == oracle.decision_counts
+        assert fused.partition._group_of == oracle.partition._group_of
 
 
 # -- step-level contracts ----------------------------------------------------------
@@ -687,6 +731,17 @@ def test_binary_writer_does_not_copy_the_series(tmp_path):
         tracemalloc.stop()
     assert peak < 1 << 20, f"{peak} bytes traced writing an 8 MB series"
     assert np.array_equal(read_returns_binary(tmp_path / "returns.bin"), series)
+
+
+@pytest.mark.parametrize("kind", ["int32", "list"])
+def test_binary_writer_widens_other_integer_series(tmp_path, kind):
+    """A series of another integer width, or a plain list, writes the bytes
+    of its int64 array."""
+    values = [1, -2, 300, 0, -70_000]
+    write_returns_binary(tmp_path / "int64.bin", np.array(values, dtype=np.int64))
+    series = np.array(values, dtype=np.int32) if kind == "int32" else values
+    write_returns_binary(tmp_path / "other.bin", series)
+    assert (tmp_path / "other.bin").read_bytes() == (tmp_path / "int64.bin").read_bytes()
 
 
 def test_binary_truncation_detected(tmp_path):
