@@ -30,6 +30,7 @@ distinct values above it.  Standard library only.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from bisect import bisect_left
 from collections import Counter
@@ -39,6 +40,11 @@ from operator import mul
 
 MIN_TAIL = 100  # fewest tail points a power-law fit accepts
 CANDIDATES = 64  # most cutoffs the KS scan tries
+# Most bins per decade `log_bins` takes: rounding leaves its guessed bin at
+# most one off up to here.  At b bins per decade a guess is off by up to
+# about 5e-16 * b * (|log10 v| + 1) bins, 0.15 at 10^12 for any normal float;
+# on edges and their float neighbours it first missed by two at b = 10^14.
+MAX_BINS_PER_DECADE = 10**12
 
 
 @dataclass(frozen=True)
@@ -150,12 +156,18 @@ def log_bins(returns, bins_per_decade: int = 10) -> list[tuple[float, float, int
     evaluated, so the cost grows with the occupied bins, not the grid.
     A value's bin is the guess floor(bins_per_decade * log10 v), which
     rounding leaves at most one bin off, corrected by one edge comparison.
+    That holds for bins_per_decade up to `MAX_BINS_PER_DECADE` and values
+    no smaller than the smallest normal float, so others are refused:
+    below it, neighbouring edges round to the same float.
     """
-    if bins_per_decade < 1:
-        raise ValueError("bins_per_decade must be >= 1")
+    if not 1 <= bins_per_decade <= MAX_BINS_PER_DECADE:
+        raise ValueError(f"bins_per_decade must be in [1, {MAX_BINS_PER_DECADE}], "
+                         f"got {bins_per_decade}")
     hist = _with_trades(returns)
     values, above = hist.values, hist.above
     lo, hi = values[0], values[-1]
+    if lo < sys.float_info.min:
+        raise ValueError(f"log_bins takes |r| >= {sys.float_info.min}, got {lo}")
     k_lo = math.floor(bins_per_decade * math.log10(lo))
     k_hi = math.ceil(bins_per_decade * math.log10(hi))
     if k_hi == k_lo:

@@ -52,14 +52,17 @@ def _read_run_returns(run_dir: str, k: int) -> tuple[dict, Iterator[int]]:
 
 def main(args) -> int:
     """Run `analyze` on parsed arguments; returns its exit code."""
-    for option, value, ok in (
-        ("--r-min", args.r_min, args.r_min is None or 0 < args.r_min < math.inf),
-        ("--tail-threshold", args.tail_threshold, 0 < args.tail_threshold < math.inf),
-        ("--bins-per-decade", args.bins_per_decade, args.bins_per_decade >= 1),
-        ("--rescale-k", args.rescale_k, args.rescale_k >= 1),
+    max_bins = analysis.MAX_BINS_PER_DECADE
+    for option, value, ok, rule in (
+        ("--r-min", args.r_min, args.r_min is None or 0 < args.r_min < math.inf,
+         "finite and > 0"),
+        ("--tail-threshold", args.tail_threshold, 0 < args.tail_threshold < math.inf,
+         "finite and > 0"),
+        ("--bins-per-decade", args.bins_per_decade, 1 <= args.bins_per_decade <= max_bins,
+         f"in [1, {max_bins}]"),
+        ("--rescale-k", args.rescale_k, args.rescale_k >= 1, ">= 1"),
     ):
         if not ok:
-            rule = ">= 1" if isinstance(value, int) else "finite and > 0"
             raise ConfigError(f"{option} must be {rule}, got {value}")
     # a directory named twice, however spelled, is analysed and summarised once
     run_dirs = {}

@@ -55,12 +55,10 @@ and the equilibration window, after which returns are recorded.  Every
 dynamics draw is a scalar uniform u from an internal pre-drawn block of
 the state's dynamics stream, consumed in a fixed order per step: [agent
 pick][tie-break, strategy mode][decision, iid and E-Z][merge-target
-rejections].  An agent pick is int(u * n).  A state keeps the block's
-uniforms and a cursor, nothing decoded from them: `step` converts each
-pick as it reads it, and `advance` decodes the picks of each block it
-draws in one NumPy pass (the same IEEE product and truncation), and of
-the block it resumes when a call starts mid-block, so its loop never
-converts a float for a pick.
+rejections].  An agent pick is int(u * n); the picks of a whole block are
+decoded in one NumPy pass when the block is drawn (the same IEEE product
+and truncation) and kept with it, so `advance`'s loop reads them ready
+made and never converts a float, however many calls read the block.
 
 The run parameters (`SimConfig`) live in `config` and the return-series
 files and rescaling in `series`; this module re-exports `SimConfig` and
@@ -185,10 +183,12 @@ class SimState:
     which a fresh state holds and `step` sets, and keeps them between its
     calls.  An iid or E-Z state always holds None.
 
-    `_ubuf` is the current block of uniforms drawn from `_rng`
-    (`_draw_block`) and `_upos` the next unread position in it.  A fresh
-    state holds no block and its cursor at `_BUF_SIZE`, so the empty block
-    reads as used up and the first step draws one.
+    `_ubuf` is the current block of uniforms drawn from `_rng`,
+    `_upicks` the agent picks decoded from that same block (`_draw_block`
+    makes both) and `_upos` the next unread position.  They change
+    together: the picks never belong to another block than the floats.  A
+    fresh state holds no block and its cursor at `_BUF_SIZE`, so the empty
+    block reads as used up and the first step draws one.
 
     The state holds no copy of a setting: the population size, x, the
     model and the history's table index are read from `config` and
@@ -198,7 +198,7 @@ class SimState:
     __slots__ = (
         "config", "partition", "history", "step_index", "decision_counts",
         "_cdf", "_rows", "_width", "_single", "_group_votes",
-        "_rng", "_ubuf", "_upos",
+        "_rng", "_ubuf", "_upicks", "_upos",
     )
 
     def __init__(self, config):
@@ -239,7 +239,7 @@ class SimState:
                 tables = assign_strategies(n, config.memory, tables_rng)
                 self._width, self._rows, self._single = _tally_packer(tables)
             self._rng = np.random.Generator(np.random.PCG64(dynamics_seq))
-        self._ubuf = ()  # no block drawn yet: the cursor reads it as used up
+        self._ubuf = self._upicks = ()  # no block drawn yet: the cursor reads it as used up
         self._upos = _BUF_SIZE
 
 
@@ -287,20 +287,22 @@ class _PackOnDemand:
         return self._pack(self._rows[agent])
 
 
-def _decode_picks(u, n: int) -> memoryview:
-    """Agent picks int(u * n) of a block of uniforms u, as a memoryview of
-    int64: indexing gives a Python int.
+def _decode_picks(u: np.ndarray, n: int) -> np.ndarray:
+    """Agent picks int(u * n) of uniforms u, as int64.
 
     The same IEEE double product and truncation toward zero as the scalar
     expression, so a pick equals the one `step` computes from the float.
     """
-    return memoryview((np.asarray(u) * n).astype(np.int64))
+    return (u * n).astype(np.int64)
 
 
-def _draw_block(rng: np.random.Generator) -> memoryview:
-    """Next block of dynamics uniforms, as a memoryview: indexing gives a
-    Python float."""
-    return memoryview(rng.random(_BUF_SIZE))
+def _draw_block(rng: np.random.Generator, n: int):
+    """Next block of dynamics uniforms and its agent picks among n agents.
+
+    Both are memoryviews: indexing gives a Python float and a Python int.
+    """
+    u = rng.random(_BUF_SIZE)
+    return memoryview(u), memoryview(_decode_picks(u, n))
 
 
 def init_state(config: SimConfig | EzConfig) -> SimState:
@@ -316,12 +318,13 @@ def step(state: SimState) -> StepEvent:
     merging and fragmenting through `Partition.merge` and
     `Partition.fragment` alone, and consumes the state's dynamics stream in
     the same order, so a loop of `step` calls reproduces `advance` byte for
-    byte.  It decodes no block: each agent pick is int(u * n) of the
-    uniform it reads.  It reads none of the loop's CDFs or packed tallies:
-    an E-Z decision is drawn from (a/2, a, 1.0) built from `config.a`, an
-    iid one from `voting.decision_cdf`, and a strategy group counts each
-    member's table entry at the index of `state.history` and classifies
-    the tally by `voting.consensus_options`.  It leaves `_group_votes` None, so the
+    byte.  It computes each agent pick as int(u * n) of the uniform it
+    reads, and keeps the picks of a block it draws for the next `advance`.
+    It reads none of the loop's CDFs or packed tallies: an E-Z decision is
+    drawn from (a/2, a, 1.0) built from `config.a`, an iid one from
+    `voting.decision_cdf`, and a strategy group counts each member's table
+    entry at the index of `state.history` and classifies the tally by
+    `voting.consensus_options`.  It leaves `_group_votes` None, so the
     next `advance` rebuilds the tallies from the partition.
     """
     from .voting import Decision, consensus_options, decision_cdf
@@ -333,7 +336,8 @@ def step(state: SimState) -> StepEvent:
     buf = state._ubuf
     pos = state._upos
     if pos >= _BUF_SIZE - _REFILL_MARGIN:
-        buf = state._ubuf = _draw_block(rng)
+        buf, state._upicks = _draw_block(rng, n)
+        state._ubuf = buf
         pos = 0
     part = state.partition
     group_of = part._group_of
@@ -378,7 +382,8 @@ def step(state: SimState) -> StepEvent:
                 if target != agent if ez else group_of[target] != g:
                     break
                 if pos >= _BUF_SIZE:
-                    buf = state._ubuf = _draw_block(rng)
+                    buf, state._upicks = _draw_block(rng, n)
+                    state._ubuf = buf
                     pos = 0
             g2 = group_of[target]
             if g2 != g:  # E-Z: the other agent is in the same group, nothing happens
@@ -410,12 +415,13 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
     O(groups), that the singletons and the member lists still cover every
     agent once.
 
-    The loop decodes the agent picks of each block it draws, and of the
-    state's block when the call starts mid-block (`run` starts on none).  A
-    step draws a new block when its cursor is at `_BUF_SIZE -
-    _REFILL_MARGIN` or past it, a merge-target rejection at `_BUF_SIZE`.
-    Picks come from the decoded ints and decision and tie-break uniforms
-    from the floats, in the order `step` consumes them.  An iid group
+    Each block of uniforms is drawn and decoded once (`_draw_block`), by
+    whichever of `step` and `advance` needs it, and kept with the state, so
+    a call that resumes a block decodes nothing.  A step draws a new block
+    when its cursor is at `_BUF_SIZE - _REFILL_MARGIN` or past it, a
+    merge-target rejection at `_BUF_SIZE`.  Agent and merge-target picks
+    come from the block's int picks and decision and tie-break uniforms
+    from its floats, in the order `step` consumes them.  An iid group
     decides from its size's CDF in the state's `_cdf`, an E-Z group from
     the one constant CDF bound here.
 
@@ -463,10 +469,9 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
     fmask = (1 << w) - 1
     h = history_index(state.history)
     buf = state._ubuf
+    picks = state._upicks
     pos = state._upos
     refill_at = _BUF_SIZE - _REFILL_MARGIN
-    # the picks of a block this call resumes; a block drawn below brings its own
-    picks = _decode_picks(buf, n) if pos < refill_at else None
     i = state.step_index
     stop = i + n_steps
     if returns is None:
@@ -497,8 +502,7 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
             for i in range(i, block_end):
                 if pos >= refill_at:
                     buf = picks = None  # let the old block go before the next one is drawn
-                    buf = _draw_block(rng)
-                    picks = _decode_picks(buf, n)
+                    buf, picks = _draw_block(rng, n)
                     pos = 0
                 agent = picks[pos]
                 pos += 1
@@ -569,8 +573,7 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
                                 break
                             if pos >= _BUF_SIZE:
                                 buf = picks = None
-                                buf = _draw_block(rng)
-                                picks = _decode_picks(buf, n)
+                                buf, picks = _draw_block(rng, n)
                                 pos = 0
                         g2 = group_of[target]
                         if g2 != g:
@@ -622,6 +625,7 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
             gc.enable()
 
     state._ubuf = buf
+    state._upicks = picks
     state._upos = pos
     state.history = tuple((h >> k) & 1 for k in range(memory - 1, -1, -1))
     state.step_index = stop

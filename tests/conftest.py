@@ -13,7 +13,8 @@ def _step_counting_refills(step_fn, state, n_steps):
     loop.  A new block shows as a new `_ubuf` after the step: the step began
     within `_REFILL_MARGIN` draws of the end of a block (or on a fresh
     state, whose cursor sits at `_BUF_SIZE`) when the refill came before the
-    agent pick, and anywhere below that when it came while rejecting.
+    agent pick, and anywhere below that when it came while rejecting.  Each
+    new block is checked to come with its own decoded picks.
     """
     returns = np.zeros(n_steps, dtype=np.int64)
     at_start = in_rejections = 0
@@ -21,6 +22,8 @@ def _step_counting_refills(step_fn, state, n_steps):
         buf, pos = state._ubuf, state._upos
         returns[i] = step_fn(state).net_return
         if state._ubuf is not buf:
+            n = state.partition.n_agents
+            assert list(state._upicks) == [int(u * n) for u in state._ubuf]
             if pos >= _BUF_SIZE - _REFILL_MARGIN:
                 at_start += 1
             else:

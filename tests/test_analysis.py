@@ -128,6 +128,34 @@ def test_log_bins_corrects_the_guess_at_rounded_edges():
     assert moved_down and moved_up
 
 
+@pytest.mark.parametrize("b", [0, 10**12 + 1])
+def test_log_bins_refuses_more_bins_per_decade_than_its_guess_resolves(b):
+    with pytest.raises(ValueError, match=r"bins_per_decade must be in \[1, 1000000000000\]"):
+        log_bins([1.0, 2.0], b)
+
+
+def test_log_bins_takes_the_most_bins_per_decade_it_allows():
+    """At 10^12 bins per decade each value, edge and float neighbour of an
+    edge lands in the last bin whose left edge is <= it."""
+    b = 10**12
+    values = [1.0, 2.0, 3.0, 1e-300, 1e300]
+    for k in (1, 10**12 // 3, 7 * 10**12, -299 * 10**12 - 17, 299 * 10**12 + 5):
+        e = 10.0 ** (k / b)
+        values += [math.nextafter(e, 0.0), e, math.nextafter(e, math.inf)]
+    bins = log_bins(values, b)
+    assert sum(count for *_, count in bins) == len(values)
+    for left, right, count in bins[:-1]:
+        assert count == sum(left <= v < right for v in values)
+
+
+def test_log_bins_refuses_subnormal_values():
+    """Below the smallest normal float neighbouring edges round together,
+    so no bin is guessed for such a value."""
+    with pytest.raises(ValueError, match="log_bins takes"):
+        log_bins([5e-324, 1e-323, 1.0], 10)
+    assert log_bins([2.2250738585072014e-308, 1.0], 1)[0][2] == 1
+
+
 # -- power-law fit -----------------------------------------------------------------
 
 def test_fit_recovers_synthetic_exponent():

@@ -1261,7 +1261,7 @@ def test_analyze_refuses_a_run_of_another_schema(tmp_path, capsys):
 @pytest.mark.parametrize("option, value", [
     ("--r-min", "0"), ("--r-min", "-5"), ("--r-min", "nan"), ("--r-min", "inf"),
     ("--tail-threshold", "0"), ("--tail-threshold", "nan"),
-    ("--bins-per-decade", "0"), ("--rescale-k", "0"),
+    ("--bins-per-decade", "0"), ("--bins-per-decade", "1000000000001"), ("--rescale-k", "0"),
 ])
 def test_analyze_bad_option_is_config_error(tmp_path, capsys, option, value):
     """Refused with the option named before any run directory is read (the
@@ -1541,7 +1541,7 @@ SIGNATURES = {
 SIMSTATE_SLOTS = (
     "config", "partition", "history", "step_index", "decision_counts",
     "_cdf", "_rows", "_width", "_single", "_group_votes",
-    "_rng", "_ubuf", "_upos",
+    "_rng", "_ubuf", "_upicks", "_upos",
 )
 CONFIG_FIELDS = {
     "SimConfig": ["n_agents", "total_steps", "equilibration_steps", "seed",

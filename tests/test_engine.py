@@ -249,6 +249,7 @@ def test_fused_loop_matches_oracle_across_blocks_and_both_refill_sites(
     advance(oracle, 0)
     assert fused._group_votes == oracle._group_votes
     assert fused._upos == oracle._upos and fused._ubuf == oracle._ubuf
+    assert list(fused._upicks) == [int(u * 30) for u in fused._ubuf]
 
 
 @settings(max_examples=200, deadline=None, database=None)

@@ -119,6 +119,7 @@ def test_fused_loop_matches_oracle_across_blocks_and_both_refill_sites(step_coun
     assert list(fused.partition._members.items()) == list(oracle.partition._members.items())
     assert_same_sizes(fused.partition, oracle.partition)
     assert fused._upos == oracle._upos and fused._ubuf == oracle._ubuf
+    assert list(fused._upicks) == [int(u * 80) for u in fused._ubuf]
 
 
 def test_trade_probability_is_a():
