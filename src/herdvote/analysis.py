@@ -150,12 +150,13 @@ def log_bins(returns, bins_per_decade: int = 10) -> list[tuple[float, float, int
 
     The grid's edges are 10^(k / bins_per_decade) for the integers k whose
     edges enclose the values, the outer two moved out to the smallest and
-    largest value where rounding leaves them inside.  A bin holds the
-    values from its left edge up to, not including, its right one; the last
-    bin holds its right edge too.  Only the edges of occupied bins are
-    evaluated, so the cost grows with the occupied bins, not the grid.
-    A value's bin is the guess floor(bins_per_decade * log10 v), which
-    rounding leaves at most one bin off, corrected by one edge comparison.
+    largest value where rounding leaves them inside; a top edge past the
+    float range is the largest value.  A bin holds the values from its left
+    edge up to, not including, its right one; the last bin holds its right
+    edge too.  Only the edges of occupied bins are evaluated, so the cost
+    grows with the occupied bins, not the grid.  A value's bin is the guess
+    floor(bins_per_decade * log10 v), which rounding leaves at most one bin
+    off, corrected by one edge comparison.
     That holds for bins_per_decade up to `MAX_BINS_PER_DECADE` and values
     no smaller than the smallest normal float, so others are refused:
     below it, neighbouring edges round to the same float.
@@ -174,7 +175,10 @@ def log_bins(returns, bins_per_decade: int = 10) -> list[tuple[float, float, int
         k_hi += 1
 
     def edge(k: int) -> float:
-        e = 10.0 ** (k / bins_per_decade)
+        try:
+            e = 10.0 ** (k / bins_per_decade)
+        except OverflowError:  # the top edge, past the float range
+            return hi
         if k == k_lo:
             return min(e, lo)  # guard rounding at the extremes
         return max(e, hi) if k == k_hi else e
@@ -207,7 +211,9 @@ def log_binned_pdf(returns, bins_per_decade: int = 10) -> tuple[list[float], lis
     hist = histogram(returns)
     bins = log_bins(hist, bins_per_decade)
     n = hist.above[0]
-    centers = [math.sqrt(left * right) for left, right, _ in bins]
+    # sqrt(left * right), but by halves where that product is not a normal float
+    centers = [math.sqrt(p) if sys.float_info.min <= (p := left * right) < math.inf
+               else math.sqrt(left) * math.sqrt(right) for left, right, _ in bins]
     density = [count / (n * (right - left)) for left, right, count in bins]
     return centers, density
 

@@ -49,7 +49,8 @@ output paths are checked before any work, and its files are staged and
 moved into place together, so an error leaves every output as it was.
 This module holds the parser and the dispatch, the file formats (the
 `_write_*` writers and the config text) and the `run` command: which files
-it writes, and its append-only digest check on a rerun.
+it writes, and its append-only digest check on a rerun.  A record a
+command writes is the library's (`engine.RunSummary`, `SolverReport`).
 
 A process compiles and imports only the command it runs.  The bodies of
 `sweep`, `meanfield`, `analyze` and `validate` live in `cli_sweep`,
@@ -337,16 +338,10 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _summary_dict(summary) -> dict:
-    # wall time is reported in the manifest; the digested artifacts must be
-    # byte-identical across reruns
-    return {
-        "n_agents": summary.n_agents,
-        "total_steps": summary.total_steps,
-        "recorded_steps": summary.recorded_steps,
-        "decision_counts": summary.decision_counts,
-        "trade_fraction": summary.trade_fraction,
-        "final_size_histogram": {str(k): v for k, v in summary.final_size_histogram.items()},
-    }
+    """Every `RunSummary` field, the histogram's sizes as text keys.  Wall
+    time is in the manifest: the digested artifacts must not vary."""
+    return {**dataclasses.asdict(summary), "final_size_histogram": {
+        str(k): v for k, v in summary.final_size_histogram.items()}}
 
 
 # -- subcommands -------------------------------------------------------------

@@ -5,9 +5,10 @@ return series are read back digest-checked (`_read_run_returns`).  The
 series, a view of the file's bytes that is never copied, is summed in
 windows of `--rescale-k` steps, reduced to one histogram of |r|, and
 written as `analysis/ccdf.csv`, `pdf.csv` and `fit.csv` in the run
-directory; the cross-run summary fits every series at one cutoff.  Every
-file goes through `cli._write_csv`.  Neither this module nor its layers
-(`series`, `analysis`) load NumPy.
+directory; the cross-run summary fits every series at one cutoff.  A
+column is read by name from the run's `TailFit` or a `cutoff_scan` row.
+Every file goes through `cli._write_csv`.  Neither this module nor its
+layers (`series`, `analysis`) load NumPy.
 """
 
 from __future__ import annotations
@@ -19,6 +20,12 @@ from collections.abc import Iterator
 from . import analysis, cli
 from .artifacts import ConfigError, publication, read_verified
 from .series import parse_returns_binary, window_sums
+
+# The columns after `x`: `TailFit` attributes, and `cutoff_scan` row keys.
+_FIT_COLUMNS = ("alpha_density", "alpha_cumulative", "r_min", "stderr", "n_tail")
+_SUMMARY_COLUMNS = ("x", *_FIT_COLUMNS, "tail_threshold", "tail_mass")
+_NO_FIT = analysis.TailFit(alpha_density=math.nan, r_min=math.nan, r_max=math.nan,
+                           stderr=math.nan, n_tail=0, ks_distance=math.nan)
 
 
 def _read_run_returns(run_dir: str, k: int) -> tuple[dict, Iterator[int]]:
@@ -79,10 +86,8 @@ def main(args) -> int:
             param = config["x"] if config["model"] == "main" else f"ez a={config['ez_a']}"
             try:
                 fit = analysis.fit_power_law(hist, args.r_min)
-                fit_row = (param, fit.alpha_density, fit.alpha_cumulative,
-                           fit.r_min, fit.stderr, fit.n_tail)
-            except ValueError:
-                fit_row = (param, math.nan, math.nan, math.nan, math.nan, 0)
+            except ValueError:  # too few tail points for a fit
+                fit = _NO_FIT
             curve = analysis.ccdf(hist)
             centers, density = analysis.log_binned_pdf(hist, args.bins_per_decade)
             out_dir = os.path.join(run_dir, "analysis")
@@ -91,8 +96,7 @@ def main(args) -> int:
             stage(os.path.join(out_dir, "pdf.csv"), lambda p: cli._write_csv(
                 p, ("bin_center", "density"), zip(centers, density)))
             stage(os.path.join(out_dir, "fit.csv"), lambda p: cli._write_csv(
-                p, ("x", "alpha_density", "alpha_cumulative", "r_min", "stderr", "n_tail"),
-                [fit_row]))
+                p, ("x", *_FIT_COLUMNS), [(param, *(getattr(fit, c) for c in _FIT_COLUMNS))]))
             key = param
             if key in histograms:  # replicate runs at the same parameters
                 key = f"{param} seed={config['seed']}"
@@ -111,11 +115,6 @@ def main(args) -> int:
                 f"{analysis.MIN_TAIL} tail points); pass --r-min to fit every run at a fixed "
                 f"cutoff") from None
         stage(args.out, lambda p: cli._write_csv(
-            p,
-            ("x", "alpha_density", "alpha_cumulative", "r_min", "stderr", "n_tail",
-             "tail_threshold", "tail_mass"),
-            ((r["x"], r["alpha_density"], r["alpha_cumulative"], r["r_min"],
-              r["stderr"], r["n_tail"], r["tail_threshold"], r["tail_mass"]) for r in rows),
-        ))
+            p, _SUMMARY_COLUMNS, ([row[c] for c in _SUMMARY_COLUMNS] for row in rows)))
     print(args.out)
     return cli.EXIT_OK

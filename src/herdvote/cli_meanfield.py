@@ -1,12 +1,14 @@
 """The `meanfield` command: the stationary group-size distribution for (N, x).
 
 Imported by `cli` when `meanfield` is dispatched.  It writes the
-distribution through `meanfield.write_distribution` and its solver report
-through `cli._write_json`, and prints the report.
+distribution through `meanfield.write_distribution`, then prints and
+writes (`cli._write_json`) its report: the call's `n_agents`, `x` and
+`tolerance`, then every `meanfield.SolverReport` field.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 
@@ -27,15 +29,8 @@ def main(args) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         stage(out, lambda p: meanfield.write_distribution(p, dist))
-        report_dict = {
-            "n_agents": args.n_agents,
-            "x": args.x,
-            "tolerance": args.tolerance,
-            "iterations": report.iterations,
-            "residual": report.residual,
-            "converged": report.converged,
-            "support": report.support,
-        }
+        report_dict = {"n_agents": args.n_agents, "x": args.x, "tolerance": args.tolerance,
+                       **dataclasses.asdict(report)}
         stage(report_path, lambda p: cli._write_json(p, report_dict))
     print(json.dumps(report_dict))
     if not report.converged:

@@ -539,20 +539,14 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
                     if mx < x * s:
                         d = 3
                     else:
+                        # the first tied option, or a draw's pick: of 3 the pick-th, of 2 the 2nd
+                        d = 0 if b == mx else (1 if sc == mx else 2)
                         n_tied = (b == mx) + (sc == mx) + (wt == mx)
-                        if n_tied == 1:
-                            d = 0 if b == mx else (1 if sc == mx else 2)
-                        else:
+                        if n_tied > 1:
                             pick = int(buf[pos] * n_tied)
                             pos += 1
-                            tied = []
-                            if b == mx:
-                                tied.append(0)
-                            if sc == mx:
-                                tied.append(1)
-                            if wt == mx:
-                                tied.append(2)
-                            d = tied[pick]
+                            if pick:
+                                d = pick if n_tied == 3 else (2 if wt == mx else 1)
 
                 # act
                 counts[d] += 1

@@ -22,6 +22,7 @@ than loosened:
 
 import time
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,11 +278,11 @@ def test_criterion_9_determinism_and_performance(tmp_path):
         cli.default_config(),
         ["n_agents=400", "total_steps=8000", "x=0.41", "seed=5"],
     )
-    import json, os
+    import json
     dir_a = cli.execute_run(config, str(tmp_path / "a")).run_dir
     dir_b = cli.execute_run(config, str(tmp_path / "b")).run_dir
-    digests_a = json.load(open(os.path.join(dir_a, "manifest.json")))["artifacts"]
-    digests_b = json.load(open(os.path.join(dir_b, "manifest.json")))["artifacts"]
+    digests_a = json.loads(Path(dir_a, "manifest.json").read_text())["artifacts"]
+    digests_b = json.loads(Path(dir_b, "manifest.json").read_text())["artifacts"]
     identical = digests_a == digests_b
 
     sweep_args = ["sweep", "--x", "0.41,0.47", "--replicates", "1", "--set", "seed=3",
@@ -290,7 +291,7 @@ def test_criterion_9_determinism_and_performance(tmp_path):
     assert cli.main(sweep_args + ["--workers", "2", "--out", str(tmp_path / "w2")]) == 0
     sweeps = []
     for d in ("w1", "w2"):
-        records = json.load(open(tmp_path / d / "sweep.json"))["runs"]
+        records = json.loads((tmp_path / d / "sweep.json").read_text())["runs"]
         sweeps.append(sorted((r["x"], r["config_digest"]) for r in records))
     workers_same = sweeps[0] == sweeps[1]
 

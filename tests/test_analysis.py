@@ -1,4 +1,5 @@
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -154,6 +155,30 @@ def test_log_bins_refuses_subnormal_values():
     with pytest.raises(ValueError, match="log_bins takes"):
         log_bins([5e-324, 1e-323, 1.0], 10)
     assert log_bins([2.2250738585072014e-308, 1.0], 1)[0][2] == 1
+
+
+@pytest.mark.parametrize("hi", [1.7e308, sys.float_info.max])
+def test_log_bins_keeps_a_largest_value_whose_top_edge_overflows(hi):
+    """10^(k_hi / b) is beyond the float range: the top edge is the largest
+    value, which the last bin holds."""
+    bins = log_bins([1.0, hi], 10)
+    left, right, count = bins[-1]
+    assert left < right == hi and count == 1
+    assert sum(count for *_, count in bins) == 2
+
+
+@pytest.mark.parametrize("values", [[1.0, 1e200], [1e-170, 1e-160, 1.0]],
+                         ids=["product_overflows", "product_underflows"])
+def test_log_binned_pdf_centers_bins_whose_edge_product_leaves_the_float_range(values):
+    """sqrt(left * right) would read inf or 0.0 here: each center is still
+    the geometric mean of its bin's edges."""
+    centers, _ = log_binned_pdf(values)
+    bins = log_bins(values)
+    assert len(centers) == len(bins)
+    for center, (left, right, _) in zip(centers, bins):
+        assert left < center < right
+        assert math.log(center) == pytest.approx((math.log(left) + math.log(right)) / 2,
+                                                 rel=1e-13)
 
 
 # -- power-law fit -----------------------------------------------------------------

@@ -140,7 +140,7 @@ def test_run_artifacts_are_pinned(tmp_path, capsys, override):
             "--set", "x=0.41", "--set", "seed=1", "--set", override]
     assert run_cli(argv) == 0
     run_dir = capsys.readouterr().out.strip()
-    manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
+    manifest = json.loads(Path(run_dir, "manifest.json").read_text())
     assert manifest["artifacts"] == PINNED_ARTIFACTS[override]
 
 
@@ -307,10 +307,10 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
     assert names == [
         "config.txt", "manifest.json", "returns_raw.bin", "size_histogram.csv", "summary.json",
     ]
-    manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
+    manifest = json.loads(Path(run_dir, "manifest.json").read_text())
     assert manifest["config"]["x"] == "0.41"
     assert set(manifest["artifacts"]) == set(names) - {"manifest.json"}
-    summary = json.load(open(os.path.join(run_dir, "summary.json")))
+    summary = json.loads(Path(run_dir, "summary.json").read_text())
     raw = read_returns_binary(os.path.join(run_dir, "returns_raw.bin"))
     assert len(raw) == summary["recorded_steps"]
 
@@ -322,8 +322,8 @@ def test_run_twice_is_idempotent_and_deterministic(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == dir_a
     assert run_cli(tiny_run_args(tmp_path / "b")) == 0
     dir_b = capsys.readouterr().out.strip()
-    man_a = json.load(open(os.path.join(dir_a, "manifest.json")))
-    man_b = json.load(open(os.path.join(dir_b, "manifest.json")))
+    man_a = json.loads(Path(dir_a, "manifest.json").read_text())
+    man_b = json.loads(Path(dir_b, "manifest.json").read_text())
     assert man_a["artifacts"] == man_b["artifacts"]
     assert os.path.basename(dir_a) == os.path.basename(dir_b)  # digest-addressed
 
@@ -421,8 +421,8 @@ def test_crash_mid_write_leaves_no_partial_artifact(tmp_path, capsys, monkeypatc
         assert run_cli(tiny_run_args(tmp_path / "b")) == 0
         fresh_dir = capsys.readouterr().out.strip()
         assert tree(run_dir).keys() == tree(fresh_dir).keys()
-        man_a = json.load(open(os.path.join(run_dir, "manifest.json")))
-        man_b = json.load(open(os.path.join(fresh_dir, "manifest.json")))
+        man_a = json.loads(Path(run_dir, "manifest.json").read_text())
+        man_b = json.loads(Path(fresh_dir, "manifest.json").read_text())
         assert man_a["artifacts"] == man_b["artifacts"]
     else:
         written = {"analyze": ["summary.csv", "runs/*/analysis/fit.csv"],
@@ -576,7 +576,7 @@ def test_absolute_majority_warning_lands_in_manifest(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr()
     run_dir = out.out.strip()
-    manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
+    manifest = json.loads(Path(run_dir, "manifest.json").read_text())
     assert any("absolute-majority" in w for w in manifest["warnings"])
     assert "absolute-majority" in out.err
 
@@ -625,7 +625,7 @@ def test_run_ez_model(tmp_path, capsys):
     ])
     assert code == 0
     run_dir = capsys.readouterr().out.strip()
-    summary = json.load(open(os.path.join(run_dir, "summary.json")))
+    summary = json.loads(Path(run_dir, "summary.json").read_text())
     assert summary["decision_counts"]["fragment"] == 0
 
 
@@ -665,7 +665,7 @@ def test_memory_alone_sets_the_history_length(tmp_path, capsys):
     explicit history of another length is still refused."""
     assert run_cli(tiny_run_args(tmp_path / "runs", extra=["--set", "memory_m=3"])) == 0
     run_dir = capsys.readouterr().out.strip()
-    config_lines = open(os.path.join(run_dir, "config.txt")).read().splitlines()
+    config_lines = Path(run_dir, "config.txt").read_text().splitlines()
     assert "initial_history = 1,1,1" in config_lines and "memory_m = 3" in config_lines
 
     code = run_cli(tiny_run_args(tmp_path / "other", extra=[
@@ -724,7 +724,7 @@ def test_run_config_file_plus_override(tmp_path, capsys):
                     "--out", str(tmp_path / "runs")])
     assert code == 0
     run_dir = capsys.readouterr().out.strip()
-    echoed = open(os.path.join(run_dir, "config.txt")).read()
+    echoed = Path(run_dir, "config.txt").read_text()
     assert "x = 0.45" in echoed
     assert "n_agents = 150" in echoed
 
@@ -743,8 +743,8 @@ def test_sweep_worker_count_does_not_change_outputs(tmp_path, capsys):
     assert run_cli(sweep_args(tmp_path / "w1", 1)) == 0
     assert run_cli(sweep_args(tmp_path / "w2", 2)) == 0
     capsys.readouterr()
-    sweep1 = json.load(open(tmp_path / "w1" / "sweep.json"))
-    sweep2 = json.load(open(tmp_path / "w2" / "sweep.json"))
+    sweep1 = json.loads((tmp_path / "w1" / "sweep.json").read_text())
+    sweep2 = json.loads((tmp_path / "w2" / "sweep.json").read_text())
     digests1 = {r["x"]: r["config_digest"] for r in sweep1["runs"]}
     digests2 = {r["x"]: r["config_digest"] for r in sweep2["runs"]}
     assert digests1 == digests2
@@ -752,8 +752,8 @@ def test_sweep_worker_count_does_not_change_outputs(tmp_path, capsys):
         assert record["status"] == "ok"
         other = os.path.join(tmp_path / "w2", os.path.basename(record["run_dir"]))
         for name in ("returns_raw.bin", "summary.json", "config.txt"):
-            assert open(os.path.join(record["run_dir"], name), "rb").read() == open(
-                os.path.join(other, name), "rb").read()
+            assert (Path(record["run_dir"], name).read_bytes()
+                    == Path(other, name).read_bytes())
 
 
 def test_sweep_empty_grid_rejected(tmp_path):
@@ -785,7 +785,7 @@ def test_sweep_drops_repeated_grid_values(tmp_path, capsys):
                     "--set", "total_steps=1000", "--out", str(tmp_path)])
     assert code == 0
     capsys.readouterr()
-    sweep = json.load(open(tmp_path / "sweep.json"))
+    sweep = json.loads((tmp_path / "sweep.json").read_text())
     assert sweep["x_values"] == [0.41, 0.43]
     assert sweep["n_agents_values"] == [100]
     assert [r["x"] for r in sweep["runs"]] == [0.41, 0.43]
@@ -841,7 +841,7 @@ def test_sweep_pool_is_no_larger_than_the_grid_or_the_cpus(
     assert code == 0
     capsys.readouterr()
     assert sizes == ([] if pool_size is None else [pool_size])
-    runs = json.load(open(tmp_path / "sweep.json"))["runs"]
+    runs = json.loads((tmp_path / "sweep.json").read_text())["runs"]
     assert len(runs) == (2 if "--x" in grid else 6)
     assert all(r["status"] == "ok" for r in runs)
 
@@ -854,12 +854,12 @@ def test_sweep_with_a_failing_grid_point_publishes_the_others(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err == ("error: grid point x=0.37 n_agents=1: "
                                        "n_agents must be in [2, 16777216], got 1\n")
-    ok, failed = json.load(open(out / "sweep.json"))["runs"]
+    ok, failed = json.loads((out / "sweep.json").read_text())["runs"]
     assert (ok["status"], ok["n_agents"], failed["status"], failed["n_agents"]) == (
         "ok", 20, "error", 1)
     assert failed["error"] == "n_agents must be in [2, 16777216], got 1"
     assert "run_dir" not in failed
-    published = json.load(open(os.path.join(ok["run_dir"], "manifest.json")))["artifacts"]
+    published = json.loads(Path(ok["run_dir"], "manifest.json").read_text())["artifacts"]
     assert {name: sha256_of(os.path.join(ok["run_dir"], name)) for name in published} == published
     assert sorted(os.listdir(out)) == sorted([os.path.basename(ok["run_dir"]), "sweep.json"])
 
@@ -872,14 +872,14 @@ def test_sweep_records_only_the_keys_the_model_reads(tmp_path, capsys):
     assert run_cli(ez_sweep) == 0
     assert run_cli(sweep_args(tmp_path / "main", 1)) == 0
     capsys.readouterr()
-    sweep = json.load(open(tmp_path / "ez" / "sweep.json"))
+    sweep = json.loads((tmp_path / "ez" / "sweep.json").read_text())
     assert "x_values" not in sweep and sweep["n_agents_values"] == [100, 120]
     assert [(r["n_agents"], r["seed"]) for r in sweep["runs"]] == [
         (n, cli_sweep.derive_seed(5, None, n, rep)) for n in (100, 120) for rep in range(2)]
     assert all(set(r) == {"n_agents", "seed", "status", "run_dir", "config_digest"}
                for r in sweep["runs"])
     assert len({r["run_dir"] for r in sweep["runs"]}) == 4
-    sweep = json.load(open(tmp_path / "main" / "sweep.json"))
+    sweep = json.loads((tmp_path / "main" / "sweep.json").read_text())
     assert [(r["x"], r["n_agents"], r["seed"]) for r in sweep["runs"]] == [
         (0.41, 120, 3760007070974085378), (0.47, 120, 8313916661294398450)]
 
@@ -981,8 +981,20 @@ def test_meanfield_command(tmp_path, capsys):
     assert code == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 6
-    report = json.load(open(str(out) + ".report.json"))
+    report = json.loads(Path(f"{out}.report.json").read_text())
     assert report["converged"] is True
+
+
+def test_meanfield_prints_the_report_it_writes(tmp_path, capsys):
+    """The printed line is the written report: the call's settings, then
+    every `SolverReport` field in its order.  The file sorts its keys."""
+    out = tmp_path / "dist.txt"
+    assert run_cli(["meanfield", "--n-agents", "400", "--x", "0.41", "--out", str(out)]) == 0
+    report = json.loads(Path(f"{out}.report.json").read_text())
+    keys = ["n_agents", "x", "tolerance", "iterations", "residual", "converged", "support"]
+    assert sorted(report) == sorted(keys)
+    assert capsys.readouterr().out == json.dumps({key: report[key] for key in keys}) + "\n"
+    assert report["support"] == 256 and report["converged"] is True
 
 
 def test_meanfield_creates_a_missing_out_directory(tmp_path, capsys):

@@ -252,6 +252,23 @@ def test_fused_loop_matches_oracle_across_blocks_and_both_refill_sites(
     assert list(fused._upicks) == [int(u * 30) for u in fused._ubuf]
 
 
+def test_fused_loop_breaks_two_and_three_way_ties_as_the_oracle(monkeypatch):
+    """At N = 12, x = 0.3 and memory 1 the oracle's groups tie on two
+    options thousands of times in 5000 steps and on all three a few times,
+    whatever Hypothesis draws; the loop breaks every one of those ties as
+    `step` does."""
+    consensus, ties = voting.consensus_options, Counter()
+
+    def counting(tally, x):
+        tied = consensus(tally, x)
+        ties[len(tied)] += 1
+        return tied
+
+    monkeypatch.setattr(voting, "consensus_options", counting)
+    assert_loop_matches_oracle(SimConfig(n_agents=12, x=0.3, memory=1, total_steps=5000, seed=3))
+    assert ties[2] >= 1 and ties[3] >= 1, ties
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(n=st.integers(2, 2**24), lattice=st.lists(st.integers(0, 2**53 - 1), max_size=40))
 def test_decoded_picks_equal_scalar_truncation(n, lattice):
