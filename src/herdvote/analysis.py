@@ -214,7 +214,9 @@ def log_binned_pdf(returns, bins_per_decade: int = 10) -> tuple[list[float], lis
     # sqrt(left * right), but by halves where that product is not a normal float
     centers = [math.sqrt(p) if sys.float_info.min <= (p := left * right) < math.inf
                else math.sqrt(left) * math.sqrt(right) for left, right, _ in bins]
-    density = [count / (n * (right - left)) for left, right, count in bins]
+    # count / (n * width), but in two steps where n * width overflows
+    density = [count / d if (d := n * (right - left)) < math.inf
+               else count / n / (right - left) for left, right, count in bins]
     return centers, density
 
 
@@ -313,13 +315,17 @@ def cutoff_scan(
     a series has too few points above the common cutoff; the tail mass
     P(|r| >= tail_threshold) is always reported.  Each value may be a
     series or its `Histogram`.  A given r_min, and the threshold, must be
-    finite and > 0.
+    finite and > 0.  A series with no trade has no tail mass and is refused
+    by its key before any fit.
     """
     if r_min is not None:
         _require_positive("r_min", r_min)  # before the per-series fits can swallow it
     hists = {x: histogram(r) for x, r in returns_by_x.items()}
     if not hists:
         raise ValueError("no series given")
+    for x, hist in hists.items():
+        if not hist.values:
+            raise ValueError(f"series {x!r} contains no trades (all returns are zero)")
     if r_min is None:
         picked = []
         for hist in hists.values():

@@ -56,9 +56,6 @@ class RunConfig:
     def __post_init__(self):
         if self.equilibration_steps is None:
             self.equilibration_steps = self.total_steps // 10
-        self.validate()
-
-    def validate(self) -> None:
         if not 2 <= self.n_agents <= AGENT_LIMIT:
             raise ValueError(f"n_agents must be in [2, {AGENT_LIMIT}], got {self.n_agents}")
         if self.total_steps < 1:
@@ -95,9 +92,6 @@ class SimConfig(RunConfig):
             self.initial_history = (1,) * min(self.memory, TABLE_BUDGET.bit_length())
         self.initial_history = tuple(int(b) for b in self.initial_history)
         super().__post_init__()
-
-    def validate(self) -> None:
-        super().validate()
         if not 0.0 < self.x < 1.0:
             raise ValueError(f"x must be in (0, 1), got {self.x}")
         if self.memory < 1:
@@ -122,7 +116,7 @@ class SimConfig(RunConfig):
 class EzConfig(RunConfig):
     a: float = 0.01  # per-step trade probability
 
-    def validate(self) -> None:
-        super().validate()
+    def __post_init__(self):
+        super().__post_init__()
         if not 0.0 < self.a < 1.0:
             raise ValueError(f"trade probability must be in (0, 1), got {self.a}")

@@ -383,8 +383,6 @@ def stationary_oracle(n_agents: int, x) -> GroupSizeDistribution:
                 nxt.remove(s)
                 nxt.extend([1] * s)
                 trans[i, index[tuple(sorted(nxt, reverse=True))]] += pick * probs.fragment
-            else:
-                stay += pick * probs.fragment
             if s == N:
                 stay += pick * probs.merge  # nobody outside to join
                 continue

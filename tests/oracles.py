@@ -3,13 +3,15 @@
 Nothing in the package imports this module; only tests do.
 """
 
+import itertools
 import math
 
 import numpy as np
+import pytest
 
 from herdvote.analysis import MIN_TAIL, TailFit
 from herdvote.config import VoteMode
-from herdvote.engine import history_index
+from herdvote.engine import _BUF_SIZE, _REFILL_MARGIN, SimState, advance, history_index, run, step
 from herdvote.meanfield import GroupSizeDistribution, SolverReport, _flows, _size_rates
 from herdvote.voting import VoteTally
 
@@ -291,3 +293,105 @@ def check_partition(part) -> None:
         singles += 1
     if singles != part._n_single:
         raise AssertionError(f"{singles} singletons, the count says {part._n_single}")
+
+
+# -- the fused loop against the per-step oracle ------------------------------------
+#
+# `engine.step` is the oracle of every model (`ez.ez_step` is the same
+# function); `engine.advance` and `engine.run` are held to it byte for byte.
+
+def step_counting_refills(state, n_steps):
+    """Step the oracle `n_steps` times: its events, and how often it drew a
+    new block of uniforms at the start of a step and inside the merge-target
+    rejection loop.
+
+    A new block shows as a new `_ubuf`.  It came before the agent pick when
+    the step began within `_REFILL_MARGIN` draws of the block's end (or on a
+    fresh state, whose cursor sits at `_BUF_SIZE`), else while rejecting.
+    Each block drawn in place of another must come with its own picks.
+    """
+    n = state.partition.n_agents
+    events = []
+    at_start = in_rejections = 0
+    for _ in range(n_steps):
+        buf, pos = state._ubuf, state._upos
+        events.append(step(state))
+        if state._ubuf is not buf:
+            if len(buf):
+                assert list(state._upicks) == [int(u * n) for u in state._ubuf]
+            if pos >= _BUF_SIZE - _REFILL_MARGIN:
+                at_start += 1
+            else:
+                in_rejections += 1
+    return events, at_start, in_rejections
+
+
+def assert_same_state(state, oracle):
+    """Two simulation states agree in every field but `_cdf`, the loop's iid
+    CDFs, which the oracle never fills: every `_size` entry (stale ones
+    too), the member lists in order, and the stream down to its generator.
+    """
+    assert state.step_index == oracle.step_index
+    assert state.history == oracle.history
+    assert state.decision_counts == oracle.decision_counts
+    part, ref = state.partition, oracle.partition
+    assert part._group_of == ref._group_of
+    assert part._size == ref._size
+    assert list(part._members.items()) == list(ref._members.items())
+    assert part._n_single == ref._n_single
+    assert state._group_votes == oracle._group_votes
+    assert state._upos == oracle._upos
+    assert state._ubuf == oracle._ubuf and state._upicks == oracle._upicks
+    assert state._rng.bit_generator.state == oracle._rng.bit_generator.state
+
+
+def assert_loop_matches_oracle(config, stream=None):
+    """`run`, a chunked `advance`, and `advance` and `step` interleaved
+    reproduce a loop of `step` byte for byte and leave its whole state.
+
+    `stream`, when given, makes each state's dynamics stream in place of
+    its own generator; `run` builds its own state, so that leg is left out.
+    Returns `step_counting_refills` of the oracle's loop.
+    """
+    def fresh():
+        state = SimState(config)
+        if stream is not None:
+            state._rng = stream()
+        return state
+
+    e = config.equilibration_steps
+    oracle = fresh()
+    counted = step_counting_refills(oracle, config.total_steps)
+    expected = np.array([event.net_return for event in counted[0]], dtype=np.int64)[e:]
+    advance(oracle, 0)  # the oracle's tallies, built from its partition
+
+    if stream is None:
+        returns, summary = run(config)
+        assert np.array_equal(returns, expected)
+        assert list(summary.decision_counts.values()) == oracle.decision_counts
+        assert summary.final_size_histogram == oracle.partition.size_histogram()
+
+    fused = fresh()
+    chunked = np.zeros_like(expected)
+    chunks = itertools.cycle((1, 13, 1000, 10_007))
+    while fused.step_index < config.total_steps:
+        advance(fused, min(next(chunks), config.total_steps - fused.step_index), chunked)
+    assert np.array_equal(chunked, expected)
+    assert_same_state(fused, oracle)
+    with pytest.raises(ValueError):
+        advance(fused, -1)
+
+    # `advance`, then `step` (which drops the tallies and resumes the loop's
+    # block), then `advance` (which rebuilds the tallies from the partition)
+    mixed = fresh()
+    interleaved = np.zeros_like(expected)
+    third = config.total_steps // 3
+    advance(mixed, third, interleaved)
+    for i in range(third, 2 * third):
+        net = step(mixed).net_return
+        if i >= e:
+            interleaved[i - e] = net
+    advance(mixed, config.total_steps - 2 * third, interleaved)
+    assert np.array_equal(interleaved, expected)
+    assert_same_state(mixed, oracle)
+    return counted

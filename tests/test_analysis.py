@@ -181,6 +181,17 @@ def test_log_binned_pdf_centers_bins_whose_edge_product_leaves_the_float_range(v
                                                  rel=1e-13)
 
 
+def test_log_binned_pdf_density_of_a_bin_whose_width_times_n_overflows():
+    """n * (right - left) is inf for the top bin here: its density is still
+    count / n / width, a normal float, and every other bin's is
+    count / (n * width) as before."""
+    values = [1.0] * 50 + [1.7e308] * 50
+    _, density = log_binned_pdf(values)
+    (*lower, (left, right, count)) = log_bins(values)
+    assert density[-1] == count / 100 / (right - left) == pytest.approx(4.34e-308, rel=1e-3)
+    assert density[:-1] == [c / (100 * (r - l)) for l, r, c in lower]
+
+
 # -- power-law fit -----------------------------------------------------------------
 
 def test_fit_recovers_synthetic_exponent():
@@ -260,6 +271,12 @@ def test_cutoff_scan_common_r_min_auto():
 def test_cutoff_scan_empty_rejected():
     with pytest.raises(ValueError):
         cutoff_scan({})
+
+
+@pytest.mark.parametrize("r_min", [1.0, None])
+def test_cutoff_scan_refuses_a_series_without_trades_by_its_key(r_min):
+    with pytest.raises(ValueError, match="series 0.41 contains no trades"):
+        cutoff_scan({0.41: [0, 0, 0], 0.37: range(1, 300)}, r_min=r_min)
 
 
 @pytest.mark.parametrize("bad", [0, -1.0, math.nan, math.inf])
@@ -350,7 +367,7 @@ def tail_samples(draw):
     return np.asarray(rescale_returns(sizes * signs * trades, draw(st.sampled_from([1, 2, 3]))))
 
 
-@settings(max_examples=150, deadline=None, database=None)
+@settings(max_examples=150)
 @given(sample=tail_samples(), bins_per_decade=st.sampled_from([1, 3, 10, 100, 10_000]))
 def test_statistics_match_the_numpy_reference(sample, bins_per_decade):
     """Tolerances, fixed before the comparison was first run:

@@ -76,7 +76,7 @@ def resolved_configs(draw):
     return cli.resolve_config(raw)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(resolved_configs())
 def test_config_text_round_trip_of_resolved_configs(config):
     text = cli.config_text(config)
@@ -1461,7 +1461,7 @@ ARBITRARY_INPUT = {
 
 
 @pytest.mark.parametrize("target", list(ARBITRARY_INPUT))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_arbitrary_input_exits_0_or_3_and_leaves_no_partial_output(target, data):
     """Arbitrary bytes as a config file, a run's manifest or series, and

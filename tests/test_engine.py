@@ -1,5 +1,4 @@
 import gc
-import itertools
 import math
 import tracemalloc
 from array import array
@@ -35,15 +34,13 @@ from herdvote.voting import (
     decision_probabilities,
     fragmentation_probability,
 )
-from oracles import check_partition, live_groups, poll_group
-
-
-def assert_same_sizes(fused, oracle):
-    """Same live handles, the same size under each, the same singleton count."""
-    live = live_groups(oracle)
-    assert live_groups(fused) == live
-    assert [fused._size[g] for g in live] == [oracle._size[g] for g in live]
-    assert fused._n_single == oracle._n_single
+from oracles import (
+    assert_loop_matches_oracle,
+    assert_same_state,
+    check_partition,
+    live_groups,
+    poll_group,
+)
 
 
 def use_tables(monkeypatch, tables):
@@ -112,9 +109,12 @@ def test_config_accepts_mode_strings():
 
 # -- determinism ----------------------------------------------------------------
 
-@pytest.mark.parametrize("mode", [VoteMode.STRATEGY_DRIVEN, VoteMode.IID_UNIFORM])
-def test_run_is_deterministic(mode):
-    config = small_config(vote_mode=mode)
+@pytest.mark.parametrize("config", [
+    small_config(vote_mode=VoteMode.STRATEGY_DRIVEN),
+    small_config(vote_mode=VoteMode.IID_UNIFORM),
+    EzConfig(n_agents=150, a=0.05, total_steps=30_000, seed=8),
+], ids=["strategy", "iid", "ez"])
+def test_run_is_deterministic(config):
     r1, s1 = run(config)
     r2, s2 = run(config)
     assert np.array_equal(r1, r2)
@@ -130,63 +130,14 @@ def test_different_seeds_differ():
 
 # -- the fused loop against the per-step oracle ---------------------------------------
 
-def assert_loop_matches_oracle(config):
-    """`run`, a chunked `advance`, and `step` and `advance` interleaved
-    reproduce a loop of `step` byte for byte; returns the oracle's events."""
-    oracle = init_state(config)
-    events = [step(oracle) for _ in range(config.total_steps)]
-    expected = np.array([e.net_return for e in events], dtype=np.int64)
-    expected = expected[config.equilibration_steps:]
-
-    returns, summary = run(config)
-    assert np.array_equal(returns, expected)
-    assert list(summary.decision_counts.values()) == oracle.decision_counts
-    assert summary.final_size_histogram == oracle.partition.size_histogram()
-
-    fused = init_state(config)
-    chunked = np.zeros_like(returns)
-    for chunk in itertools.cycle((1, 13, 1000, 10_007)):
-        chunk = min(chunk, config.total_steps - fused.step_index)
-        if chunk == 0:
-            break
-        advance(fused, chunk, chunked)
-    assert np.array_equal(chunked, expected)
-    assert fused.decision_counts == oracle.decision_counts
-    assert fused.history == oracle.history
-    assert fused.partition._group_of == oracle.partition._group_of
-    # handles, their order and each group's member order
-    assert list(fused.partition._members.items()) == list(oracle.partition._members.items())
-    assert_same_sizes(fused.partition, oracle.partition)
-    assert fused._upos == oracle._upos
-    advance(oracle, 0)  # the oracle's tallies, built from its partition
-    assert fused._group_votes == oracle._group_votes
-    with pytest.raises(ValueError):
-        advance(fused, -1)
-
-    # `step`, then `advance` (which rebuilds the tallies `step` dropped), then `step`
-    mixed = init_state(config)
-    interleaved = np.zeros_like(returns)
-    e, third = config.equilibration_steps, config.total_steps // 3
-
-    def step_to(stop):
-        while mixed.step_index < stop:
-            i = mixed.step_index
-            net = step(mixed).net_return
-            if i >= e:
-                interleaved[i - e] = net
-
-    step_to(third)
-    advance(mixed, third, interleaved)
-    step_to(config.total_steps)
-    assert np.array_equal(interleaved, expected)
-    assert mixed.decision_counts == oracle.decision_counts
-    assert list(mixed.partition._members.items()) == list(oracle.partition._members.items())
-    return events
-
-
-@pytest.mark.parametrize("mode", [VoteMode.STRATEGY_DRIVEN, VoteMode.IID_UNIFORM])
-def test_fused_loop_matches_step_oracle(mode):
-    assert_loop_matches_oracle(small_config(vote_mode=mode))
+@pytest.mark.parametrize("config", [
+    small_config(vote_mode=VoteMode.STRATEGY_DRIVEN),
+    small_config(vote_mode=VoteMode.IID_UNIFORM),
+    *(EzConfig(n_agents=n, a=a, total_steps=30_000, seed=4)
+      for n, a in ((80, 0.05), (2, 0.3), (300, 0.005))),
+], ids=["strategy", "iid", "ez-80-0.05", "ez-2-0.3", "ez-300-0.005"])
+def test_fused_loop_matches_step_oracle(config):
+    assert_loop_matches_oracle(config)
 
 
 def test_oracle_sees_a_fault_in_the_packed_tallies(monkeypatch):
@@ -205,7 +156,8 @@ def test_oracle_sees_a_fault_in_the_packed_tallies(monkeypatch):
         assert_loop_matches_oracle(small_config())
 
 
-@settings(max_examples=60, deadline=None, database=None)
+@pytest.mark.parametrize("model", ["strategy", "iid", "ez"])
+@settings(max_examples=60)
 @given(
     n_agents=st.integers(2, 30),
     x=st.floats(0.05, 0.95),
@@ -213,43 +165,60 @@ def test_oracle_sees_a_fault_in_the_packed_tallies(monkeypatch):
     bits=st.lists(st.integers(0, 1), min_size=4, max_size=4),
     seed=st.integers(0, 2**32),
     total_steps=st.integers(1, 3000),
-    mode=st.sampled_from(list(VoteMode)),
 )
 def test_fused_loop_matches_step_oracle_on_random_configs(
-        n_agents, x, memory, bits, seed, total_steps, mode):
-    assert_loop_matches_oracle(SimConfig(
-        n_agents=n_agents, x=x, total_steps=total_steps, memory=memory,
-        initial_history=tuple(bits[:memory]), vote_mode=mode, seed=seed,
-    ))
+        model, n_agents, x, memory, bits, seed, total_steps):
+    """An E-Z config takes the drawn x as its trade probability a."""
+    if model == "ez":
+        config = EzConfig(n_agents=n_agents, a=x, total_steps=total_steps, seed=seed)
+    else:
+        config = SimConfig(n_agents=n_agents, x=x, total_steps=total_steps, memory=memory,
+                           initial_history=tuple(bits[:memory]), vote_mode=model, seed=seed)
+    assert_loop_matches_oracle(config)
 
 
-@pytest.mark.parametrize("mode, seed, n_steps", [
-    (VoteMode.STRATEGY_DRIVEN, 2, 150_000),
-    (VoteMode.IID_UNIFORM, 1, 200_000),
-])
-def test_fused_loop_matches_oracle_across_blocks_and_both_refill_sites(
-        mode, seed, n_steps, step_counting_refills):
-    """Runs long enough to cross several 2**16-draw blocks.  At N = 30 and
-    x = 0.34 a group of nearly every agent rejects about 30 merge targets in
-    a row, and in these runs one such streak runs into the end of a block:
-    `advance` refills there too, not only before an agent pick."""
-    config = SimConfig(n_agents=30, x=0.34, total_steps=n_steps, equilibration_steps=0,
-                       seed=seed, vote_mode=mode)
-    oracle = init_state(config)
-    expected, at_start, in_rejections = step_counting_refills(step, oracle, n_steps)
-    assert at_start >= 3 and in_rejections >= 1
+class TailRunStream:
+    """A dynamics stream whose every second block of uniforms ends in 64
+    copies of one value v >= a.
 
-    fused = init_state(config)
-    returns = np.zeros(n_steps, dtype=np.int64)
-    advance(fused, n_steps, returns)
-    assert np.array_equal(returns, expected)
-    assert fused.decision_counts == oracle.decision_counts
-    assert list(fused.partition._members.items()) == list(oracle.partition._members.items())
-    assert_same_sizes(fused.partition, oracle.partition)
-    advance(oracle, 0)
-    assert fused._group_votes == oracle._group_votes
-    assert fused._upos == oracle._upos and fused._ubuf == oracle._ubuf
-    assert list(fused._upicks) == [int(u * 30) for u in fused._ubuf]
+    In such a tail every E-Z step picks agent int(v * n), merges (v >= a)
+    and draws that same agent as the other one, again and again, so the
+    rejection loop runs into the end of the block and refills there.  A
+    generator's own stream would need some 15 self-picks in a row at the
+    end of a block for that.  A test installs it as a state's `_rng`; its
+    `bit_generator` is that of the generator it wraps.
+    """
+
+    def __init__(self, seed, value):
+        self._rng = np.random.default_rng(seed)
+        self.bit_generator = self._rng.bit_generator
+        self._value = value
+        self._blocks = 0
+
+    def random(self, size):
+        u = self._rng.random(size)
+        self._blocks += 1
+        if self._blocks % 2 == 0:
+            u[-64:] = self._value
+        return u
+
+
+@pytest.mark.parametrize("config, stream, rejections", [
+    (SimConfig(n_agents=30, x=0.34, total_steps=150_000, equilibration_steps=0, seed=2),
+     None, 1),
+    (SimConfig(n_agents=30, x=0.34, total_steps=200_000, equilibration_steps=0, seed=1,
+               vote_mode=VoteMode.IID_UNIFORM), None, 1),
+    (EzConfig(n_agents=80, a=0.05, total_steps=120_000, equilibration_steps=0, seed=4),
+     lambda: TailRunStream(4, 0.5), 2),
+], ids=["strategy-2-150000", "iid-1-200000", "ez-tail-runs"])
+def test_fused_loop_matches_oracle_across_blocks_and_both_refill_sites(config, stream, rejections):
+    """Runs long enough to cross several 2**16-draw blocks, with a refill
+    inside the merge-target rejection loop as well as before agent picks.
+    At N = 30 and x = 0.34 a group of nearly every agent rejects about 30
+    merge targets in a row, and in the voting runs one such streak runs
+    into the end of a block; the E-Z run is fed such streaks by its stream."""
+    _, at_start, in_rejections = assert_loop_matches_oracle(config, stream)
+    assert at_start >= 3 and in_rejections >= rejections
 
 
 def test_fused_loop_breaks_two_and_three_way_ties_as_the_oracle(monkeypatch):
@@ -269,7 +238,7 @@ def test_fused_loop_breaks_two_and_three_way_ties_as_the_oracle(monkeypatch):
     assert ties[2] >= 1 and ties[3] >= 1, ties
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(n=st.integers(2, 2**24), lattice=st.lists(st.integers(0, 2**53 - 1), max_size=40))
 def test_decoded_picks_equal_scalar_truncation(n, lattice):
     """The generator's uniforms are k * 2**-53; the vectorised decode gives
@@ -310,13 +279,6 @@ def test_advance_turns_gc_off_and_restores_it(monkeypatch):
     assert gc.isenabled()
 
 
-def state_fields(state):
-    part = state.partition
-    return (state.step_index, state.history, state.decision_counts, list(part._group_of),
-            list(part._size), dict(part._members), part._n_single, state._group_votes,
-            state._cdf, state._upos, list(state._ubuf), state._rng.bit_generator.state)
-
-
 @pytest.mark.parametrize("returns", [
     np.zeros(5, dtype=np.int64),  # too short for the 1000 - 100 recorded steps
     np.zeros(900, dtype=np.int32),
@@ -336,7 +298,8 @@ def test_advance_checks_returns_before_the_first_step(returns):
         state, fresh = init_state(config), init_state(config)
         with pytest.raises(ValueError, match="returns"):
             advance(state, config.total_steps, returns)
-        assert state_fields(state) == state_fields(fresh)
+        assert_same_state(state, fresh)
+        assert state._cdf == fresh._cdf
         expected, _ = run(config)
         recorded = np.zeros_like(expected)
         advance(state, config.total_steps, recorded)
@@ -351,7 +314,8 @@ def test_iid_cdfs_filled_in_table_passes_equal_the_scalar_lookups():
     equals `decision_cdf` and holds Python floats."""
     config = SimConfig(n_agents=500, x=0.36, total_steps=20_000, seed=1,
                        vote_mode=VoteMode.IID_UNIFORM)
-    met = {e.group_size for e in assert_loop_matches_oracle(config)}
+    events, *_ = assert_loop_matches_oracle(config)
+    met = {e.group_size for e in events}
     assert max(met) > 128
     state = init_state(config)
     advance(state, config.total_steps)
@@ -373,10 +337,11 @@ def test_iid_cdf_never_fragments_where_p_frg_is_zero():
 class TopHeavyStream:
     """A dynamics stream in which about every second uniform is the largest
     one a generator yields, 1 - 2**-53.  A test installs it as a state's
-    `_rng`."""
+    `_rng`, as `TailRunStream`."""
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
+        self.bit_generator = self._rng.bit_generator
 
     def random(self, size):
         u = self._rng.random(size)
@@ -396,25 +361,19 @@ def test_a_singleton_never_fragments():
         rows = SimState(small_config(n_agents=500, memory=memory,
                                      initial_history=(1,) * memory))._rows
         assert set(b"".join(rows)) == {0, 1, 2}
-    n_steps = 20_000
     for config in (small_config(vote_mode=VoteMode.IID_UNIFORM), small_config(),
-                   EzConfig(n_agents=40, a=0.05, total_steps=n_steps, seed=5)):
-        oracle = SimState(config)
-        oracle._rng = TopHeavyStream(1)
-        for _ in range(n_steps):
-            event = step(oracle)
-            assert not (event.decision == Decision.FRAGMENT and event.group_size == 1)
-        fused = SimState(config)
-        fused._rng = TopHeavyStream(1)
-        advance(fused, n_steps)
-        assert fused.decision_counts == oracle.decision_counts
-        assert fused.partition._group_of == oracle.partition._group_of
+                   EzConfig(n_agents=40, a=0.05, total_steps=20_000, seed=5)):
+        events, *_ = assert_loop_matches_oracle(config, lambda: TopHeavyStream(1))
+        assert not any(e.decision == Decision.FRAGMENT and e.group_size == 1 for e in events)
 
 
 # -- step-level contracts ----------------------------------------------------------
 
-def test_step_events_and_invariants():
-    config = small_config(total_steps=4000)
+@pytest.mark.parametrize("config", [
+    small_config(total_steps=4000),
+    EzConfig(n_agents=50, a=0.1, total_steps=5000, seed=4),
+], ids=["strategy", "ez"])
+def test_step_events_and_invariants(config):
     state = init_state(config)
     for i in range(config.total_steps):
         event = step(state)
@@ -429,6 +388,7 @@ def test_step_events_and_invariants():
             check_partition(state.partition)
     assert sum(state.decision_counts) == config.total_steps
     check_partition(state.partition)
+    assert len(state.history) == len(init_state(config).history)  # memory bits, none for E-Z
 
 
 def test_history_tracks_return_signs():

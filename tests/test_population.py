@@ -143,7 +143,7 @@ def test_random_mutation_sequence_keeps_invariants():
     check_partition(p)
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(
     n=st.integers(1, 40),
     ops=st.lists(st.tuples(st.booleans(), st.integers(0, 39), st.integers(0, 39)), max_size=150),

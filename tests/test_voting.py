@@ -69,7 +69,7 @@ THRESHOLD_ON_A_COUNT = st.integers(2, 30).flatmap(
     lambda n: st.integers(1, n - 1).map(lambda k: k / n))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | THRESHOLD_ON_A_COUNT)
 def test_decide_classifies_every_small_tally(x):
     """Every tally of at most 30 votes, classified from its definition: it
