@@ -68,7 +68,7 @@ def histogram(returns) -> Histogram:
     """The histogram of |r| over the nonzero entries of `returns`.
 
     A histogram is returned as it is.  NaN entries count toward the length
-    only, as zeros do.
+    only, as zeros do; an infinite entry is refused.
     """
     if isinstance(returns, Histogram):
         return returns
@@ -82,6 +82,8 @@ def histogram(returns) -> Histogram:
             size = float(size)
             sizes[size] = sizes.get(size, 0) + count
     values = sorted(sizes)
+    if values and values[-1] == math.inf:
+        raise ValueError("returns must be finite, got |r| = inf")
     counts = [sizes[v] for v in values]
     above = [*accumulate(reversed(counts))][::-1] + [0]
     return Histogram(values, counts, above, sum(tally.values()))
@@ -320,6 +322,7 @@ def cutoff_scan(
     """
     if r_min is not None:
         _require_positive("r_min", r_min)  # before the per-series fits can swallow it
+    _require_positive("threshold", tail_threshold)  # before any fit runs
     hists = {x: histogram(r) for x, r in returns_by_x.items()}
     if not hists:
         raise ValueError("no series given")

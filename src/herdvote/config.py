@@ -9,6 +9,7 @@ that reads or writes configs loads no simulator code.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,6 +26,14 @@ AGENT_LIMIT = 2**24
 # this is refused instead of solved for hours; every N up to the limit solves
 # on at most N sizes.
 SUPPORT_LIMIT = 2**14
+
+
+def _integer(name: str, value) -> int:
+    """`value` as an int; a float, even a whole one, is refused by name."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 class VoteMode(str, Enum):
@@ -54,8 +63,12 @@ class RunConfig:
     seed: int = 1
 
     def __post_init__(self):
+        self.n_agents = _integer("n_agents", self.n_agents)
+        self.total_steps = _integer("total_steps", self.total_steps)
+        self.seed = _integer("seed", self.seed)
         if self.equilibration_steps is None:
             self.equilibration_steps = self.total_steps // 10
+        self.equilibration_steps = _integer("equilibration_steps", self.equilibration_steps)
         if not 2 <= self.n_agents <= AGENT_LIMIT:
             raise ValueError(f"n_agents must be in [2, {AGENT_LIMIT}], got {self.n_agents}")
         if self.total_steps < 1:
@@ -87,10 +100,11 @@ class SimConfig(RunConfig):
         except ValueError:
             allowed = " or ".join(repr(m.value) for m in VoteMode)
             raise ValueError(f"vote_mode must be {allowed}, got {self.vote_mode!r}") from None
+        self.memory = _integer("memory", self.memory)
         if self.initial_history is None:
             # capped: a memory past the table budget is refused before the history
             self.initial_history = (1,) * min(self.memory, TABLE_BUDGET.bit_length())
-        self.initial_history = tuple(int(b) for b in self.initial_history)
+        self.initial_history = tuple(self.initial_history)
         super().__post_init__()
         if not 0.0 < self.x < 1.0:
             raise ValueError(f"x must be in (0, 1), got {self.x}")
@@ -110,6 +124,7 @@ class SimConfig(RunConfig):
         if any(b not in (0, 1) for b in self.initial_history):
             raise ValueError(
                 f"initial_history bits must be 0 or 1, got {self.initial_history}")
+        self.initial_history = tuple(int(b) for b in self.initial_history)
 
 
 @dataclass(kw_only=True)

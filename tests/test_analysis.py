@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from herdvote import analysis
 from herdvote.analysis import (
     candidate_indices,
     ccdf,
@@ -291,14 +292,16 @@ def test_fit_and_scan_refuse_a_cutoff_they_cannot_use(bad):
 
 
 @pytest.mark.parametrize("bad", [0, -1.0, math.nan, math.inf])
-def test_tail_mass_and_shape_test_refuse_a_threshold_they_cannot_use(bad):
+def test_tail_mass_and_shape_test_refuse_a_threshold_they_cannot_use(bad, monkeypatch):
+    """`cutoff_scan` refuses it before any fit, where it once ran its KS scans first."""
     sample = sample_pareto(2.5, 1000, np.random.default_rng(3))
     with pytest.raises(ValueError, match="threshold must be finite and > 0"):
         ccdf(sample).tail_mass(bad)
     with pytest.raises(ValueError, match="threshold must be finite and > 0"):
         tail_mass(sample, bad)
+    monkeypatch.setattr(analysis, "_fit_at", lambda *_: pytest.fail("fitted first"))
     with pytest.raises(ValueError, match="threshold must be finite and > 0"):
-        cutoff_scan({0.41: sample}, r_min=1.0, tail_threshold=bad)
+        cutoff_scan({0.41: sample}, tail_threshold=bad)
     with pytest.raises(ValueError, match="threshold must be finite and > 0"):
         compare_tail_models(sample, bad)
 
@@ -333,6 +336,11 @@ def test_histogram_counts_nonzero_magnitudes():
     assert (hist.values, hist.counts, hist.above) == ([1.0, 3.0], [2, 3], [5, 3, 0])
     assert len(hist) == 8  # the series length, zeros and NaN included
     assert histogram(hist) is hist
+    # an infinite value is refused: a fit once read it as a tail, and the bins overflowed
+    with pytest.raises(ValueError, match="finite"):
+        fit_power_law([1.0] * 100 + [math.inf] * 5, r_min=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        log_binned_pdf([1.0, 2.0, -math.inf])
 
 
 def test_candidate_indices_are_numpys_linspace():

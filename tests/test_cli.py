@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import herdvote
-from herdvote import analysis, artifacts, cli, cli_analyze, cli_sweep, engine, meanfield
+from herdvote import analysis, artifacts, cli, cli_analyze, cli_sweep, engine, ez, meanfield
+from herdvote import voting
+from herdvote.population import Partition
 from herdvote.series import read_returns_binary
 
 
@@ -41,6 +44,54 @@ def tiny_run_args(out, extra=()):
         "--set", "x=0.41", "--set", "seed=3",
         *extra,
     ]
+
+
+def tree(root) -> dict:
+    """Every path under `root`, with each file's bytes (None for a directory)."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in Path(root).rglob("*")}
+
+
+def recorded(run_dir) -> dict:
+    """The artifact digests the run directory's manifest records."""
+    return artifacts.recorded_digests(os.path.join(run_dir, "manifest.json"))
+
+
+def fresh_env(**extra) -> dict:
+    """The environment of a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                **extra)
+
+
+def run_ok(argv) -> str:
+    """Run a command that must succeed; returns what it printed, stripped:
+    the run directory, `sweep.json` or summary path, or the solver report."""
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        assert cli.main(argv) == cli.EXIT_OK
+    return printed.getvalue().strip()
+
+
+def outcome(argv, root) -> tuple:
+    """`cli.main(argv)` in process: its exit code, stdout and stderr, and the
+    paths under `root` it created, removed or changed."""
+    before = tree(root)
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    after, gone = tree(root), object()
+    changed = sorted(path for path in before.keys() | after.keys()
+                     if before.get(path, gone) != after.get(path, gone))
+    return code, out.getvalue(), err.getvalue(), changed
+
+
+def assert_refusal(result, *fragments):
+    """The refusal contract: exit 3, nothing on stdout, one line on stderr
+    that starts with `error: ` and holds every fragment, and no path changed."""
+    code, out, err, changed = result
+    assert (code, out, changed) == (cli.EXIT_CONFIG, "", []), result
+    assert err.startswith("error: ") and err.endswith("\n") and len(err.splitlines()) == 1, err
+    assert [f for f in fragments if f not in err] == [], err
 
 
 # -- config handling ---------------------------------------------------------
@@ -261,35 +312,6 @@ def test_bad_value_is_named():
 def test_override_parsing():
     config = cli.apply_overrides(cli.default_config(), ["x=0.45", "seed=9"])
     assert config["x"] == 0.45 and config["seed"] == 9
-    with pytest.raises(cli.ConfigError):
-        cli.apply_overrides(cli.default_config(), ["x:0.45"])
-    with pytest.raises(cli.ConfigError):
-        cli.apply_overrides(cli.default_config(), ["bogus=1"])
-
-
-def test_missing_config_file_is_config_error(tmp_path, capsys):
-    code = run_cli(["run", "--config", str(tmp_path / "absent.cfg"), "--out", str(tmp_path)])
-    assert code == cli.EXIT_CONFIG
-    assert "not found" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("case", ["directory", "not_utf8", "key_twice"])
-def test_unreadable_config_file_is_config_error(tmp_path, capsys, case):
-    """Exit 3 with one error line naming the file, before any run."""
-    cfg = tmp_path / "base.cfg"
-    if case == "directory":
-        cfg.mkdir()
-    else:
-        cfg.write_bytes({"not_utf8": b"n_agents = 150\nx = 0.4\xff\n",
-                         "key_twice": b"x = 0.41\n# a comment\nseed = 2\nx = 0.45\n"}[case])
-    code = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "runs")])
-    assert code == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and len(err.splitlines()) == 1 and str(cfg) in err
-    expected = {"directory": "Is a directory", "not_utf8": "not UTF-8 text",
-                "key_twice": "line 4: 'x' is set twice, on lines 1 and 4"}[case]
-    assert expected in err
-    assert not (tmp_path / "runs").exists()
 
 
 def test_usage_error_exit_code():
@@ -298,11 +320,187 @@ def test_usage_error_exit_code():
     assert excinfo.value.code == cli.EXIT_USAGE
 
 
+# -- refusals that need only an argv -------------------------------------------
+
+# Every input the command line refuses on its argv alone.  An entry is a
+# test: its one row, or its rows by id, each an item of its own.  A row is
+# an argv and a fragment of its error line, "{tmp}" standing for the
+# test's directory, laid out by `refusal_tree`.  The entries keep the names,
+# and the rows the ids, that they had as tests of their own.
+REFUSALS = {
+    "test_missing_config_file_is_config_error": (
+        "run --config {tmp}/absent.cfg --out {tmp}/runs",
+        "config file not found: {tmp}/absent.cfg"),
+    "test_unreadable_config_file_is_config_error": {
+        "directory": ("run --config {tmp}/dir --out {tmp}/runs",
+                      "cannot read config file {tmp}/dir: Is a directory"),
+        "not_utf8": ("run --config {tmp}/not_utf8.cfg --out {tmp}/runs",
+                     "{tmp}/not_utf8.cfg: not UTF-8 text"),
+        "key_twice": ("run --config {tmp}/key_twice.cfg --out {tmp}/runs",
+                      "{tmp}/key_twice.cfg: line 4: 'x' is set twice, on lines 1 and 4"),
+    },
+    "test_memory_over_table_budget_is_config_error": (
+        "run --out {tmp}/runs --set memory_m=40", "exceed the budget of 16777216 entries"),
+    "test_negative_seed_is_config_error": {
+        model: (f"run --out {{tmp}}/runs --set model={model} --set seed=-1",
+                "seed must be >= 0, got -1") for model in ("main", "ez")
+    },
+    # the window length is `analyze --rescale-k`; no simulation reads it
+    "test_rescale_k_is_an_unknown_key": (
+        "run --out {tmp}/runs --set rescale_k=2", "unknown config key 'rescale_k'"),
+    "test_bad_vote_mode_names_the_allowed_values": (
+        "run --out {tmp}/runs --set vote_mode=majority",
+        "vote_mode must be 'strategy' or 'iid', got 'majority'"),
+    "test_malformed_history_is_config_error": (
+        "run --out {tmp}/runs --set initial_history=1,x",
+        "error: initial_history must be comma-separated bits, got '1,x'"),
+    "test_bad_config_is_config_error": {
+        name: (f"run --out {{tmp}}/runs --set {overrides}", message)
+        for name, overrides, message in (
+            ("unknown_model", "model=foo", "model must be 'main' or 'ez', got 'foo'"),
+            ("set_without_equals", "x:0.4", "--set expects key=value, got 'x:0.4'"),
+            ("unknown_key", "bogus=1", "unknown config key 'bogus'"),
+            ("not_a_number", "n_agents=many", "bad value for 'n_agents': 'many'"),
+            ("schema_version_2", "schema_version=2",
+             "schema_version 2 is not supported (supported: 3)"),
+            ("one_agent", "n_agents=1", "n_agents must be in [2, 16777216], got 1"),
+            ("x_above_1", "x=1.5", "x must be in (0, 1), got 1.5"),
+            ("ez_a_0", "model=ez --set ez_a=0", "trade probability must be in (0, 1), got 0.0"),
+            ("equilibration_is_total", "total_steps=100 --set equilibration_steps=100",
+             "equilibration_steps must be in [0, total_steps), got 100 of 100"),
+            ("total_steps_0", "total_steps=0", "total_steps must be >= 1"),
+            ("memory_0", "memory_m=0", "memory must be >= 1"),
+            ("history_length", "memory_m=3 --set initial_history=1,1",
+             "initial_history length 2 != memory 3"),
+            ("history_bit_2", "initial_history=1,2",
+             "initial_history bits must be 0 or 1, got (1, 2)"),
+        )
+    },
+    # more than 2**24 agents is refused before the state or the solver's arrays exist
+    "test_population_over_the_agent_limit_is_config_error": {
+        "run": ("run --out {tmp}/runs --set n_agents=16777217",
+                "n_agents must be in [2, 16777216], got 16777217"),
+        "run_ez": ("run --out {tmp}/runs --set model=ez --set n_agents=200000000",
+                   "n_agents must be in [2, 16777216], got 200000000"),
+        "meanfield": ("meanfield --n-agents 100000000 --x 0.41 --out {tmp}/dist.txt",
+                      "n_agents must be in [2, 16777216], got 100000000"),
+    },
+    "test_sweep_empty_grid_rejected": (
+        "sweep --x 0.41 --replicates 0 --out {tmp}/runs", "sweep grid is empty"),
+    "test_sweep_malformed_grid_value_rejected": {
+        "grid0": ("sweep --x 0.41,abc --out {tmp}/runs", "bad grid values '0.41,abc'"),
+        "grid1": ("sweep --n-agents 100,1.5 --out {tmp}/runs", "bad grid values '100,1.5'"),
+    },
+    # a non-finite x would make sweep.json's x_values invalid JSON
+    "test_sweep_non_finite_grid_value_rejected": {
+        x: (f"sweep --x {x} --out {{tmp}}/runs",
+            f"error: bad grid values '{x}': every value must be finite")
+        for x in ("nan,0.41", "0.41,inf", "0.41,-inf")
+    },
+    # E-Z has no x: a grid over it would run one simulation per point
+    "test_sweep_over_x_of_the_ez_model_is_config_error": (
+        "sweep --x 0.41,0.45 --set model=ez --out {tmp}/runs",
+        "--x sets the voting model's consensus parameter; model 'ez' has no x"),
+    "test_sweep_workers_below_one_rejected": {
+        n: (f"sweep --x 0.41,0.47 --workers {n} --out {{tmp}}/runs",
+            f"--workers must be >= 1, got {n}") for n in ("0", "-1")
+    },
+    "test_meanfield_bad_input_is_config_error": {
+        f"{flag}-{value}": (
+            f"meanfield --n-agents 6 --x 0.41 {flag} {value} --out {{tmp}}/dist.txt", message)
+        for flag, value, message in (
+            ("--n-agents", "1", "n_agents must be in [2, 16777216], got 1"),
+            ("--x", "0.3", "solver requires 1/3 < x < 1, got x=0.3"),
+            ("--x", "1.5", "solver requires 1/3 < x < 1, got x=1.5"),
+            ("--tolerance", "0", "tolerance must be finite and > 0, got 0.0"),
+            ("--tolerance", "nan", "tolerance must be finite and > 0, got nan"),
+            ("--tolerance", "inf", "tolerance must be finite and > 0, got inf"),
+            ("--max-iterations", "0", "max_iterations must be >= 1, got 0"),
+        )
+    },
+    "test_analyze_missing_artifact_named": (
+        "analyze {tmp}/dir --out {tmp}/s.csv", "cannot read {tmp}/dir/config.txt"),
+    # refused with the option named before any run directory is read
+    "test_analyze_bad_option_is_config_error": {
+        f"{option}-{value}": (f"analyze {{tmp}}/no_run {option} {value} --out {{tmp}}/s.csv",
+                              f"{option} must be {rule}, got {shown}")
+        for option, value, rule, shown in (
+            ("--r-min", "0", "finite and > 0", "0.0"),
+            ("--r-min", "-5", "finite and > 0", "-5.0"),
+            ("--r-min", "nan", "finite and > 0", "nan"),
+            ("--r-min", "inf", "finite and > 0", "inf"),
+            ("--tail-threshold", "0", "finite and > 0", "0.0"),
+            ("--tail-threshold", "nan", "finite and > 0", "nan"),
+            ("--bins-per-decade", "0", "in [1, 1000000000000]", "0"),
+            ("--bins-per-decade", "1000000000001", "in [1, 1000000000000]", "1000000000001"),
+            ("--rescale-k", "0", ">= 1", "0"),
+        )
+    },
+    # a file where an output directory must go, or a directory where
+    # `meanfield`'s report or `sweep.json` must go
+    "test_out_under_an_existing_file_is_config_error": {
+        "run": ("run --out {tmp}/a_file", "cannot write in {tmp}/a_file"),
+        "sweep": ("sweep --x 0.41,0.47 --out {tmp}/a_file", "cannot write in {tmp}/a_file"),
+        "meanfield": ("meanfield --n-agents 6 --x 0.41 --out {tmp}/a_file/d.txt",
+                      "cannot write in {tmp}/a_file"),
+        "analyze": ("analyze {tmp}/dir --r-min 1 --out {tmp}/a_file/s.csv",
+                    "cannot write in {tmp}/a_file"),
+        "meanfield_report": ("meanfield --n-agents 6 --x 0.41 --out {tmp}/d.txt",
+                             "cannot write {tmp}/d.txt.report.json: it names a directory"),
+        "sweep_json": ("sweep --x 0.41,0.47 --out {tmp}",
+                       "cannot write {tmp}/sweep.json: it names a directory"),
+    },
+}
+
+
+def _ruled_out(*_args, **_kwargs):
+    pytest.fail("called a function the test rules out")
+
+
+@pytest.fixture
+def refusal_tree(tmp_path, monkeypatch):
+    """The files the rows name, in the working directory, with every layer
+    that works patched to fail: a refusal comes before any work.  The solve
+    is `_solve`, as `solve_stationary` checks the inputs first."""
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "not_utf8.cfg").write_bytes(b"n_agents = 150\nx = 0.4\xff\n")
+    (tmp_path / "key_twice.cfg").write_bytes(b"x = 0.41\n# a comment\nseed = 2\nx = 0.45\n")
+    (tmp_path / "a_file").write_text("")
+    (tmp_path / "d.txt.report.json").mkdir()
+    (tmp_path / "sweep.json").mkdir()
+    monkeypatch.chdir(tmp_path)
+    for module, name in ((engine, "run"), (cli, "ez_run"), (meanfield, "_solve"),
+                         (analysis, "histogram")):
+        monkeypatch.setattr(module, name, _ruled_out)
+    return tmp_path
+
+
+def _refused(row, root):
+    args, fragment = row
+    assert_refusal(outcome([arg.format(tmp=root) for arg in args.split()], root),
+                   fragment.format(tmp=root))
+
+
+def _refusal_test(rows):
+    """The test of one `REFUSALS` entry."""
+    if isinstance(rows, tuple):
+        def test(refusal_tree):
+            _refused(rows, refusal_tree)
+        return test
+
+    @pytest.mark.parametrize("row", list(rows.values()), ids=list(rows))
+    def test(refusal_tree, row):
+        _refused(row, refusal_tree)
+    return test
+
+
+globals().update({name: _refusal_test(rows) for name, rows in REFUSALS.items()})
+
+
 # -- run ----------------------------------------------------------------------
 
-def test_run_writes_all_artifacts(tmp_path, capsys):
-    assert run_cli(tiny_run_args(tmp_path / "runs")) == 0
-    run_dir = capsys.readouterr().out.strip()
+def test_run_writes_all_artifacts(tmp_path):
+    run_dir = run_ok(tiny_run_args(tmp_path / "runs"))
     names = sorted(os.listdir(run_dir))
     assert names == [
         "config.txt", "manifest.json", "returns_raw.bin", "size_histogram.csv", "summary.json",
@@ -315,57 +513,38 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
     assert len(raw) == summary["recorded_steps"]
 
 
-def test_run_twice_is_idempotent_and_deterministic(tmp_path, capsys):
-    assert run_cli(tiny_run_args(tmp_path / "a")) == 0
-    dir_a = capsys.readouterr().out.strip()
-    assert run_cli(tiny_run_args(tmp_path / "a")) == 0
-    assert capsys.readouterr().out.strip() == dir_a
-    assert run_cli(tiny_run_args(tmp_path / "b")) == 0
-    dir_b = capsys.readouterr().out.strip()
-    man_a = json.loads(Path(dir_a, "manifest.json").read_text())
-    man_b = json.loads(Path(dir_b, "manifest.json").read_text())
-    assert man_a["artifacts"] == man_b["artifacts"]
+def test_run_twice_is_idempotent_and_deterministic(tmp_path):
+    dir_a = run_ok(tiny_run_args(tmp_path / "a"))
+    assert run_ok(tiny_run_args(tmp_path / "a")) == dir_a
+    dir_b = run_ok(tiny_run_args(tmp_path / "b"))
+    assert recorded(dir_a) == recorded(dir_b)
     assert os.path.basename(dir_a) == os.path.basename(dir_b)  # digest-addressed
 
 
-def test_rerun_leaves_manifest_byte_identical(tmp_path, capsys):
-    assert run_cli(tiny_run_args(tmp_path)) == 0
-    run_dir = capsys.readouterr().out.strip()
-    manifest = os.path.join(run_dir, "manifest.json")
-    with open(manifest, "rb") as fh:
-        before = fh.read()
-    assert run_cli(tiny_run_args(tmp_path)) == 0
-    with open(manifest, "rb") as fh:
-        assert fh.read() == before
+def test_rerun_leaves_manifest_byte_identical(tmp_path):
+    manifest = Path(run_ok(tiny_run_args(tmp_path)), "manifest.json")
+    before = manifest.read_bytes()
+    run_ok(tiny_run_args(tmp_path))
+    assert manifest.read_bytes() == before
     # a manifest that no longer matches its verified artifacts is refused
-    with open(manifest, "w") as fh:
-        fh.write('{"artifacts": {}}')
-    assert run_cli(tiny_run_args(tmp_path)) == cli.EXIT_CONFIG
-    assert "manifest.json" in capsys.readouterr().err
+    manifest.write_text('{"artifacts": {}}')
+    assert_refusal(outcome(tiny_run_args(tmp_path), tmp_path), f"refusing to overwrite {manifest}")
 
 
 @pytest.mark.parametrize("model, unread", [
     ("ez", ["x=0.45", "vote_mode=iid"]),
     ("main", ["ez_a=0.02"]),
 ])
-def test_keys_the_model_does_not_read_name_no_second_directory(tmp_path, capsys, model, unread):
+def test_keys_the_model_does_not_read_name_no_second_directory(tmp_path, model, unread):
     """A key the model does not read is dropped: the run that sets it is the
     run that does not, verified in place with its manifest left as it was."""
-    assert run_cli(tiny_run_args(tmp_path, extra=["--set", f"model={model}"])) == 0
-    run_dir = capsys.readouterr().out.strip()
+    run_dir = run_ok(tiny_run_args(tmp_path, extra=["--set", f"model={model}"]))
     manifest = Path(run_dir) / "manifest.json"
     before = manifest.read_bytes()
     extra = ["--set", f"model={model}", *(arg for kv in unread for arg in ("--set", kv))]
-    assert run_cli(tiny_run_args(tmp_path, extra=extra)) == 0
-    assert capsys.readouterr().out.strip() == run_dir
+    assert run_ok(tiny_run_args(tmp_path, extra=extra)) == run_dir
     assert os.listdir(tmp_path) == [os.path.basename(run_dir)]
     assert manifest.read_bytes() == before
-
-
-def tree(root) -> dict:
-    """Every path under `root`, with each file's bytes (None for a directory)."""
-    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
-            for p in Path(root).rglob("*")}
 
 
 @pytest.mark.parametrize("command, module, writer, crash_on", [
@@ -374,15 +553,12 @@ def tree(root) -> dict:
     ("meanfield", cli, "_write_json", "dist.txt.report.json"),
     ("sweep", cli, "_write_json", "sweep.json"),
 ], ids=["run", "analyze", "meanfield", "sweep"])
-def test_crash_mid_write_leaves_no_partial_artifact(tmp_path, capsys, monkeypatch,
+def test_crash_mid_write_leaves_no_partial_artifact(tmp_path, monkeypatch,
                                                     command, module, writer, crash_on):
     """A writer that dies part-way through one file publishes none of the
     command's files: every output path, and the directories made for them,
     are left as they were, with no staging left behind.  A rerun then
     writes what a clean run does."""
-    if command == "analyze":
-        assert run_cli(tiny_run_args(tmp_path / "runs")) == 0
-        run_dir = Path(capsys.readouterr().out.strip())
     argv = {
         "run": tiny_run_args(tmp_path / "a"),
         "analyze": ["analyze", "RUN_DIR", "--r-min", "1", "--out", str(tmp_path / "summary.csv")],
@@ -391,7 +567,7 @@ def test_crash_mid_write_leaves_no_partial_artifact(tmp_path, capsys, monkeypatc
         "sweep": sweep_args(tmp_path / "s", 1),
     }[command]
     if command == "analyze":
-        argv[1] = str(run_dir)
+        argv[1] = run_ok(tiny_run_args(tmp_path / "runs"))
     before = tree(tmp_path)
     write = getattr(module, writer)
 
@@ -414,16 +590,12 @@ def test_crash_mid_write_leaves_no_partial_artifact(tmp_path, capsys, monkeypatc
     else:
         assert after == before
 
-    assert run_cli(argv) == 0
-    capsys.readouterr()
+    run_ok(argv)
     if command == "run":
         (run_dir,) = (tmp_path / "a").iterdir()
-        assert run_cli(tiny_run_args(tmp_path / "b")) == 0
-        fresh_dir = capsys.readouterr().out.strip()
+        fresh_dir = run_ok(tiny_run_args(tmp_path / "b"))
         assert tree(run_dir).keys() == tree(fresh_dir).keys()
-        man_a = json.loads(Path(run_dir, "manifest.json").read_text())
-        man_b = json.loads(Path(fresh_dir, "manifest.json").read_text())
-        assert man_a["artifacts"] == man_b["artifacts"]
+        assert recorded(run_dir) == recorded(fresh_dir)
     else:
         written = {"analyze": ["summary.csv", "runs/*/analysis/fit.csv"],
                    "meanfield": ["m/dist.txt", "m/dist.txt.report.json"],
@@ -457,9 +629,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 assert voting.fragmentation_probability(10_000, 0.41) == 1.0 - voting.consensus_probability(10_000, 0.41)
 assert "scipy" not in sys.modules
 """
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run([sys.executable, "-c", script], env=env,
+    result = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
 
@@ -481,7 +651,7 @@ COMMAND_MODULES = {
 
 
 @pytest.mark.parametrize("command", list(COMMAND_MODULES))
-def test_each_command_loads_only_its_layers(tmp_path, capsys, command):
+def test_each_command_loads_only_its_layers(tmp_path, command):
     """The package modules a fresh process holds after one command: an eager
     import added anywhere shows here before it slows every command down.
     A command compiles no other command's body (`cli_<command>`), and only
@@ -499,8 +669,7 @@ def test_each_command_loads_only_its_layers(tmp_path, capsys, command):
         "run_ez": [*run_args, "--set", "model=ez"],
     }[command]
     if command == "analyze":
-        assert run_cli(run_args) == 0
-        argv[1] = capsys.readouterr().out.strip()
+        argv[1] = run_ok(run_args)
     script = """
 import contextlib, io, json, sys
 from herdvote import cli
@@ -513,9 +682,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "herdvote"),
                   sorted(m for m in ("numpy", "hashlib", "csv") if m in sys.modules)]))
 """
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run([sys.executable, "-c", script, json.dumps(argv)], env=env,
+    result = subprocess.run([sys.executable, "-c", script, json.dumps(argv)], env=fresh_env(),
                             capture_output=True, text=True, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     code, modules, loaded = json.loads(result.stdout)
@@ -531,17 +698,37 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "her
         assert not {"hashlib", "csv"} & set(loaded)
 
 
+# The per-step oracles and what only they call: the tests and the
+# benchmark's tracer call them, and no command does.
+PER_STEP_ORACLES = [
+    (engine, "step"), (engine, "update_history"), (ez, "ez_step"),
+    *((Partition, name) for name in ("merge", "fragment", "members", "size_of", "group_of")),
+    (voting, "consensus_options"), (voting, "decide"),
+]
+
+
+def test_no_command_reaches_the_per_step_oracles(tmp_path, monkeypatch):
+    """Strategy runs at memory 2 and at memory 4 (which packs rows on
+    demand), iid and E-Z runs, a serial sweep and `analyze` all run with
+    the oracles failing, and write the digests they write without."""
+    models = [["--set", kv] for kv in ("memory_m=2", "memory_m=4", "vote_mode=iid", "model=ez")]
+    expected = [recorded(run_ok(tiny_run_args(tmp_path / "plain", extra))) for extra in models]
+    for owner, name in PER_STEP_ORACLES:
+        monkeypatch.setattr(owner, name, _ruled_out)
+    run_dirs = [run_ok(tiny_run_args(tmp_path / "runs", extra)) for extra in models]
+    assert [recorded(run_dir) for run_dir in run_dirs] == expected
+    run_ok(sweep_args(tmp_path / "sweep", 1))
+    run_ok(["analyze", *run_dirs, "--r-min", "1", "--out", str(tmp_path / "summary.csv")])
+
+
 def test_python_m_compiles_the_cli_once(tmp_path):
     """`python -m herdvote.cli` runs `cli` as `__main__`; a command body that
     imports `herdvote.cli` finds that module, so no package file is
     compiled twice."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-               PYTHONDONTWRITEBYTECODE="1")
     result = subprocess.run(
         [sys.executable, "-v", "-m", "herdvote.cli", "meanfield", "--n-agents", "20",
          "--x", "0.41", "--out", str(tmp_path / "dist.txt")],
-        env=env, capture_output=True, text=True, cwd=tmp_path)
+        env=fresh_env(PYTHONDONTWRITEBYTECODE="1"), capture_output=True, text=True, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     compiled = [line.rsplit(os.sep, 1)[-1] for line in result.stderr.splitlines()
                 if line.startswith("# code object from ") and os.path.dirname(cli.__file__) in line]
@@ -562,9 +749,7 @@ assert herdvote.SimConfig is sys.modules["herdvote.config"].SimConfig
 assert herdvote.engine is sys.modules["herdvote.engine"]
 assert set(herdvote.__all__) <= set(dir(herdvote))
 """
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run([sys.executable, "-c", script], env=env,
+    result = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     with pytest.raises(AttributeError, match="no_such_name"):
@@ -572,13 +757,10 @@ assert set(herdvote.__all__) <= set(dir(herdvote))
 
 
 def test_absolute_majority_warning_lands_in_manifest(tmp_path, capsys):
-    code = run_cli(tiny_run_args(tmp_path / "runs", extra=["--set", "x=0.9"]))
-    assert code == 0
-    out = capsys.readouterr()
-    run_dir = out.out.strip()
+    run_dir = run_ok(tiny_run_args(tmp_path / "runs", extra=["--set", "x=0.9"]))
     manifest = json.loads(Path(run_dir, "manifest.json").read_text())
     assert any("absolute-majority" in w for w in manifest["warnings"])
-    assert "absolute-majority" in out.err
+    assert "absolute-majority" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("x, regime", [
@@ -594,7 +776,7 @@ def test_regime_warnings(x, regime):
 @pytest.mark.parametrize("command, message", [
     ("run", ""), ("analyze", "Unable to allocate 13.1 GiB for an array"),
 ], ids=["run", "analyze"])
-def test_refused_allocation_is_config_error(tmp_path, capsys, monkeypatch, command, message):
+def test_refused_allocation_is_config_error(tmp_path, monkeypatch, command, message):
     """An allocation the machine refuses, such as the series of a 10^12-step
     run, ends in one error line and exit 3, with nothing published, in
     `run` and in `analyze`.  The layer raises here: an allocation that size
@@ -605,74 +787,30 @@ def test_refused_allocation_is_config_error(tmp_path, capsys, monkeypatch, comma
 
     argv = tiny_run_args(tmp_path / "runs")
     if command == "analyze":
-        assert run_cli(argv) == 0
-        argv = ["analyze", capsys.readouterr().out.strip(), "--out", str(tmp_path / "s.csv")]
+        argv = ["analyze", run_ok(argv), "--out", str(tmp_path / "s.csv")]
         monkeypatch.setattr(analysis, "log_binned_pdf", refused)
     else:
         monkeypatch.setattr(engine, "run", refused)
-    before = tree(tmp_path)
-    assert run_cli(argv) == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err == f"error: out of memory: {message or 'an allocation was refused'}\n"
-    assert tree(tmp_path) == before
+    assert_refusal(outcome(argv, tmp_path),
+                   f"error: out of memory: {message or 'an allocation was refused'}\n")
 
 
-def test_run_ez_model(tmp_path, capsys):
-    code = run_cli([
+def test_run_ez_model(tmp_path):
+    run_dir = run_ok([
         "run", "--out", str(tmp_path),
         "--set", "model=ez", "--set", "n_agents=200",
         "--set", "total_steps=5000", "--set", "ez_a=0.05",
     ])
-    assert code == 0
-    run_dir = capsys.readouterr().out.strip()
     summary = json.loads(Path(run_dir, "summary.json").read_text())
     assert summary["decision_counts"]["fragment"] == 0
 
 
-@pytest.mark.parametrize("command", ["run", "run_ez", "meanfield"])
-def test_population_over_the_agent_limit_is_config_error(tmp_path, capsys, monkeypatch, command):
-    """More than 2**24 agents is refused before the state or the solver's
-    arrays are allocated: one error line, exit 3, nothing written."""
-    monkeypatch.setattr(engine, "run", lambda *_: pytest.fail("simulated"))
-    monkeypatch.setattr(cli, "ez_run", lambda *_: pytest.fail("simulated"))
-    monkeypatch.setattr(meanfield, "_size_rates", lambda *_: pytest.fail("allocated the solver"))
-    argv = {
-        "run": tiny_run_args(tmp_path / "runs", extra=["--set", f"n_agents={2**24 + 1}"]),
-        "run_ez": tiny_run_args(tmp_path / "runs", extra=["--set", "model=ez",
-                                                          "--set", "n_agents=200000000"]),
-        "meanfield": ["meanfield", "--n-agents", "100000000", "--x", "0.41",
-                      "--out", str(tmp_path / "dist.txt")],
-    }[command]
-    assert run_cli(argv) == cli.EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
-    assert "n_agents" in captured.err and str(2**24) in captured.err
-    assert list(tmp_path.iterdir()) == []
-    # the limit itself is accepted: building a config allocates nothing
-    herdvote.EzConfig(n_agents=2**24)
-
-
-def test_memory_over_table_budget_is_config_error(tmp_path, capsys):
-    code = run_cli(tiny_run_args(tmp_path / "runs", extra=["--set", "memory_m=40"]))
-    assert code == cli.EXIT_CONFIG
-    assert "budget" in capsys.readouterr().err
-    assert not os.path.exists(tmp_path / "runs")
-
-
-def test_memory_alone_sets_the_history_length(tmp_path, capsys):
-    """The default history is `memory_m` ones, echoed as resolved; an
-    explicit history of another length is still refused."""
-    assert run_cli(tiny_run_args(tmp_path / "runs", extra=["--set", "memory_m=3"])) == 0
-    run_dir = capsys.readouterr().out.strip()
+def test_memory_alone_sets_the_history_length(tmp_path):
+    """The default history is `memory_m` ones, echoed as resolved (an
+    explicit history of another length is refused: `REFUSALS`)."""
+    run_dir = run_ok(tiny_run_args(tmp_path / "runs", extra=["--set", "memory_m=3"]))
     config_lines = Path(run_dir, "config.txt").read_text().splitlines()
     assert "initial_history = 1,1,1" in config_lines and "memory_m = 3" in config_lines
-
-    code = run_cli(tiny_run_args(tmp_path / "other", extra=[
-        "--set", "memory_m=3", "--set", "initial_history=1,1"]))
-    assert code == cli.EXIT_CONFIG
-    assert "initial_history length 2 != memory 3" in capsys.readouterr().err
-    assert not os.path.exists(tmp_path / "other")
 
 
 def test_resolved_config_echoes_its_dataclass():
@@ -684,46 +822,11 @@ def test_resolved_config_echoes_its_dataclass():
     assert config["n_agents"] == 10_000 and "ez_a" not in config
 
 
-@pytest.mark.parametrize("model", ["main", "ez"])
-def test_negative_seed_is_config_error(tmp_path, capsys, model):
-    code = run_cli(tiny_run_args(tmp_path / "runs", extra=["--set", f"model={model}",
-                                                           "--set", "seed=-1"]))
-    assert code == cli.EXIT_CONFIG
-    assert "seed" in capsys.readouterr().err
-    assert not os.path.exists(tmp_path / "runs")
-
-
-def test_rescale_k_is_an_unknown_key(tmp_path, capsys):
-    """The window length is `analyze --rescale-k`; no simulation reads it."""
-    code = run_cli(tiny_run_args(tmp_path / "runs", extra=["--set", "rescale_k=2"]))
-    assert code == cli.EXIT_CONFIG
-    assert "unknown config key 'rescale_k'" in capsys.readouterr().err
-    assert not os.path.exists(tmp_path / "runs")
-
-
-def test_bad_vote_mode_names_the_allowed_values(tmp_path, capsys):
-    code = run_cli(tiny_run_args(tmp_path / "runs", extra=["--set", "vote_mode=majority"]))
-    assert code == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "vote_mode" in err and "'strategy'" in err and "'iid'" in err
-    assert not os.path.exists(tmp_path / "runs")
-
-
-def test_malformed_history_is_config_error(tmp_path, capsys):
-    code = run_cli(tiny_run_args(tmp_path / "runs", extra=["--set", "initial_history=1,x"]))
-    assert code == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        "error: initial_history must be comma-separated bits, got '1,x'\n")
-    assert not os.path.exists(tmp_path / "runs")
-
-
-def test_run_config_file_plus_override(tmp_path, capsys):
+def test_run_config_file_plus_override(tmp_path):
     cfg = tmp_path / "base.cfg"
     cfg.write_text("n_agents = 150\ntotal_steps = 3000\nx = 0.37\n# comment\n")
-    code = run_cli(["run", "--config", str(cfg), "--set", "x=0.45",
-                    "--out", str(tmp_path / "runs")])
-    assert code == 0
-    run_dir = capsys.readouterr().out.strip()
+    run_dir = run_ok(["run", "--config", str(cfg), "--set", "x=0.45",
+                      "--out", str(tmp_path / "runs")])
     echoed = Path(run_dir, "config.txt").read_text()
     assert "x = 0.45" in echoed
     assert "n_agents = 150" in echoed
@@ -739,12 +842,9 @@ def sweep_args(out, workers):
     ]
 
 
-def test_sweep_worker_count_does_not_change_outputs(tmp_path, capsys):
-    assert run_cli(sweep_args(tmp_path / "w1", 1)) == 0
-    assert run_cli(sweep_args(tmp_path / "w2", 2)) == 0
-    capsys.readouterr()
-    sweep1 = json.loads((tmp_path / "w1" / "sweep.json").read_text())
-    sweep2 = json.loads((tmp_path / "w2" / "sweep.json").read_text())
+def test_sweep_worker_count_does_not_change_outputs(tmp_path):
+    sweep1 = json.loads(Path(run_ok(sweep_args(tmp_path / "w1", 1))).read_text())
+    sweep2 = json.loads(Path(run_ok(sweep_args(tmp_path / "w2", 2))).read_text())
     digests1 = {r["x"]: r["config_digest"] for r in sweep1["runs"]}
     digests2 = {r["x"]: r["config_digest"] for r in sweep2["runs"]}
     assert digests1 == digests2
@@ -756,90 +856,34 @@ def test_sweep_worker_count_does_not_change_outputs(tmp_path, capsys):
                     == Path(other, name).read_bytes())
 
 
-def test_sweep_empty_grid_rejected(tmp_path):
-    code = run_cli(["sweep", "--x", "0.41", "--replicates", "0", "--out", str(tmp_path)])
-    assert code == cli.EXIT_CONFIG
-
-
-@pytest.mark.parametrize("grid", [["--x", "0.41,abc"], ["--n-agents", "100,1.5"]])
-def test_sweep_malformed_grid_value_rejected(tmp_path, capsys, grid):
-    code = run_cli(["sweep", *grid, "--out", str(tmp_path)])
-    assert code == cli.EXIT_CONFIG
-    assert "bad grid values" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("x", ["nan,0.41", "0.41,inf", "0.41,-inf"])
-def test_sweep_non_finite_grid_value_rejected(tmp_path, capsys, x):
-    """A non-finite x is refused before any grid point runs: no run
-    directory and no sweep.json, whose x_values it would make invalid JSON."""
-    code = run_cli(["sweep", "--x", x, "--set", "n_agents=50", "--set", "total_steps=1000",
-                    "--out", str(tmp_path / "runs")])
-    assert code == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error: bad grid values") and len(err.splitlines()) == 1
-    assert not (tmp_path / "runs").exists()
-
-
-def test_sweep_drops_repeated_grid_values(tmp_path, capsys):
-    code = run_cli(["sweep", "--x", "0.41,0.43,0.41", "--n-agents", "100,100",
-                    "--set", "total_steps=1000", "--out", str(tmp_path)])
-    assert code == 0
-    capsys.readouterr()
-    sweep = json.loads((tmp_path / "sweep.json").read_text())
+def test_sweep_drops_repeated_grid_values(tmp_path):
+    sweep_json = run_ok(["sweep", "--x", "0.41,0.43,0.41", "--n-agents", "100,100",
+                         "--set", "total_steps=1000", "--out", str(tmp_path)])
+    sweep = json.loads(Path(sweep_json).read_text())
     assert sweep["x_values"] == [0.41, 0.43]
     assert sweep["n_agents_values"] == [100]
     assert [r["x"] for r in sweep["runs"]] == [0.41, 0.43]
     assert len({r["run_dir"] for r in sweep["runs"]}) == 2
 
 
-def test_sweep_over_x_of_the_ez_model_is_config_error(tmp_path, capsys):
-    """E-Z has no x: a grid over it would run one simulation per point."""
-    code = run_cli(["sweep", "--x", "0.41,0.45", "--set", "model=ez", "--out", str(tmp_path / "runs")])
-    assert code == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "--x" in err
-    assert not os.path.exists(tmp_path / "runs")
-
-
-@pytest.mark.parametrize("workers", ["0", "-1"])
-def test_sweep_workers_below_one_rejected(tmp_path, capsys, monkeypatch, workers):
-    monkeypatch.setattr(engine, "run", lambda *_: pytest.fail("ran a grid point"))
-    code = run_cli([*sweep_args(tmp_path / "runs", 1), "--workers", workers])
-    assert code == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "--workers" in err and workers in err
-    assert list(tmp_path.iterdir()) == []
-
-
 @pytest.mark.parametrize("grid, cpus, pool_size", [
     (["--x", "0.41,0.47"], 8, 2), (["--replicates", "6"], 4, 4), (["--replicates", "6"], None, None),
 ], ids=["two_points", "six_replicates", "cpu_count_unknown"])
 def test_sweep_pool_is_no_larger_than_the_grid_or_the_cpus(
-        tmp_path, capsys, monkeypatch, grid, cpus, pool_size):
+        tmp_path, monkeypatch, grid, cpus, pool_size):
     """A pool can start all its workers on its first task, whatever the grid:
     `--workers 1000000` gets one per grid point, at most one per CPU, and a
     pool of one is the serial path.  The stand-in pool starts no process."""
     sizes = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def recording_pool(max_workers):
+        sizes.append(max_workers)
+        return contextlib.nullcontext(types.SimpleNamespace(map=map))
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *_exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    code = run_cli(["sweep", *grid, "--workers", "1000000", "--set", "n_agents=50",
-                    "--set", "total_steps=500", "--out", str(tmp_path)])
-    assert code == 0
-    capsys.readouterr()
+    run_ok(["sweep", *grid, "--workers", "1000000", "--set", "n_agents=50",
+            "--set", "total_steps=500", "--out", str(tmp_path)])
     assert sizes == ([] if pool_size is None else [pool_size])
     runs = json.loads((tmp_path / "sweep.json").read_text())["runs"]
     assert len(runs) == (2 if "--x" in grid else 6)
@@ -859,27 +903,24 @@ def test_sweep_with_a_failing_grid_point_publishes_the_others(tmp_path, capsys):
         "ok", 20, "error", 1)
     assert failed["error"] == "n_agents must be in [2, 16777216], got 1"
     assert "run_dir" not in failed
-    published = json.loads(Path(ok["run_dir"], "manifest.json").read_text())["artifacts"]
+    published = recorded(ok["run_dir"])
     assert {name: sha256_of(os.path.join(ok["run_dir"], name)) for name in published} == published
     assert sorted(os.listdir(out)) == sorted([os.path.basename(ok["run_dir"]), "sweep.json"])
 
 
-def test_sweep_records_only_the_keys_the_model_reads(tmp_path, capsys):
+def test_sweep_records_only_the_keys_the_model_reads(tmp_path):
     """An E-Z sweep labels and seeds its points without x, which that model
     never reads; a voting-model sweep keeps the seeds it always had."""
     ez_sweep = ["sweep", "--n-agents", "100,120", "--replicates", "2", "--set", "seed=5",
                 "--set", "model=ez", "--set", "total_steps=1000", "--out", str(tmp_path / "ez")]
-    assert run_cli(ez_sweep) == 0
-    assert run_cli(sweep_args(tmp_path / "main", 1)) == 0
-    capsys.readouterr()
-    sweep = json.loads((tmp_path / "ez" / "sweep.json").read_text())
+    sweep = json.loads(Path(run_ok(ez_sweep)).read_text())
     assert "x_values" not in sweep and sweep["n_agents_values"] == [100, 120]
     assert [(r["n_agents"], r["seed"]) for r in sweep["runs"]] == [
         (n, cli_sweep.derive_seed(5, None, n, rep)) for n in (100, 120) for rep in range(2)]
     assert all(set(r) == {"n_agents", "seed", "status", "run_dir", "config_digest"}
                for r in sweep["runs"])
     assert len({r["run_dir"] for r in sweep["runs"]}) == 4
-    sweep = json.loads((tmp_path / "main" / "sweep.json").read_text())
+    sweep = json.loads(Path(run_ok(sweep_args(tmp_path / "main", 1))).read_text())
     assert [(r["x"], r["n_agents"], r["seed"]) for r in sweep["runs"]] == [
         (0.41, 120, 3760007070974085378), (0.47, 120, 8313916661294398450)]
 
@@ -891,54 +932,13 @@ def test_derived_seeds_are_stable():
     assert derive_seed(1, 0.37, 100, 0) != derive_seed(2, 0.37, 100, 0)
 
 
-@pytest.mark.parametrize("command", ["run", "sweep", "meanfield", "analyze",
-                                     "meanfield_report", "sweep_json"])
-def test_out_under_an_existing_file_is_config_error(tmp_path, monkeypatch, capsys, command):
-    """Refused before any simulation, solve or analysis output, with the path
-    named, and nothing left behind: a file where an output directory must
-    go, or a directory where `meanfield`'s report or `sweep.json` must go."""
-    blocker = tmp_path / "a_file"
-    blocker.write_text("")
-    if command == "analyze":
-        assert run_cli(tiny_run_args(tmp_path / "runs")) == 0
-        run_dir = capsys.readouterr().out.strip()
-
-    def no_work(*_args, **_kwargs):
-        raise AssertionError("worked although the output cannot be written")
-
-    monkeypatch.setattr(engine, "run", no_work)
-    monkeypatch.setattr(meanfield, "solve_stationary", no_work)
-    argv = {
-        "run": tiny_run_args(blocker),
-        "sweep": sweep_args(blocker, 1),
-        "meanfield": ["meanfield", "--n-agents", "6", "--x", "0.41",
-                      "--out", str(blocker / "dist.txt")],
-        "analyze": ["analyze", "RUN_DIR", "--r-min", "1", "--out", str(blocker / "s.csv")],
-        "meanfield_report": ["meanfield", "--n-agents", "6", "--x", "0.41",
-                             "--out", str(tmp_path / "m" / "d.txt")],
-        "sweep_json": sweep_args(tmp_path / "s", 1),
-    }[command]
-    if command == "analyze":
-        argv[1] = run_dir
-    if command in ("meanfield_report", "sweep_json"):
-        blocker = tmp_path / {"meanfield_report": "m/d.txt.report.json",
-                              "sweep_json": "s/sweep.json"}[command]
-        blocker.mkdir(parents=True)
-    before = tree(tmp_path)
-    assert run_cli(argv) == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and len(err.splitlines()) == 1 and str(blocker) in err
-    assert tree(tmp_path) == before
-
-
 @pytest.mark.parametrize("blocked", ["analysis", "summary.csv", "fit.csv", "summary_is_fit.csv"])
-def test_analyze_output_blocked_is_config_error(tmp_path, capsys, blocked):
+def test_analyze_output_blocked_is_config_error(tmp_path, blocked):
     """A file named like a run's analysis directory, a directory named like
     the summary or like one of a run's analysis files, or a summary named
     like a run's `fit.csv` is refused with the path named before anything
     is written."""
-    assert run_cli(tiny_run_args(tmp_path / "runs")) == 0
-    run_dir = capsys.readouterr().out.strip()
+    run_dir = run_ok(tiny_run_args(tmp_path / "runs"))
     analysis_dir = Path(run_dir) / "analysis"
     out_csv = tmp_path / "summary.csv"
     blocked_path = {"analysis": analysis_dir, "summary.csv": out_csv,
@@ -950,35 +950,15 @@ def test_analyze_output_blocked_is_config_error(tmp_path, capsys, blocked):
         out_csv = blocked_path
     else:
         blocked_path.mkdir(parents=True)
-    before = tree(tmp_path)
-    code = run_cli(["analyze", run_dir, "--r-min", "1", "--out", str(out_csv)])
-    assert code == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and len(err.splitlines()) == 1 and str(blocked_path) in err
-    assert tree(tmp_path) == before
+    argv = ["analyze", run_dir, "--r-min", "1", "--out", str(out_csv)]
+    assert_refusal(outcome(argv, tmp_path), str(blocked_path))
 
 
 # -- meanfield -------------------------------------------------------------------
 
-@pytest.mark.parametrize("flag, value", [
-    ("--n-agents", "1"), ("--x", "0.3"), ("--x", "1.5"), ("--tolerance", "0"),
-    ("--tolerance", "nan"), ("--tolerance", "inf"), ("--max-iterations", "0"),
-])
-def test_meanfield_bad_input_is_config_error(tmp_path, capsys, flag, value):
+def test_meanfield_command(tmp_path):
     out = tmp_path / "dist.txt"
-    args = {"--n-agents": "6", "--x": "0.41", flag: value, "--out": str(out)}
-    code = run_cli(["meanfield", *(item for pair in args.items() for item in pair)])
-    assert code == cli.EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and value in captured.err.splitlines()[0]
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_meanfield_command(tmp_path, capsys):
-    out = tmp_path / "dist.txt"
-    code = run_cli(["meanfield", "--n-agents", "6", "--x", "0.41", "--out", str(out)])
-    assert code == 0
+    run_ok(["meanfield", "--n-agents", "6", "--x", "0.41", "--out", str(out)])
     lines = out.read_text().splitlines()
     assert len(lines) == 6
     report = json.loads(Path(f"{out}.report.json").read_text())
@@ -997,34 +977,29 @@ def test_meanfield_prints_the_report_it_writes(tmp_path, capsys):
     assert report["support"] == 256 and report["converged"] is True
 
 
-def test_meanfield_creates_a_missing_out_directory(tmp_path, capsys):
+def test_meanfield_creates_a_missing_out_directory(tmp_path):
     out = tmp_path / "missing" / "dist.txt"
-    assert run_cli(["meanfield", "--n-agents", "6", "--x", "0.41", "--out", str(out)]) == 0
+    run_ok(["meanfield", "--n-agents", "6", "--x", "0.41", "--out", str(out)])
     assert len(out.read_text().splitlines()) == 6
     assert json.loads(Path(f"{out}.report.json").read_text())["converged"] is True
 
 
 def test_meanfield_two_agent_file(tmp_path):
     out = tmp_path / "n2.txt"
-    assert run_cli(["meanfield", "--n-agents", "2", "--x", "0.41", "--out", str(out)]) == 0
+    run_ok(["meanfield", "--n-agents", "2", "--x", "0.41", "--out", str(out)])
     lines = out.read_text().splitlines()
     assert len(lines) == 2
     assert float(lines[1].split()[1]) == pytest.approx(1.0)
 
 
-def test_meanfield_support_over_the_limit_is_config_error(tmp_path, capsys, monkeypatch):
+def test_meanfield_support_over_the_limit_is_config_error(tmp_path, monkeypatch):
     """A solve whose groups reach past `config.SUPPORT_LIMIT` sizes (x near
     1/3 at a large N) is refused with one error line, exit 3 and nothing
     written, instead of running O(S^2) sweeps for hours."""
     monkeypatch.setattr(meanfield, "SUPPORT_LIMIT", 64)
-    code = run_cli(["meanfield", "--n-agents", "1000", "--x", "0.41",
-                    "--out", str(tmp_path / "m" / "dist.txt")])
-    assert code == cli.EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
-    assert "support limit of 64" in captured.err
-    assert list(tmp_path.iterdir()) == []
+    argv = ["meanfield", "--n-agents", "1000", "--x", "0.41",
+            "--out", str(tmp_path / "m" / "dist.txt")]
+    assert_refusal(outcome(argv, tmp_path), "support limit of 64")
 
 
 def test_meanfield_nonconvergence_exit_code(tmp_path, capsys):
@@ -1040,8 +1015,7 @@ def test_meanfield_nonconvergence_exit_code(tmp_path, capsys):
 def cli_process(args, cwd, **kwargs):
     """`python -m herdvote.cli ARGS`, the console entry, in a fresh process
     whose output to a file or pipe is block-buffered."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = fresh_env()
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.Popen([sys.executable, "-m", "herdvote.cli", *args], env=env, cwd=cwd,
                             **kwargs)
@@ -1110,19 +1084,16 @@ def test_parallel_sweep_leaves_no_process(tmp_path):
 
 # -- analyze ----------------------------------------------------------------------
 
-def test_analyze_run_dir(tmp_path, capsys):
-    assert run_cli(tiny_run_args(tmp_path / "runs")) == 0
-    run_dir = capsys.readouterr().out.strip()
+def test_analyze_run_dir(tmp_path):
+    run_dir = run_ok(tiny_run_args(tmp_path / "runs"))
     out_csv = tmp_path / "summary.csv"
-    code = run_cli(["analyze", run_dir, "--tail-threshold", "5",
-                    "--r-min", "1", "--out", str(out_csv)])
-    assert code == 0
+    argv = ["analyze", run_dir, "--tail-threshold", "5", "--r-min", "1", "--out", str(out_csv)]
+    run_ok(argv)
     assert (tmp_path / "summary.csv").exists()
     for name in ("ccdf.csv", "pdf.csv", "fit.csv"):
         assert os.path.exists(os.path.join(run_dir, "analysis", name))
     first = out_csv.read_bytes()
-    assert run_cli(["analyze", run_dir, "--tail-threshold", "5",
-                    "--r-min", "1", "--out", str(out_csv)]) == 0
+    run_ok(argv)
     assert out_csv.read_bytes() == first  # deterministic re-analysis
     written = [out_csv] + [os.path.join(run_dir, "analysis", name)
                            for name in ("ccdf.csv", "pdf.csv", "fit.csv")]
@@ -1135,35 +1106,23 @@ def test_analyze_run_dir(tmp_path, capsys):
                 float(cell)  # a NumPy repr such as "np.float64(0.5)" fails here
 
 
-def test_analyze_gives_every_run_dir_its_own_row(tmp_path, capsys, monkeypatch):
+def test_analyze_gives_every_run_dir_its_own_row(tmp_path, monkeypatch):
     # same x and seed: the seed label repeats too, so the third row names its directory
     monkeypatch.chdir(tmp_path)
-    run_dirs = []
-    for n_agents in (200, 300, 400):
-        assert run_cli(["run", "--out", "runs",
+    run_dirs = [run_ok(["run", "--out", "runs",
                         "--set", f"n_agents={n_agents}", "--set", "total_steps=4000",
-                        "--set", "x=0.41", "--set", "seed=1"]) == 0
-        run_dirs.append(capsys.readouterr().out.strip())
+                        "--set", "x=0.41", "--set", "seed=1"]) for n_agents in (200, 300, 400)]
     out_csv = tmp_path / "summary.csv"
     # a directory named again, with a trailing slash, as an absolute path or
     # through a symlink, is analysed once, under the first spelling
     os.symlink(tmp_path / "runs", tmp_path / "link")
     repeats = [run_dirs[1] + os.sep, str(tmp_path / run_dirs[2]),
                os.path.join("link", os.path.basename(run_dirs[0]))]
-    code = run_cli(["analyze", *run_dirs, *repeats, "--r-min", "1",
-                    "--tail-threshold", "5", "--out", str(out_csv)])
-    assert code == 0
+    run_ok(["analyze", *run_dirs, *repeats, "--r-min", "1",
+            "--tail-threshold", "5", "--out", str(out_csv)])
     with open(out_csv, newline="") as fh:
         labels = [row[0] for row in list(csv.reader(fh))[1:]]
     assert labels == ["0.41", "0.41 seed=1", f"0.41 {run_dirs[2]}"]
-
-
-def test_analyze_missing_artifact_named(tmp_path, capsys):
-    missing = tmp_path / "not_a_run"
-    missing.mkdir()
-    code = run_cli(["analyze", str(missing)])
-    assert code == cli.EXIT_CONFIG
-    assert "config.txt" in capsys.readouterr().err
 
 
 def write_analyze_inputs(run_dir, series_bytes, config_text=None):
@@ -1181,29 +1140,22 @@ def write_analyze_inputs(run_dir, series_bytes, config_text=None):
     (run_dir / "manifest.json").write_text(json.dumps({"artifacts": digests}))
 
 
-def test_analyze_no_trades_is_explicit(tmp_path, capsys):
+def test_analyze_no_trades_is_explicit(tmp_path):
     run_dir = tmp_path / "zero"
     write_analyze_inputs(run_dir, (100).to_bytes(8, "little") + bytes(8 * 100))
-    code = run_cli(["analyze", str(run_dir)])
-    assert code == cli.EXIT_CONFIG
-    assert "no trades" in capsys.readouterr().err
+    argv = ["analyze", str(run_dir), "--out", str(tmp_path / "summary.csv")]
+    assert_refusal(outcome(argv, tmp_path), f"no trades in {run_dir}")
 
 
-def test_analyze_window_longer_than_the_series_is_config_error(tmp_path, capsys):
-    """A window longer than the recorded series is named.  `analyze` runs in
-    a process of its own, so a crash there fails this test alone."""
-    assert run_cli(["run", "--out", str(tmp_path / "runs"), "--set", "n_agents=200",
-                    "--set", "total_steps=2000", "--set", "seed=3"]) == 0
-    run_dir = capsys.readouterr().out.strip()
-    with open(os.path.join(run_dir, "summary.json")) as fh:
-        recorded = json.load(fh)["recorded_steps"]
-    proc = cli_process(["analyze", run_dir, "--rescale-k", "100000", "--out", "summary.csv"],
-                       tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    _, err = proc.communicate(timeout=300)
-    assert proc.returncode == cli.EXIT_CONFIG, err
-    assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert "--rescale-k 100000" in err and run_dir in err and f" {recorded} " in err
-    assert not (tmp_path / "summary.csv").exists()
+def test_analyze_window_longer_than_the_series_is_config_error(tmp_path):
+    """A window longer than the recorded series is named, before any window
+    is summed."""
+    run_dir = run_ok(["run", "--out", str(tmp_path / "runs"), "--set", "n_agents=200",
+                      "--set", "total_steps=2000", "--set", "seed=3"])
+    steps = json.loads(Path(run_dir, "summary.json").read_text())["recorded_steps"]
+    argv = ["analyze", run_dir, "--rescale-k", "100000", "--out", str(tmp_path / "summary.csv")]
+    assert_refusal(outcome(argv, tmp_path),
+                   f"--rescale-k 100000 is longer than the {steps} returns recorded in {run_dir}")
 
 
 def test_analyze_reads_the_series_without_copying_it(tmp_path):
@@ -1222,36 +1174,33 @@ def test_analyze_reads_the_series_without_copying_it(tmp_path):
     assert peak - read < 1 << 20, f"{peak - read} bytes traced beyond the {read} read"
 
 
-def test_analyze_damaged_returns_file(tmp_path, capsys):
+def test_analyze_damaged_returns_file(tmp_path):
     """A series file whose count disagrees with its values, recorded as such
     in the manifest, is refused by the reader."""
     run_dir = tmp_path / "damaged"
     values = np.array([3, -1, 2], dtype="<i8").tobytes()
     write_analyze_inputs(run_dir, (4).to_bytes(8, "little") + values)
-    code = run_cli(["analyze", str(run_dir), "--out", str(tmp_path / "summary.csv")])
-    assert code == cli.EXIT_CONFIG
-    assert "returns_raw.bin" in capsys.readouterr().err
+    argv = ["analyze", str(run_dir), "--out", str(tmp_path / "summary.csv")]
+    assert_refusal(outcome(argv, tmp_path), f"damaged artifact {run_dir / 'returns_raw.bin'}")
 
 
 @pytest.mark.parametrize("values, ok", [
     ([100, -100, 7], True), ([101, 3], False), ([-101, 3], False), ([2**40], False),
     ([-2**63], False),
 ])
-def test_analyze_refuses_a_return_beyond_the_population(tmp_path, capsys, values, ok):
+def test_analyze_refuses_a_return_beyond_the_population(tmp_path, values, ok):
     """A return of more than the run's 100 agents, of either sign, marks a
     damaged series; one of exactly 100 does not."""
     run_dir = tmp_path / "run"
     write_analyze_inputs(run_dir, _series_bytes(values * 50))
-    code = run_cli(["analyze", str(run_dir), "--r-min", "1", "--out", str(tmp_path / "s.csv")])
-    err = capsys.readouterr().err
+    argv = ["analyze", str(run_dir), "--r-min", "1", "--out", str(tmp_path / "s.csv")]
     if ok:
-        assert code == 0, err
+        run_ok(argv)
     else:
-        assert code == cli.EXIT_CONFIG
-        assert "a return exceeds the run's 100 agents" in err
+        assert_refusal(outcome(argv, tmp_path), "a return exceeds the run's 100 agents")
 
 
-def test_analyze_refuses_a_run_of_another_schema(tmp_path, capsys):
+def test_analyze_refuses_a_run_of_another_schema(tmp_path):
     """A schema-2 run directory, intact by its manifest, is refused by its
     schema_version: not as damage, and not by the rescale_k key it holds."""
     run_dir = tmp_path / "schema2"
@@ -1260,31 +1209,9 @@ def test_analyze_refuses_a_run_of_another_schema(tmp_path, capsys):
               "initial_history = 1,1\nvote_mode = strategy\nseed = 1\nrescale_k = 2\n"
               "ez_a = 0.01\n")
     write_analyze_inputs(run_dir, (3).to_bytes(8, "little") + bytes(range(1, 25)), config)
-    out_csv = tmp_path / "summary.csv"
-    assert run_cli(["analyze", str(run_dir), "--out", str(out_csv)]) == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert str(run_dir / "config.txt") in err
-    assert f"schema_version 2 is not supported (supported: {cli.SCHEMA_VERSION})" in err
-    assert "rescale_k" not in err and "damaged" not in err
-    assert not out_csv.exists() and not (run_dir / "analysis").exists()
-
-
-@pytest.mark.parametrize("option, value", [
-    ("--r-min", "0"), ("--r-min", "-5"), ("--r-min", "nan"), ("--r-min", "inf"),
-    ("--tail-threshold", "0"), ("--tail-threshold", "nan"),
-    ("--bins-per-decade", "0"), ("--bins-per-decade", "1000000000001"), ("--rescale-k", "0"),
-])
-def test_analyze_bad_option_is_config_error(tmp_path, capsys, option, value):
-    """Refused with the option named before any run directory is read (the
-    one named here does not exist)."""
-    out_csv = tmp_path / "summary.csv"
-    code = run_cli(["analyze", str(tmp_path / "no_run"), option, value, "--out", str(out_csv)])
-    assert code == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert f"{option} must be" in err and value in err
-    assert list(tmp_path.iterdir()) == []
+    result = outcome(["analyze", str(run_dir), "--out", str(tmp_path / "summary.csv")], tmp_path)
+    assert_refusal(result, f"error: {run_dir / 'config.txt'}: schema_version 2 is not supported "
+                           f"(supported: {cli.SCHEMA_VERSION})\n")
 
 
 def _truncate(path):
@@ -1323,23 +1250,14 @@ def _edit_seed(path):
     ("config.txt", _edit_seed),
 ], ids=["bin_truncated", "bin_byte_flipped", "bin_deleted", "manifest_deleted",
         "manifest_unparseable", "manifest_without_entry", "config_edited"])
-def test_analyze_damaged_artifact_is_named(tmp_path, capsys, name, damage):
+def test_analyze_damaged_artifact_is_named(tmp_path, name, damage):
     """Exit 3 with one error line naming the file; nothing is written, also
     for an intact run directory named before the damaged one."""
-    assert run_cli(tiny_run_args(tmp_path / "runs", extra=["--set", "seed=5"])) == 0
-    intact = capsys.readouterr().out.strip()
-    assert run_cli(tiny_run_args(tmp_path / "runs")) == 0
-    damaged = capsys.readouterr().out.strip()
+    intact = run_ok(tiny_run_args(tmp_path / "runs", extra=["--set", "seed=5"]))
+    damaged = run_ok(tiny_run_args(tmp_path / "runs"))
     damage(Path(damaged) / name)
-    out_csv = tmp_path / "summary.csv"
-    code = run_cli(["analyze", intact, damaged, "--r-min", "1", "--out", str(out_csv)])
-    assert code == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert os.path.join(damaged, name) in err
-    assert not out_csv.exists()
-    for run_dir in (intact, damaged):
-        assert not os.path.exists(os.path.join(run_dir, "analysis"))
+    argv = ["analyze", intact, damaged, "--r-min", "1", "--out", str(tmp_path / "summary.csv")]
+    assert_refusal(outcome(argv, tmp_path), os.path.join(damaged, name))
 
 
 def _json_list(path):
@@ -1371,37 +1289,29 @@ def test_rerun_damaged_artifact_is_named(tmp_path, capsys, name, damage):
     """A rerun into a damaged directory exits 3 with one error line naming
     the file and leaves the directory as it was; a deleted file is not
     damage: the rerun completes the directory with the recorded digests."""
-    assert run_cli(tiny_run_args(tmp_path)) == 0
-    run_dir = Path(capsys.readouterr().out.strip())
-    recorded = json.loads((run_dir / "manifest.json").read_text())["artifacts"]
+    run_dir = Path(run_ok(tiny_run_args(tmp_path)))
+    digests = recorded(run_dir)
     damage(run_dir / name)
-    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
-    code = run_cli(tiny_run_args(tmp_path))
-    err = capsys.readouterr().err
     if damage is os.remove:
-        assert code == 0 and err == ""
-        restored = json.loads((run_dir / "manifest.json").read_text())["artifacts"]
-        assert restored == recorded
+        run_ok(tiny_run_args(tmp_path))
+        assert capsys.readouterr().err == ""
+        assert recorded(run_dir) == digests
         assert {p.name: sha256_of(p) for p in run_dir.iterdir()
-                if p.name != "manifest.json"} == recorded
+                if p.name != "manifest.json"} == digests
     else:
-        assert code == cli.EXIT_CONFIG
-        assert err.startswith("error:") and len(err.splitlines()) == 1
-        assert str(run_dir / name) in err
-        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+        assert_refusal(outcome(tiny_run_args(tmp_path), tmp_path), str(run_dir / name))
 
 
-def test_analyze_summary_fits_at_the_largest_own_cutoff(tmp_path, capsys):
+def test_analyze_summary_fits_at_the_largest_own_cutoff(tmp_path):
     """Without --r-min the summary equals `cutoff_scan`'s own KS scan, byte
     for byte, on desk-sized populations (strategy, iid and E-Z runs)."""
     run_dirs = []
     for extra in ([], ["vote_mode=iid"], ["model=ez"]):
         argv = ["run", "--out", str(tmp_path / "runs"), "--set", "n_agents=10000",
                 "--set", "total_steps=100000", "--set", "seed=7"]
-        assert run_cli(argv + [a for kv in extra for a in ("--set", kv)]) == 0
-        run_dirs.append(capsys.readouterr().out.strip())
+        run_dirs.append(run_ok(argv + [a for kv in extra for a in ("--set", kv)]))
     out_csv = tmp_path / "summary.csv"
-    assert run_cli(["analyze", *run_dirs, "--out", str(out_csv)]) == 0
+    run_ok(["analyze", *run_dirs, "--out", str(out_csv)])
 
     returns_by_x = {}
     for run_dir in run_dirs:
@@ -1427,19 +1337,15 @@ def test_analyze_summary_fits_at_the_largest_own_cutoff(tmp_path, capsys):
     assert out_csv.read_bytes() == expected.read_bytes()
 
 
-def test_analyze_without_any_tail_fit_asks_for_r_min(tmp_path, capsys):
-    assert run_cli(["run", "--out", str(tmp_path / "runs"), "--set", "n_agents=300",
-                    "--set", "total_steps=100"]) == 0
-    run_dir = capsys.readouterr().out.strip()
+def test_analyze_without_any_tail_fit_asks_for_r_min(tmp_path):
+    run_dir = run_ok(["run", "--out", str(tmp_path / "runs"), "--set", "n_agents=300",
+                      "--set", "total_steps=100"])
     out_csv = tmp_path / "summary.csv"
-    code = run_cli(["analyze", run_dir, "--out", str(out_csv)])
-    assert code == cli.EXIT_CONFIG
-    assert "--r-min" in capsys.readouterr().err
     # nothing is written: neither the summary nor the run's analysis directory
-    assert not out_csv.exists()
-    assert not os.path.exists(os.path.join(run_dir, "analysis"))
+    assert_refusal(outcome(["analyze", run_dir, "--out", str(out_csv)], tmp_path),
+                   "pass --r-min")
     # with a fixed cutoff the same run is analysed, its fit left empty
-    assert run_cli(["analyze", run_dir, "--r-min", "1", "--out", str(out_csv)]) == 0
+    run_ok(["analyze", run_dir, "--r-min", "1", "--out", str(out_csv)])
     with open(out_csv, newline="") as fh:
         (row,) = list(csv.DictReader(fh))
     assert row["r_min"] == "1.0" and row["alpha_density"] == "nan"
@@ -1466,8 +1372,8 @@ ARBITRARY_INPUT = {
 def test_arbitrary_input_exits_0_or_3_and_leaves_no_partial_output(target, data):
     """Arbitrary bytes as a config file, a run's manifest or series, and
     arbitrary `--set` text: the command returns 0 or 3 (an exception here is
-    a traceback at the command line), exit 3 prints one error line and
-    changes no file, and every run a success leaves verifies."""
+    a traceback at the command line), exit 3 is a refusal, and every run a
+    success leaves verifies."""
     payload = data.draw(ARBITRARY_INPUT[target])
     tiny = ["--set", "n_agents=50", "--set", "total_steps=300"]  # the fuzzed value comes first
     with tempfile.TemporaryDirectory() as tmp:
@@ -1480,49 +1386,37 @@ def test_arbitrary_input_exits_0_or_3_and_leaves_no_partial_output(target, data)
         elif target == "--set":
             argvs = [["run", f"--set={payload}", *tiny, "--out", runs]]
         elif target == "manifest.json":
-            with contextlib.redirect_stdout(io.StringIO()) as printed:
-                assert cli.main(["run", *tiny, "--out", runs]) == 0
-            run_dir = printed.getvalue().strip()
+            run_dir = run_ok(["run", *tiny, "--out", runs])
             Path(run_dir, "manifest.json").write_bytes(payload)
             argvs = [["run", *tiny, "--out", runs], ["analyze", run_dir, *summary]]
         else:
             write_analyze_inputs(root / "run", payload)
             argvs = [["analyze", str(root / "run"), *summary]]
         for argv in argvs:
-            before = tree(root)
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()) as err:
-                code = cli.main(argv)
-            after = tree(root)
-            assert not any(".staging-" in path for path in after)
-            if code == cli.EXIT_CONFIG:
-                assert err.getvalue().startswith("error:")
-                assert len(err.getvalue().splitlines()) == 1
-                assert after == before
-            else:
-                assert code == cli.EXIT_OK
-                for manifest in Path(root).rglob("manifest.json"):
-                    artifacts.read_verified(manifest.parent, list(artifacts.recorded_digests(
-                        str(manifest))))
-                if argv[0] == "analyze":
-                    assert (root / "summary.csv").exists()
-                if target == "returns_raw.bin":  # only a series a run could write: |r| <= N
-                    series = read_returns_binary(root / "run" / "returns_raw.bin")
-                    assert all(-100 <= v <= 100 for v in series)
+            result = outcome(argv, root)
+            if result[0] == cli.EXIT_CONFIG:
+                assert_refusal(result)
+                continue
+            assert result[0] == cli.EXIT_OK
+            assert not any(".staging-" in path for path in result[3])
+            for manifest in Path(root).rglob("manifest.json"):
+                artifacts.read_verified(manifest.parent, list(recorded(manifest.parent)))
+            if argv[0] == "analyze":
+                assert (root / "summary.csv").exists()
+            if target == "returns_raw.bin":  # only a series a run could write: |r| <= N
+                series = read_returns_binary(root / "run" / "returns_raw.bin")
+                assert all(-100 <= v <= 100 for v in series)
 
 
 # -- validate ----------------------------------------------------------------------
 
-def test_validate_passes(capsys):
-    assert run_cli(["validate"]) == 0
-    out = capsys.readouterr().out
+def test_validate_passes():
+    out = run_ok(["validate"])
     assert "PASS" in out and "FAIL" not in out
 
 
 def test_validate_negative_control(capsys, monkeypatch):
     """The checks fail when the fragmentation probability is off by 1e-6."""
-    from herdvote import voting
-
     exact = voting.fragmentation_probability
     monkeypatch.setattr(voting, "fragmentation_probability",
                         lambda s, x: min(1.0, exact(s, x) + 1e-6))

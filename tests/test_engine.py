@@ -100,6 +100,14 @@ def test_config_defaults_and_validation():
                       initial_history=(1,) * min(memory, 30))
     with pytest.raises(ValueError, match="budget"):  # refused before a default history is built
         SimConfig(n_agents=2, memory=10**12)
+    # counts are integers and history bits exact: once truncated, or failing inside the run
+    for field, value in (("n_agents", 100.0), ("total_steps", 1000.5), ("seed", 2.5),
+                         ("equilibration_steps", 100.0), ("memory", 2.0),
+                         ("initial_history", (0.9, 1.2))):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            SimConfig(**{field: value})
+    config = SimConfig(n_agents=np.int64(100), initial_history=(1.0, False))
+    assert type(config.n_agents) is int and config.initial_history == (1, 0)
 
 
 def test_config_accepts_mode_strings():
@@ -583,6 +591,8 @@ def test_rescale_examples():
     assert rescale_returns(range(10), 200_000) == array("q")  # no full window
     with pytest.raises(ValueError):
         rescale_returns(series, 0)
+    with pytest.raises(TypeError):  # once a RecursionError
+        rescale_returns(series, 2.5)
 
 
 def test_rescale_is_fresh_array():

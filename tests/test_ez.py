@@ -18,9 +18,13 @@ def test_config_validation():
         EzConfig(n_agents=1, a=0.1, total_steps=1000)
     with pytest.raises(ValueError, match="seed"):
         EzConfig(n_agents=100, a=0.1, total_steps=1000, seed=-1)
+    for field, value in (("n_agents", 50.0), ("seed", 2.5)):  # once failing inside the run
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            EzConfig(**{field: value})
     with pytest.raises(TypeError):
         EzConfig(100)  # keyword-only
     assert EzConfig().n_agents == 10_000  # the command line's default
+    EzConfig(n_agents=2**24)  # the agent limit itself is accepted: a config allocates nothing
 
 
 def test_ez_names_are_the_engines():
