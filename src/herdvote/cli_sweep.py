@@ -38,6 +38,15 @@ def _sweep_point(payload) -> dict:
     return record
 
 
+def _refusal(config) -> ConfigError | None:
+    """What `cli._resolve` refuses in a grid point's config, if anything."""
+    try:
+        cli._resolve(config)
+    except ConfigError as exc:
+        return exc
+    return None
+
+
 def _grid_values(text, parse, default) -> list:
     """Comma-separated grid values in first-seen order, repeats dropped.
 
@@ -78,6 +87,11 @@ def main(args) -> int:
                 if x is not None:
                     record["x"] = x
                 points.append(({**base, **record}, record, args.out))
+    # a grid no point of which resolves is refused whole, before any point
+    # runs; a point that fails with others runnable is its own error record
+    refusals = [_refusal(config) for config, _, _ in points]
+    if all(refusals):
+        raise refusals[0]
 
     # a pool may start all its workers on the first task (it does with the
     # fork start method), so it gets no more than the grid or the CPUs can use

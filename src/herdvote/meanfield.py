@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import AGENT_LIMIT, SUPPORT_LIMIT
+from .config import AGENT_LIMIT, SUPPORT_LIMIT, _integer
 from .voting import ONE_THIRD, can_fragment, decision_probabilities, probability_table
 
 _DAMPING = 0.5  # share of the balancing step taken per sweep
@@ -184,9 +184,12 @@ def solve_stationary(
     The result is converged when the residual max-norm over every size 1..N
     is at most `tolerance`.  On non-convergence the last iterate is returned
     with converged=False.  A support that would pass `config.SUPPORT_LIMIT`
-    sizes raises ValueError.  Deterministic given its inputs.
+    sizes raises ValueError, as does an `n_agents` or `max_iterations` that
+    is not an integer (a float, even a whole one).  Deterministic given its
+    inputs.
     """
-    N = int(n_agents)
+    N = _integer("n_agents", n_agents)
+    max_iterations = _integer("max_iterations", max_iterations)
     x = float(x)
     if not 2 <= N <= AGENT_LIMIT:
         raise ValueError(f"n_agents must be in [2, {AGENT_LIMIT}], got {N}")

@@ -10,10 +10,8 @@ import numpy as np
 import pytest
 
 from herdvote.analysis import MIN_TAIL, TailFit
-from herdvote.config import VoteMode
-from herdvote.engine import _BUF_SIZE, _REFILL_MARGIN, SimState, advance, history_index, run, step
+from herdvote.engine import _BUF_SIZE, _REFILL_MARGIN, SimState, advance, run, step
 from herdvote.meanfield import GroupSizeDistribution, SolverReport, _flows, _size_rates
-from herdvote.voting import VoteTally
 
 
 def damped_stationary(n_agents: int, x: float, tolerance: float = 1e-10,
@@ -221,41 +219,6 @@ def compare_tail_models(returns, threshold: float = 50.0) -> dict:
         "power_ssr": power_ssr,
         "preferred": "exponential" if exponential_ssr < power_ssr else "power",
     }
-
-
-BUY, SELL, WAIT = 0, 1, 2  # the vote codes of the strategy tables
-
-
-def poll_group(members, tables, history, mode, rng) -> VoteTally:
-    """Tally one group's votes under the given mode.
-
-    The engine keeps incremental per-group tallies (strategy mode) or draws
-    the decision from its exact distribution (iid mode) instead; this
-    states a poll from scratch.
-
-    STRATEGY_DRIVEN reads each member's row of `tables` (see
-    `engine.assign_strategies`) and consumes no randomness.  IID_UNIFORM
-    draws one uniform action per member and ignores `tables`.
-    """
-    if not members:
-        raise ValueError("cannot poll an empty group")
-    counts = [0, 0, 0]
-    if mode == VoteMode.STRATEGY_DRIVEN:
-        if 1 << len(history) != tables.shape[1]:
-            raise ValueError(f"history length {len(history)} does not match "
-                             f"{tables.shape[1]} table entries per agent")
-        idx = history_index(history)
-        for agent in members:
-            counts[tables[agent, idx]] += 1
-    else:
-        for v in rng.integers(0, 3, size=len(members)):
-            counts[v] += 1
-    return VoteTally(counts[BUY], counts[SELL], counts[WAIT])
-
-
-def live_groups(part) -> list[int]:
-    """A partition's live group handles in increasing order (an O(N) scan)."""
-    return [a for a, g in enumerate(part._group_of) if a == g]
 
 
 def check_partition(part) -> None:

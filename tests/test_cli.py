@@ -405,6 +405,10 @@ REFUSALS = {
         n: (f"sweep --x 0.41,0.47 --workers {n} --out {{tmp}}/runs",
             f"--workers must be >= 1, got {n}") for n in ("0", "-1")
     },
+    # every point shares the base config's fault: no point runs or is recorded
+    "test_sweep_with_no_runnable_point_is_config_error": (
+        "sweep --n-agents 50,60 --set vote_mode=bogus --set total_steps=100 --out {tmp}/out2",
+        "error: vote_mode must be 'strategy' or 'iid', got 'bogus'"),
     "test_meanfield_bad_input_is_config_error": {
         f"{flag}-{value}": (
             f"meanfield --n-agents 6 --x 0.41 {flag} {value} --out {{tmp}}/dist.txt", message)

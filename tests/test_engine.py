@@ -17,7 +17,6 @@ from herdvote.engine import (
     SimState,
     advance,
     assign_strategies,
-    history_index,
     init_state,
     read_returns_text,
     rescale_returns,
@@ -38,8 +37,6 @@ from oracles import (
     assert_loop_matches_oracle,
     assert_same_state,
     check_partition,
-    live_groups,
-    poll_group,
 )
 
 
@@ -48,12 +45,19 @@ def use_tables(monkeypatch, tables):
     monkeypatch.setattr(engine, "assign_strategies", lambda *_args: tables)
 
 
-def unpacked(state, g):
-    """Per-history [buy, sell, wait] counts of the packed tally `advance`
-    keeps for group g (of two or more agents)."""
-    tally, w = state._group_votes[g], state._width
-    fields = [(tally >> (f * w)) & ((1 << w) - 1) for f in range(3 << len(state.history))]
-    return [fields[f:f + 3] for f in range(0, len(fields), 3)]
+def assert_tallies_are_polls(state, tables):
+    """`advance` keeps a packed tally for each group of two or more agents and
+    no other, and it holds, per history, the [buy, sell, wait] counts of the
+    members' entries in `tables`.  Returns the unpacked tallies by group."""
+    part, w = state.partition, state._width
+    assert set(state._group_votes) == set(part._members)
+    tallies = {}
+    for g, tally in state._group_votes.items():
+        fields = [(tally >> (f * w)) & ((1 << w) - 1) for f in range(3 << len(state.history))]
+        tallies[g] = [fields[f:f + 3] for f in range(0, len(fields), 3)]
+        assert tallies[g] == [np.bincount(tables[part.members(g), idx], minlength=3).tolist()
+                              for idx in range(tables.shape[1])]
+    return tallies
 
 
 def small_config(**kwargs):
@@ -416,13 +420,7 @@ def test_group_vote_cache_matches_fresh_poll(monkeypatch):
     use_tables(monkeypatch, tables)
     state = SimState(config)
     advance(state, config.total_steps)
-    part = state.partition
-    assert set(state._group_votes) == set(part._members)  # a tally per group of two or more
-    for g in part._members:
-        members = part.members(g)
-        for history in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            expected = poll_group(members, tables, history, VoteMode.STRATEGY_DRIVEN, None)
-            assert tuple(unpacked(state, g)[history_index(history)]) == tuple(expected)
+    assert_tallies_are_polls(state, tables)
 
 
 @pytest.mark.parametrize("memory", [1, 4])
@@ -441,13 +439,7 @@ def test_packed_tallies_do_not_carry_at_a_full_field(memory, monkeypatch):
     for a in range(1, n):
         part.merge(part.group_of(0)[0], a)
     advance(state, 0)  # the tally of the one group: the sum of every packed row
-    (g,) = live_groups(part)
-    matrix = unpacked(state, g)
-    assert len(matrix) == 2**memory
-    for h, row in enumerate(matrix):
-        history = tuple((h >> k) & 1 for k in range(memory - 1, -1, -1))
-        expected = poll_group(part.members(g), tables, history, VoteMode.STRATEGY_DRIVEN, None)
-        assert tuple(row) == tuple(expected)
+    (matrix,) = assert_tallies_are_polls(state, tables).values()
     assert matrix[0] == [n, 0, 0] and matrix[-1] == [0, 0, n]
     check_partition(part)
 
@@ -476,9 +468,8 @@ def test_table_rows_and_packed_rows_are_shared(memory, monkeypatch):
     for a in range(1, n):  # one group of all agents, its tally the sum of the packed rows
         part.merge(part.group_of(0)[0], a)
     advance(state, 0)
-    matrix = unpacked(state, part.group_of(0)[0])
-    for h in range(2**memory):
-        assert matrix[h] == np.bincount(tables[:, h], minlength=3).tolist()
+    assert part.size_histogram() == {n: 1}
+    assert_tallies_are_polls(state, tables)
 
 
 def test_iid_state_draws_no_tables(monkeypatch):

@@ -139,6 +139,25 @@ def test_solver_input_validation():
         solve_stationary(10, 0.41, tolerance=0.0)
 
 
+def test_solver_refuses_counts_that_are_not_integers():
+    """Once truncated: 6.7 agents solved N = 6, and 2.5 sweeps ran."""
+    for kwargs, name in ((dict(n_agents=6.7), "n_agents"), (dict(n_agents=20.0), "n_agents"),
+                         (dict(n_agents=20, max_iterations=2.5), "max_iterations")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {kwargs[name]}"):
+            solve_stationary(x=0.41, **kwargs)
+    dist, report = solve_stationary(np.int64(20), 0.41, max_iterations=np.int32(50))
+    assert type(dist.n_agents) is int and report == solve_stationary(20, 0.41, 1e-10, 50)[1]
+
+
+def test_mixing_keeps_the_step_when_its_equations_are_singular():
+    """A second `mix` of the same step and change makes the Gram matrix all
+    zero, its ridge too (a multiple of its trace): the plain step is kept."""
+    mixing = meanfield._Mixing(3)
+    step, change = np.array([1.0, 2.0, 3.0]), np.array([0.5, -0.25, 0.125])
+    assert mixing.mix(step, change) is step
+    assert mixing.mix(step, change) is step
+
+
 def test_solver_non_convergence_reported():
     dist, report = solve_stationary(20, 0.41, tolerance=1e-30, max_iterations=3)
     assert not report.converged

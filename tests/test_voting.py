@@ -25,21 +25,90 @@ from herdvote.voting import (
 X_GRID = (0.34, 0.35, 0.37, 0.41, 0.45, 0.47, 0.499)
 
 
-# -- decide -------------------------------------------------------------------
+# -- the vote rule ---------------------------------------------------------------
 
-def test_decide_clear_majorities():
-    rng = np.random.default_rng(0)
-    assert decide(VoteTally(3, 1, 1), 0.40, rng) == Decision.BUY
-    assert decide(VoteTally(1, 3, 1), 0.40, rng) == Decision.SELL
-    assert decide(VoteTally(1, 1, 3), 0.40, rng) == Decision.MERGE
-    assert decide(VoteTally(1, 1, 1), 0.40, rng) == Decision.FRAGMENT
+def classify(tally, x, rng) -> tuple:
+    """The options of a (buy, sell, wait) tally at x by the definition: none
+    when every count falls below T = x * size, else those holding the
+    largest count, in option order.  `consensus_options` gives them and
+    `decide` one of them (FRAGMENT for none), drawing from `rng` only on a
+    tie.  Returns the options."""
+    options = () if max(tally) < x * sum(tally) else tuple(
+        o for o, count in enumerate(tally) if count == max(tally))
+    assert consensus_options(tally, x) == options, (tally, x)
+    before = rng.bit_generator.state
+    assert decide(VoteTally(*tally), x, rng) in (options or (Decision.FRAGMENT,)), (tally, x)
+    assert len(options) > 1 or rng.bit_generator.state == before, (tally, x)
+    return options
 
 
-def test_decide_count_equal_to_threshold_wins():
-    # T = 0.4 * 5 = 2.0 exactly; a strict-max count of 2 meets ">= T"
-    rng = np.random.default_rng(0)
-    assert decide(VoteTally(2, 1, 2), 0.40, rng) in (Decision.BUY, Decision.MERGE)
-    assert decide(VoteTally(2, 0, 1), 0.40, rng) == Decision.BUY
+ALL_TALLIES = [(b, s, size - b - s) for size in range(1, 31)
+               for b in range(size + 1) for s in range(size + 1 - b)]
+
+
+# x = k / n puts the threshold of a size-n group on the integer k, where a
+# count equal to T must clear it
+THRESHOLD_ON_A_COUNT = st.integers(2, 30).flatmap(
+    lambda n: st.integers(1, n - 1).map(lambda k: k / n))
+
+
+@settings(max_examples=60)
+@given(x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | THRESHOLD_ON_A_COUNT)
+def test_decide_classifies_every_small_tally(x):
+    rng = np.random.default_rng(17)
+    for tally in ALL_TALLIES:
+        classify(tally, x, rng)
+
+
+def random_tallies(rng, count, max_size, xs):
+    """`count` rows of a uniform split of the votes of a random group of
+    fewer than `max_size` agents, at a uniform x in `xs`."""
+    for _ in range(count):
+        s = int(rng.integers(1, max_size))
+        tally = tuple(int(v) for v in rng.multinomial(s, [1 / 3, 1 / 3, 1 / 3]))
+        yield tally, float(rng.uniform(*xs)), None
+
+
+def untied_both_ways(rows):
+    """The untied rows (more than 300 of 800), each followed by the same with
+    its buy and sell counts swapped: tie-breaking is random, so only its
+    distribution is symmetric."""
+    untied = [(tally, x) for tally, x, _ in rows if tally.count(max(tally)) == 1]
+    assert len(untied) > 300
+    return [(tally, x, None) for (b, s, w), x in untied for tally in ((b, s, w), (s, b, w))]
+
+
+# Named cases of the vote rule, each collected under the name of the test it
+# replaces: the seed of the generator `classify` hands to `decide`, and rows of
+# a tally, an x and its options (None: the definition's), or a function of
+# that generator that draws them.
+VOTE_RULE_CASES = {
+    "test_decide_clear_majorities": (0, [
+        ((3, 1, 1), 0.40, (0,)), ((1, 3, 1), 0.40, (1,)), ((1, 1, 3), 0.40, (2,)),
+        ((1, 1, 1), 0.40, ())]),
+    # T = 0.4 * 5 = 2.0 exactly; a largest count of 2 meets ">= T"
+    "test_decide_count_equal_to_threshold_wins": (0, [
+        ((2, 1, 2), 0.40, (0, 2)), ((2, 0, 1), 0.40, (0,))]),
+    # a three-way tie clears the threshold only when x <= 1/3
+    "test_consensus_options_are_the_tied_maximum_that_clears_the_threshold": (0, [
+        ((3, 1, 1), 0.40, (0,)), ((1, 1, 3), 0.40, (2,)), ((2, 2, 0), 0.40, (0, 1)),
+        ((2, 2, 2), 0.30, (0, 1, 2)), ((1, 1, 1), 0.40, ())]),
+    "test_decide_is_total_on_random_tallies": (
+        9, lambda rng: random_tallies(rng, 2000, 40, (0.05, 0.95))),
+    "test_decide_buy_sell_relabel_symmetry": (
+        11, lambda rng: untied_both_ways(random_tallies(rng, 800, 30, (0.34, 0.49)))),
+}
+
+
+def _vote_rule_test(seed, rows):
+    def test():
+        rng = np.random.default_rng(seed)
+        for tally, x, options in (rows(rng) if callable(rows) else rows):
+            assert classify(tally, x, rng) == options or options is None, (tally, x)
+    return test
+
+
+globals().update({name: _vote_rule_test(*case) for name, case in VOTE_RULE_CASES.items()})
 
 
 def test_decide_tie_is_fair():
@@ -57,74 +126,6 @@ def test_decide_three_way_tie():
     rng = np.random.default_rng(5)
     outcomes = {decide(VoteTally(2, 2, 2), 0.30, rng) for _ in range(200)}
     assert outcomes == {Decision.BUY, Decision.SELL, Decision.MERGE}
-
-
-ALL_TALLIES = [VoteTally(b, s, size - b - s) for size in range(1, 31)
-               for b in range(size + 1) for s in range(size + 1 - b)]
-
-
-# x = k / n puts the threshold of a size-n group on the integer k, where a
-# count equal to T must clear it
-THRESHOLD_ON_A_COUNT = st.integers(2, 30).flatmap(
-    lambda n: st.integers(1, n - 1).map(lambda k: k / n))
-
-
-@settings(max_examples=60)
-@given(x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | THRESHOLD_ON_A_COUNT)
-def test_decide_classifies_every_small_tally(x):
-    """Every tally of at most 30 votes, classified from its definition: it
-    fragments when all three counts fall below T, else the options holding
-    the maximum are the tied set.  A single option is returned without
-    drawing; on a tie the result lies in the tied set."""
-    rng = np.random.default_rng(17)
-    options = (Decision.BUY, Decision.SELL, Decision.MERGE)
-    for tally in ALL_TALLIES:
-        threshold = x * sum(tally)
-        if all(count < threshold for count in tally):
-            expected = {Decision.FRAGMENT}
-        else:
-            expected = {o for o, count in zip(options, tally) if count == max(tally)}
-        before = rng.bit_generator.state
-        result = decide(tally, x, rng)
-        assert result in expected, (tally, x)
-        if len(expected) == 1:
-            assert rng.bit_generator.state == before, (tally, x)
-
-
-def test_decide_is_total_on_random_tallies():
-    rng = np.random.default_rng(9)
-    for _ in range(2000):
-        s = int(rng.integers(1, 40))
-        votes = rng.multinomial(s, [1 / 3, 1 / 3, 1 / 3])
-        x = float(rng.uniform(0.05, 0.95))
-        assert decide(VoteTally(*votes), x, rng) in list(Decision)
-
-
-def test_decide_buy_sell_relabel_symmetry():
-    """Swapping the buy and sell counts swaps the decision (untied tallies)."""
-    rng = np.random.default_rng(11)
-    swap = {Decision.BUY: Decision.SELL, Decision.SELL: Decision.BUY,
-            Decision.MERGE: Decision.MERGE, Decision.FRAGMENT: Decision.FRAGMENT}
-    checked = 0
-    for _ in range(800):
-        s = int(rng.integers(1, 30))
-        b, sc, w = (int(v) for v in rng.multinomial(s, [1 / 3, 1 / 3, 1 / 3]))
-        x = float(rng.uniform(0.34, 0.49))
-        if [b, sc, w].count(max(b, sc, w)) > 1:
-            continue  # tie-breaking is random; only the distribution is symmetric
-        d1 = decide(VoteTally(b, sc, w), x, rng)
-        d2 = decide(VoteTally(sc, b, w), x, rng)
-        assert d2 == swap[d1]
-        checked += 1
-    assert checked > 300
-
-
-def test_consensus_options_are_the_tied_maximum_that_clears_the_threshold():
-    assert consensus_options((3, 1, 1), 0.40) == (0,)
-    assert consensus_options((1, 1, 3), 0.40) == (2,)
-    assert consensus_options((2, 2, 0), 0.40) == (0, 1)
-    assert consensus_options((2, 2, 2), 0.30) == (0, 1, 2)
-    assert consensus_options((1, 1, 1), 0.40) == ()
 
 
 def test_tallies_with_no_option_weigh_the_fragmentation_count():
