@@ -29,11 +29,13 @@ SUPPORT_LIMIT = 2**14
 
 
 def _integer(name: str, value) -> int:
-    """`value` as an int; a float, even a whole one, is refused by name."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """`value` as an int; a float, even a whole one, and a bool are refused by name."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class VoteMode(str, Enum):

@@ -89,6 +89,7 @@ class GroupSizeDistribution:
     counts: np.ndarray
 
     def __post_init__(self):
+        self.n_agents = _integer("n_agents", self.n_agents)
         self.counts = np.asarray(self.counts, dtype=float)
         if self.counts.shape != (self.n_agents + 1,):
             raise ValueError(
@@ -185,8 +186,8 @@ def solve_stationary(
     is at most `tolerance`.  On non-convergence the last iterate is returned
     with converged=False.  A support that would pass `config.SUPPORT_LIMIT`
     sizes raises ValueError, as does an `n_agents` or `max_iterations` that
-    is not an integer (a float, even a whole one).  Deterministic given its
-    inputs.
+    is not an integer (a float, even a whole one, or a bool).  Deterministic
+    given its inputs.
     """
     N = _integer("n_agents", n_agents)
     max_iterations = _integer("max_iterations", max_iterations)
@@ -360,9 +361,10 @@ def stationary_oracle(n_agents: int, x) -> GroupSizeDistribution:
     exact one-step transition matrix of the dynamics (uniform agent pick,
     exact decision probabilities, merge target uniform over the agents
     outside the acting group), solves for the stationary distribution and
-    returns the expected n_s.  Exponential state count: N <= 8 only.
+    returns the expected n_s.  Exponential state count: N <= 8 only.  An
+    `n_agents` that is not an integer raises ValueError.
     """
-    N = int(n_agents)
+    N = _integer("n_agents", n_agents)
     x = float(x)
     if N < 2:
         raise ValueError(f"need at least 2 agents, got {N}")

@@ -5,6 +5,7 @@ Nothing in the package imports this module; only tests do.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,69 @@ import pytest
 from herdvote.analysis import MIN_TAIL, TailFit
 from herdvote.engine import _BUF_SIZE, _REFILL_MARGIN, SimState, advance, run, step
 from herdvote.meanfield import GroupSizeDistribution, SolverReport, _flows, _size_rates
+from herdvote.voting import (
+    can_fragment,
+    consensus_probability,
+    decision_cdf,
+    decision_probabilities,
+    fragmentation_probability,
+    probability_table,
+)
+
+
+def named_cases(namespace, check, cases):
+    """Collect each named case as a test in `namespace`, the test module's
+    `globals()`.  `cases` maps the name of a test to the arguments of
+    `check`, a tuple, or to a list of rows, each a tuple or a dict of
+    keyword arguments, that `check` takes in turn.  A name ending in `[id]`
+    is that id of one test parametrized over its cases."""
+    def run(case):
+        for row in case if isinstance(case, list) else [case]:
+            check(**row) if isinstance(row, dict) else check(*row)
+
+    tests = {}
+    for name, case in cases.items():
+        test, _, param = name.partition("[")
+        tests.setdefault(test, {})[param.removesuffix("]")] = case
+    for test, params in tests.items():
+        if list(params) == [""]:
+            def case_test(case=params[""]):
+                run(case)
+        else:
+            @pytest.mark.parametrize("case", list(params.values()), ids=list(params))
+            def case_test(case):
+                run(case)
+        namespace[test] = case_test
+
+
+def check_probabilities(x, sizes=(), exact=None, holds=None, **tolerance):
+    """The decision probabilities of `sizes` at x, each lookup against the others.
+
+    For every size, `probability_table` equals `fragmentation_probability`
+    and `consensus_probability` element for element; `decision_probabilities`
+    is (p, q/3, q/3, q/3) and `decision_cdf` is (q/3, 2q/3, q), bit for bit;
+    p and q lie in [0, 1] with |p + q - 1| <= 1e-12; `can_fragment` holds
+    exactly where p > 0, and where it does not, q is exactly 1.0.  `exact`
+    gives the exact p_frg of each size, as a dict (whose keys are then the
+    sizes) or a function of (size, x): p is 0 exactly where it is, and p and
+    q keep to it and its complement within the `pytest.approx` `tolerance`
+    (`rel=0, abs=0`: bit for bit).  `holds` is a predicate of the table's
+    (p_frg, q) arrays."""
+    if isinstance(exact, dict):
+        sizes = list(exact)
+    p_frg, consensus = probability_table(sizes, x)
+    for s, p, q in zip(map(int, sizes), p_frg.tolist(), consensus.tolist()):
+        assert (p, q) == (fragmentation_probability(s, x), consensus_probability(s, x)), (s, x)
+        assert decision_probabilities(s, x) == (p, q / 3.0, q / 3.0, q / 3.0), (s, x)
+        assert decision_cdf(s, x) == (q / 3.0, 2.0 * q / 3.0, q), (s, x)
+        assert 0.0 <= p <= 1.0 and 0.0 <= q <= 1.0 and abs(p + q - 1.0) <= 1e-12, (s, x)
+        assert can_fragment(s, x) == (p > 0.0) and (p > 0.0 or q == 1.0), (s, x)
+        if exact is not None:
+            value = Fraction(exact[s] if isinstance(exact, dict) else exact(s, x))
+            assert (p > 0.0) == (value > 0), (s, x)
+            assert p == pytest.approx(float(value), **tolerance), (s, x)
+            assert q == pytest.approx(float(1 - value), **tolerance), (s, x)
+    assert holds is None or holds(p_frg, consensus), x
 
 
 def damped_stationary(n_agents: int, x: float, tolerance: float = 1e-10,

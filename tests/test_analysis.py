@@ -1,4 +1,6 @@
 import math
+import operator
+import re
 import sys
 from collections import Counter
 
@@ -24,46 +26,6 @@ from herdvote.analysis import (
 from herdvote.series import rescale_returns
 
 
-# -- ccdf -----------------------------------------------------------------------
-
-def test_ccdf_single_value():
-    curve = ccdf([2, -2, 2, -2])
-    assert curve.values == [2.0]
-    assert curve.probabilities == [1.0]
-
-
-def test_ccdf_counts():
-    curve = ccdf([1, -2, 4])
-    assert curve.values == [1.0, 2.0, 4.0]
-    assert curve.probabilities == pytest.approx([1.0, 2 / 3, 1 / 3])
-
-
-def test_ccdf_excludes_zeros():
-    curve = ccdf([0, 0, 3, 0])
-    assert curve.values == [3.0]
-    assert curve.probabilities == [1.0]
-
-
-def test_ccdf_rejects_all_zero():
-    with pytest.raises(ValueError):
-        ccdf([0, 0, 0])
-
-
-def test_ccdf_non_increasing_and_starts_at_one():
-    rng = np.random.default_rng(0)
-    curve = ccdf(rng.integers(-50, 50, size=5000))
-    assert curve.probabilities[0] == 1.0
-    assert np.all(np.diff(curve.probabilities) <= 0)
-
-
-def test_tail_mass_edges():
-    returns = [1, -2, 4, 0]
-    assert tail_mass(returns, 2) == pytest.approx(2 / 3)
-    assert tail_mass(returns, 4) == pytest.approx(1 / 3)
-    assert tail_mass(returns, 5) == 0.0
-    assert tail_mass(returns, 0.5) == 1.0
-
-
 # -- binned density ----------------------------------------------------------------
 
 def test_log_binned_pdf_slope_on_pareto():
@@ -78,14 +40,6 @@ def test_log_binned_pdf_slope_on_pareto():
     assert slope == pytest.approx(-2.5, abs=0.1)
 
 
-def test_log_binned_pdf_single_value():
-    centers, density = log_binned_pdf([7.0, -7.0, 7.0])
-    assert len(centers) == 1
-    # total mass of one over the single bin
-    edges_width = 1.0 / density[0]
-    assert edges_width > 0
-
-
 def test_log_binned_pdf_mass_invariant_under_refinement():
     rng = np.random.default_rng(1)
     sample = rng.lognormal(2.0, 1.0, size=20_000)
@@ -95,11 +49,6 @@ def test_log_binned_pdf_mass_invariant_under_refinement():
         ratio = 10 ** (1 / (2 * bpd))
         widths = centers * (ratio - 1 / ratio)
         assert float(np.sum(density * widths)) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_log_binned_pdf_rejects_empty():
-    with pytest.raises(ValueError):
-        log_binned_pdf([0, 0])
 
 
 def test_log_bins_corrects_the_guess_at_rounded_edges():
@@ -202,16 +151,6 @@ def test_fit_recovers_synthetic_exponent():
     assert abs(fit.alpha_density - 1.5) < 3 * fit.stderr
     assert fit.alpha_cumulative == fit.alpha_density - 1.0
     assert fit.n_tail == 100_000
-
-
-def test_fit_degenerate_tail_rejected():
-    with pytest.raises(ValueError):
-        fit_power_law(np.full(500, 3.0), r_min=3.0)
-
-
-def test_fit_needs_tail_points():
-    with pytest.raises(ValueError):
-        fit_power_law(np.arange(1, 50), r_min=1.0)
 
 
 def test_fit_scale_invariance():
@@ -329,14 +268,10 @@ def test_compare_tail_models_needs_points():
         compare_tail_models([5, 5, 5, 6], threshold=5)
 
 
-# -- the histogram against the NumPy reference (tests/oracles.py) -----------------------
+# -- every statistic against the NumPy reference (tests/oracles.py) ----------------------
 
-def test_histogram_counts_nonzero_magnitudes():
-    hist = histogram([0, 3, -1, 3, -3, 0, 1.0, float("nan")])
-    assert (hist.values, hist.counts, hist.above) == ([1.0, 3.0], [2, 3], [5, 3, 0])
-    assert len(hist) == 8  # the series length, zeros and NaN included
-    assert histogram(hist) is hist
-    # an infinite value is refused: a fit once read it as a tail, and the bins overflowed
+def test_infinite_values_are_refused():
+    """A fit once read an infinite value as a tail, and the bins overflowed."""
     with pytest.raises(ValueError, match="finite"):
         fit_power_law([1.0] * 100 + [math.inf] * 5, r_min=1.0)
     with pytest.raises(ValueError, match="finite"):
@@ -375,60 +310,115 @@ def tail_samples(draw):
     return np.asarray(rescale_returns(sizes * signs * trades, draw(st.sampled_from([1, 2, 3]))))
 
 
-@settings(max_examples=150)
-@given(sample=tail_samples(), bins_per_decade=st.sampled_from([1, 3, 10, 100, 10_000]))
-def test_statistics_match_the_numpy_reference(sample, bins_per_decade):
-    """Tolerances, fixed before the comparison was first run:
-    - CCDF values and probabilities and PDF counts: exactly equal;
+def check_tail_statistics(sample, expected=None, bins_per_decade=10):
+    """Every tail statistic of `sample` against the NumPy reference in
+    `tests/oracles.py`, and against a row's hand-stated `expected` values,
+    exactly: `histogram` (values, counts, above, length), `ccdf` (values,
+    probabilities), `tail_mass` ({threshold: mass}), `bins` (the counts of
+    the occupied bins) and `refusals` (messages among those refused).
+
+    The histogram holds the distinct nonzero |r|, their counts and suffix
+    counts, and the series length, and passes through `histogram` as it
+    is.  The CCDF starts at 1 and never increases.  Wherever the reference
+    refuses (no trades, a degenerate tail, too few tail points, no usable
+    cutoff), the statistic is refused with the same message.  Tolerances,
+    fixed before the comparison was first run:
+    - CCDF values and probabilities, tail masses and PDF counts: exactly equal;
     - PDF centers and densities: within 4 ulp, both from libm's pow edges
       (NumPy's SIMD power rounds some edges differently on AVX-512 hosts);
     - the KS-chosen r_min and n_tail: equal whenever the reference's two
       best KS distances differ by more than 1e-12;
     - alpha, stderr and the KS distance: within 1e-12 relative."""
-    if not np.any(sample):
-        with pytest.raises(ValueError):
-            ccdf(sample)
-        return
-    curve = ccdf(sample)
-    values, probabilities = oracles.ccdf(sample)
-    assert curve.values == values.tolist()
-    assert curve.probabilities == probabilities.tolist()
+    expected, refused = expected or {}, []
 
-    bins = log_bins(sample, bins_per_decade)
-    assert [count for _, _, count in bins] == oracles.log_binned_pdf(sample, bins_per_decade)[2].tolist()
-    centers, density = log_binned_pdf(sample, bins_per_decade)
-    ref_centers, ref_density, _ = oracles.log_binned_pdf(
-        sample, bins_per_decade, power=oracles.libm_power)
-    assert all(map(_within_ulps, centers, ref_centers.tolist(), [4] * len(centers)))
-    assert all(map(_within_ulps, density, ref_density.tolist(), [4] * len(density)))
-
-    for r_min in (values[0], values[len(values) // 2], 1.5):
+    def outcome(statistic, reference, *args):
+        """Both results, or None where both refuse alike."""
         try:
-            ref = oracles.fit_power_law(sample, r_min=r_min)
-        except ValueError:
-            with pytest.raises(ValueError):
-                fit_power_law(sample, r_min=r_min)
-            continue
-        fit = fit_power_law(sample, r_min=r_min)
-        assert (fit.r_min, fit.r_max, fit.n_tail) == (ref.r_min, ref.r_max, ref.n_tail)
+            ref = reference(*args)
+        except ValueError as error:
+            refused.append(str(error))
+            with pytest.raises(ValueError, match=re.escape(str(error))):
+                statistic(*args)
+            return None
+        return statistic(*args), ref
+
+    hist = histogram(sample)
+    distinct, counts = np.unique(oracles._abs_nonzero(sample), return_counts=True)
+    fields = (distinct.tolist(), counts.tolist(), [*np.cumsum(counts[::-1])[::-1].tolist(), 0],
+              len(sample))
+    assert (hist.values, hist.counts, hist.above, len(hist)) == fields
+    assert histogram(hist) is hist and fields == expected.get("histogram", fields)
+
+    if pair := outcome(ccdf, oracles.ccdf, sample):
+        curve, (values, probabilities) = pair
+        stated = (curve.values, curve.probabilities)
+        assert stated == (values.tolist(), probabilities.tolist()) == expected.get("ccdf", stated)
+        assert stated[1][0] == 1.0 and all(map(operator.ge, stated[1], stated[1][1:]))
+    for threshold, mass in expected.get("tail_mass", {}).items():
+        assert tail_mass(sample, threshold) == oracles.tail_mass(sample, threshold) == mass
+
+    if pair := outcome(log_bins, lambda *args: oracles.log_binned_pdf(*args)[2].tolist(),
+                       sample, bins_per_decade):
+        bins, ref_counts = pair
+        assert [count for _, _, count in bins] == ref_counts == expected.get("bins", ref_counts)
+    if pair := outcome(log_binned_pdf, lambda *args: oracles.log_binned_pdf(
+            *args, power=oracles.libm_power)[:2], sample, bins_per_decade):
+        (centers, density), (ref_centers, ref_density) = pair
+        assert all(map(_within_ulps, centers, ref_centers.tolist(), [4] * len(centers)))
+        assert all(map(_within_ulps, density, ref_density.tolist(), [4] * len(density)))
+
+    for r_min in (hist.values[0], hist.values[len(hist.values) // 2], 1.5) if hist.values else ():
+        if pair := outcome(fit_power_law, oracles.fit_power_law, sample, r_min):
+            fit, ref = pair
+            assert (fit.r_min, fit.r_max, fit.n_tail) == (ref.r_min, ref.r_max, ref.n_tail)
+            for name in ("alpha_density", "stderr", "ks_distance"):
+                assert _relclose(getattr(fit, name), getattr(ref, name)), name
+
+    if pair := outcome(fit_power_law, oracles.fit_power_law, sample):
+        fit, ref = pair
+        distances = sorted(f.ks_distance for f in oracles.candidate_fits(sample))
+        if len(distances) > 1 and distances[1] - distances[0] <= 1e-12:
+            # a near tie: the cutoff chosen is one of the tied ones
+            ref = next(f for f in oracles.candidate_fits(sample) if f.r_min == fit.r_min)
+            assert ref.ks_distance - distances[0] <= 1e-12
+        assert (fit.r_min, fit.n_tail) == (ref.r_min, ref.n_tail)
         for name in ("alpha_density", "stderr", "ks_distance"):
             assert _relclose(getattr(fit, name), getattr(ref, name)), name
+    assert set(expected.get("refusals", ())) <= set(refused)
 
-    fits = oracles.candidate_fits(sample)
-    if not fits:
-        with pytest.raises(ValueError):
-            fit_power_law(sample)
-        return
-    fit = fit_power_law(sample)
-    distances = sorted(f.ks_distance for f in fits)
-    if len(distances) == 1 or distances[1] - distances[0] > 1e-12:
-        ref = oracles.fit_power_law(sample)
-        assert (fit.r_min, fit.n_tail) == (ref.r_min, ref.n_tail)
-    else:  # a near tie: the cutoff chosen is one of the tied ones
-        ref = next(f for f in fits if f.r_min == fit.r_min)
-        assert ref.ks_distance - distances[0] <= 1e-12
-    for name in ("alpha_density", "stderr", "ks_distance"):
-        assert _relclose(getattr(fit, name), getattr(ref, name)), name
+
+@settings(max_examples=150)
+@given(sample=tail_samples(), bins_per_decade=st.sampled_from([1, 3, 10, 100, 10_000]))
+def test_statistics_match_the_numpy_reference(sample, bins_per_decade):
+    check_tail_statistics(sample, bins_per_decade=bins_per_decade)
+
+
+NO_TRADES = "series contains no trades (all returns are zero)"
+
+# Named cases of the tail statistics, each collected under the name of the
+# test it replaces: a series and its hand-stated values, as
+# `check_tail_statistics` reads them.
+TAIL_CASES = {
+    "test_ccdf_single_value": ([2, -2, 2, -2], dict(ccdf=([2.0], [1.0]))),
+    "test_ccdf_counts": ([1, -2, 4], dict(ccdf=([1.0, 2.0, 4.0], [1.0, 2 / 3, 1 / 3]))),
+    "test_ccdf_excludes_zeros": ([0, 0, 3, 0], dict(ccdf=([3.0], [1.0]))),
+    "test_ccdf_rejects_all_zero": ([0, 0, 0], dict(refusals=[NO_TRADES])),
+    "test_ccdf_non_increasing_and_starts_at_one": (
+        np.random.default_rng(0).integers(-50, 50, size=5000), {}),
+    "test_tail_mass_edges": ([1, -2, 4, 0], dict(tail_mass={2: 2 / 3, 4: 1 / 3, 5: 0.0, 0.5: 1.0})),
+    # one bin holds the one value
+    "test_log_binned_pdf_single_value": ([7.0, -7.0, 7.0], dict(bins=[3])),
+    "test_log_binned_pdf_rejects_empty": ([0, 0], dict(refusals=[NO_TRADES])),
+    "test_fit_degenerate_tail_rejected": (
+        np.full(500, 3.0), dict(refusals=["degenerate tail: all points equal r_min=3.0"])),
+    "test_fit_needs_tail_points": (
+        np.arange(1, 50), dict(refusals=["only 49 tail points above r_min=1.0, need 100"])),
+    # NaN counts toward the length only, as zeros do
+    "test_histogram_counts_nonzero_magnitudes": (
+        [0, 3, -1, 3, -3, 0, 1.0, math.nan], dict(histogram=([1.0, 3.0], [2, 3], [5, 3, 0], 8))),
+}
+
+oracles.named_cases(globals(), check_tail_statistics, TAIL_CASES)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -31,12 +31,13 @@ from herdvote.voting import (
     Decision,
     decision_cdf,
     decision_probabilities,
-    fragmentation_probability,
 )
 from oracles import (
     assert_loop_matches_oracle,
     assert_same_state,
     check_partition,
+    check_probabilities,
+    named_cases,
 )
 
 
@@ -104,10 +105,12 @@ def test_config_defaults_and_validation():
                       initial_history=(1,) * min(memory, 30))
     with pytest.raises(ValueError, match="budget"):  # refused before a default history is built
         SimConfig(n_agents=2, memory=10**12)
-    # counts are integers and history bits exact: once truncated, or failing inside the run
+    # counts are integers and history bits exact: once truncated, or failing
+    # inside the run; a bool once ran as 0 or 1
     for field, value in (("n_agents", 100.0), ("total_steps", 1000.5), ("seed", 2.5),
                          ("equilibration_steps", 100.0), ("memory", 2.0),
-                         ("initial_history", (0.9, 1.2))):
+                         ("initial_history", (0.9, 1.2)), ("seed", True),
+                         ("total_steps", True)):
         with pytest.raises(ValueError, match=f"^{field} "):
             SimConfig(**{field: value})
     config = SimConfig(n_agents=np.int64(100), initial_history=(1.0, False))
@@ -337,13 +340,11 @@ def test_iid_cdfs_filled_in_table_passes_equal_the_scalar_lookups():
     assert {type(v) for c in filled.values() for v in c} == {float}
 
 
-def test_iid_cdf_never_fragments_where_p_frg_is_zero():
-    for x in (0.2, 1 / 3, 0.34, 0.41, 0.47, 0.6):
-        for s in range(1, 200):
-            c_buy, c_sell, c_merge = decision_cdf(s, x)
-            assert 0.0 <= c_buy <= c_sell <= c_merge <= 1.0
-            if fragmentation_probability(s, x) == 0.0:
-                assert c_merge == 1.0
+# The CDF the iid loop draws from ends at exactly 1.0 where p_frg is 0: rows
+# of `check_probabilities`.
+named_cases(globals(), check_probabilities, {
+    "test_iid_cdf_never_fragments_where_p_frg_is_zero": [
+        dict(x=x, sizes=range(1, 200)) for x in (0.2, 1 / 3, 0.34, 0.41, 0.47, 0.6)]})
 
 
 class TopHeavyStream:

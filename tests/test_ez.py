@@ -18,7 +18,8 @@ def test_config_validation():
         EzConfig(n_agents=1, a=0.1, total_steps=1000)
     with pytest.raises(ValueError, match="seed"):
         EzConfig(n_agents=100, a=0.1, total_steps=1000, seed=-1)
-    for field, value in (("n_agents", 50.0), ("seed", 2.5)):  # once failing inside the run
+    # once failing inside the run, or a bool running as 0 or 1
+    for field, value in (("n_agents", 50.0), ("seed", 2.5), ("total_steps", True)):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             EzConfig(**{field: value})
     with pytest.raises(TypeError):

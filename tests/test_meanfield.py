@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from herdvote.meanfield import (
     write_distribution,
 )
 from herdvote.voting import decision_probabilities
-from oracles import damped_stationary
+from oracles import damped_stationary, named_cases
 
 
 def weighted_mass(dist):
@@ -33,6 +35,9 @@ def test_distribution_validation():
         GroupSizeDistribution(3, [0.0, -1.0, 2.0, 0.0])
     with pytest.raises(ValueError):
         GroupSizeDistribution(3, [0.0, 1.0, 1.0])
+    # once built, to fail in the export (TypeError) or the residual (IndexError)
+    with pytest.raises(ValueError, match="n_agents must be an integer, got 2.0"):
+        GroupSizeDistribution(2.0, [0.0, 1.0, 0.0])
 
 
 # -- balance residual ----------------------------------------------------------
@@ -49,8 +54,9 @@ def test_residual_conserves_mass_for_any_counts():
 
 
 def reference_residual(n_agents, counts, x):
-    """The module docstring's balance, one term at a time."""
-    N, n = n_agents, counts
+    """The module docstring's balance, one term at a time; the merges of a
+    size that holds no group add nothing and are skipped."""
+    N, n = n_agents, np.asarray(counts, dtype=float).tolist()
     probs = [None] + [decision_probabilities(s, x) for s in range(1, N + 1)]
     residual = np.zeros(N + 1)
     for s in range(1, N + 1):
@@ -58,6 +64,8 @@ def reference_residual(n_agents, counts, x):
         residual[s] -= fragments
         residual[1] += s * fragments
     for sp in range(1, N):
+        if n[sp] == 0.0:
+            continue
         for t in range(1, N - sp + 1):
             rate = (sp * n[sp] / N * probs[sp].merge
                     * t * max(n[t] - (1.0 if t == sp else 0.0), 0.0) / (N - sp))
@@ -119,13 +127,6 @@ def test_residual_of_all_singletons():
     assert np.all(residual[3:] == 0)  # pair merges only reach size 2
 
 
-def test_solver_fixed_point_has_zero_residual():
-    dist, report = solve_stationary(30, 0.41, tolerance=1e-10)
-    assert report.converged
-    residual = balance_residual(dist, 0.41)
-    assert float(np.max(np.abs(residual))) <= 1e-10
-
-
 # -- solver ---------------------------------------------------------------------
 
 def test_solver_input_validation():
@@ -140,9 +141,11 @@ def test_solver_input_validation():
 
 
 def test_solver_refuses_counts_that_are_not_integers():
-    """Once truncated: 6.7 agents solved N = 6, and 2.5 sweeps ran."""
+    """Once truncated: 6.7 agents solved N = 6, 2.5 sweeps ran, and a bool
+    ran one sweep."""
     for kwargs, name in ((dict(n_agents=6.7), "n_agents"), (dict(n_agents=20.0), "n_agents"),
-                         (dict(n_agents=20, max_iterations=2.5), "max_iterations")):
+                         (dict(n_agents=20, max_iterations=2.5), "max_iterations"),
+                         (dict(n_agents=20, max_iterations=True), "max_iterations")):
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {kwargs[name]}"):
             solve_stationary(x=0.41, **kwargs)
     dist, report = solve_stationary(np.int64(20), 0.41, max_iterations=np.int32(50))
@@ -158,13 +161,6 @@ def test_mixing_keeps_the_step_when_its_equations_are_singular():
     assert mixing.mix(step, change) is step
 
 
-def test_solver_non_convergence_reported():
-    dist, report = solve_stationary(20, 0.41, tolerance=1e-30, max_iterations=3)
-    assert not report.converged
-    assert report.iterations == 3
-    assert weighted_mass(dist) == pytest.approx(20.0, abs=1e-8)
-
-
 def test_solver_is_deterministic():
     d1, r1 = solve_stationary(25, 0.45)
     d2, r2 = solve_stationary(25, 0.45)
@@ -172,52 +168,89 @@ def test_solver_is_deterministic():
     assert r1 == r2
 
 
-def test_solver_converges_near_one_third():
-    """Close to x = 1/3 at N=200 the fixed point is reached, finite, at mass N."""
-    dist, report = solve_stationary(200, 0.34)
-    assert report.converged
-    assert np.all(np.isfinite(dist.counts))
-    assert weighted_mass(dist) == pytest.approx(200.0, abs=1e-8)
-    assert np.max(np.abs(reference_residual(200, dist.counts, 0.34))) <= 1e-9
-
-
-def test_solver_conservation_and_shape_at_n100():
-    dist, report = solve_stationary(100, 0.40)
-    assert report.converged
-    assert weighted_mass(dist) == pytest.approx(100.0, abs=1e-8)
-    counts = dist.counts
-    # decreasing beyond the first few sizes (exponential-cutoff regime)
-    tail = counts[3:40]
-    assert np.all(np.diff(tail) < 1e-12)
-
-
-def test_solver_coagulation_shortcut():
-    """When the full group can never fragment everything ends in one group."""
-    for n_agents, x in ((2, 0.37), (2, 0.47), (4, 0.41), (5, 0.37)):
-        dist, report = solve_stationary(n_agents, x)
-        assert report.converged
-        expected = np.zeros(n_agents + 1)
-        expected[n_agents] = 1.0
-        assert np.allclose(dist.counts, expected, atol=1e-12)
-        oracle = stationary_oracle(n_agents, x)
-        assert np.allclose(oracle.counts, expected, atol=1e-9)
-
-
 # PR 3's grid: every (N, x) pair with p_frg(N) > 0 is solved by both solvers.
 GRID_N = (3, 4, 5, 6, 7, 8, 10, 17, 50, 100, 200)
 GRID_X = (0.336, 0.34, 0.345, 0.35, 0.36, 0.41, 0.47, 0.6, 0.95)
 
 
-def test_one_group_state_has_zero_residual():
-    """The coagulation shortcut states its residual as 0.0: wherever p_frg(N)
-    = 0, every flow of the one-group distribution is exactly 0."""
-    for n_agents in range(2, 301):
-        for x in GRID_X:
-            if decision_probabilities(n_agents, x).fragment != 0.0:
-                continue
-            dist, report = solve_stationary(n_agents, x)
-            assert report == SolverReport(0, 0.0, True, n_agents)
-            assert np.all(balance_residual(dist, x) == 0.0), (n_agents, x)
+def check_stationary(n_agents, x=None, rates=None, tolerance=1e-10, max_iterations=10_000,
+                     converged=True, holds=None):
+    """A solve, at x by `solve_stationary` or on the rate table `rates` by
+    `_solve`, held to the balance it solves; `converged` is the flag
+    expected and `holds` a predicate of the solve's (dist, report).
+
+    The counts are finite and >= 0, with mass N within 1e-8.  Every count
+    above `report.support` is exactly 0, and the one at it is positive where
+    the solve converged.  The max-norm of the net flow under the rate table
+    is `report.residual` exactly, and `converged` holds exactly when it is
+    at most the tolerance.  For N <= 200, the term-by-term
+    `reference_residual` agrees with that flow at every size."""
+    if rates is None:
+        dist, report = solve_stationary(n_agents, x, tolerance, max_iterations)
+        rates = lambda sizes: _size_rates(sizes, x)
+    else:
+        dist, report = _solve(n_agents, rates, tolerance, max_iterations)
+    counts, S = dist.counts, report.support
+    assert np.all(np.isfinite(counts)) and np.all(counts >= 0.0)
+    assert weighted_mass(dist) == pytest.approx(n_agents, abs=1e-8)
+    assert np.all(counts[S + 1:] == 0.0) and (counts[S] > 0.0 or not report.converged)
+    p_frg, p_merge = (np.r_[0.0, r] for r in rates(np.arange(1, S + 1)))
+    inflow, rate = _flows(counts[:S + 1], p_frg, p_merge, n_agents)
+    net = np.zeros(n_agents + 1)
+    net[:len(inflow)] = inflow
+    net[:S + 1] -= rate * counts[:S + 1]
+    assert float(np.max(np.abs(net))) == report.residual
+    assert report.converged == (report.residual <= tolerance) == converged
+    if x is not None and n_agents <= 200:
+        np.testing.assert_allclose(net, reference_residual(n_agents, counts, x),
+                                   rtol=1e-9, atol=1e-12)
+    assert holds is None or holds(dist, report), (n_agents, x)
+
+
+def one_group(dist, report):
+    """The whole population in one group, returned without a sweep."""
+    N = dist.n_agents
+    return (report == SolverReport(0, 0.0, True, N)
+            and dist.counts[N] == 1.0 and not np.any(dist.counts[:N]))
+
+
+def exports_every_size(dist, report):
+    """The counts stop below N, and the export has a line per size 1..N all the same."""
+    with tempfile.TemporaryDirectory() as tmp:
+        write_distribution(path := Path(tmp, "dist.txt"), dist)
+        return report.support < dist.n_agents and path.read_text().count("\n") == dist.n_agents
+
+
+# Named cases of the solver, each collected under the name of the test it
+# replaces: rows of the arguments of `check_stationary`.
+STATIONARY_CASES = {
+    "test_solver_fixed_point_has_zero_residual": [dict(n_agents=30, x=0.41)],
+    "test_solver_converges_near_one_third": [dict(n_agents=200, x=0.34)],
+    # decreasing beyond the first few sizes (exponential-cutoff regime)
+    "test_solver_conservation_and_shape_at_n100": [dict(
+        n_agents=100, x=0.40, holds=lambda dist, _: np.all(np.diff(dist.counts[3:40]) < 1e-12))],
+    **{f"test_solution_lives_on_the_reported_support[{n}]": [
+        dict(n_agents=n, x=0.41, holds=exports_every_size)] for n in (400, 10_000)},
+    # when the full group can never fragment, everything ends in it, as in the exact chain
+    "test_solver_coagulation_shortcut": [
+        dict(n_agents=n, x=x, holds=lambda dist, report, x=x: one_group(dist, report) and
+             np.allclose(stationary_oracle(dist.n_agents, x).counts, dist.counts, atol=1e-9))
+        for n, x in ((2, 0.37), (2, 0.47), (4, 0.41), (5, 0.37))],
+    # wherever p_frg(N) = 0, that is 3 (ceil(x N) - 1) < N, every flow of the
+    # one-group state is exactly 0
+    "test_one_group_state_has_zero_residual": [
+        dict(n_agents=n, x=x, holds=one_group)
+        for n in range(2, 301) for x in GRID_X if 3 * (math.ceil(x * n) - 1) < n],
+    "test_solver_non_convergence_reported": [dict(
+        n_agents=20, x=0.41, tolerance=1e-30, max_iterations=3, converged=False,
+        holds=lambda _, report: report.iterations == 3)],
+    # `_solve` takes any rate table: the E-Z baseline's (p_frg = a, p_merge =
+    # (1 - a)(N - s)/(N - 1), here at a = 0.05) converges to a zero of the same flows
+    "test_iteration_solves_another_rate_table": [dict(n_agents=300, rates=lambda sizes: (
+        np.full(len(sizes), 0.05), 0.95 * (300 - sizes) / 299))],
+}
+
+named_cases(globals(), check_stationary, STATIONARY_CASES)
 
 
 def test_one_group_solve_builds_no_rate_table(monkeypatch):
@@ -259,23 +292,6 @@ def test_solver_matches_the_damped_sweep_on_the_grid():
             assert gap <= 5e-8 + own_error, (n_agents, x)
 
 
-@pytest.mark.parametrize("n_agents", [400, 10_000])
-def test_solution_lives_on_the_reported_support(tmp_path, n_agents):
-    """Every count above the support is exactly 0, and the residual over all
-    sizes 1..N, mass and export hold as if every size had been solved."""
-    dist, report = solve_stationary(n_agents, 0.41)
-    assert report.converged and report.support < n_agents
-    assert np.all(dist.counts[report.support + 1:] == 0.0)
-    assert dist.counts[report.support] > 0.0
-    residual = float(np.max(np.abs(balance_residual(dist, 0.41))))
-    assert residual == pytest.approx(report.residual, rel=1e-6, abs=1e-15)
-    assert residual <= 1e-10
-    assert weighted_mass(dist) == pytest.approx(n_agents, rel=1e-9)
-    path = tmp_path / "dist.txt"
-    write_distribution(path, dist)
-    assert len(path.read_text().splitlines()) == n_agents
-
-
 @pytest.mark.parametrize("x, sweeps, support", [(0.41, 37, 256), (0.36, 58, 1024)])
 def test_work_at_desk_n(x, sweeps, support):
     """Work guard: the sweeps and the support at N = 10^4, exactly.  The plain
@@ -296,23 +312,6 @@ def test_support_limit_is_refused(monkeypatch):
         solve_stationary(10_000, 0.41)
     _, report = solve_stationary(128, 0.36)
     assert report.converged and report.support == 128
-
-
-def test_iteration_solves_another_rate_table():
-    """`_solve` takes any rate table: the E-Z baseline's (p_frg = a, p_merge =
-    (1 - a)(N - s)/(N - 1)) converges to a zero of the same flows."""
-    n_agents, a = 300, 0.05
-
-    def ez_rates(sizes):
-        return np.full(len(sizes), a), (1 - a) * (n_agents - sizes) / (n_agents - 1)
-
-    dist, report = _solve(n_agents, ez_rates, 1e-10, 10_000)
-    assert report.converged
-    sizes = np.arange(1, n_agents + 1)
-    p_frg, p_merge = (np.r_[0.0, r] for r in ez_rates(sizes))
-    inflow, rate = _flows(dist.counts, p_frg, p_merge, n_agents)
-    assert float(np.max(np.abs(inflow - rate * dist.counts))) <= 1e-10
-    assert weighted_mass(dist) == pytest.approx(n_agents, rel=1e-9)
 
 
 # -- exact tiny-N oracle ----------------------------------------------------------
@@ -355,6 +354,8 @@ def test_oracle_size_limit():
         stationary_oracle(9, 0.41)
     with pytest.raises(ValueError):
         stationary_oracle(1, 0.41)
+    with pytest.raises(ValueError, match="n_agents must be an integer, got 6.7"):
+        stationary_oracle(6.7, 0.41)  # once truncated to N = 6
 
 
 def test_oracle_matches_direct_simulation():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from herdvote.population import Partition
-from oracles import check_partition
+from oracles import check_partition, named_cases
 
 
 def assert_matches_set_model(n, ops):
@@ -117,14 +117,7 @@ SET_MODEL_CASES = {
 }
 
 
-def _table_test(check, *args):
-    def test():
-        check(*args)
-    return test
-
-
-globals().update({name: _table_test(assert_matches_set_model, *case)
-                  for name, case in SET_MODEL_CASES.items()})
+named_cases(globals(), assert_matches_set_model, SET_MODEL_CASES)
 
 
 def test_zero_agents_rejected():
@@ -153,19 +146,17 @@ CORRUPTIONS = {
 }
 
 
-def assert_check_refuses(rows):
-    for fields, message in rows:
-        p = Partition.singletons(5)
-        p.merge(p.merge(0, 1), 2)
+def assert_check_refuses(fields, message):
+    p = Partition.singletons(5)
+    p.merge(p.merge(0, 1), 2)
+    check_partition(p)
+    for name, value in fields.items():
+        setattr(p, name, value)
+    if message is None:
         check_partition(p)
-        for name, value in fields.items():
-            setattr(p, name, value)
-        if message is None:
+    else:
+        with pytest.raises(AssertionError, match=re.escape(message)):
             check_partition(p)
-        else:
-            with pytest.raises(AssertionError, match=re.escape(message)):
-                check_partition(p)
 
 
-globals().update({name: _table_test(assert_check_refuses, rows)
-                  for name, rows in CORRUPTIONS.items()})
+named_cases(globals(), assert_check_refuses, CORRUPTIONS)

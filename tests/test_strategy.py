@@ -6,15 +6,7 @@ from scipy import stats
 
 from herdvote import engine
 from herdvote.engine import assign_strategies, history_index, update_history
-
-
-def test_assign_strategies_shape():
-    rng = np.random.default_rng(0)
-    for memory in (1, 2, 3):
-        tables = assign_strategies(7, memory, rng)
-        assert tables.shape == (7, 2**memory)
-        assert tables.dtype == np.uint8 and tables.flags.c_contiguous
-        assert set(np.unique(tables).tolist()) <= {0, 1, 2}  # buy, sell, wait
+from oracles import named_cases
 
 
 def test_assign_strategies_requires_memory():
@@ -22,25 +14,18 @@ def test_assign_strategies_requires_memory():
         assign_strategies(3, 0, np.random.default_rng(0))
 
 
-def test_assign_strategies_order_is_reproducible():
-    tables_a = assign_strategies(5, 2, np.random.default_rng(7))
-    tables_b = assign_strategies(5, 2, np.random.default_rng(7))
-    assert np.array_equal(tables_a, tables_b)
-    # agent 0's table depends only on the stream prefix
-    assert tables_a[0].tolist() == np.random.default_rng(7).integers(0, 3, size=4).tolist()
-
-
-@pytest.mark.parametrize("memory", [1, 2, 3, 5])
-def test_assign_strategies_matches_per_agent_draws(memory, monkeypatch):
-    """The chunked uint8 draw equals one int64 draw of every table and one
-    int64 draw per agent, and leaves the generator where both leave it."""
-    n = 10_000
-    rngs = [np.random.default_rng(np.random.SeedSequence(11).spawn(2)[0]) for _ in range(4)]
+def assert_tables_are_draws(n, memory, seed):
+    """The chunked uint8 draw of `n` agents' tables from a generator seeded
+    with `seed` equals one int64 draw of every table and one int64 draw per
+    agent, from generators seeded alike, and leaves the generator where both
+    leave it; so does the draw with `_DRAW_CHUNK` at 24 entries."""
+    rngs = [np.random.default_rng(seed) for _ in range(4)]
     tables = assign_strategies(n, memory, rngs[0])
     one_draw = rngs[1].integers(0, 3, size=(n, 2**memory))
     per_agent = [rngs[2].integers(0, 3, size=2**memory) for _ in range(n)]
-    monkeypatch.setattr(engine, "_DRAW_CHUNK", 24)  # many chunks, the last one short
-    small_chunks = assign_strategies(n, memory, rngs[3])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_DRAW_CHUNK", 24)
+        small_chunks = assign_strategies(n, memory, rngs[3])
     assert one_draw.dtype == np.int64
     assert tables.dtype == np.uint8 and tables.flags.c_contiguous
     assert np.array_equal(tables, one_draw)
@@ -48,6 +33,16 @@ def test_assign_strategies_matches_per_agent_draws(memory, monkeypatch):
     assert np.array_equal(tables, small_chunks)
     for rng in rngs[1:]:
         assert rng.bit_generator.state == rngs[0].bit_generator.state
+
+
+# Named cases of the draw, each collected under the name of the test it
+# replaces: a population, a memory and a seed.
+named_cases(globals(), assert_tables_are_draws, {
+    **{f"test_assign_strategies_matches_per_agent_draws[{m}]": (
+        10_000, m, np.random.SeedSequence(11).spawn(2)[0]) for m in (1, 2, 3, 5)},
+    "test_assign_strategies_shape": [(7, m, 0) for m in (1, 2, 3)],
+    "test_assign_strategies_order_is_reproducible": (5, 2, 7),
+})
 
 
 def test_history_index():

@@ -21,6 +21,7 @@ from herdvote.voting import (
     enumerate_fragmentation_probability,
     fragmentation_probability,
 )
+from oracles import check_probabilities, named_cases
 
 X_GRID = (0.34, 0.35, 0.37, 0.41, 0.45, 0.47, 0.499)
 
@@ -100,15 +101,13 @@ VOTE_RULE_CASES = {
 }
 
 
-def _vote_rule_test(seed, rows):
-    def test():
-        rng = np.random.default_rng(seed)
-        for tally, x, options in (rows(rng) if callable(rows) else rows):
-            assert classify(tally, x, rng) == options or options is None, (tally, x)
-    return test
+def classify_rows(seed, rows):
+    rng = np.random.default_rng(seed)
+    for tally, x, options in (rows(rng) if callable(rows) else rows):
+        assert classify(tally, x, rng) == options or options is None, (tally, x)
 
 
-globals().update({name: _vote_rule_test(*case) for name, case in VOTE_RULE_CASES.items()})
+named_cases(globals(), classify_rows, VOTE_RULE_CASES)
 
 
 def test_decide_tie_is_fair():
@@ -141,13 +140,69 @@ def test_tallies_with_no_option_weigh_the_fragmentation_count():
             assert weight == voting.fragmentation_count(s, x), (s, x)
 
 
-# -- fragmentation probability -------------------------------------------------
+# -- the decision probabilities ------------------------------------------------
 
-def test_fragmentation_probability_known_values():
-    assert fragmentation_probability(1, 0.47) == 0.0
-    assert fragmentation_probability(2, 0.40) == 0.0
-    assert fragmentation_probability(3, 0.40) == pytest.approx(2 / 9, abs=1e-15)
-    assert fragmentation_probability(6, 0.40) == pytest.approx(90 / 729, abs=1e-15)
+def pascal_fragmentation(s, x):
+    """p_frg as a count of vote assignments with every count <= ub, from rows
+    of Pascal's triangle, over 3^s: two[n] counts the B/S strings of n votes,
+    W takes the rest."""
+    ub = math.ceil(x * s) - 1
+    row, two = [1], []
+    for n in range(s + 1):
+        two.append(sum(row[max(0, n - ub):ub + 1]))
+        if n < s:
+            row = [1, *map(operator.add, row, row[1:]), 1]
+    return Fraction(sum(row[w] * two[s - w] for w in range(min(ub, s) + 1)), 3**s)
+
+
+# Named cases of the decision probabilities, each collected under the name of
+# the test it replaces: rows of the arguments of `check_probabilities`.
+PROBABILITY_CASES = {
+    "test_fragmentation_probability_known_values": [
+        dict(x=0.47, exact={1: 0}, abs=1e-15),
+        dict(x=0.40, exact={2: 0, 3: Fraction(2, 9), 6: Fraction(90, 729)}, abs=1e-15)],
+    **{f"test_fragmentation_probability_matches_enumeration[{x}]": [
+        dict(x=x, sizes=range(1, 13), exact=enumerate_fragmentation_probability, abs=1e-12)]
+       for x in (0.35, 0.37, 0.41, 0.45, 0.47)},
+    # above size 64 both probabilities keep to the integer count, whichever is
+    # small; at 3 ub = s p_frg is the single term with B = S = W, of order 1/s
+    "test_large_size_path_matches_integer_sum": [
+        dict(x=x, sizes=sizes, exact=pascal_fragmentation, rel=1e-13, abs=0.0) for x, sizes in (
+            *((x, (65, 80, 101, 150)) for x in (0.35, 0.41, 0.47)),
+            *((x, (65, 100, 400, 1000)) for x in (0.34, 0.36, 0.41, 0.47)),
+            (0.334, (201, 300, 999)))],
+    # one table pass, rows of unequal lengths
+    "test_probability_table_equals_the_scalar_lookups": [
+        dict(x=x, sizes=np.r_[1:130, 399:402, 997:1001]) for x in (0.34, 0.36, 0.41, 0.47, 0.6)],
+    # at x = 1 a group trades or merges only on a unanimous vote: q = 3^(1 - s)
+    "test_unanimity_is_the_x_one_limit": [
+        dict(x=1.0, sizes=range(1, 200), exact=lambda s, x: 1 - Fraction(3) ** (1 - s),
+             rel=1e-12, abs=0.0),
+        dict(x=1.0, sizes=range(1, 10), exact=enumerate_fragmentation_probability,
+             rel=0.0, abs=0.0)],
+    "test_no_overflow_at_extreme_sizes": [
+        *(dict(x=x, sizes=(10_000, 100_000)) for x in (0.34, 0.41, 0.47, 0.499)),
+        dict(x=0.47, sizes=(100_000,), holds=lambda p_frg, q: p_frg[0] > 0.999999)],
+    # deep in the cutoff the direct complement would be unrepresentable
+    "test_consensus_probability_complements_fragmentation": [
+        *(dict(x=x, sizes=(1, 2, 3, 10, 64, 65, 120, 500)) for x in X_GRID),
+        dict(x=0.47, sizes=(1000,), holds=lambda p_frg, q: 0.0 < q[0] < 1e-15)],
+    "test_decision_probabilities_known_values": [
+        dict(x=0.41, exact={1: 0}, rel=0.0, abs=0.0),
+        dict(x=0.40, exact={3: Fraction(2, 9)}, abs=1e-15)],
+    # where p_frg is 0, on both sides of 64, the CDF ends at exactly 1.0; deep
+    # in the cutoff the merge share stays a positive, accurate third
+    "test_shares_split_consensus_at_every_size": [
+        *(dict(x=x, sizes=(1, 2, 20, 64, 65, 400, 1000)) for x in (0.34, 0.41, 0.47)),
+        dict(x=0.47, exact={1: 0}, rel=0.0, abs=0.0),
+        dict(x=0.41, exact={2: 0}, rel=0.0, abs=0.0),
+        dict(x=0.3, exact={64: 0, 500: 0}, rel=0.0, abs=0.0),
+        dict(x=0.47, exact={1000: 1 - Fraction(8.101021595684863e-19)}, rel=1e-13)],
+    "test_decision_probabilities_complete": [
+        dict(x=x, sizes=(1, 2, 3, 7, 20, 64, 65, 100, 1000, 10_000)) for x in X_GRID],
+}
+
+named_cases(globals(), check_probabilities, PROBABILITY_CASES)
 
 
 def test_enumeration_oracle_known_values():
@@ -163,39 +218,6 @@ def test_enumeration_oracle_limits():
         enumerate_fragmentation_probability(0, 0.4)
     with pytest.raises(ValueError):
         fragmentation_probability(0, 0.4)
-
-
-@pytest.mark.parametrize("x", [0.35, 0.37, 0.41, 0.45, 0.47])
-def test_fragmentation_probability_matches_enumeration(x):
-    for s in range(1, 13):
-        exact = float(enumerate_fragmentation_probability(s, x))
-        assert fragmentation_probability(s, x) == pytest.approx(exact, abs=1e-12)
-
-
-def test_large_size_path_matches_integer_sum():
-    """Above size 64 both probabilities match a multinomial count summed in
-    exact integers, within 1e-13 relative, whichever of them is small."""
-
-    def reference(s, x):
-        """Vote assignments with every count <= ub, from rows of Pascal's
-        triangle: two[n] counts the B/S strings of n votes, W takes the rest."""
-        ub = math.ceil(x * s) - 1
-        row, two = [1], []
-        for n in range(s + 1):
-            two.append(sum(row[max(0, n - ub):ub + 1]))
-            if n < s:
-                row = [1, *map(operator.add, row, row[1:]), 1]
-        return sum(row[w] * two[s - w] for w in range(min(ub, s) + 1))
-
-    points = [(s, x) for s in (65, 80, 101, 150) for x in (0.35, 0.41, 0.47)]
-    points += [(s, x) for s in (65, 100, 400, 1000) for x in (0.34, 0.36, 0.41, 0.47)]
-    # 3 ub = s: p_frg is the single term with B = S = W, of order 1/s
-    points += [(201, 0.334), (300, 0.334), (999, 0.334)]
-    for s, x in points:
-        count, total = reference(s, x), 3**s
-        p_frg, consensus = float(Fraction(count, total)), float(Fraction(total - count, total))
-        assert fragmentation_probability(s, x) == pytest.approx(p_frg, rel=1e-13, abs=0.0)
-        assert consensus_probability(s, x) == pytest.approx(consensus, rel=1e-13, abs=0.0)
 
 
 def test_large_size_values_are_pinned():
@@ -231,18 +253,6 @@ def test_binomial_terms_keep_relative_precision(n, k, d):
     assert value == pytest.approx(float(exact), rel=tolerance, abs=0.0)
 
 
-def test_probability_table_equals_the_scalar_lookups():
-    sizes = np.r_[1:130, 399:402, 997:1001]  # one pass, rows of unequal lengths
-    for x in (0.34, 0.36, 0.41, 0.47, 0.6):
-        p_frg, consensus = voting.probability_table(sizes, x)
-        assert p_frg.tolist() == [fragmentation_probability(int(s), x) for s in sizes]
-        assert consensus.tolist() == [consensus_probability(int(s), x) for s in sizes]
-        impossible = 3 * (np.ceil(x * sizes) - 1) < sizes
-        assert np.all(p_frg[impossible] == 0.0) and np.all(consensus[impossible] == 1.0)
-    with pytest.raises(ValueError):
-        voting.probability_table([3, 0], 0.41)
-
-
 def test_probability_table_refuses_sizes_that_are_not_integers():
     """Once truncated to 2 and 3; a float array is refused whole."""
     with pytest.raises(ValueError, match=r"integers >= 1, got \[2.7, 3.2\]"):
@@ -274,17 +284,6 @@ def test_lookups_refuse_x_outside_the_unit_interval(x):
             voting.probability_table([size], x)
 
 
-def test_unanimity_is_the_x_one_limit():
-    """At x = 1 a group trades or merges only on a unanimous vote."""
-    sizes = np.arange(1, 200)
-    p_frg, consensus = voting.probability_table(sizes, 1.0)
-    unanimous = [3.0 ** (1 - s) for s in sizes.tolist()]
-    assert consensus.tolist() == pytest.approx(unanimous, rel=1e-12, abs=0.0)
-    assert p_frg.tolist() == [fragmentation_probability(int(s), 1) for s in sizes]
-    for s in range(1, 10):
-        assert fragmentation_probability(s, 1.0) == float(enumerate_fragmentation_probability(s, 1.0))
-
-
 def test_can_fragment_agrees_with_the_table_form():
     """`can_fragment` and `probability_table`'s array form of the same test
     agree on every size up to 3000: p_frg is nonzero exactly where a group
@@ -311,14 +310,6 @@ def test_both_direct_sums_add_to_one():
             voting.summed_both_ways(s, x)
 
 
-def test_no_overflow_at_extreme_sizes():
-    for s in (10_000, 100_000):
-        for x in (0.34, 0.41, 0.47, 0.499):
-            p = fragmentation_probability(s, x)
-            assert 0.0 <= p <= 1.0
-    assert fragmentation_probability(100_000, 0.47) > 0.999999
-
-
 def test_exponential_cutoff_of_trade_probability():
     """1 - p_frg decays (asymptotically) exponentially in the group size."""
     x = 0.47
@@ -331,26 +322,6 @@ def test_exponential_cutoff_of_trade_probability():
     ss_res = float(np.sum((log_survive - fitted) ** 2))
     ss_tot = float(np.sum((log_survive - log_survive.mean()) ** 2))
     assert 1.0 - ss_res / ss_tot > 0.99
-
-
-def test_consensus_probability_complements_fragmentation():
-    for s in (1, 2, 3, 10, 64, 65, 120, 500):
-        for x in X_GRID:
-            total = consensus_probability(s, x) + fragmentation_probability(s, x)
-            assert total == pytest.approx(1.0, abs=1e-12)
-    # deep in the cutoff the direct complement would be unrepresentable
-    deep = consensus_probability(1000, 0.47)
-    assert 0.0 < deep < 1e-15
-
-
-# -- decision probabilities ------------------------------------------------------
-
-def test_decision_probabilities_known_values():
-    assert decision_probabilities(1, 0.41) == (0.0, 1 / 3, 1 / 3, 1 / 3)
-    probs = decision_probabilities(3, 0.40)
-    assert probs.fragment == pytest.approx(2 / 9, abs=1e-15)
-    assert probs.buy == pytest.approx(7 / 27, abs=1e-15)
-    assert probs.buy == probs.sell == probs.merge
 
 
 def test_fill_cdfs_fills_one_size_up_to_64_and_a_window_above():
@@ -368,29 +339,6 @@ def test_fill_cdfs_fills_one_size_up_to_64_and_a_window_above():
     cdf[70] = None
     assert all(c == voting.decision_cdf(s, x) for s, c in enumerate(cdf) if c)
     assert {type(v) for c in cdf if c for v in c} == {float}
-
-
-def test_shares_split_consensus_at_every_size():
-    for x in (0.34, 0.41, 0.47):
-        for s in (1, 2, 20, 64, 65, 400, 1000):
-            q = consensus_probability(s, x)
-            p_frg = fragmentation_probability(s, x)
-            assert decision_probabilities(s, x) == (p_frg, q / 3.0, q / 3.0, q / 3.0)
-            assert voting.decision_cdf(s, x) == (q / 3.0, 2.0 * q / 3.0, q)
-    # where p_frg is 0, on both sides of 64, the CDF ends at exactly 1.0
-    for s, x in ((1, 0.47), (2, 0.41), (64, 0.3), (500, 0.3)):
-        assert fragmentation_probability(s, x) == 0.0 and voting.decision_cdf(s, x)[2] == 1.0
-    # deep in the cutoff the merge share stays a positive, accurate third
-    assert decision_probabilities(1000, 0.47).merge == pytest.approx(
-        8.101021595684863e-19 / 3, rel=1e-13)
-
-
-def test_decision_probabilities_complete():
-    for s in (1, 2, 3, 7, 20, 64, 65, 100, 1000, 10_000):
-        for x in X_GRID:
-            probs = decision_probabilities(s, x)
-            assert sum(probs) == pytest.approx(1.0, abs=1e-12)
-            assert all(0.0 <= p <= 1.0 for p in probs)
 
 
 def test_decision_probabilities_match_monte_carlo():
