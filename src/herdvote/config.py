@@ -28,14 +28,23 @@ AGENT_LIMIT = 2**24
 SUPPORT_LIMIT = 2**14
 
 
-def _integer(name: str, value) -> int:
-    """`value` as an int; a float, even a whole one, and a bool are refused by name."""
+def _index(name: str, value) -> int:
+    """`value` as an int; a float, even a whole one, and a bool are a
+    TypeError naming `name`: a bool is not a count."""
     if not isinstance(value, bool):
         try:
             return operator.index(value)
         except TypeError:
             pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def _integer(name: str, value) -> int:
+    """`_index`, with a ValueError: how a config refuses a field."""
+    try:
+        return _index(name, value)
+    except TypeError as exc:
+        raise ValueError(str(exc)) from None
 
 
 class VoteMode(str, Enum):

@@ -78,7 +78,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .config import EzConfig, SimConfig, VoteMode
+from .config import EzConfig, SimConfig, VoteMode, _integer
 from .population import Partition
 from .series import (  # noqa: F401  (old import paths; the run path calls the writer here)
     read_returns_text,
@@ -409,7 +409,8 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
     entries of no-trade steps are left as they are.  `returns` is a
     writable 1-D int64 array, written through a memoryview; without it
     nothing is recorded.  A `returns` of another kind, or one too short for
-    the steps this call records, raises ValueError before the first step.
+    the steps this call records, raises ValueError before the first step,
+    as does an `n_steps` that is negative or not an integer (a bool too).
     The loop can be driven in chunks: consecutive calls continue the same
     run, with the same results as one call.  Every 10^4 steps it checks, in
     O(groups), that the singletons and the member lists still cover every
@@ -442,6 +443,7 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
     back on only if it was on before: drive the loop from one thread at a
     time.
     """
+    n_steps = _integer("n_steps", n_steps)
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     config = state.config

@@ -104,7 +104,10 @@ class SolverReport:
     iterations: int
     residual: float  # max-norm of the net flow over every size 1..N
     converged: bool
-    support: int  # largest size with a count; every n_s above it is exactly 0
+    # S: the solver held counts for the sizes 1..S, and every n_s above S is
+    # exactly 0; n_S > 0 where the solve converged (a solve stopped early
+    # may not have reached S)
+    support: int
 
 
 def _size_rates(sizes, x) -> tuple[np.ndarray, np.ndarray]:

@@ -16,12 +16,13 @@ is not such a buffer is copied into an `array('q')`.
 
 from __future__ import annotations
 
-import operator
 import struct
 import sys
 from array import array
 from collections.abc import Iterator
 from operator import add
+
+from .config import _index
 
 _TEXT_CHUNK = 1 << 13  # values per write in `write_returns_text`
 _SWAP = sys.byteorder == "big"  # the files hold little-endian values
@@ -56,7 +57,7 @@ def window_sums(series, k: int) -> Iterator[int]:
     window of their two lengths together.  Halving the window length gives a
     tree of at most two maps per level, ceil(log2 k) deep.
     """
-    k = operator.index(k)  # a TypeError on a non-integer
+    k = _index("window length", k)
     if k < 1:
         raise ValueError(f"window length must be >= 1, got {k}")
     sums = {1: iter(_int64_view(series))}  # window length -> its sums

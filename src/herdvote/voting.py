@@ -59,12 +59,13 @@ when it has to break a tie.  Cached probability lookups are thread-safe.
 from __future__ import annotations
 
 import math
-import operator
 from enum import IntEnum
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+
+from .config import _index
 
 ONE_THIRD = 1.0 / 3.0
 
@@ -399,7 +400,7 @@ def probability_table(sizes, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _probabilities(size: int, x) -> tuple[float, float]:
-    size = operator.index(size)  # a TypeError on a non-integer
+    size = _index("group size", size)
     if size < 1:
         raise ValueError(f"group size must be >= 1, got {size}")
     return _fragmentation_probability_cached(size, _checked_x(x))
@@ -475,6 +476,7 @@ def enumerate_fragmentation_probability(size: int, x) -> Fraction:
     each assignment's counts are tested directly against the fragment
     condition.  Exact rational result; limited to size <= 14.
     """
+    size = _index("group size", size)
     if size < 1:
         raise ValueError(f"group size must be >= 1, got {size}")
     if size > _ENUM_SIZE_LIMIT:

@@ -404,9 +404,10 @@ def assert_loop_matches_oracle(config, stream=None):
     while fused.step_index < config.total_steps:
         advance(fused, min(next(chunks), config.total_steps - fused.step_index), chunked)
     assert np.array_equal(chunked, expected)
+    for n_steps in (-1, 2.5, True):  # refused before any step
+        with pytest.raises(ValueError, match="n_steps"):
+            advance(fused, n_steps)
     assert_same_state(fused, oracle)
-    with pytest.raises(ValueError):
-        advance(fused, -1)
 
     # `advance`, then `step` (which drops the tallies and resumes the loop's
     # block), then `advance` (which rebuilds the tallies from the partition)

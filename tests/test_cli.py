@@ -4,7 +4,6 @@ import concurrent.futures
 import contextlib
 import csv
 import dataclasses
-import hashlib
 import inspect
 import io
 import json
@@ -26,15 +25,6 @@ from herdvote import analysis, artifacts, cli, cli_analyze, cli_sweep, engine, e
 from herdvote import voting
 from herdvote.population import Partition
 from herdvote.series import read_returns_binary
-
-
-def run_cli(argv):
-    return cli.main(argv)
-
-
-def sha256_of(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def tiny_run_args(out, extra=()):
@@ -92,6 +82,22 @@ def assert_refusal(result, *fragments):
     assert (code, out, changed) == (cli.EXIT_CONFIG, "", []), result
     assert err.startswith("error: ") and err.endswith("\n") and len(err.splitlines()) == 1, err
     assert [f for f in fragments if f not in err] == [], err
+
+
+def collect(table, check):
+    """Collect each entry of `table` as a test of this module, under its
+    name: `check(row, tmp_path)` on its one row (a tuple), or on each of its
+    rows (a dict), by id, each an item of its own.  The entries keep the
+    names, and the rows the ids, that they had as tests of their own."""
+    for name, rows in table.items():
+        if isinstance(rows, tuple):
+            def test(tmp_path, row=rows):
+                check(row, tmp_path)
+        else:
+            @pytest.mark.parametrize("row", list(rows.values()), ids=list(rows))
+            def test(tmp_path, row):
+                check(row, tmp_path)
+        globals()[name] = test
 
 
 # -- config handling ---------------------------------------------------------
@@ -185,17 +191,7 @@ PINNED_ARTIFACTS = {
 }
 
 
-@pytest.mark.parametrize("override", list(PINNED_ARTIFACTS))
-def test_run_artifacts_are_pinned(tmp_path, capsys, override):
-    argv = ["run", "--out", str(tmp_path), "--set", "n_agents=300", "--set", "total_steps=30000",
-            "--set", "x=0.41", "--set", "seed=1", "--set", override]
-    assert run_cli(argv) == 0
-    run_dir = capsys.readouterr().out.strip()
-    manifest = json.loads(Path(run_dir, "manifest.json").read_text())
-    assert manifest["artifacts"] == PINNED_ARTIFACTS[override]
-
-
-def test_desk_iid_run_past_the_exact_sizes_is_pinned(tmp_path, capsys):
+def test_desk_iid_run_past_the_exact_sizes_is_pinned(tmp_path):
     """The desk iid config (10^4 agents, 2x10^5 steps, x = 0.41) at seed
     900003 trades groups above 64 agents (its largest |r| is 67), so its
     returns depend on the summed decision CDFs that `voting.fill_cdfs` fills
@@ -204,10 +200,10 @@ def test_desk_iid_run_past_the_exact_sizes_is_pinned(tmp_path, capsys):
     for item in ("n_agents=10000", "x=0.41", "vote_mode=iid", "total_steps=200000",
                  "seed=900003"):
         argv += ["--set", item]
-    assert run_cli(argv) == 0
-    path = os.path.join(capsys.readouterr().out.strip(), "returns_raw.bin")
+    path = os.path.join(run_ok(argv), "returns_raw.bin")
     assert int(np.abs(read_returns_binary(path)).max()) == 67
-    assert sha256_of(path) == "ccb96d979d331f87174d67af639fade974c4ffd564149c8df3ae6f14d472195f"
+    assert (artifacts.sha256_file(path)
+            == "ccb96d979d331f87174d67af639fade974c4ffd564149c8df3ae6f14d472195f")
 
 
 # sha256 of the analysis outputs of the same three runs: analysis/ccdf.csv,
@@ -257,40 +253,24 @@ PINNED_ANALYSIS = {
 }
 
 
-def _pinned_run(tmp_path, capsys, override) -> str:
-    argv = ["run", "--out", str(tmp_path), "--set", "n_agents=300", "--set", "total_steps=30000",
-            "--set", "x=0.41", "--set", "seed=1", "--set", override]
-    assert run_cli(argv) == 0
-    return capsys.readouterr().out.strip()
-
-
-def _analysis_digests(run_dir, summary) -> dict:
-    digests = {name: sha256_of(os.path.join(run_dir, "analysis", name))
-               for name in ("ccdf.csv", "pdf.csv", "fit.csv")}
-    return {**digests, "summary": sha256_of(summary)}
-
-
-@pytest.mark.parametrize("override, use_raw", list(PINNED_ANALYSIS))
-def test_analyze_outputs_are_pinned(tmp_path, capsys, override, use_raw):
-    """The pinned bytes, written in this process and again by `analyze` in a
-    process whose NumPy may use no AVX-512 kernel, as on an AVX2-only host.
-    NumPy's AVX-512 power once rounded some log-bin edges differently from
-    the C library's pow."""
-    run_dir = _pinned_run(tmp_path, capsys, override)
-    summary = tmp_path / "summary.csv"
-    rescale = ["--rescale-k", "1"] if use_raw else []
-    assert run_cli(["analyze", run_dir, "--out", str(summary), *rescale]) == 0
-    assert _analysis_digests(run_dir, summary) == PINNED_ANALYSIS[override, use_raw]
-
-    summary = tmp_path / "summary_no_avx512.csv"
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-               NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4")
-    result = subprocess.run(
-        [sys.executable, "-m", "herdvote.cli", "analyze", run_dir, "--out", str(summary), *rescale],
-        env=env, capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert _analysis_digests(run_dir, summary) == PINNED_ANALYSIS[override, use_raw]
+@pytest.mark.parametrize("override", list(PINNED_ARTIFACTS))
+def test_run_artifacts_are_pinned(tmp_path, override):
+    """One run of each pinned config: the digests its manifest records, then
+    what `analyze` writes of it at --rescale-k 2 and at 1.  `analyze` loads
+    no NumPy (`test_each_command_loads_only_its_layers`), so no CPU
+    dispatch of NumPy's can move these bytes."""
+    run_dir = run_ok(["run", "--out", str(tmp_path), "--set", "n_agents=300",
+                      "--set", "total_steps=30000", "--set", "x=0.41", "--set", "seed=1",
+                      "--set", override])
+    assert recorded(run_dir) == PINNED_ARTIFACTS[override]
+    for use_raw in (False, True):
+        summary = tmp_path / f"summary_{use_raw}.csv"
+        run_ok(["analyze", run_dir, "--rescale-k", "1" if use_raw else "2", "--out", str(summary)])
+        written = {name: os.path.join(run_dir, "analysis", name)
+                   for name in ("ccdf.csv", "pdf.csv", "fit.csv")}
+        digests = {name: artifacts.sha256_file(path)
+                   for name, path in {**written, "summary": summary}.items()}
+        assert digests == PINNED_ANALYSIS[override, use_raw], use_raw
 
 
 def test_docstring_table_is_the_defaults():
@@ -316,17 +296,15 @@ def test_override_parsing():
 
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
-        run_cli(["no-such-command"])
+        cli.main(["no-such-command"])
     assert excinfo.value.code == cli.EXIT_USAGE
 
 
 # -- refusals that need only an argv -------------------------------------------
 
 # Every input the command line refuses on its argv alone.  An entry is a
-# test: its one row, or its rows by id, each an item of its own.  A row is
-# an argv and a fragment of its error line, "{tmp}" standing for the
-# test's directory, laid out by `refusal_tree`.  The entries keep the names,
-# and the rows the ids, that they had as tests of their own.
+# test (see `collect`).  A row is an argv and a fragment of its error line,
+# "{tmp}" standing for the test's directory, laid out by `_refused`.
 REFUSALS = {
     "test_missing_config_file_is_config_error": (
         "run --config {tmp}/absent.cfg --out {tmp}/runs",
@@ -461,44 +439,28 @@ def _ruled_out(*_args, **_kwargs):
     pytest.fail("called a function the test rules out")
 
 
-@pytest.fixture
-def refusal_tree(tmp_path, monkeypatch):
-    """The files the rows name, in the working directory, with every layer
-    that works patched to fail: a refusal comes before any work.  The solve
-    is `_solve`, as `solve_stationary` checks the inputs first."""
-    (tmp_path / "dir").mkdir()
-    (tmp_path / "not_utf8.cfg").write_bytes(b"n_agents = 150\nx = 0.4\xff\n")
-    (tmp_path / "key_twice.cfg").write_bytes(b"x = 0.41\n# a comment\nseed = 2\nx = 0.45\n")
-    (tmp_path / "a_file").write_text("")
-    (tmp_path / "d.txt.report.json").mkdir()
-    (tmp_path / "sweep.json").mkdir()
-    monkeypatch.chdir(tmp_path)
-    for module, name in ((engine, "run"), (cli, "ez_run"), (meanfield, "_solve"),
-                         (analysis, "histogram")):
-        monkeypatch.setattr(module, name, _ruled_out)
-    return tmp_path
-
-
 def _refused(row, root):
+    """A `REFUSALS` row, run in `root` laid out with the files the rows name
+    and with every layer that works patched to fail: a refusal comes before
+    any work.  The solve is `_solve`, as `solve_stationary` checks the
+    inputs first."""
+    (root / "dir").mkdir()
+    (root / "not_utf8.cfg").write_bytes(b"n_agents = 150\nx = 0.4\xff\n")
+    (root / "key_twice.cfg").write_bytes(b"x = 0.41\n# a comment\nseed = 2\nx = 0.45\n")
+    (root / "a_file").write_text("")
+    (root / "d.txt.report.json").mkdir()
+    (root / "sweep.json").mkdir()
     args, fragment = row
-    assert_refusal(outcome([arg.format(tmp=root) for arg in args.split()], root),
-                   fragment.format(tmp=root))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(root)
+        for module, name in ((engine, "run"), (cli, "ez_run"), (meanfield, "_solve"),
+                             (analysis, "histogram")):
+            patch.setattr(module, name, _ruled_out)
+        assert_refusal(outcome([arg.format(tmp=root) for arg in args.split()], root),
+                       fragment.format(tmp=root))
 
 
-def _refusal_test(rows):
-    """The test of one `REFUSALS` entry."""
-    if isinstance(rows, tuple):
-        def test(refusal_tree):
-            _refused(rows, refusal_tree)
-        return test
-
-    @pytest.mark.parametrize("row", list(rows.values()), ids=list(rows))
-    def test(refusal_tree, row):
-        _refused(row, refusal_tree)
-    return test
-
-
-globals().update({name: _refusal_test(rows) for name, rows in REFUSALS.items()})
+collect(REFUSALS, _refused)
 
 
 # -- run ----------------------------------------------------------------------
@@ -584,7 +546,7 @@ def test_crash_mid_write_leaves_no_partial_artifact(tmp_path, monkeypatch,
 
     monkeypatch.setattr(module, writer, crashing_writer)
     with pytest.raises(OSError, match="disk full"):
-        run_cli(argv)
+        cli.main(argv)
     monkeypatch.undo()
     after = tree(tmp_path)
     assert not any(".staging-" in path for path in after)
@@ -608,36 +570,6 @@ def test_crash_mid_write_leaves_no_partial_artifact(tmp_path, monkeypatch,
         assert not any(".staging-" in path for path in tree(tmp_path))
 
 
-def test_scipy_stays_off_the_run_and_analyze_path(tmp_path):
-    """No command loads SciPy, and only a parallel sweep loads multiprocessing."""
-    out = str(tmp_path / "runs")
-    script = f"""
-import contextlib, io, sys
-from herdvote import cli, voting
-assert "scipy" not in sys.modules, "import herdvote.cli"
-assert "concurrent.futures.process" not in sys.modules, "import herdvote.cli"
-run_dirs = []
-for extra in ([], ["--set", "model=ez"], ["--set", "vote_mode=iid"]):
-    argv = ["run", "--out", {out!r}, "--set", "n_agents=300", "--set", "total_steps=3000", *extra]
-    with contextlib.redirect_stdout(io.StringIO()) as printed:
-        assert cli.main(argv) == 0
-    run_dirs.append(printed.getvalue().strip())
-# np.unique without return_counts imports numpy.ma: 10-13 ms per process
-assert "numpy.ma" not in sys.modules, "run"
-assert cli.main(["analyze", run_dirs[0], "--out", {str(tmp_path / "summary.csv")!r}]) == 0
-assert "numpy.ma" not in sys.modules, "analyze"
-argv = ["meanfield", "--n-agents", "400", "--x", "0.41", "--out", {str(tmp_path / "dist.txt")!r}]
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(argv) == 0
-    assert cli.main(["validate"]) == 0
-assert voting.fragmentation_probability(10_000, 0.41) == 1.0 - voting.consensus_probability(10_000, 0.41)
-assert "scipy" not in sys.modules
-"""
-    result = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
-                            capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-
-
 BASE_MODULES = {"herdvote", "herdvote.artifacts", "herdvote.cli", "herdvote.config"}
 SIMULATOR = {"herdvote.engine", "herdvote.population", "herdvote.series"}
 COMMAND_MODULES = {
@@ -659,7 +591,10 @@ def test_each_command_loads_only_its_layers(tmp_path, command):
     """The package modules a fresh process holds after one command: an eager
     import added anywhere shows here before it slows every command down.
     A command compiles no other command's body (`cli_<command>`), and only
-    an iid run among the runs loads `voting`."""
+    an iid run among the runs loads `voting`.  No command loads SciPy, and
+    only a parallel sweep loads multiprocessing (the sweep here is serial;
+    `test_sweep_pool_is_no_larger_than_the_grid_or_the_cpus` covers the
+    pool)."""
     run_args = tiny_run_args(tmp_path / "runs")
     argv = {
         "version": ["--version"],
@@ -677,14 +612,15 @@ def test_each_command_loads_only_its_layers(tmp_path, command):
     script = """
 import contextlib, io, json, sys
 from herdvote import cli
-assert "numpy" not in sys.modules, "import herdvote.cli"
+LAYERS = ("numpy", "numpy.ma", "scipy", "concurrent.futures.process", "hashlib", "csv")
+assert [m for m in LAYERS[:4] if m in sys.modules] == [], "import herdvote.cli"
 with contextlib.redirect_stdout(io.StringIO()):
     try:
         code = cli.main(json.loads(sys.argv[1]))
     except SystemExit as exc:  # --version
         code = exc.code
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "herdvote"),
-                  sorted(m for m in ("numpy", "hashlib", "csv") if m in sys.modules)]))
+                  [m for m in LAYERS if m in sys.modules]]))
 """
     result = subprocess.run([sys.executable, "-c", script, json.dumps(argv)], env=fresh_env(),
                             capture_output=True, text=True, cwd=tmp_path)
@@ -696,8 +632,12 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "her
     assert bodies <= {f"herdvote.cli_{command}"}
     if command in ("run", "run_ez"):  # strategy votes and E-Z decisions need no `voting`
         assert "herdvote.voting" not in modules
+    assert not {"scipy", "concurrent.futures.process"} & set(loaded)
     if command in ("version", "analyze"):  # their layers are standard library only
         assert "numpy" not in loaded
+    if command in ("run", "run_iid", "run_ez", "analyze"):
+        # np.unique without return_counts imports numpy.ma: 10-13 ms per process
+        assert "numpy.ma" not in loaded
     if command in ("version", "meanfield"):  # they digest no file and write no CSV
         assert not {"hashlib", "csv"} & set(loaded)
 
@@ -898,7 +838,7 @@ def test_sweep_with_a_failing_grid_point_publishes_the_others(tmp_path, capsys):
     """A grid point its config refuses is an `error` record and one stderr
     line; the other points still run and are published, and the exit is 3."""
     out = tmp_path / "runs"
-    code = run_cli(["sweep", "--n-agents", "20,1", "--set", "total_steps=200", "--out", str(out)])
+    code = cli.main(["sweep", "--n-agents", "20,1", "--set", "total_steps=200", "--out", str(out)])
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err == ("error: grid point x=0.37 n_agents=1: "
                                        "n_agents must be in [2, 16777216], got 1\n")
@@ -908,7 +848,8 @@ def test_sweep_with_a_failing_grid_point_publishes_the_others(tmp_path, capsys):
     assert failed["error"] == "n_agents must be in [2, 16777216], got 1"
     assert "run_dir" not in failed
     published = recorded(ok["run_dir"])
-    assert {name: sha256_of(os.path.join(ok["run_dir"], name)) for name in published} == published
+    assert {name: artifacts.sha256_file(os.path.join(ok["run_dir"], name))
+            for name in published} == published
     assert sorted(os.listdir(out)) == sorted([os.path.basename(ok["run_dir"]), "sweep.json"])
 
 
@@ -936,64 +877,43 @@ def test_derived_seeds_are_stable():
     assert derive_seed(1, 0.37, 100, 0) != derive_seed(2, 0.37, 100, 0)
 
 
-@pytest.mark.parametrize("blocked", ["analysis", "summary.csv", "fit.csv", "summary_is_fit.csv"])
-def test_analyze_output_blocked_is_config_error(tmp_path, blocked):
-    """A file named like a run's analysis directory, a directory named like
-    the summary or like one of a run's analysis files, or a summary named
-    like a run's `fit.csv` is refused with the path named before anything
-    is written."""
-    run_dir = run_ok(tiny_run_args(tmp_path / "runs"))
-    analysis_dir = Path(run_dir) / "analysis"
-    out_csv = tmp_path / "summary.csv"
-    blocked_path = {"analysis": analysis_dir, "summary.csv": out_csv,
-                    "fit.csv": analysis_dir / "fit.csv",
-                    "summary_is_fit.csv": analysis_dir / "fit.csv"}[blocked]
-    if blocked == "analysis":
-        analysis_dir.write_text("")
-    elif blocked == "summary_is_fit.csv":
-        out_csv = blocked_path
-    else:
-        blocked_path.mkdir(parents=True)
-    argv = ["analyze", run_dir, "--r-min", "1", "--out", str(out_csv)]
-    assert_refusal(outcome(argv, tmp_path), str(blocked_path))
-
-
 # -- meanfield -------------------------------------------------------------------
 
-def test_meanfield_command(tmp_path):
-    out = tmp_path / "dist.txt"
-    run_ok(["meanfield", "--n-agents", "6", "--x", "0.41", "--out", str(out)])
-    lines = out.read_text().splitlines()
-    assert len(lines) == 6
-    report = json.loads(Path(f"{out}.report.json").read_text())
+# the report: the call's settings, then every `SolverReport` field in its order
+REPORT_KEYS = ["n_agents", "x", "tolerance", "iterations", "residual", "converged", "support"]
+
+
+def _solved(row, root):
+    """The `meanfield` contract at x = 0.41, for a row of the agent count N,
+    the output path under `root` and a predicate of the counts (by size)
+    and the report, or None.  Exit 0 with nothing on stderr; N lines
+    `s n_s` for s = 1..N; the report, written with sorted keys and printed
+    as one line in `REPORT_KEYS` order, `converged` true; and no path made
+    but those two files and the directories they need."""
+    n_agents, out, holds = row
+    argv = ["meanfield", "--n-agents", str(n_agents), "--x", "0.41", "--out", str(root / out)]
+    code, printed, err, changed = outcome(argv, root)
+    assert (code, err) == (cli.EXIT_OK, "")
+    rows = [line.split() for line in (root / out).read_text().splitlines()]
+    assert [s for s, _ in rows] == [str(s) for s in range(1, n_agents + 1)]
+    report = json.loads((root / f"{out}.report.json").read_text())
+    assert list(report) == sorted(REPORT_KEYS)
+    assert printed == json.dumps({key: report[key] for key in REPORT_KEYS}) + "\n"
     assert report["converged"] is True
+    made = {out, f"{out}.report.json", *map(str, Path(out).parents)} - {"."}
+    assert changed == sorted(made)
+    assert holds is None or holds({int(s): float(n) for s, n in rows}, report)
 
 
-def test_meanfield_prints_the_report_it_writes(tmp_path, capsys):
-    """The printed line is the written report: the call's settings, then
-    every `SolverReport` field in its order.  The file sorts its keys."""
-    out = tmp_path / "dist.txt"
-    assert run_cli(["meanfield", "--n-agents", "400", "--x", "0.41", "--out", str(out)]) == 0
-    report = json.loads(Path(f"{out}.report.json").read_text())
-    keys = ["n_agents", "x", "tolerance", "iterations", "residual", "converged", "support"]
-    assert sorted(report) == sorted(keys)
-    assert capsys.readouterr().out == json.dumps({key: report[key] for key in keys}) + "\n"
-    assert report["support"] == 256 and report["converged"] is True
-
-
-def test_meanfield_creates_a_missing_out_directory(tmp_path):
-    out = tmp_path / "missing" / "dist.txt"
-    run_ok(["meanfield", "--n-agents", "6", "--x", "0.41", "--out", str(out)])
-    assert len(out.read_text().splitlines()) == 6
-    assert json.loads(Path(f"{out}.report.json").read_text())["converged"] is True
-
-
-def test_meanfield_two_agent_file(tmp_path):
-    out = tmp_path / "n2.txt"
-    run_ok(["meanfield", "--n-agents", "2", "--x", "0.41", "--out", str(out)])
-    lines = out.read_text().splitlines()
-    assert len(lines) == 2
-    assert float(lines[1].split()[1]) == pytest.approx(1.0)
+MEANFIELD = {
+    "test_meanfield_command": (6, "dist.txt", None),
+    "test_meanfield_prints_the_report_it_writes": (
+        400, "dist.txt", lambda counts, report: report["support"] == 256),
+    "test_meanfield_creates_a_missing_out_directory": (6, "missing/dist.txt", None),
+    "test_meanfield_two_agent_file": (
+        2, "n2.txt", lambda counts, report: counts[2] == pytest.approx(1.0)),
+}
+collect(MEANFIELD, _solved)
 
 
 def test_meanfield_support_over_the_limit_is_config_error(tmp_path, monkeypatch):
@@ -1006,10 +926,10 @@ def test_meanfield_support_over_the_limit_is_config_error(tmp_path, monkeypatch)
     assert_refusal(outcome(argv, tmp_path), "support limit of 64")
 
 
-def test_meanfield_nonconvergence_exit_code(tmp_path, capsys):
+def test_meanfield_nonconvergence_exit_code(tmp_path):
     out = tmp_path / "bad.txt"
-    code = run_cli(["meanfield", "--n-agents", "20", "--x", "0.41",
-                    "--tolerance", "1e-30", "--max-iterations", "3", "--out", str(out)])
+    code = cli.main(["meanfield", "--n-agents", "20", "--x", "0.41",
+                     "--tolerance", "1e-30", "--max-iterations", "3", "--out", str(out)])
     assert code == cli.EXIT_NONCONVERGENCE
     assert out.exists()  # partial result still written
 
@@ -1025,13 +945,16 @@ def cli_process(args, cwd, **kwargs):
                             **kwargs)
 
 
-@pytest.mark.parametrize("command", ["meanfield", "run"])
+@pytest.mark.parametrize("command", ["meanfield", "run", "analyze"])
 def test_console_entry_flushes_redirected_output(tmp_path, command):
     """The process ends without interpreter teardown once `main` returns.  A
     stdout redirected to a file is block-buffered, and still gets its whole
     last line."""
     args = {"meanfield": ["meanfield", "--n-agents", "400", "--x", "0.41", "--out", "dist.txt"],
-            "run": tiny_run_args("runs")}[command]
+            "run": tiny_run_args("runs"),
+            "analyze": ["analyze", "RUN_DIR", "--r-min", "1", "--out", "s.csv"]}[command]
+    if command == "analyze":
+        args[1] = run_ok(tiny_run_args(tmp_path / "runs"))
     with open(tmp_path / "stdout.txt", "w") as out:
         proc = cli_process(args, tmp_path, stdout=out, stderr=subprocess.PIPE, text=True)
         _, err = proc.communicate(timeout=300)
@@ -1041,8 +964,10 @@ def test_console_entry_flushes_redirected_output(tmp_path, command):
     last = text.splitlines()[-1]
     if command == "meanfield":
         assert json.loads(last)["converged"] is True
-    else:
+    elif command == "run":
         assert (tmp_path / last / "manifest.json").is_file()
+    else:
+        assert last == "s.csv" and (tmp_path / last).is_file()
 
 
 @pytest.mark.parametrize("args, code", [
@@ -1129,10 +1054,14 @@ def test_analyze_gives_every_run_dir_its_own_row(tmp_path, monkeypatch):
     assert labels == ["0.41", "0.41 seed=1", f"0.41 {run_dirs[2]}"]
 
 
+def _series_bytes(values) -> bytes:
+    return len(values).to_bytes(8, "little") + np.array(values, dtype="<i8").tobytes()
+
+
 def write_analyze_inputs(run_dir, series_bytes, config_text=None):
     """A run directory holding only what `analyze` reads: config.txt (the
     given text, else a resolved config's), a returns_raw.bin of the given
-    bytes and a manifest of their digests."""
+    bytes and a manifest of their digests.  Returns `run_dir`."""
     run_dir.mkdir()
     if config_text is None:
         config_text = cli.config_text(cli.resolve_config(cli.apply_overrides(
@@ -1140,26 +1069,9 @@ def write_analyze_inputs(run_dir, series_bytes, config_text=None):
     files = {"config.txt": config_text.encode(), "returns_raw.bin": series_bytes}
     for name, data in files.items():
         (run_dir / name).write_bytes(data)
-    digests = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+    digests = {name: artifacts.sha256_file(run_dir / name) for name in files}
     (run_dir / "manifest.json").write_text(json.dumps({"artifacts": digests}))
-
-
-def test_analyze_no_trades_is_explicit(tmp_path):
-    run_dir = tmp_path / "zero"
-    write_analyze_inputs(run_dir, (100).to_bytes(8, "little") + bytes(8 * 100))
-    argv = ["analyze", str(run_dir), "--out", str(tmp_path / "summary.csv")]
-    assert_refusal(outcome(argv, tmp_path), f"no trades in {run_dir}")
-
-
-def test_analyze_window_longer_than_the_series_is_config_error(tmp_path):
-    """A window longer than the recorded series is named, before any window
-    is summed."""
-    run_dir = run_ok(["run", "--out", str(tmp_path / "runs"), "--set", "n_agents=200",
-                      "--set", "total_steps=2000", "--set", "seed=3"])
-    steps = json.loads(Path(run_dir, "summary.json").read_text())["recorded_steps"]
-    argv = ["analyze", run_dir, "--rescale-k", "100000", "--out", str(tmp_path / "summary.csv")]
-    assert_refusal(outcome(argv, tmp_path),
-                   f"--rescale-k 100000 is longer than the {steps} returns recorded in {run_dir}")
+    return run_dir
 
 
 def test_analyze_reads_the_series_without_copying_it(tmp_path):
@@ -1178,132 +1090,26 @@ def test_analyze_reads_the_series_without_copying_it(tmp_path):
     assert peak - read < 1 << 20, f"{peak - read} bytes traced beyond the {read} read"
 
 
-def test_analyze_damaged_returns_file(tmp_path):
-    """A series file whose count disagrees with its values, recorded as such
-    in the manifest, is refused by the reader."""
-    run_dir = tmp_path / "damaged"
-    values = np.array([3, -1, 2], dtype="<i8").tobytes()
-    write_analyze_inputs(run_dir, (4).to_bytes(8, "little") + values)
-    argv = ["analyze", str(run_dir), "--out", str(tmp_path / "summary.csv")]
-    assert_refusal(outcome(argv, tmp_path), f"damaged artifact {run_dir / 'returns_raw.bin'}")
+def test_analyze_takes_a_return_of_the_whole_population(tmp_path):
+    """A return of exactly the run's 100 agents, of either sign, is no
+    damage; one past it is (`test_analyze_refuses_a_return_beyond_the_population`)."""
+    write_analyze_inputs(tmp_path / "run", _series_bytes([100, -100, 7] * 50))
+    run_ok(["analyze", str(tmp_path / "run"), "--r-min", "1", "--out", str(tmp_path / "s.csv")])
 
 
-@pytest.mark.parametrize("values, ok", [
-    ([100, -100, 7], True), ([101, 3], False), ([-101, 3], False), ([2**40], False),
-    ([-2**63], False),
-])
-def test_analyze_refuses_a_return_beyond_the_population(tmp_path, values, ok):
-    """A return of more than the run's 100 agents, of either sign, marks a
-    damaged series; one of exactly 100 does not."""
-    run_dir = tmp_path / "run"
-    write_analyze_inputs(run_dir, _series_bytes(values * 50))
-    argv = ["analyze", str(run_dir), "--r-min", "1", "--out", str(tmp_path / "s.csv")]
-    if ok:
-        run_ok(argv)
-    else:
-        assert_refusal(outcome(argv, tmp_path), "a return exceeds the run's 100 agents")
-
-
-def test_analyze_refuses_a_run_of_another_schema(tmp_path):
-    """A schema-2 run directory, intact by its manifest, is refused by its
-    schema_version: not as damage, and not by the rescale_k key it holds."""
-    run_dir = tmp_path / "schema2"
-    config = ("schema_version = 2\nmodel = main\nn_agents = 100\nx = 0.41\n"
-              "total_steps = 1000\nequilibration_steps = 100\nmemory_m = 2\n"
-              "initial_history = 1,1\nvote_mode = strategy\nseed = 1\nrescale_k = 2\n"
-              "ez_a = 0.01\n")
-    write_analyze_inputs(run_dir, (3).to_bytes(8, "little") + bytes(range(1, 25)), config)
-    result = outcome(["analyze", str(run_dir), "--out", str(tmp_path / "summary.csv")], tmp_path)
-    assert_refusal(result, f"error: {run_dir / 'config.txt'}: schema_version 2 is not supported "
-                           f"(supported: {cli.SCHEMA_VERSION})\n")
-
-
-def _truncate(path):
-    path.write_bytes(path.read_bytes()[:-5])
-
-
-def _flip_one_byte(path):
-    data = bytearray(path.read_bytes())
-    data[len(data) // 2] ^= 0x10
-    path.write_bytes(bytes(data))
-
-
-def _unparseable(path):
-    path.write_text('{"artifacts": {')
-
-
-def _without_series_entry(path):
-    manifest = json.loads(path.read_text())
-    del manifest["artifacts"]["returns_raw.bin"]
-    path.write_text(json.dumps(manifest))
-
-
-def _edit_seed(path):
-    text = path.read_text()
-    assert "seed = 3\n" in text
-    path.write_text(text.replace("seed = 3\n", "seed = 4\n"))
-
-
-@pytest.mark.parametrize("name, damage", [
-    ("returns_raw.bin", _truncate),
-    ("returns_raw.bin", _flip_one_byte),
-    ("returns_raw.bin", os.remove),
-    ("manifest.json", os.remove),
-    ("manifest.json", _unparseable),
-    ("manifest.json", _without_series_entry),
-    ("config.txt", _edit_seed),
-], ids=["bin_truncated", "bin_byte_flipped", "bin_deleted", "manifest_deleted",
-        "manifest_unparseable", "manifest_without_entry", "config_edited"])
-def test_analyze_damaged_artifact_is_named(tmp_path, name, damage):
-    """Exit 3 with one error line naming the file; nothing is written, also
-    for an intact run directory named before the damaged one."""
-    intact = run_ok(tiny_run_args(tmp_path / "runs", extra=["--set", "seed=5"]))
-    damaged = run_ok(tiny_run_args(tmp_path / "runs"))
-    damage(Path(damaged) / name)
-    argv = ["analyze", intact, damaged, "--r-min", "1", "--out", str(tmp_path / "summary.csv")]
-    assert_refusal(outcome(argv, tmp_path), os.path.join(damaged, name))
-
-
-def _json_list(path):
-    path.write_text(json.dumps(list(json.loads(path.read_text())["artifacts"].items())))
-
-
-def _artifacts_list(path):
-    manifest = json.loads(path.read_text())
-    manifest["artifacts"] = list(manifest["artifacts"].items())
-    path.write_text(json.dumps(manifest))
-
-
-def _deeply_nested(path):
-    path.write_text("[" * 100_000)
-
-
-@pytest.mark.parametrize("name, damage", [
-    ("returns_raw.bin", _truncate),
-    ("summary.json", _flip_one_byte),
-    ("manifest.json", _unparseable),
-    ("manifest.json", _json_list),
-    ("manifest.json", _artifacts_list),
-    ("manifest.json", _deeply_nested),
-    ("returns_raw.bin", os.remove),
-    ("manifest.json", os.remove),
-], ids=["bin_truncated", "summary_byte_flipped", "manifest_unparseable", "manifest_json_list",
-        "manifest_artifacts_list", "manifest_deeply_nested", "bin_deleted", "manifest_deleted"])
-def test_rerun_damaged_artifact_is_named(tmp_path, capsys, name, damage):
-    """A rerun into a damaged directory exits 3 with one error line naming
-    the file and leaves the directory as it was; a deleted file is not
-    damage: the rerun completes the directory with the recorded digests."""
+@pytest.mark.parametrize("name", ["returns_raw.bin", "manifest.json"],
+                         ids=["bin_deleted", "manifest_deleted"])
+def test_rerun_restores_a_deleted_artifact(tmp_path, capsys, name):
+    """A deleted file is not damage: the rerun completes the directory with
+    the recorded digests (damage is `test_rerun_damaged_artifact_is_named`)."""
     run_dir = Path(run_ok(tiny_run_args(tmp_path)))
     digests = recorded(run_dir)
-    damage(run_dir / name)
-    if damage is os.remove:
-        run_ok(tiny_run_args(tmp_path))
-        assert capsys.readouterr().err == ""
-        assert recorded(run_dir) == digests
-        assert {p.name: sha256_of(p) for p in run_dir.iterdir()
-                if p.name != "manifest.json"} == digests
-    else:
-        assert_refusal(outcome(tiny_run_args(tmp_path), tmp_path), str(run_dir / name))
+    os.remove(run_dir / name)
+    run_ok(tiny_run_args(tmp_path))
+    assert capsys.readouterr().err == ""
+    assert recorded(run_dir) == digests
+    assert {p.name: artifacts.sha256_file(p) for p in run_dir.iterdir()
+            if p.name != "manifest.json"} == digests
 
 
 def test_analyze_summary_fits_at_the_largest_own_cutoff(tmp_path):
@@ -1341,25 +1147,173 @@ def test_analyze_summary_fits_at_the_largest_own_cutoff(tmp_path):
     assert out_csv.read_bytes() == expected.read_bytes()
 
 
-def test_analyze_without_any_tail_fit_asks_for_r_min(tmp_path):
+def test_analyze_fits_a_run_without_any_tail_at_a_fixed_cutoff(tmp_path):
+    """The run that `test_analyze_without_any_tail_fit_asks_for_r_min` is
+    refused on, analysed at --r-min 1: its fit is left empty."""
     run_dir = run_ok(["run", "--out", str(tmp_path / "runs"), "--set", "n_agents=300",
                       "--set", "total_steps=100"])
     out_csv = tmp_path / "summary.csv"
-    # nothing is written: neither the summary nor the run's analysis directory
-    assert_refusal(outcome(["analyze", run_dir, "--out", str(out_csv)], tmp_path),
-                   "pass --r-min")
-    # with a fixed cutoff the same run is analysed, its fit left empty
     run_ok(["analyze", run_dir, "--r-min", "1", "--out", str(out_csv)])
     with open(out_csv, newline="") as fh:
         (row,) = list(csv.DictReader(fh))
     assert row["r_min"] == "1.0" and row["alpha_density"] == "nan"
 
 
+# -- refusals of files on disk -------------------------------------------------------
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-5])
+
+
+def _flip_one_byte(path):
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0x10
+    path.write_bytes(bytes(data))
+
+
+def _unparseable(path):
+    path.write_text('{"artifacts": {')
+
+
+def _without_series_entry(path):
+    manifest = json.loads(path.read_text())
+    del manifest["artifacts"]["returns_raw.bin"]
+    path.write_text(json.dumps(manifest))
+
+
+def _edit_seed(path):
+    text = path.read_text()
+    assert "seed = 3\n" in text
+    path.write_text(text.replace("seed = 3\n", "seed = 4\n"))
+
+
+def _artifacts_list(path):
+    manifest = json.loads(path.read_text())
+    manifest["artifacts"] = list(manifest["artifacts"].items())
+    path.write_text(json.dumps(manifest))
+
+
+def a_run(*overrides):
+    """A layout: the `tiny_run_args` run under `runs/`, with these overrides."""
+    return lambda root: run_ok(tiny_run_args(root / "runs", [
+        arg for kv in overrides for arg in ("--set", kv)]))
+
+
+def inputs(series_bytes, config_text=None):
+    """A layout: `write_analyze_inputs` of these bytes, as `run/`."""
+    return lambda root: write_analyze_inputs(root / "run", series_bytes, config_text)
+
+
+RERUN = " ".join(tiny_run_args("{tmp}/runs"))
+ANALYZE = "analyze {run0} --out {tmp}/summary.csv"
+SCHEMA_2_CONFIG = (
+    "schema_version = 2\nmodel = main\nn_agents = 100\nx = 0.41\ntotal_steps = 1000\n"
+    "equilibration_steps = 100\nmemory_m = 2\ninitial_history = 1,1\nvote_mode = strategy\n"
+    "seed = 1\nrescale_k = 2\nez_a = 0.01\n")
+
+# Every refusal of what a command finds on disk: damaged, blocked or
+# unusable run directories.  An entry is a test (see `collect`).  A row is
+# the directories to lay out, each a layout (`a_run`, `inputs`) that
+# "{run0}", "{run1}", ... then name; the damage to do after them, a path
+# and a function of it, or None; an argv; and a fragment of the error line.
+# "{tmp}" stands for the test's directory.
+FILE_REFUSALS = {
+    # nothing is written, also for an intact run directory named before the
+    # damaged one; a changed file is named by its digest
+    "test_analyze_damaged_artifact_is_named": {
+        id: ((a_run("seed=5"), a_run()), (f"{{run1}}/{name}", damage),
+             "analyze {run0} {run1} --r-min 1 --out {tmp}/summary.csv",
+             f"{what} {{run1}}/{name}{why}")
+        for id, name, damage, what, why in (
+            ("bin_truncated", "returns_raw.bin", _truncate, "damaged artifact", ": sha256"),
+            ("bin_byte_flipped", "returns_raw.bin", _flip_one_byte, "damaged artifact", ": sha256"),
+            ("bin_deleted", "returns_raw.bin", os.remove, "cannot read", ""),
+            ("manifest_deleted", "manifest.json", os.remove, "cannot read", ""),
+            ("manifest_unparseable", "manifest.json", _unparseable, "damaged manifest", ""),
+            ("manifest_without_entry", "manifest.json", _without_series_entry, "damaged manifest",
+             ": no entry 'returns_raw.bin'"),
+            ("config_edited", "config.txt", _edit_seed, "damaged artifact", ": sha256"),
+        )
+    },
+    # a rerun into a damaged directory leaves it as it was; a deleted file
+    # is not damage (`test_rerun_restores_a_deleted_artifact`)
+    "test_rerun_damaged_artifact_is_named": {
+        id: ((a_run(),), (f"{{run0}}/{name}", damage), RERUN, f"{{run0}}/{name}")
+        for id, name, damage in (
+            ("bin_truncated", "returns_raw.bin", _truncate),
+            ("summary_byte_flipped", "summary.json", _flip_one_byte),
+            ("manifest_unparseable", "manifest.json", _unparseable),
+            ("manifest_json_list", "manifest.json", lambda path: path.write_text(
+                json.dumps(list(json.loads(path.read_text())["artifacts"].items())))),
+            ("manifest_artifacts_list", "manifest.json", _artifacts_list),
+            ("manifest_deeply_nested", "manifest.json",
+             lambda path: path.write_text("[" * 100_000)),
+        )
+    },
+    # a file named like a run's analysis directory, a directory named like
+    # the summary or like one of a run's analysis files, or a summary named
+    # like a run's `fit.csv`, named before anything is written
+    "test_analyze_output_blocked_is_config_error": {
+        id: ((a_run(),), damage, f"analyze {{run0}} --r-min 1 --out {out}", blocked)
+        for id, damage, out, blocked in (
+            ("analysis", ("{run0}/analysis", lambda path: path.write_text("")),
+             "{tmp}/summary.csv", "{run0}/analysis"),
+            ("summary.csv", ("{tmp}/summary.csv", os.makedirs), "{tmp}/summary.csv",
+             "{tmp}/summary.csv"),
+            ("fit.csv", ("{run0}/analysis/fit.csv", os.makedirs), "{tmp}/summary.csv",
+             "{run0}/analysis/fit.csv"),
+            ("summary_is_fit.csv", None, "{run0}/analysis/fit.csv", "{run0}/analysis/fit.csv"),
+        )
+    },
+    "test_analyze_no_trades_is_explicit": (
+        (inputs((100).to_bytes(8, "little") + bytes(8 * 100)),), None, ANALYZE,
+        "no trades in {run0}"),
+    # named before any window is summed; the run records 2000 - 200 steps
+    "test_analyze_window_longer_than_the_series_is_config_error": (
+        (a_run("total_steps=2000", "x=0.37"),), None,
+        "analyze {run0} --rescale-k 100000 --out {tmp}/summary.csv",
+        "--rescale-k 100000 is longer than the 1800 returns recorded in {run0}"),
+    # a count that disagrees with the values, recorded as such in the manifest
+    "test_analyze_damaged_returns_file": (
+        (inputs((4).to_bytes(8, "little") + np.array([3, -1, 2], dtype="<i8").tobytes()),),
+        None, ANALYZE,
+        "damaged artifact {run0}/returns_raw.bin"),
+    # more than the run's 100 agents, of either sign, marks a damaged series
+    "test_analyze_refuses_a_return_beyond_the_population": {
+        id: ((inputs(_series_bytes(values * 50)),), None,
+             "analyze {run0} --r-min 1 --out {tmp}/s.csv", "a return exceeds the run's 100 agents")
+        for id, values in (("values1-False", [101, 3]), ("values2-False", [-101, 3]),
+                           ("values3-False", [2**40]), ("values4-False", [-2**63]))
+    },
+    # intact by its manifest, refused by its schema_version: not as damage,
+    # and not by the rescale_k key it holds
+    "test_analyze_refuses_a_run_of_another_schema": (
+        (inputs((3).to_bytes(8, "little") + bytes(range(1, 25)), SCHEMA_2_CONFIG),), None,
+        ANALYZE, f"error: {{run0}}/config.txt: schema_version 2 is not supported "
+                 f"(supported: {cli.SCHEMA_VERSION})\n"),
+    # nothing is written: neither the summary nor the run's analysis directory
+    "test_analyze_without_any_tail_fit_asks_for_r_min": (
+        (a_run("n_agents=300", "total_steps=100", "x=0.37", "seed=1"),), None, ANALYZE,
+        "pass --r-min"),
+}
+
+
+def _file_refused(row, root):
+    """A `FILE_REFUSALS` row: its directories laid out under `root` and its
+    damage done, its argv is refused with its fragment."""
+    layout, damage, args, fragment = row
+    names = {"tmp": root, **{f"run{i}": lay_out(root) for i, lay_out in enumerate(layout)}}
+    if damage is not None:
+        path, harm = damage
+        harm(Path(path.format(**names)))
+    assert_refusal(outcome([arg.format(**names) for arg in args.split()], root),
+                   fragment.format(**names))
+
+
+collect(FILE_REFUSALS, _file_refused)
+
+
 # -- arbitrary input ---------------------------------------------------------------
-
-def _series_bytes(values) -> bytes:
-    return len(values).to_bytes(8, "little") + np.array(values, dtype="<i8").tobytes()
-
 
 ARBITRARY_INPUT = {
     "config.txt": st.binary(),
@@ -1424,7 +1378,7 @@ def test_validate_negative_control(capsys, monkeypatch):
     exact = voting.fragmentation_probability
     monkeypatch.setattr(voting, "fragmentation_probability",
                         lambda s, x: min(1.0, exact(s, x) + 1e-6))
-    code = run_cli(["validate"])
+    code = cli.main(["validate"])
     assert code == cli.EXIT_VALIDATION
     assert "FAIL" in capsys.readouterr().out
 

@@ -583,8 +583,9 @@ def test_rescale_examples():
     assert rescale_returns(range(10), 200_000) == array("q")  # no full window
     with pytest.raises(ValueError):
         rescale_returns(series, 0)
-    with pytest.raises(TypeError):  # once a RecursionError
-        rescale_returns(series, 2.5)
+    for k in (2.5, True):  # 2.5 was once a RecursionError; a bool is not a length
+        with pytest.raises(TypeError):
+            rescale_returns(series, k)
 
 
 def test_rescale_is_fresh_array():

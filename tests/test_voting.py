@@ -186,7 +186,8 @@ PROBABILITY_CASES = {
     # deep in the cutoff the direct complement would be unrepresentable
     "test_consensus_probability_complements_fragmentation": [
         *(dict(x=x, sizes=(1, 2, 3, 10, 64, 65, 120, 500)) for x in X_GRID),
-        dict(x=0.47, sizes=(1000,), holds=lambda p_frg, q: 0.0 < q[0] < 1e-15)],
+        dict(x=0.47, sizes=(1000,), holds=lambda p_frg, q: 0.0 < q[0] < 1e-15),
+        dict(x=0.41, sizes=(10_000,), holds=lambda p_frg, q: p_frg[0] == 1.0 - q[0])],
     "test_decision_probabilities_known_values": [
         dict(x=0.41, exact={1: 0}, rel=0.0, abs=0.0),
         dict(x=0.40, exact={3: Fraction(2, 9)}, abs=1e-15)],
@@ -216,6 +217,8 @@ def test_enumeration_oracle_limits():
         enumerate_fragmentation_probability(15, 0.4)
     with pytest.raises(ValueError):
         enumerate_fragmentation_probability(0, 0.4)
+    with pytest.raises(TypeError):  # a bool is not a size
+        enumerate_fragmentation_probability(True, 0.4)
     with pytest.raises(ValueError):
         fragmentation_probability(0, 0.4)
 
@@ -264,9 +267,11 @@ def test_probability_table_refuses_sizes_that_are_not_integers():
 
 
 def test_scalar_lookups_refuse_sizes_that_are_not_integers():
-    for size in (2.5, 3.0, 100.5):
-        with pytest.raises(TypeError):
-            fragmentation_probability(size, 0.41)
+    for size in (2.5, 3.0, 100.5, True):  # a bool is not a size
+        for lookup in (fragmentation_probability, consensus_probability,
+                       decision_probabilities, voting.decision_cdf):
+            with pytest.raises(TypeError):
+                lookup(size, 0.41)
     assert fragmentation_probability(np.int64(70), 0.41) == fragmentation_probability(70, 0.41)
 
 
