@@ -253,24 +253,39 @@ PINNED_ANALYSIS = {
 }
 
 
+@pytest.fixture(scope="module")
+def pinned_run(tmp_path_factory):
+    """The run directory of a pinned config, run once for all the tests here."""
+    runs = {}
+
+    def run_of(override):
+        if override not in runs:
+            runs[override] = run_ok([
+                "run", "--out", str(tmp_path_factory.mktemp("pinned")), "--set", "n_agents=300",
+                "--set", "total_steps=30000", "--set", "x=0.41", "--set", "seed=1",
+                "--set", override])
+        return runs[override]
+    return run_of
+
+
 @pytest.mark.parametrize("override", list(PINNED_ARTIFACTS))
-def test_run_artifacts_are_pinned(tmp_path, override):
-    """One run of each pinned config: the digests its manifest records, then
-    what `analyze` writes of it at --rescale-k 2 and at 1.  `analyze` loads
-    no NumPy (`test_each_command_loads_only_its_layers`), so no CPU
-    dispatch of NumPy's can move these bytes."""
-    run_dir = run_ok(["run", "--out", str(tmp_path), "--set", "n_agents=300",
-                      "--set", "total_steps=30000", "--set", "x=0.41", "--set", "seed=1",
-                      "--set", override])
-    assert recorded(run_dir) == PINNED_ARTIFACTS[override]
-    for use_raw in (False, True):
-        summary = tmp_path / f"summary_{use_raw}.csv"
-        run_ok(["analyze", run_dir, "--rescale-k", "1" if use_raw else "2", "--out", str(summary)])
-        written = {name: os.path.join(run_dir, "analysis", name)
-                   for name in ("ccdf.csv", "pdf.csv", "fit.csv")}
-        digests = {name: artifacts.sha256_file(path)
-                   for name, path in {**written, "summary": summary}.items()}
-        assert digests == PINNED_ANALYSIS[override, use_raw], use_raw
+def test_run_artifacts_are_pinned(pinned_run, override):
+    assert recorded(pinned_run(override)) == PINNED_ARTIFACTS[override]
+
+
+@pytest.mark.parametrize("override, use_raw", list(PINNED_ANALYSIS))
+def test_analyze_outputs_are_pinned(tmp_path, pinned_run, override, use_raw):
+    """What `analyze` writes of a pinned run at --rescale-k 2 and at 1.
+    `analyze` loads no NumPy (`test_each_command_loads_only_its_layers`), so
+    no CPU dispatch of NumPy's can move these bytes."""
+    run_dir = pinned_run(override)
+    summary = tmp_path / "summary.csv"
+    run_ok(["analyze", run_dir, "--rescale-k", "1" if use_raw else "2", "--out", str(summary)])
+    written = {name: os.path.join(run_dir, "analysis", name)
+               for name in ("ccdf.csv", "pdf.csv", "fit.csv")}
+    digests = {name: artifacts.sha256_file(path)
+               for name, path in {**written, "summary": summary}.items()}
+    assert digests == PINNED_ANALYSIS[override, use_raw]
 
 
 def test_docstring_table_is_the_defaults():
@@ -570,6 +585,37 @@ def test_crash_mid_write_leaves_no_partial_artifact(tmp_path, monkeypatch,
         assert not any(".staging-" in path for path in tree(tmp_path))
 
 
+def test_scipy_stays_off_the_run_and_analyze_path(tmp_path):
+    """No command loads SciPy, and only a parallel sweep loads multiprocessing
+    (the sweep here is serial; `test_sweep_pool_is_no_larger_than_the_grid_or_the_cpus`
+    covers the pool)."""
+    script = f"""
+import contextlib, io, sys
+from herdvote import cli
+assert "scipy" not in sys.modules, "import herdvote.cli"
+assert "concurrent.futures.process" not in sys.modules, "import herdvote.cli"
+run_args = {tiny_run_args(tmp_path / "runs")!r}
+with contextlib.redirect_stdout(io.StringIO()) as printed:
+    for extra in ([], ["--set", "model=ez"], ["--set", "vote_mode=iid"]):
+        assert cli.main([*run_args, *extra]) == 0
+run_dir = printed.getvalue().splitlines()[0]
+# np.unique without return_counts imports numpy.ma: 10-13 ms per process
+assert "numpy.ma" not in sys.modules, "run"
+assert cli.main(["analyze", run_dir, "--out", {str(tmp_path / "summary.csv")!r}]) == 0
+assert "numpy.ma" not in sys.modules, "analyze"
+argv = ["meanfield", "--n-agents", "400", "--x", "0.41", "--out", {str(tmp_path / "dist.txt")!r}]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(argv) == 0
+    assert cli.main(["validate"]) == 0
+    assert cli.main({sweep_args(tmp_path / "sweep", 1)!r}) == 0
+assert "scipy" not in sys.modules
+assert "concurrent.futures.process" not in sys.modules
+"""
+    result = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 BASE_MODULES = {"herdvote", "herdvote.artifacts", "herdvote.cli", "herdvote.config"}
 SIMULATOR = {"herdvote.engine", "herdvote.population", "herdvote.series"}
 COMMAND_MODULES = {
@@ -591,10 +637,7 @@ def test_each_command_loads_only_its_layers(tmp_path, command):
     """The package modules a fresh process holds after one command: an eager
     import added anywhere shows here before it slows every command down.
     A command compiles no other command's body (`cli_<command>`), and only
-    an iid run among the runs loads `voting`.  No command loads SciPy, and
-    only a parallel sweep loads multiprocessing (the sweep here is serial;
-    `test_sweep_pool_is_no_larger_than_the_grid_or_the_cpus` covers the
-    pool)."""
+    an iid run among the runs loads `voting`."""
     run_args = tiny_run_args(tmp_path / "runs")
     argv = {
         "version": ["--version"],
@@ -612,15 +655,14 @@ def test_each_command_loads_only_its_layers(tmp_path, command):
     script = """
 import contextlib, io, json, sys
 from herdvote import cli
-LAYERS = ("numpy", "numpy.ma", "scipy", "concurrent.futures.process", "hashlib", "csv")
-assert [m for m in LAYERS[:4] if m in sys.modules] == [], "import herdvote.cli"
+assert "numpy" not in sys.modules, "import herdvote.cli"
 with contextlib.redirect_stdout(io.StringIO()):
     try:
         code = cli.main(json.loads(sys.argv[1]))
     except SystemExit as exc:  # --version
         code = exc.code
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "herdvote"),
-                  [m for m in LAYERS if m in sys.modules]]))
+                  sorted(m for m in ("numpy", "hashlib", "csv") if m in sys.modules)]))
 """
     result = subprocess.run([sys.executable, "-c", script, json.dumps(argv)], env=fresh_env(),
                             capture_output=True, text=True, cwd=tmp_path)
@@ -632,12 +674,8 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "her
     assert bodies <= {f"herdvote.cli_{command}"}
     if command in ("run", "run_ez"):  # strategy votes and E-Z decisions need no `voting`
         assert "herdvote.voting" not in modules
-    assert not {"scipy", "concurrent.futures.process"} & set(loaded)
     if command in ("version", "analyze"):  # their layers are standard library only
         assert "numpy" not in loaded
-    if command in ("run", "run_iid", "run_ez", "analyze"):
-        # np.unique without return_counts imports numpy.ma: 10-13 ms per process
-        assert "numpy.ma" not in loaded
     if command in ("version", "meanfield"):  # they digest no file and write no CSV
         assert not {"hashlib", "csv"} & set(loaded)
 
