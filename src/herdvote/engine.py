@@ -31,22 +31,26 @@ At any fixed history, freshly drawn tables give i.i.d. uniform entries
 across agents, so a single strategy poll is distributed as an iid one; the
 two vote modes differ only in correlations across time.
 
-`advance` runs the steps in one fused loop that keeps its state in locals,
-fills the iid decision CDFs from `voting` as sizes first occur, keeps each
-strategy group's votes in one packed tally and applies merges and
-fragments to the partition's flat size list and member lists inline; the
-cyclic garbage collector is off while it runs.  Only an iid state loads
-`voting`: a strategy or E-Z run never imports it.  `run` drives the loop
-over a whole config of either model.  The E-Z baseline (`ez`) runs on the
-same loop: a state built from an `EzConfig` draws its decisions from the
-constant (a/2, a/2, 1-a), a trading group disperses, and a merge joins
-the group of any agent but the picked one (nothing happens when that
-agent is in the same group).  `step` is the same update, for all three
-models, one call at a time: it polls each member's table entry, reads no
-packed tally, and merges and fragments through `Partition.merge` and
-`Partition.fragment` alone.  It is the one reference that tests compare
-the loop against byte for byte (`ez.ez_step` is another name for it), not
-production code.
+`advance` runs the steps in one fused loop that keeps its state in
+locals, fills the iid decision CDFs from `voting` as sizes first occur,
+keeps each strategy group's votes in one packed tally and applies merges
+and fragments to the partition's flat size list and member lists inline;
+the cyclic garbage collector is off while it runs.  It classifies each
+distinct tally a strategy group meets once per call: the (buy, sell,
+wait) counts at the current history, which fix the group's size too, key
+a dict of their tied options, and the dict is cleared at a partition
+checksum once it holds more than `_OPTIONS_LIMIT` tallies.  Only an iid
+state loads `voting`: a strategy or E-Z run never imports it.  `run`
+drives the loop over a whole config of either model.  The E-Z baseline
+(`ez`) runs on the same loop: a state built from an `EzConfig` draws its
+decisions from the constant (a/2, a/2, 1-a), a trading group disperses,
+and a merge joins the group of any agent but the picked one (nothing
+happens when that agent is in the same group).  `step` is the same
+update, for all three models, one call at a time: it polls each member's
+table entry, reads no packed tally, and merges and fragments through
+`Partition.merge` and `Partition.fragment` alone.  It is the one
+reference that tests compare the loop against byte for byte
+(`ez.ez_step` is another name for it), not production code.
 
 A run is fully determined by its config: `SimState(config)` seeds the
 state's streams (its docstring states how) and reads every other setting
@@ -93,6 +97,11 @@ if TYPE_CHECKING:
 _DRAW_CHUNK = 1 << 20  # table entries per int64 draw in `assign_strategies`
 _BUF_SIZE = 1 << 16
 _CHECK_EVERY = 10_000  # steps between partition checksums in `advance`
+# `advance` clears its dict of classified tallies at a checksum once the dict
+# holds more than this many.  An x = 0.335 desk run meets some 2x10^5
+# distinct tallies; at 2^16 its peak RSS grew by 8 MB, at 2^13 by 1.3 MB, and
+# a desk run at x = 0.41 meets fewer than 2^13 in 10^6 steps
+_OPTIONS_LIMIT = 1 << 13
 # A step starts on a new block when this many uniforms of the current one,
 # or fewer, are left.  It reads at most two before its merge-target
 # rejections (the agent pick, then a tie-break or decision uniform), and the
@@ -432,7 +441,14 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
     is None), this call first builds them from the partition, after its
     argument checks: free at step 0, where there are no groups, and
     O(agents in groups) after `step` moved the state.  Chunked calls keep
-    them.
+    them.  A group of two or more decides from its tally's (buy, sell,
+    wait) fields at the current history, one `3 * _width`-bit key that
+    fixes its size as well.  The call classifies each key it meets once,
+    as `voting.consensus_options` does, keeps the tied options in a dict
+    and breaks ties as `step` does, so a decision reads the same uniforms
+    whether its key was met before or not.  The dict lives for one call and
+    is cleared at a checksum once it holds more than `_OPTIONS_LIMIT`
+    keys: a run whose groups keep changing meets new keys for good.
 
     A group's size is one read of the partition's `_size`.  Merges and
     fragments update the partition in place, as `Partition.merge` and
@@ -469,6 +485,9 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
     w = state._width
     w2, w3 = 2 * w, 3 * w
     fmask = (1 << w) - 1
+    tmask = (1 << w3) - 1
+    options = {}  # the tied options of each tally met, keyed by the tally at h
+    classified = options.get
     h = history_index(state.history)
     buf = state._ubuf
     picks = state._upicks
@@ -529,26 +548,37 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
                 elif s == 1:
                     d = rows[agent][h]  # one vote always clears T = x < 1
                 else:
-                    # `voting.consensus_options` and the tie-break of `step`,
-                    # stated inline: a call per step would cost more than the rule
-                    t = votes[g] >> (h * w3)
-                    b = t & fmask
-                    sc = (t >> w) & fmask
-                    wt = (t >> w2) & fmask
-                    mx = b if b >= sc else sc
-                    if wt > mx:
-                        mx = wt
-                    if mx < x * s:
+                    # the group's (buy, sell, wait) counts at h, which fix s too
+                    t = (votes[g] >> (h * w3)) & tmask
+                    tied = classified(t)
+                    if tied is None:
+                        # `voting.consensus_options`, stated inline
+                        b = t & fmask
+                        sc = (t >> w) & fmask
+                        wt = t >> w2
+                        mx = b if b >= sc else sc
+                        if wt > mx:
+                            mx = wt
+                        if mx < x * s:
+                            tied = ()
+                        elif b == mx:
+                            if sc == mx:
+                                tied = (0, 1, 2) if wt == mx else (0, 1)
+                            else:
+                                tied = (0, 2) if wt == mx else (0,)
+                        elif sc == mx:
+                            tied = (1, 2) if wt == mx else (1,)
+                        else:
+                            tied = (2,)
+                        options[t] = tied
+                    # the tie-break of `step`
+                    if not tied:
                         d = 3
+                    elif len(tied) == 1:
+                        d = tied[0]
                     else:
-                        # the first tied option, or a draw's pick: of 3 the pick-th, of 2 the 2nd
-                        d = 0 if b == mx else (1 if sc == mx else 2)
-                        n_tied = (b == mx) + (sc == mx) + (wt == mx)
-                        if n_tied > 1:
-                            pick = int(buf[pos] * n_tied)
-                            pos += 1
-                            if pick:
-                                d = pick if n_tied == 3 else (2 if wt == mx else 1)
+                        d = tied[int(buf[pos] * len(tied))]
+                        pos += 1
 
                 # act
                 counts[d] += 1
@@ -615,6 +645,8 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
                 if covered != n:
                     raise AssertionError(
                         f"partition corrupted at step {i - 1}: {covered} of {n} agents")
+                if len(options) > _OPTIONS_LIMIT:
+                    options.clear()
     finally:
         part._n_single = n_single
         if gc_was_on:

@@ -327,6 +327,8 @@ def check_partition(part) -> None:
 # `engine.step` is the oracle of every model (`ez.ez_step` is the same
 # function); `engine.advance` and `engine.run` are held to it byte for byte.
 
+CHUNKS = (1, 13, 1000, 10_007)  # `assert_loop_matches_oracle`'s `advance` calls, in turn
+
 def step_counting_refills(state, n_steps):
     """Step the oracle `n_steps` times: its events, and how often it drew a
     new block of uniforms at the start of a step and inside the merge-target
@@ -400,7 +402,7 @@ def assert_loop_matches_oracle(config, stream=None):
 
     fused = fresh()
     chunked = np.zeros_like(expected)
-    chunks = itertools.cycle((1, 13, 1000, 10_007))
+    chunks = itertools.cycle(CHUNKS)
     while fused.step_index < config.total_steps:
         advance(fused, min(next(chunks), config.total_steps - fused.step_index), chunked)
     assert np.array_equal(chunked, expected)

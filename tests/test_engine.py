@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import tracemalloc
 from array import array
@@ -33,6 +34,7 @@ from herdvote.voting import (
     decision_probabilities,
 )
 from oracles import (
+    CHUNKS,
     assert_loop_matches_oracle,
     assert_same_state,
     check_partition,
@@ -218,9 +220,12 @@ class TailRunStream:
         return u
 
 
+STRATEGY_ACROSS_BLOCKS = SimConfig(n_agents=30, x=0.34, total_steps=150_000,
+                                   equilibration_steps=0, seed=2)
+
+
 @pytest.mark.parametrize("config, stream, rejections", [
-    (SimConfig(n_agents=30, x=0.34, total_steps=150_000, equilibration_steps=0, seed=2),
-     None, 1),
+    (STRATEGY_ACROSS_BLOCKS, None, 1),
     (SimConfig(n_agents=30, x=0.34, total_steps=200_000, equilibration_steps=0, seed=1,
                vote_mode=VoteMode.IID_UNIFORM), None, 1),
     (EzConfig(n_agents=80, a=0.05, total_steps=120_000, equilibration_steps=0, seed=4),
@@ -251,6 +256,52 @@ def test_fused_loop_breaks_two_and_three_way_ties_as_the_oracle(monkeypatch):
     monkeypatch.setattr(voting, "consensus_options", counting)
     assert_loop_matches_oracle(SimConfig(n_agents=12, x=0.3, memory=1, total_steps=5000, seed=3))
     assert ties[2] >= 1 and ties[3] >= 1, ties
+
+
+class RecordingLimit(int):
+    """A limit of 0 on the loop's classified tallies that records each count
+    of them compared with it: `count > limit` asks this subclass of int."""
+
+    def __new__(cls, counts):
+        limit = super().__new__(cls, 0)
+        limit.counts = counts
+        return limit
+
+    def __lt__(self, count):
+        self.counts.append(count)
+        return super().__lt__(count)
+
+
+@pytest.mark.parametrize("config", [
+    SimConfig(n_agents=12, x=0.3, memory=1, total_steps=25_000, seed=3),
+    STRATEGY_ACROSS_BLOCKS,
+], ids=["ties", "strategy-2-150000"])
+def test_fused_loop_matches_oracle_when_its_classified_tallies_are_cleared(monkeypatch, config):
+    """With the limit at 0 the loop clears its classified tallies at every
+    checksum it reaches with some, and classifies them afresh: the run is
+    still the oracle's.  The tie test's config runs 25 000 steps here, as
+    its 5000 reach no checksum."""
+    counts = []
+    monkeypatch.setattr(engine, "_OPTIONS_LIMIT", RecordingLimit(counts))
+    assert_loop_matches_oracle(config)
+    assert max(counts) > 0
+
+
+def test_fused_loop_matches_oracle_through_an_absorbed_run():
+    """At N = 50, x = 0.335 and memory 2 a run becomes one group of all 50
+    agents that waits at every later step, each step meeting the same tally
+    at the same history: the loop classifies it once per call and reads it
+    back after, in chunked calls that cross the step where the run absorbs.
+    The seed is the first from 0 whose run polls the whole population at
+    every step of the oracle driver's last chunked call."""
+    config = SimConfig(n_agents=50, x=0.335, memory=2, total_steps=12_000, seed=0)
+    events, *_ = assert_loop_matches_oracle(config)
+    last = 0
+    for n_steps in itertools.cycle(CHUNKS):
+        if last + n_steps >= config.total_steps:
+            break
+        last += n_steps
+    assert {(e.group_size, e.decision) for e in events[last:]} == {(50, Decision.MERGE)}
 
 
 @settings(max_examples=200)
