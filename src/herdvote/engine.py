@@ -31,15 +31,17 @@ At any fixed history, freshly drawn tables give i.i.d. uniform entries
 across agents, so a single strategy poll is distributed as an iid one; the
 two vote modes differ only in correlations across time.
 
-`advance` runs the steps in one fused loop that keeps its state in
-locals, fills the iid decision CDFs from `voting` as sizes first occur,
-keeps each strategy group's votes in one packed tally and applies merges
-and fragments to the partition's flat size list and member lists inline;
-the cyclic garbage collector is off while it runs.  It classifies each
+`advance` runs the steps in one fused loop that keeps its state, the
+decision counts included, in locals, fills the iid decision CDFs from
+`voting` as sizes first occur, keeps each strategy group's votes in one
+packed tally, in a list indexed by group handle, and applies merges and
+fragments to the partition's flat size list and member lists inline; the
+cyclic garbage collector is off while it runs.  It classifies each
 distinct tally a strategy group meets once per call: the (buy, sell,
 wait) counts at the current history, which fix the group's size too, key
-a dict of their tied options, and the dict is cleared at a partition
-checksum once it holds more than `_OPTIONS_LIMIT` tallies.  Only an iid
+a dict of int codes, each a decided option or an index into `_TIED`'s
+tuples of tied options, and the dict is cleared at a partition checksum
+once it holds more than `_OPTIONS_LIMIT` tallies.  Only an iid
 state loads `voting`: a strategy or E-Z run never imports it.  `run`
 drives the loop over a whole config of either model.  The E-Z baseline
 (`ez`) runs on the same loop: a state built from an `EzConfig` draws its
@@ -102,6 +104,11 @@ _CHECK_EVERY = 10_000  # steps between partition checksums in `advance`
 # distinct tallies; at 2^16 its peak RSS grew by 8 MB, at 2^13 by 1.3 MB, and
 # a desk run at x = 0.41 meets fewer than 2^13 in 10^6 steps
 _OPTIONS_LIMIT = 1 << 13
+# The tied options of each code that dict maps a tally to, as
+# `voting.consensus_options` gives them: codes 0-3 are decided (buy, sell,
+# wait, and fragment below the threshold), and a tie among the options of
+# code 4-7 reads one uniform
+_TIED = ((0,), (1,), (2,), (), (0, 1, 2), (0, 1), (0, 2), (1, 2))
 # A step starts on a new block when this many uniforms of the current one,
 # or fewer, are left.  It reads at most two before its merge-target
 # rejections (the agent pick, then a tie-break or decision uniform), and the
@@ -185,12 +192,13 @@ class SimState:
     sits in the `_width`-bit field number 3h + o (see `_tally_packer`).
     No count exceeds the population, so fields never carry into each
     other, and a group's packed tally is the sum of its members' packed
-    rows.  `_group_votes` holds the packed tally of each group of two or
-    more, keyed like the partition's member lists by the group's handle; a
-    singleton's tally is its packed row.  Only `advance` reads or keeps
-    these tallies: it builds them from the partition when it finds None,
-    which a fresh state holds and `step` sets, and keeps them between its
-    calls.  An iid or E-Z state always holds None.
+    rows.  `_group_votes` is a list of N slots indexed by group handle: the
+    slot of each group of two or more holds its packed tally, and every
+    other slot None, so a handle that no longer names such a group keeps no
+    tally alive.  A singleton's tally is its packed row.  Only `advance`
+    reads or keeps these tallies: it builds the list from the partition
+    when it finds None, which a fresh state holds and `step` sets, and
+    keeps it between its calls.  An iid or E-Z state always holds None.
 
     `_ubuf` is the current block of uniforms drawn from `_rng`,
     `_upicks` the agent picks decoded from that same block (`_draw_block`
@@ -437,18 +445,23 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
 
     In strategy mode the loop owns the packed tallies (see `SimState`): a
     singleton's is the state's `_single[agent]`, and a merged group's is
-    the sum of its two sides'.  When the state holds none (`_group_votes`
-    is None), this call first builds them from the partition, after its
-    argument checks: free at step 0, where there are no groups, and
-    O(agents in groups) after `step` moved the state.  Chunked calls keep
-    them.  A group of two or more decides from its tally's (buy, sell,
-    wait) fields at the current history, one `3 * _width`-bit key that
-    fixes its size as well.  The call classifies each key it meets once,
-    as `voting.consensus_options` does, keeps the tied options in a dict
-    and breaks ties as `step` does, so a decision reads the same uniforms
-    whether its key was met before or not.  The dict lives for one call and
-    is cleared at a checksum once it holds more than `_OPTIONS_LIMIT`
-    keys: a run whose groups keep changing meets new keys for good.
+    the sum of its two sides', stored at the handle that survives, while
+    the slot of a retired group handle, and of a fragmented group, is set
+    to None.  When the state holds none (`_group_votes` is None), this call
+    first builds them from the partition, after its argument checks, in
+    O(N + agents in groups): O(N) at step 0, where there are no groups.
+    Chunked calls keep them.  A group of two or more decides from its
+    tally's (buy, sell, wait) fields at the current history, one
+    `3 * _width`-bit key that fixes its size as well.  The call classifies
+    each key it meets once, as `voting.consensus_options` does, and keeps
+    an int code per key in a dict: 0-3 a decided outcome (buy, sell, wait,
+    fragment) and 4-7 the index of its tied options in `_TIED`.  It breaks
+    ties as `step` does, `tied[int(u * len(tied))]`, so a decision reads
+    the same uniforms whether its key was met before or not.  The dict
+    lives for one call and is cleared at a checksum once it holds more
+    than `_OPTIONS_LIMIT` keys: a run whose groups keep changing meets new
+    keys for good.  The decision counts are kept in locals and written
+    back to `decision_counts` when the call returns or raises.
 
     A group's size is one read of the partition's `_size`.  Merges and
     fragments update the partition in place, as `Partition.merge` and
@@ -479,15 +492,16 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
     rows = state._rows
     single = state._single
     votes = state._group_votes
-    counts = state.decision_counts
+    n_buy, n_sell, n_merge, n_fragment = state.decision_counts
     memory = len(state.history)
     mask = (1 << memory) - 1
     w = state._width
     w2, w3 = 2 * w, 3 * w
     fmask = (1 << w) - 1
     tmask = (1 << w3) - 1
-    options = {}  # the tied options of each tally met, keyed by the tally at h
+    options = {}  # the code of each tally met, keyed by the tally at h (see `_TIED`)
     classified = options.get
+    tied_options = _TIED
     h = history_index(state.history)
     buf = state._ubuf
     picks = state._upicks
@@ -510,8 +524,9 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
             raise ValueError(f"returns holds {len(returns)} entries, and steps "
                              f"{first_recorded}..{stop - 1} need {stop - first_recorded}")
     if rows is not None and votes is None:
-        votes = state._group_votes = {g: sum(map(single.__getitem__, m))
-                                      for g, m in members.items()}
+        votes = state._group_votes = [None] * n
+        for g, m in members.items():
+            votes[g] = sum(map(single.__getitem__, m))
 
     # the loop builds only lists that cannot form a cycle, and reference
     # counting frees them; the cyclic collector would only rescan the partition
@@ -520,7 +535,8 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
     try:
         while i < stop:
             block_end = min(stop, (i // _CHECK_EVERY + 1) * _CHECK_EVERY)
-            for i in range(i, block_end):
+            # j is step i's slot in `returns`, i - first_recorded: recorded when j >= 0
+            for j in range(i - first_recorded, block_end - first_recorded):
                 if pos >= refill_at:
                     buf = picks = None  # let the old block go before the next one is drawn
                     buf, picks = _draw_block(rng, n)
@@ -550,9 +566,9 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
                 else:
                     # the group's (buy, sell, wait) counts at h, which fix s too
                     t = (votes[g] >> (h * w3)) & tmask
-                    tied = classified(t)
-                    if tied is None:
-                        # `voting.consensus_options`, stated inline
+                    d = classified(t)
+                    if d is None:
+                        # `voting.consensus_options`, stated inline, as a `_TIED` code
                         b = t & fmask
                         sc = (t >> w) & fmask
                         wt = t >> w2
@@ -560,35 +576,39 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
                         if wt > mx:
                             mx = wt
                         if mx < x * s:
-                            tied = ()
+                            d = 3
                         elif b == mx:
                             if sc == mx:
-                                tied = (0, 1, 2) if wt == mx else (0, 1)
+                                d = 4 if wt == mx else 5
                             else:
-                                tied = (0, 2) if wt == mx else (0,)
+                                d = 6 if wt == mx else 0
                         elif sc == mx:
-                            tied = (1, 2) if wt == mx else (1,)
+                            d = 7 if wt == mx else 1
                         else:
-                            tied = (2,)
-                        options[t] = tied
-                    # the tie-break of `step`
-                    if not tied:
-                        d = 3
-                    elif len(tied) == 1:
-                        d = tied[0]
-                    else:
+                            d = 2
+                        options[t] = d
+                    if d > 3:
+                        # the tie-break of `step`
+                        tied = tied_options[d]
                         d = tied[int(buf[pos] * len(tied))]
                         pos += 1
 
                 # act
-                counts[d] += 1
                 if d <= 1:
-                    h = ((h << 1) | (1 - d)) & mask  # buy shifts in a 1, sell a 0
-                    if i >= first_recorded:
-                        returns[i - first_recorded] = s if d == 0 else -s
+                    if d == 0:
+                        n_buy += 1
+                        h = ((h << 1) | 1) & mask
+                        if j >= 0:
+                            returns[j] = s
+                    else:
+                        n_sell += 1
+                        h = (h << 1) & mask
+                        if j >= 0:
+                            returns[j] = -s
                     if not ez or s == 1:
                         continue
                 elif d == 2:
+                    n_merge += 1
                     if ez or s < n:
                         # E-Z: any agent but the picked one, same group is a no-op;
                         # voting model: an agent outside the group
@@ -606,11 +626,11 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
                             # `Partition.merge`, inlined, and the tallies summed: the
                             # smaller side moves, the larger group (on a tie, g) keeps its handle
                             s2 = size[g2]
-                            if rows is not None:
-                                t = ((votes.pop(g) if s > 1 else single[g])
-                                     + (votes.pop(g2) if s2 > 1 else single[g2]))
                             if s < s2:
                                 g, g2, s, s2 = g2, g, s2, s
+                            if rows is not None:
+                                votes[g] = ((votes[g] if s > 1 else single[g])
+                                            + (votes[g2] if s2 > 1 else single[g2]))
                             if s2 == 1:
                                 group_of[g2] = g
                                 if s == 1:
@@ -624,10 +644,12 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
                                 for a in m2:
                                     group_of[a] = g
                                 members[g].extend(m2)
+                                if rows is not None:
+                                    votes[g2] = None  # g2 no longer names a group
                             size[g] = s + s2
-                            if rows is not None:
-                                votes[g] = t
                     continue
+                else:
+                    n_fragment += 1
                 # fragment (or a trade that disperses), `Partition.fragment` inlined:
                 # every member becomes a singleton named by itself.  No singleton gets
                 # here: its own vote decides it, or a CDF that ends at 1.0
@@ -636,7 +658,7 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
                     size[a] = 1
                 n_single += s
                 if rows is not None:
-                    del votes[g]
+                    votes[g] = None
 
             i = block_end
             if i % _CHECK_EVERY == 0:
@@ -649,6 +671,7 @@ def advance(state: SimState, n_steps: int, returns: np.ndarray | None = None) ->
                     options.clear()
     finally:
         part._n_single = n_single
+        state.decision_counts[:] = n_buy, n_sell, n_merge, n_fragment
         if gc_was_on:
             gc.enable()
 

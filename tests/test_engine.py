@@ -49,13 +49,18 @@ def use_tables(monkeypatch, tables):
 
 
 def assert_tallies_are_polls(state, tables):
-    """`advance` keeps a packed tally for each group of two or more agents and
-    no other, and it holds, per history, the [buy, sell, wait] counts of the
-    members' entries in `tables`.  Returns the unpacked tallies by group."""
+    """`advance` keeps a packed tally at the handle of each group of two or
+    more agents, and None in every other slot of its list of N, so no dead
+    tally stays alive.  The tally holds, per history, the [buy, sell, wait]
+    counts of the members' entries in `tables`.  Returns the unpacked
+    tallies by group."""
     part, w = state.partition, state._width
-    assert set(state._group_votes) == set(part._members)
+    votes = state._group_votes
+    assert type(votes) is list and len(votes) == part.n_agents
+    assert [g for g, tally in enumerate(votes) if tally is not None] == sorted(part._members)
     tallies = {}
-    for g, tally in state._group_votes.items():
+    for g in part._members:
+        tally = votes[g]
         fields = [(tally >> (f * w)) & ((1 << w) - 1) for f in range(3 << len(state.history))]
         tallies[g] = [fields[f:f + 3] for f in range(0, len(fields), 3)]
         assert tallies[g] == [np.bincount(tables[part.members(g), idx], minlength=3).tolist()
@@ -279,12 +284,18 @@ class RecordingLimit(int):
 def test_fused_loop_matches_oracle_when_its_classified_tallies_are_cleared(monkeypatch, config):
     """With the limit at 0 the loop clears its classified tallies at every
     checksum it reaches with some, and classifies them afresh: the run is
-    still the oracle's.  The tie test's config runs 25 000 steps here, as
-    its 5000 reach no checksum."""
+    still the oracle's.  Within one call a dict that is never cleared only
+    grows from checksum to checksum, so in one `run` some count compared
+    with the limit falls below the one before it.  The tie test's config
+    runs 25 000 steps here, as its 5000 reach no checksum."""
     counts = []
     monkeypatch.setattr(engine, "_OPTIONS_LIMIT", RecordingLimit(counts))
     assert_loop_matches_oracle(config)
     assert max(counts) > 0
+    counts.clear()
+    run(config)
+    assert len(counts) == config.total_steps // engine._CHECK_EVERY
+    assert any(later < earlier for earlier, later in zip(counts, counts[1:])), counts
 
 
 def test_fused_loop_matches_oracle_through_an_absorbed_run():
@@ -335,14 +346,18 @@ def test_advance_turns_gc_off_and_restores_it(monkeypatch):
 
     # a raising loop still turns it back on: a stray list breaks the checksum,
     # here a singleton that holds a one-element member list it must not have
+    # the loop's decision counts reach the state on a return and on a raise:
+    # the step that ran before the checksum raised is counted, though
+    # `step_index` stays where the call began
     advance(state, 8_999)
-    assert state.step_index == 9_999
+    assert state.step_index == 9_999 == sum(state.decision_counts)
     part = state.partition
     lone = next(a for a in range(part.n_agents) if part.group_of(a) == (a, 1))
     part._members[lone] = [lone]
     with pytest.raises(AssertionError, match="partition corrupted at step 9999"):
         advance(state, 1)
     assert gc.isenabled()
+    assert sum(state.decision_counts) == state.step_index + 1
 
 
 @pytest.mark.parametrize("returns", [
